@@ -20,7 +20,8 @@ fi
 
 cargo fmt --check
 cargo build --release --offline --workspace
-cargo test -q --offline
+# Every crate's tests gate, not only the root package's.
+cargo test -q --offline --workspace
 
 # Docs gate: every public item is documented (hinet-rt denies missing docs),
 # no intra-doc link is broken, and every doc example compiles and runs.
@@ -163,9 +164,9 @@ echo "delivery smoke: OK"
 
 # Event-runtime smoke: a seeded event-mode run must produce the same
 # dissemination result as the lock-step engine — identical trace behaviour
-# (the headers differ only by the `mode` meta stamp and runtime gauges,
-# hence --ignore meta), wall-clock metrics reported, and the sweep_async
-# suite must emit its JSON artifact and gate against itself.
+# (the headers differ only by the `mode` meta stamp, hence --ignore meta),
+# wall-clock metrics reported, and the sweep_async suite must emit its
+# JSON artifact and gate against itself.
 rm -rf target/ci-event
 ./target/release/hinet trace --algorithm alg2 --n 32 --k 4 --seed 5 \
     --out target/ci-event/lockstep.jsonl >/dev/null

@@ -5,10 +5,8 @@ use super::ExperimentResult;
 use crate::report::Table;
 use hinet_cluster::ctvg::FlatProvider;
 use hinet_cluster::generators::{HiNetConfig, HiNetGen};
-use hinet_core::netcode::run_rlnc;
 use hinet_core::runner::{run_algorithm, AlgorithmKind};
 use hinet_graph::generators::OneIntervalGen;
-use hinet_rt::obs::{ObsConfig, Tracer};
 use hinet_sim::engine::RunConfig;
 use hinet_sim::fault::FaultPlan;
 use hinet_sim::token::round_robin_assignment;
@@ -123,31 +121,24 @@ pub fn e17_loss_resilience() -> ExperimentResult {
             alg2.metrics.retransmits.to_string(),
         ]);
 
-        // RLNC on the same flat dynamics. The report carries no fault
-        // counters, so drops come from the tracer's exact totals.
-        let mut flat = OneIntervalGen::new(n, true, n / 5, SEED);
-        let mut tracer = Tracer::new(ObsConfig::full());
-        let rlnc = run_rlnc(
+        // RLNC on the same flat dynamics: coding redundancy is its only
+        // recovery mechanism.
+        let mut flat = FlatProvider::new(OneIntervalGen::new(n, true, n / 5, SEED));
+        let rlnc = run_algorithm(
+            &AlgorithmKind::Rlnc { k, seed: SEED },
             &mut flat,
             &assignment,
-            SEED,
-            RunConfig::new()
-                .max_rounds(budget)
-                .faults(faults.clone())
-                .tracer(&mut tracer),
+            RunConfig::new().max_rounds(budget).faults(faults.clone()),
         );
         table.push_row(vec![
             loss_label.clone(),
             "rlnc".into(),
-            rlnc.completion_round.map_or_else(
-                || "stalled (budget exhausted)".into(),
-                |r| format!("completed in {r} rounds"),
-            ),
+            rlnc.outcome.to_string(),
             rlnc.completion_round
                 .map_or("never".into(), |r| r.to_string()),
-            rlnc.packets_sent.to_string(),
-            tracer.counters().faults_injected.to_string(),
-            "0".into(),
+            rlnc.metrics.tokens_sent.to_string(),
+            rlnc.metrics.faults_injected.to_string(),
+            rlnc.metrics.retransmits.to_string(),
         ]);
     }
 

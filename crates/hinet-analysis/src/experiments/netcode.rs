@@ -6,7 +6,6 @@ use crate::stats::Summary;
 use crate::sweep::run_sweep;
 use hinet_cluster::ctvg::FlatProvider;
 use hinet_cluster::generators::{HiNetConfig, HiNetGen};
-use hinet_core::netcode::run_rlnc;
 use hinet_core::runner::{run_algorithm, AlgorithmKind};
 use hinet_graph::generators::OneIntervalGen;
 use hinet_sim::engine::{CostWeights, RunConfig};
@@ -82,18 +81,18 @@ pub fn e15_network_coding() -> ExperimentResult {
         });
 
         // RLNC on the same flat dynamics as flooding.
-        let mut flat = OneIntervalGen::new(n, true, n / 5, seed);
-        let rlnc = run_rlnc(
+        let mut flat = FlatProvider::new(OneIntervalGen::new(n, true, n / 5, seed));
+        let rlnc = run_algorithm(
+            &AlgorithmKind::Rlnc { k, seed },
             &mut flat,
             &assignment,
-            seed,
-            RunConfig::new().max_rounds(budget),
+            RunConfig::new().max_rounds(budget).cost_weights(weights),
         );
         out.push(Cell {
             completed: rlnc.completed(),
             rounds: rlnc.completion_round,
-            tokens: rlnc.packets_sent,
-            bytes: rlnc.total_bytes(weights),
+            tokens: rlnc.metrics.tokens_sent,
+            bytes: rlnc.total_bytes(),
         });
         out
     });

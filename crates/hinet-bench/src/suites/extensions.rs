@@ -4,7 +4,8 @@
 
 use hinet_analysis::experiments::{e13_quiescence_trap, e14_multihop_clusters, e15_network_coding};
 use hinet_cluster::clustering::{dhop_lowest_id, GatewayPolicy, LccMaintainer};
-use hinet_core::netcode::run_rlnc;
+use hinet_cluster::ctvg::FlatProvider;
+use hinet_core::runner::{run_algorithm, AlgorithmKind};
 use hinet_graph::generators::{
     BackboneKind, ManhattanConfig, ManhattanGen, OneIntervalGen, TIntervalGen,
 };
@@ -69,11 +70,11 @@ fn bench_manhattan_and_rlnc(c: &mut Bench) {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            let mut gen = OneIntervalGen::new(40, true, 8, seed);
-            black_box(run_rlnc(
+            let mut gen = FlatProvider::new(OneIntervalGen::new(40, true, 8, seed));
+            black_box(run_algorithm(
+                &AlgorithmKind::Rlnc { k: 8, seed },
                 &mut gen,
                 &assignment,
-                seed,
                 RunConfig::new().max_rounds(200),
             ))
         })

@@ -1,424 +1,139 @@
 //! Random linear network coding (RLNC) dissemination — Haeupler & Karger's
 //! improvement over token-forwarding, cited by the paper as related work.
 //!
-//! Coded dissemination transmits *coefficient vectors over GF(2)* rather
-//! than token sets, so it does not fit the token-payload [`hinet_sim`]
-//! protocol interface; this module carries its own small synchronous
-//! executor over the same [`TopologyProvider`] substrate. Each round every
-//! node broadcasts one uniformly random combination of its basis rows; a
-//! node has a token once its reduced basis isolates the token's unit
-//! vector, and the run completes when every node reaches full rank.
+//! [`Rlnc`] is an ordinary [`Protocol`]: the round engine runs it like any
+//! other algorithm, in both execution modes, over the same dynamics
+//! providers, fault plane, reliability layer and tracer. Each round every
+//! node broadcasts one uniformly random combination of its basis rows as a
+//! [`Payload::Coded`] packet; a node knows a token once its reduced basis
+//! isolates the token's unit vector, so it is informed exactly when its
+//! basis reaches full rank. RLNC ignores the cluster hierarchy: its packets
+//! are broadcasts attributed to whatever role the provider gives the
+//! sender (`head` under a flat provider, where every node heads itself).
 //!
 //! Cost accounting: one coded packet carries one token-payload's worth of
 //! data plus a `k`-bit coefficient header, so in the paper's token metric
 //! it counts as **1**, and in the byte metric as
-//! `token_bytes + ⌈k/8⌉ + packet_header_bytes`.
+//! `token_bytes + ⌈k/8⌉ + packet_header_bytes` (the header lands in
+//! [`hinet_sim::engine::Metrics::coefficient_bytes`]).
+//!
+//! Each node draws its coefficients from `stream_rng(seed, node)`, a stream
+//! the fault plane never consults, so a trivial plan is byte-identical to a
+//! plain run. A crash restarts the node from its retained tokens' unit
+//! vectors (undecoded rows are volatile) and a fresh coin stream, like any
+//! freshly constructed instance.
 
-pub mod gf2;
-
-use gf2::{Gf2Basis, Gf2Vec};
 use hinet_graph::graph::NodeId;
-use hinet_graph::rng::stream_rng;
-use hinet_graph::trace::TopologyProvider;
-use hinet_rt::obs::{FaultKind, Role, Tracer};
-use hinet_sim::engine::{CostWeights, RunConfig};
-use hinet_sim::reliable::{ReceiverLedger, ReliableConfig, SenderWindow};
-use hinet_sim::token::TokenId;
+use hinet_graph::rng::{stream_rng, Xoshiro256StarStar};
+use hinet_sim::gf2::{Gf2Basis, Gf2Vec};
+use hinet_sim::protocol::{Destination, Incoming, LocalView, Outgoing, Payload, Protocol};
+use hinet_sim::token::{TokenId, TokenSet};
+use std::sync::Arc;
 
-/// Outcome of an RLNC run.
+/// One RLNC node over a universe of `k` tokens (ids `0..k`).
 #[derive(Clone, Debug)]
-pub struct RlncReport {
-    /// Rounds until every node reached full rank, or `None` if the budget
-    /// ran out first.
-    pub completion_round: Option<usize>,
-    /// Rounds executed.
-    pub rounds_executed: usize,
-    /// Coded packets transmitted (= token-equivalents in the paper's
-    /// metric: one payload per packet), timer retransmissions included.
-    pub packets_sent: u64,
-    /// Reliability-layer timer retransmissions ([`RunConfig::reliable`]),
-    /// already included in `packets_sent`.
-    pub retransmits: u64,
-    /// Token universe size `k`.
-    pub k: usize,
-}
-
-impl RlncReport {
-    /// Whether the run completed.
-    pub fn completed(&self) -> bool {
-        self.completion_round.is_some()
-    }
-
-    /// Byte cost under `w`, including the `k`-bit coefficient header each
-    /// coded packet carries.
-    pub fn total_bytes(&self, w: CostWeights) -> u64 {
-        let coeff_header = self.k.div_ceil(8) as u64;
-        self.packets_sent * (w.token_bytes + coeff_header + w.packet_header_bytes)
-    }
-}
-
-/// Run RLNC dissemination over `provider` — the single RLNC entry point,
-/// mirroring [`hinet_sim::engine::Engine::run`].
-///
-/// `assignment[u]` are node `u`'s initial tokens (ids must lie in
-/// `0..k` where `k` is the total distinct token count — use
-/// [`hinet_sim::token::round_robin_assignment`]). Fully deterministic
-/// given `seed`. The round budget, byte-cost weights, fault plan and
-/// optional tracer all come from `cfg`:
-///
-/// * **tracing** ([`RunConfig::tracer`]) — identical dissemination (the
-///   tracer never touches the RNG streams); each coded broadcast is
-///   emitted as an [`hinet_rt::obs::Event::HeadBroadcast`] with
-///   `count = 1` (a packet carries one token-payload's worth of data in
-///   the paper's metric), `token` set to the packet's leading coordinate
-///   (its pivot under GF(2) reduction) and role [`Role::Member`] — RLNC is
-///   flat, there is no hierarchy to attribute. Byte accounting uses
-///   [`RunConfig::cost_weights`] plus the `⌈k/8⌉`-byte coefficient header
-///   (see [`RlncReport::total_bytes`]).
-/// * **faults** ([`RunConfig::faults`]) — per-delivery loss and partition
-///   cuts suppress basis inserts at the receiver (the sender still pays
-///   for the packet), and crashed nodes go silent for `down_rounds`
-///   rounds, losing their accumulated basis unless the plan declares
-///   tokens durable. The dissemination RNG streams are never consulted by
-///   the fault plane, so a trivial plan is byte-identical to a plain run.
-///   RLNC is flat, so `target_heads` never matches a hazard crash here;
-///   scheduled [`hinet_sim::fault::FaultPlan::with_crash_at`] entries
-///   still fire. The delivery pathologies apply too: a delayed packet
-///   ([`hinet_sim::fault::FaultPlan::with_delay_ppm`]) is inserted at its
-///   matured round (lost if the receiver is down then), a duplicated one
-///   is a GF(2) no-op (counted, never double-inserted), and reorder
-///   shuffles each receiver's per-round insert order (a span-preserving
-///   permutation).
-/// * **reliability** ([`RunConfig::reliable`]) — each delivery registers
-///   in a per-sender [`SenderWindow`]; unacked packets retransmit on the
-///   backed-off timer (each re-send pays one packet), receivers dedup by
-///   reliable id, and acks apply at the round barrier exactly like the
-///   lock-step engine. Active only alongside a non-trivial fault plan.
-pub fn run_rlnc(
-    provider: &mut dyn TopologyProvider,
-    assignment: &[Vec<TokenId>],
+pub struct Rlnc {
+    k: usize,
     seed: u64,
-    mut cfg: RunConfig<'_>,
-) -> RlncReport {
-    let mut disabled = Tracer::disabled();
-    let tracer: &mut Tracer = match cfg.tracer.take() {
-        Some(t) => t,
-        None => &mut disabled,
-    };
-    let weights = cfg.cost_weights;
-    let faults = &cfg.faults;
-    let max_rounds = cfg.max_rounds;
-    let n = provider.n();
-    assert_eq!(assignment.len(), n, "one initial token list per node");
-    let k = assignment
-        .iter()
-        .flatten()
-        .map(|t| t.0 as usize + 1)
-        .max()
-        .unwrap_or(0);
-    let packet_bytes = weights.token_bytes + k.div_ceil(8) as u64 + weights.packet_header_bytes;
-    if tracer.enabled() {
-        tracer.meta("algorithm", "rlnc");
-        tracer.meta("token_bytes", weights.token_bytes.to_string());
-        tracer.meta(
-            "packet_header_bytes",
-            weights.packet_header_bytes.to_string(),
-        );
-    }
+    basis: Gf2Basis,
+    rng: Xoshiro256StarStar,
+    /// Decoded tokens (unit rows of the reduced basis).
+    known: TokenSet,
+}
 
-    let mut bases: Vec<Gf2Basis> = (0..n).map(|_| Gf2Basis::new(k)).collect();
-    for (u, tokens) in assignment.iter().enumerate() {
-        for t in tokens {
-            bases[u].insert(Gf2Vec::unit(k, t.0 as usize));
-        }
-    }
-    let mut rngs: Vec<_> = (0..n).map(|u| stream_rng(seed, u as u64)).collect();
-
-    let all_complete = |bases: &[Gf2Basis]| -> bool { bases.iter().all(|b| b.is_complete()) };
-
-    if k == 0 || all_complete(&bases) {
-        tracer.run_end(0, true);
-        return RlncReport {
-            completion_round: Some(0),
-            rounds_executed: 0,
-            packets_sent: 0,
-            retransmits: 0,
+impl Rlnc {
+    /// A node over `k` tokens whose coins come from `stream_rng(seed, me)`.
+    pub fn new(k: usize, seed: u64) -> Self {
+        Rlnc {
             k,
-        };
+            seed,
+            basis: Gf2Basis::new(k),
+            rng: stream_rng(seed, 0),
+            known: TokenSet::new(),
+        }
     }
 
-    let trivial = faults.is_trivial();
-    let reliable = cfg.reliable && !trivial;
-    let mut down_until = vec![0usize; n];
-    let mut was_down = vec![false; n];
-    // Delayed packets held for their matured round, per receiver:
-    // `(due round, sender, rid, packet)`.
-    let mut delayed: Vec<Vec<(usize, usize, u64, Gf2Vec)>> = vec![Vec::new(); n];
-    let mut plane: Option<(Vec<SenderWindow<Gf2Vec>>, Vec<ReceiverLedger>)> = reliable.then(|| {
-        let windows = (0..n)
-            .map(|u| {
-                // Same per-sender jitter seed derivation as the engine.
-                let s = faults.seed ^ (u as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                SenderWindow::new(s, ReliableConfig::default())
-            })
+    fn decode(&mut self) {
+        self.known = self
+            .basis
+            .decoded()
+            .into_iter()
+            .map(|t| TokenId(t as u64))
             .collect();
-        (windows, (0..n).map(|_| ReceiverLedger::new()).collect())
-    });
-
-    let mut packets_sent = 0u64;
-    let mut retransmits = 0u64;
-    let mut dups_discarded = 0u64;
-    let mut completion_round = None;
-    let mut rounds_executed = 0;
-    for round in 0..max_rounds {
-        let graph = provider.graph_at(round);
-        tracer.round_start(round as u64);
-        if !trivial {
-            for u in 0..n {
-                if was_down[u] && round >= down_until[u] {
-                    was_down[u] = false;
-                    tracer.recover(round as u64, u as u64);
-                }
-            }
-            for u in 0..n {
-                if round < down_until[u] {
-                    continue;
-                }
-                if faults.crashes(round, u, false) {
-                    tracer.crash(round as u64, u as u64, faults.durable_tokens);
-                    if !faults.durable_tokens {
-                        // Volatile storage: the restarted node is back to
-                        // its initially assigned unit vectors.
-                        let mut b = Gf2Basis::new(k);
-                        for t in &assignment[u] {
-                            b.insert(Gf2Vec::unit(k, t.0 as usize));
-                        }
-                        bases[u] = b;
-                    }
-                    down_until[u] = round + faults.down_rounds;
-                    was_down[u] = true;
-                }
-            }
-        }
-        // Per-receiver insert lists for the round: matured delayed packets
-        // first, then timer retransmissions, then fresh deliveries —
-        // applied after the send phase so every send combination is drawn
-        // from the pre-round bases.
-        let mut incoming: Vec<Vec<Gf2Vec>> = vec![Vec::new(); n];
-        if !trivial && faults.delay_ppm > 0 {
-            for v in 0..n {
-                let held = std::mem::take(&mut delayed[v]);
-                for (due, from, rid, pkt) in held {
-                    if due > round {
-                        delayed[v].push((due, from, rid, pkt));
-                        continue;
-                    }
-                    if round < down_until[v] {
-                        continue; // matured into a down receiver: lost
-                    }
-                    if let Some((_, ledgers)) = plane.as_mut() {
-                        if !ledgers[v].accept(from, rid) {
-                            dups_discarded += 1;
-                            continue;
-                        }
-                    }
-                    incoming[v].push(pkt);
-                }
-            }
-        }
-        // Reliability-timer retransmissions: full packet cost, original
-        // rid (receiver ledgers dedup), no delay/dup re-roll — only the
-        // loss gates apply.
-        if let Some((windows, ledgers)) = plane.as_mut() {
-            for u in 0..n {
-                if !trivial && round < down_until[u] {
-                    continue;
-                }
-                let me = NodeId::from_index(u);
-                for rt in windows[u].due(round) {
-                    let v = rt.to;
-                    if !graph.neighbors(me).contains(&NodeId::from_index(v)) {
-                        continue; // no edge this round; the timer re-fires
-                    }
-                    packets_sent += 1;
-                    retransmits += 1;
-                    tracer.retransmit_timeout(round as u64, u as u64, v as u64, rt.attempt);
-                    if round < down_until[v] {
-                        continue;
-                    }
-                    if !trivial {
-                        let kind = if faults.partitioned(round, u, v) {
-                            Some(FaultKind::Partition)
-                        } else if faults.drops_message(round, u, v) {
-                            Some(FaultKind::Loss)
-                        } else {
-                            None
-                        };
-                        if let Some(kind) = kind {
-                            tracer.fault_injected(round as u64, u as u64, Some(v as u64), kind);
-                            continue;
-                        }
-                    }
-                    if ledgers[v].accept(u, rt.rid) {
-                        incoming[v].push(rt.item);
-                    } else {
-                        dups_discarded += 1;
-                    }
-                }
-            }
-        }
-        // Send phase: simultaneous, so collect first.
-        let outgoing: Vec<Option<Gf2Vec>> = (0..n)
-            .map(|u| {
-                if !trivial && round < down_until[u] {
-                    None
-                } else {
-                    bases[u].random_combination(&mut rngs[u])
-                }
-            })
-            .collect();
-        for (u, pkt) in outgoing.iter().enumerate() {
-            let Some(pkt) = pkt else { continue };
-            packets_sent += 1;
-            if tracer.enabled() {
-                let pivot = pkt.leading().unwrap_or(0) as u64;
-                tracer.head_broadcast(round as u64, u as u64, pivot, 1, Role::Member, packet_bytes);
-            }
-            for &v in graph.neighbors(NodeId::from_index(u)) {
-                // Register before any gate, so a lost delivery still
-                // retransmits on timer.
-                let rid = match plane.as_mut() {
-                    Some((windows, _)) => windows[u].register(v.index(), pkt.clone(), round),
-                    None => 0,
-                };
-                if !trivial {
-                    if round < down_until[v.index()] {
-                        continue; // deliveries to crashed nodes are lost
-                    }
-                    let kind = if faults.partitioned(round, u, v.index()) {
-                        Some(FaultKind::Partition)
-                    } else if faults.drops_message(round, u, v.index()) {
-                        Some(FaultKind::Loss)
-                    } else {
-                        None
-                    };
-                    if let Some(kind) = kind {
-                        tracer.fault_injected(round as u64, u as u64, Some(v.0 as u64), kind);
-                        continue;
-                    }
-                    let d = faults.delay_of(round, u, v.index(), 0);
-                    if d > 0 {
-                        tracer.delayed(round as u64, u as u64, v.0 as u64, d as u64);
-                        delayed[v.index()].push((round + d, u, rid, pkt.clone()));
-                        continue;
-                    }
-                    if faults.duplicates(round, u, v.index(), 0) {
-                        // A duplicate insert is a GF(2) no-op: counted as
-                        // injected and immediately discarded.
-                        tracer.duplicated(round as u64, u as u64, v.0 as u64);
-                        dups_discarded += 1;
-                    }
-                }
-                if let Some((_, ledgers)) = plane.as_mut() {
-                    if !ledgers[v.index()].accept(u, rid) {
-                        dups_discarded += 1;
-                        continue;
-                    }
-                }
-                incoming[v.index()].push(pkt.clone());
-            }
-        }
-        // Apply the round's inserts; reorder shuffles each receiver's
-        // insert order (the GF(2) span is permutation-invariant, so this
-        // exercises the pathology without changing what decodes).
-        for (v, mut pkts) in incoming.into_iter().enumerate() {
-            if !trivial && faults.reorder {
-                faults.shuffle(round, v, &mut pkts);
-            }
-            for pkt in pkts {
-                bases[v].insert(pkt);
-            }
-        }
-        // Omniscient round-barrier ack sync, exactly like the lock-step
-        // engine: every sender learns each receiver's cumulative ack.
-        if let Some((windows, ledgers)) = plane.as_mut() {
-            for (u, w) in windows.iter_mut().enumerate() {
-                w.sync_acks(|to| ledgers[to].cum(u));
-            }
-        }
-        rounds_executed = round + 1;
-        if all_complete(&bases) {
-            completion_round = Some(rounds_executed);
-            break;
-        }
-    }
-
-    if tracer.enabled() && dups_discarded > 0 {
-        tracer.note_dedup(dups_discarded);
-    }
-    tracer.run_end(rounds_executed as u64, completion_round.is_some());
-    RlncReport {
-        completion_round,
-        rounds_executed,
-        packets_sent,
-        retransmits,
-        k,
     }
 }
 
-/// Per-node decoded token count after a run — exposed for experiments that
-/// track decoding progress (re-runs the simulation capturing rank growth).
-pub fn rank_progress(
-    provider: &mut dyn TopologyProvider,
-    assignment: &[Vec<TokenId>],
-    rounds: usize,
-    seed: u64,
-) -> Vec<usize> {
-    let n = provider.n();
-    let k = assignment
-        .iter()
-        .flatten()
-        .map(|t| t.0 as usize + 1)
-        .max()
-        .unwrap_or(0);
-    let mut bases: Vec<Gf2Basis> = (0..n).map(|_| Gf2Basis::new(k)).collect();
-    for (u, tokens) in assignment.iter().enumerate() {
-        for t in tokens {
-            bases[u].insert(Gf2Vec::unit(k, t.0 as usize));
+impl Protocol for Rlnc {
+    fn on_start(&mut self, me: NodeId, initial: &[TokenId]) {
+        self.rng = stream_rng(self.seed, me.0 as u64);
+        for t in initial {
+            self.basis.insert(Gf2Vec::unit(self.k, t.0 as usize));
+        }
+        self.decode();
+    }
+
+    fn send(&mut self, _view: &LocalView<'_>) -> Vec<Outgoing> {
+        match self.basis.random_combination(&mut self.rng) {
+            Some(v) => vec![Outgoing {
+                dest: Destination::Broadcast,
+                payload: Payload::Coded(Arc::new(v)),
+                retransmit: false,
+            }],
+            None => Vec::new(),
         }
     }
-    let mut rngs: Vec<_> = (0..n).map(|u| stream_rng(seed, u as u64)).collect();
-    let mut min_rank_series = Vec::with_capacity(rounds);
-    for round in 0..rounds {
-        let graph = provider.graph_at(round);
-        let outgoing: Vec<Option<Gf2Vec>> = (0..n)
-            .map(|u| bases[u].random_combination(&mut rngs[u]))
-            .collect();
-        for (u, pkt) in outgoing.iter().enumerate() {
-            let Some(pkt) = pkt else { continue };
-            for &v in graph.neighbors(NodeId::from_index(u)) {
-                bases[v.index()].insert(pkt.clone());
+
+    fn receive(&mut self, _view: &LocalView<'_>, inbox: &[Incoming]) {
+        let mut grew = false;
+        for m in inbox {
+            if let Payload::Coded(v) = &m.payload {
+                grew |= self.basis.insert((**v).clone());
             }
         }
-        min_rank_series.push(bases.iter().map(|b| b.rank()).min().unwrap_or(0));
+        if grew {
+            self.decode();
+        }
     }
-    min_rank_series
+
+    fn known(&self) -> &TokenSet {
+        &self.known
+    }
+
+    fn on_restart(&mut self, me: NodeId, retained: &[TokenId]) {
+        *self = Rlnc::new(self.k, self.seed);
+        self.on_start(me, retained);
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::runner::{run_algorithm, AlgorithmKind};
+    use hinet_cluster::ctvg::{FlatProvider, HierarchyProvider};
     use hinet_graph::generators::{BackboneKind, OneIntervalGen, TIntervalGen};
     use hinet_graph::trace::StaticProvider;
     use hinet_graph::Graph;
+    use hinet_rt::obs::{Event, ObsConfig, TraceSummary, Tracer};
+    use hinet_sim::engine::{CostWeights, RunConfig, RunReport};
     use hinet_sim::fault::FaultPlan;
     use hinet_sim::token::round_robin_assignment;
 
+    fn run(
+        provider: &mut (dyn HierarchyProvider + Send),
+        k: usize,
+        seed: u64,
+        cfg: RunConfig<'_>,
+    ) -> RunReport {
+        let assignment = round_robin_assignment(provider.n(), k);
+        run_algorithm(&AlgorithmKind::Rlnc { k, seed }, provider, &assignment, cfg)
+    }
+
+    fn complete(n: usize) -> FlatProvider<StaticProvider> {
+        FlatProvider::new(StaticProvider::new(Graph::complete(n)))
+    }
+
     #[test]
     fn completes_on_static_complete_graph() {
-        let mut p = StaticProvider::new(Graph::complete(10));
-        let assignment = round_robin_assignment(10, 6);
-        let r = run_rlnc(&mut p, &assignment, 1, RunConfig::new().max_rounds(200));
+        let r = run(&mut complete(10), 6, 1, RunConfig::new().max_rounds(200));
         assert!(r.completed(), "dense static graph must decode quickly");
         assert!(r.completion_round.unwrap() <= 30);
         assert_eq!(r.k, 6);
@@ -426,99 +141,87 @@ mod tests {
 
     #[test]
     fn completes_under_adversarial_churn() {
-        let mut p = OneIntervalGen::new(24, true, 4, 5);
-        let assignment = round_robin_assignment(24, 5);
-        let r = run_rlnc(&mut p, &assignment, 2, RunConfig::new().max_rounds(500));
+        let mut p = FlatProvider::new(OneIntervalGen::new(24, true, 4, 5));
+        let r = run(&mut p, 5, 2, RunConfig::new().max_rounds(500));
         assert!(r.completed(), "RLNC tolerates 1-interval churn w.h.p.");
     }
 
     #[test]
     fn completes_on_t_interval_adversary() {
-        let mut p = TIntervalGen::new(30, 6, BackboneKind::Path, 6, 8);
-        let assignment = round_robin_assignment(30, 8);
-        let r = run_rlnc(&mut p, &assignment, 3, RunConfig::new().max_rounds(1000));
+        let mut p = FlatProvider::new(TIntervalGen::new(30, 6, BackboneKind::Path, 6, 8));
+        let r = run(&mut p, 8, 3, RunConfig::new().max_rounds(1000));
         assert!(r.completed());
     }
 
     #[test]
     fn zero_tokens_complete_immediately() {
-        let mut p = StaticProvider::new(Graph::complete(4));
-        let assignment = vec![vec![]; 4];
-        let r = run_rlnc(&mut p, &assignment, 0, RunConfig::new().max_rounds(10));
+        let r = run(&mut complete(4), 0, 0, RunConfig::new().max_rounds(10));
         assert_eq!(r.completion_round, Some(0));
-        assert_eq!(r.packets_sent, 0);
+        assert_eq!(r.metrics.packets_sent, 0);
     }
 
     #[test]
     fn deterministic_per_seed() {
-        let run = |seed| {
-            let mut p = OneIntervalGen::new(16, false, 3, 9);
-            let assignment = round_robin_assignment(16, 4);
-            run_rlnc(&mut p, &assignment, seed, RunConfig::new().max_rounds(200))
+        let go = |seed| {
+            let mut p = FlatProvider::new(OneIntervalGen::new(16, false, 3, 9));
+            run(&mut p, 4, seed, RunConfig::new().max_rounds(200))
         };
-        let (a, b, c) = (run(4), run(4), run(1));
+        let (a, b, c) = (go(4), go(4), go(1));
         assert_eq!(a.completion_round, b.completion_round);
-        assert_eq!(a.packets_sent, b.packets_sent);
+        assert_eq!(a.metrics.packets_sent, b.metrics.packets_sent);
         assert!(
-            c.completion_round != a.completion_round || c.packets_sent != a.packets_sent,
+            c.completion_round != a.completion_round
+                || c.metrics.packets_sent != a.metrics.packets_sent,
             "different seed should differ somewhere"
         );
     }
 
     #[test]
     fn byte_cost_includes_coefficient_header() {
-        let r = RlncReport {
-            completion_round: Some(3),
-            rounds_executed: 3,
-            packets_sent: 10,
-            retransmits: 0,
-            k: 16,
-        };
-        let w = CostWeights {
-            token_bytes: 16,
-            packet_header_bytes: 24,
-        };
+        let r = run(&mut complete(10), 16, 1, RunConfig::new().max_rounds(200));
+        let m = &r.metrics;
+        assert_eq!(m.tokens_sent, m.packets_sent, "one payload per packet");
         // 16 bits of coefficients = 2 bytes per packet.
-        assert_eq!(r.total_bytes(w), 10 * (16 + 2 + 24));
+        assert_eq!(m.coefficient_bytes, 2 * m.packets_sent);
+        assert_eq!(r.total_bytes(), m.packets_sent * (16 + 2 + 24));
     }
 
     #[test]
     fn traced_run_matches_untraced_and_accounts_costs() {
-        use hinet_rt::obs::{Event, ObsConfig, TraceSummary};
-
-        let run = |tracer: &mut Tracer| {
-            let mut p = OneIntervalGen::new(16, false, 3, 9);
-            let assignment = round_robin_assignment(16, 4);
-            run_rlnc(
+        let go = |tracer: &mut Tracer| {
+            let mut p = FlatProvider::new(OneIntervalGen::new(16, false, 3, 9));
+            run(
                 &mut p,
-                &assignment,
+                4,
                 4,
                 RunConfig::new().max_rounds(200).tracer(tracer),
             )
         };
-        let plain = run(&mut Tracer::disabled());
+        let plain = go(&mut Tracer::disabled());
         let mut tracer = Tracer::new(ObsConfig::full());
-        let traced = run(&mut tracer);
-        // The tracer never touches the RNG streams.
+        let traced = go(&mut tracer);
+        // The tracer never touches the coin streams.
         assert_eq!(plain.completion_round, traced.completion_round);
-        assert_eq!(plain.packets_sent, traced.packets_sent);
+        assert_eq!(plain.metrics.packets_sent, traced.metrics.packets_sent);
 
+        let packets = traced.metrics.packets_sent;
         let c = tracer.counters();
         assert_eq!(c.rounds, traced.rounds_executed as u64);
-        assert_eq!(c.packets_sent, traced.packets_sent);
-        assert_eq!(
-            c.tokens_sent, traced.packets_sent,
-            "one token-equivalent per packet"
-        );
+        assert_eq!(c.packets_sent, packets);
+        assert_eq!(c.tokens_sent, packets, "one token-equivalent per packet");
         assert_eq!(
             c.tokens_by_role,
-            [0, 0, traced.packets_sent],
-            "RLNC is flat"
+            [packets, 0, 0],
+            "every node heads itself under a flat provider"
         );
         assert_eq!(
             c.bytes_sent,
-            traced.total_bytes(CostWeights::default()),
+            traced.total_bytes(),
             "per-packet bytes include the coefficient header"
+        );
+        assert_eq!(
+            traced.total_bytes(),
+            packets * (CostWeights::default().token_bytes + 1 + 24)
         );
         let s = TraceSummary::from_tracer(&tracer);
         assert_eq!(s.completed, Some(true));
@@ -532,87 +235,54 @@ mod tests {
 
     #[test]
     fn lossy_rlnc_still_completes_and_reports_faults() {
-        use hinet_rt::obs::ObsConfig;
-
-        let run = |faults: &FaultPlan, tracer: &mut Tracer| {
-            let mut p = StaticProvider::new(Graph::complete(10));
-            let assignment = round_robin_assignment(10, 4);
-            run_rlnc(
-                &mut p,
-                &assignment,
+        let go = |faults: &FaultPlan| {
+            run(
+                &mut complete(10),
+                4,
                 1,
-                RunConfig::new()
-                    .max_rounds(400)
-                    .faults(faults.clone())
-                    .tracer(tracer),
+                RunConfig::new().max_rounds(400).faults(faults.clone()),
             )
         };
-        let clean = run(&FaultPlan::none(), &mut Tracer::disabled());
+        let clean = go(&FaultPlan::none());
         let faults = FaultPlan::new(3).with_loss_ppm(200_000);
-        let mut tracer = Tracer::new(ObsConfig::full());
-        let lossy = run(&faults, &mut tracer);
+        let lossy = go(&faults);
         // Coded redundancy absorbs 20% loss; it just takes longer.
         assert!(lossy.completed());
         assert!(lossy.completion_round.unwrap() >= clean.completion_round.unwrap());
-        assert!(tracer.counters().faults_injected > 0);
+        assert!(lossy.metrics.faults_injected > 0);
 
         // Replay: same plan, same counters.
-        let mut again = Tracer::new(ObsConfig::full());
-        let replay = run(&faults, &mut again);
-        assert_eq!(replay.packets_sent, lossy.packets_sent);
+        let replay = go(&faults);
+        assert_eq!(replay.metrics.packets_sent, lossy.metrics.packets_sent);
         assert_eq!(
-            again.counters().faults_injected,
-            tracer.counters().faults_injected
+            replay.metrics.faults_injected,
+            lossy.metrics.faults_injected
         );
     }
 
     #[test]
     fn trivial_fault_plan_is_identical_to_plain_rlnc() {
-        let mut p = OneIntervalGen::new(16, false, 3, 9);
-        let assignment = round_robin_assignment(16, 4);
-        let plain = run_rlnc(&mut p, &assignment, 4, RunConfig::new().max_rounds(200));
-        let mut p = OneIntervalGen::new(16, false, 3, 9);
-        let faulted = run_rlnc(
-            &mut p,
-            &assignment,
-            4,
-            RunConfig::new().max_rounds(200).faults(FaultPlan::none()),
-        );
+        let go = |cfg: RunConfig<'static>| {
+            let mut p = FlatProvider::new(OneIntervalGen::new(16, false, 3, 9));
+            run(&mut p, 4, 4, cfg.max_rounds(200))
+        };
+        let plain = go(RunConfig::new());
+        let faulted = go(RunConfig::new().faults(FaultPlan::none()));
         assert_eq!(plain.completion_round, faulted.completion_round);
-        assert_eq!(plain.packets_sent, faulted.packets_sent);
+        assert_eq!(plain.metrics.packets_sent, faulted.metrics.packets_sent);
     }
 
     #[test]
     fn crashed_rlnc_node_loses_volatile_basis_and_recovers() {
-        use hinet_rt::obs::ObsConfig;
-
-        let mut p = StaticProvider::new(Graph::complete(8));
-        let assignment = round_robin_assignment(8, 4);
         let faults = FaultPlan::new(0).with_crash_at(0, 3).with_down_rounds(2);
-        let mut tracer = Tracer::new(ObsConfig::full());
-        let r = run_rlnc(
-            &mut p,
-            &assignment,
+        let r = run(
+            &mut complete(8),
+            4,
             1,
-            RunConfig::new()
-                .max_rounds(400)
-                .faults(faults)
-                .tracer(&mut tracer),
+            RunConfig::new().max_rounds(400).faults(faults),
         );
         assert!(r.completed(), "a dense graph re-fills the lost basis");
-        let c = tracer.counters();
-        assert_eq!(c.crashes, 1);
-        assert_eq!(c.recoveries, 1);
-    }
-
-    #[test]
-    fn min_rank_is_monotone() {
-        let mut p = StaticProvider::new(Graph::cycle(12));
-        let assignment = round_robin_assignment(12, 6);
-        let series = rank_progress(&mut p, &assignment, 60, 7);
-        for w in series.windows(2) {
-            assert!(w[1] >= w[0], "min rank must never decrease");
-        }
-        assert_eq!(*series.last().unwrap(), 6, "eventually full rank");
+        assert_eq!(r.metrics.crashes, 1);
+        assert_eq!(r.metrics.recoveries, 1);
     }
 }

@@ -8,6 +8,7 @@ use crate::algorithms::{
     DeltaFlood, Gossip, HiNetFullExchange, HiNetFullExchangeMH, HiNetPhased, KActiveFlood,
     KloFlood, KloPhased,
 };
+use crate::netcode::Rlnc;
 use crate::params::PhasePlan;
 use hinet_cluster::ctvg::HierarchyProvider;
 use hinet_sim::engine::{Engine, RunConfig, RunReport};
@@ -58,6 +59,14 @@ pub enum AlgorithmKind {
         /// Round budget `M`.
         rounds: usize,
     },
+    /// Random linear network coding over GF(2) (experiment E15; see
+    /// [`crate::netcode`]).
+    Rlnc {
+        /// Token universe size: coded packets carry `k` coefficients.
+        k: usize,
+        /// Seed of every node's coin stream (`stream_rng(seed, node)`).
+        seed: u64,
+    },
 }
 
 impl AlgorithmKind {
@@ -73,6 +82,7 @@ impl AlgorithmKind {
             AlgorithmKind::KActiveFlood { .. } => "k-active-flood",
             AlgorithmKind::DeltaFlood { .. } => "delta-flood",
             AlgorithmKind::HiNetFullExchangeMH { .. } => "alg2-multihop",
+            AlgorithmKind::Rlnc { .. } => "rlnc",
         }
     }
 
@@ -108,6 +118,7 @@ impl AlgorithmKind {
             AlgorithmKind::HiNetFullExchangeMH { rounds } => {
                 Box::new(HiNetFullExchangeMH::new(rounds))
             }
+            AlgorithmKind::Rlnc { k, seed } => Box::new(Rlnc::new(k, seed)),
         }
     }
 }

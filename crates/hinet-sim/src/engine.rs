@@ -9,31 +9,36 @@
 //! deterministic faults. The former `run`/`run_traced`/`run_faulted`
 //! matrix collapsed into this single entry point.
 //!
+//! Both execution modes share everything but the driving loop: the
+//! per-round context (topology, crash-repaired hierarchy, down state) comes
+//! from one round builder, and every message crosses one delivery plane —
+//! the fault gate, delayed-envelope maturity, the reliability layer's
+//! registration, timer flush, dedup and acks — so the two modes produce
+//! byte-identical reports and traces.
+//!
 //! # Scale
 //!
-//! Per-node engine state lives in flat arenas indexed by node id (the
-//! private `NodeArenas`), neighborhoods are iterated through a cached
-//! [`CsrGraph`] view, and the send/receive phases fan out over
-//! [`hinet_rt::pool::map_mut`] when the network is large. Event emission
-//! and fault accounting stay on a single sequential pass in node-id order,
-//! so traced and faulted runs are **byte-identical regardless of thread
-//! count**.
+//! Per-node engine state lives in flat vectors indexed by node id,
+//! neighborhoods are iterated through a cached
+//! [`hinet_graph::csr::CsrGraph`] view, and the send/receive phases fan
+//! out over [`hinet_rt::pool::map_mut`] when the network is large. Event
+//! emission and fault accounting stay on a single sequential pass in
+//! node-id order, so traced and faulted runs are **byte-identical
+//! regardless of thread count**.
 
+use crate::delivery::{end_trace, record_message, replay, Link, Plane, Tally};
 use crate::fault::FaultPlan;
-use crate::protocol::{Destination, Incoming, LocalView, Outgoing, Payload, Protocol};
-use crate::reliable::{ReceiverLedger, ReliableConfig, SenderWindow};
+use crate::protocol::{Incoming, Outgoing, Protocol};
+use crate::round::{Builder, RoundCtx};
 use crate::token::{TokenId, TokenSet};
-use hinet_cluster::clustering::{re_elect, GatewayPolicy};
+use crate::transport::{Envelope, EnvelopeKind, RoundBuffer};
 use hinet_cluster::ctvg::HierarchyProvider;
-use hinet_cluster::hierarchy::{Hierarchy, Role};
-use hinet_graph::csr::CsrGraph;
+use hinet_cluster::hierarchy::Role;
 use hinet_graph::graph::NodeId;
-use hinet_graph::Graph;
-use hinet_rt::obs::{self, FaultKind, Tracer};
+use hinet_rt::obs::{self, Tracer};
 use hinet_rt::pool;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Node count from which the auto thread policy (`threads = 0`) fans the
@@ -453,6 +458,10 @@ pub struct Metrics {
     pub packets_sent: u64,
     /// Tokens sent broken down by sender role `[head, gateway, member]`.
     pub tokens_by_role: [u64; 3],
+    /// Coefficient-header bytes carried by network-coded packets
+    /// ([`crate::protocol::Payload::Coded`]): `⌈k/8⌉` per coded packet,
+    /// timer retransmissions included. Zero for token-forwarding runs.
+    pub coefficient_bytes: u64,
     /// Unicasts whose target was not a neighbor this round (dropped; still
     /// counted as sent — the radio transmitted).
     pub dropped_unicasts: u64,
@@ -491,9 +500,12 @@ pub struct Metrics {
 
 impl Metrics {
     /// Total bytes on air under the given weights:
-    /// `tokens·token_bytes + packets·header_bytes`.
+    /// `tokens·token_bytes + packets·header_bytes`, plus the coefficient
+    /// headers of coded packets.
     pub fn total_bytes(&self, w: CostWeights) -> u64 {
-        self.tokens_sent * w.token_bytes + self.packets_sent * w.packet_header_bytes
+        self.tokens_sent * w.token_bytes
+            + self.packets_sent * w.packet_header_bytes
+            + self.coefficient_bytes
     }
 }
 
@@ -653,46 +665,12 @@ impl RunReport {
     }
 }
 
-/// Flat per-node engine state, one arena column per field (SoA layout):
-/// everything the round loop touches per node sits in contiguous memory
-/// indexed by node id, so the hot phases stream instead of chasing
-/// pointers. Protocol-internal state (`TA`/`TS`/`TR`, phase counters) lives
-/// in the caller's equally flat `Vec<P>`.
-struct NodeArenas {
-    /// Node `i` is down (crashed, silent) while `round < down_until[i]`.
-    down_until: Vec<usize>,
-    /// Whether node `i` is inside a crash window (for recovery events).
-    was_down: Vec<bool>,
-    /// Whether node `i` currently knows the whole universe — the
-    /// incremental completion oracle. Maintained at receive/restart time so
-    /// the engine never rescans all n nodes per round.
-    informed: Vec<bool>,
-    /// Previous round's head per node, for re-affiliation events.
-    prev_heads: Vec<Option<NodeId>>,
-}
-
-impl NodeArenas {
-    fn new(n: usize) -> Self {
-        NodeArenas {
-            down_until: vec![0; n],
-            was_down: vec![false; n],
-            informed: vec![false; n],
-            prev_heads: Vec::new(),
-        }
-    }
-
-    #[inline]
-    fn is_down(&self, round: usize, i: usize) -> bool {
-        round < self.down_until[i]
-    }
-}
-
 /// The synchronous round engine.
 ///
 /// Drives one [`Protocol`] instance per node over the `(graph, hierarchy)`
 /// stream of a [`HierarchyProvider`]:
 ///
-/// 1. every node's `send` runs against the round's [`LocalView`];
+/// 1. every node's `send` runs against the round's [`LocalView`](crate::protocol::LocalView);
 /// 2. broadcasts deliver to all current neighbors, unicasts to the target
 ///    iff it is a current neighbor (otherwise dropped but still paid for);
 /// 3. every node's `receive` runs;
@@ -777,7 +755,8 @@ impl<'t> Engine<'t> {
 
         let universe: TokenSet = assignment.iter().flatten().copied().collect();
         let k = universe.len();
-        if tracer.enabled() {
+        let tracing = tracer.enabled();
+        if tracing {
             // Stable stamps so two traces can be aligned (or refused) by the
             // diff engine: byte counters are only comparable under the same
             // cost weights.
@@ -793,33 +772,25 @@ impl<'t> Engine<'t> {
         let mut completion_round = None;
         let mut rounds_executed = 0;
         let mut inboxes: Vec<Vec<Incoming>> = vec![Vec::new(); n];
+        // The incremental completion oracle: whether node `i` knows the
+        // whole universe, maintained at receive/restart time so the engine
+        // never rescans all n nodes per round.
+        let mut informed: Vec<bool> = protocols
+            .iter()
+            .map(|p| universe.is_subset(p.known()))
+            .collect();
+        let mut informed_count = informed.iter().filter(|&&inf| inf).count();
 
-        let mut arenas = NodeArenas::new(n);
-        let mut informed_count = 0usize;
-        for (i, p) in protocols.iter().enumerate() {
-            let inf = universe.is_subset(p.known());
-            arenas.informed[i] = inf;
-            informed_count += usize::from(inf);
-        }
-
-        // Fault-plane state. A trivial plan skips every fault branch, so
-        // the clean path stays bit-identical to the pre-fault engine.
-        let trivial = faults.is_trivial();
-        // `(first, last)` round in which any fault fired.
+        // `(first, last)` round in which any fault fired, and whether a
+        // backbone-level fault (crash or partition) fired, vs message loss
+        // only — selects the violated-assumption class.
         let mut fault_window: Option<(u64, u64)> = None;
-        // Whether a backbone-level fault (crash or partition) fired, vs
-        // message loss only — selects the violated-assumption class.
         let mut backbone_fault = false;
         let mut budget_exhausted = true;
 
-        // Cached CSR view of the round topology, rebuilt only when the
-        // provider hands out a different graph (static providers share one
-        // `Arc` across rounds, so the flat view is built once).
-        let mut csr_cache: Option<(Arc<Graph>, CsrGraph)> = None;
-
         // Degenerate case: everyone informed before any round.
         if informed_count == n {
-            tracer.run_end(0, true);
+            end_trace(tracer, 0, true, 0);
             return RunReport {
                 rounds_executed: 0,
                 completion_round: Some(0),
@@ -838,529 +809,170 @@ impl<'t> Engine<'t> {
             hinet_cluster::stability::stream::StabilityStream::new(t, l).with_certificate()
         });
 
-        // Adversarial delivery plane (lock-step side): envelopes held back
-        // by the delay knob mature into the receiver's inbox at a later
-        // round (`(due_round, rid, message)` per receiver), and the optional
-        // reliability layer keeps one sender window plus one receiver
-        // ledger per node so backoff timers re-send whatever loss or delay
-        // swallowed. All of this state exists only for non-trivial plans —
-        // the clean path allocates nothing and stays byte-identical.
-        let mut delayed: Vec<Vec<(usize, u64, Incoming)>> = if !trivial {
-            vec![Vec::new(); n]
+        // The delivery plane shared with the event runtime. Envelopes from
+        // a non-trivial plan pass through one `RoundBuffer` per receiver,
+        // exactly as a mailbox would deliver them. A trivial plan needs no
+        // per-node delivery state — no holds, no windows, no duplicates —
+        // so every node shares one idle link and envelopes go straight into
+        // the inboxes, already in the buffer's `(sender, seq)` order: the
+        // clean path allocates nothing extra and stays byte-identical.
+        let plane = Plane::new(
+            &faults,
+            cfg.reliable,
+            tracing,
+            cfg.record_messages,
+            cfg.cost_weights,
+            false,
+        );
+        let trivial = faults.is_trivial();
+        let mut links: Vec<Link> = if trivial {
+            vec![Link::default()]
         } else {
-            Vec::new()
+            (0..n).map(|i| plane.link(i)).collect()
         };
-        let mut plane: Option<(Vec<SenderWindow<(Payload, bool)>>, Vec<ReceiverLedger>)> =
-            (cfg.reliable && !trivial).then(|| {
-                let senders = (0..n)
-                    .map(|i| {
-                        // Per-node jitter seed, derived from the fault seed
-                        // so `--fault-seed` replays the timers too.
-                        let seed = faults.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                        SenderWindow::new(seed, ReliableConfig::default())
-                    })
-                    .collect();
-                let receivers = (0..n).map(|_| ReceiverLedger::new()).collect();
-                (senders, receivers)
-            });
+        let mut buffers: Vec<RoundBuffer> = if trivial {
+            Vec::new()
+        } else {
+            (0..n).map(|_| RoundBuffer::new()).collect()
+        };
+        let mut builder = Builder::new(provider, cfg.validate_hierarchy, tracing, &faults);
 
-        let mut warned_log_cap = false;
         for round in 0..cfg.max_rounds {
-            let graph = provider.graph_at(round);
-            let mut hierarchy = provider.hierarchy_at(round);
-            if cfg.validate_hierarchy {
-                hierarchy
-                    .validate(&graph)
-                    .unwrap_or_else(|e| panic!("round {round}: invalid hierarchy: {e}"));
-            }
-            let rebuild = csr_cache
-                .as_ref()
-                .is_none_or(|(src, _)| !Arc::ptr_eq(src, &graph));
-            if rebuild {
-                csr_cache = Some((Arc::clone(&graph), CsrGraph::from(&*graph)));
-            }
-            let csr = &csr_cache.as_ref().expect("csr cache primed").1;
+            let graph = builder.build_next();
+            let ctx = builder.ctxs.remove(&round).expect("context just built");
+            let ctx: &RoundCtx = &ctx;
+            let log = builder.logs.pop().expect("round log just built");
 
             tracer.round_start(round as u64);
-
-            if !trivial {
-                // Recoveries first: a node whose down window just elapsed
-                // rejoins this round (and is immediately re-crashable).
-                for i in 0..n {
-                    if arenas.was_down[i] && round >= arenas.down_until[i] {
-                        arenas.was_down[i] = false;
-                        metrics.recoveries += 1;
-                        tracer.recover(round as u64, i as u64);
+            for &i in &log.recoveries {
+                metrics.recoveries += 1;
+                tracer.recover(round as u64, i as u64);
+            }
+            for &i in &log.crashes {
+                metrics.crashes += 1;
+                backbone_fault = true;
+                note_fault(&mut fault_window, round as u64);
+                tracer.crash(round as u64, i as u64, faults.durable_tokens);
+                // Volatile protocol state dies with the node; the tokens it
+                // carries survive per the durability flag.
+                let retained: Vec<TokenId> = if faults.durable_tokens {
+                    protocols[i].known().iter().collect()
+                } else {
+                    assignment[i].clone()
+                };
+                protocols[i].on_restart(NodeId::from_index(i), &retained);
+                // A volatile restart can forget tokens: re-derive the node's
+                // completion-oracle flag.
+                let inf = universe.is_subset(protocols[i].known());
+                if inf != informed[i] {
+                    informed[i] = inf;
+                    if inf {
+                        informed_count += 1;
+                    } else {
+                        informed_count -= 1;
                     }
-                }
-                for i in 0..n {
-                    if arenas.is_down(round, i) {
-                        continue; // still down; cannot crash again yet
-                    }
-                    let me = NodeId::from_index(i);
-                    if faults.crashes(round, i, hierarchy.is_head(me)) {
-                        metrics.crashes += 1;
-                        backbone_fault = true;
-                        note_fault(&mut fault_window, round as u64);
-                        tracer.crash(round as u64, i as u64, faults.durable_tokens);
-                        // Volatile protocol state dies with the node; the
-                        // tokens it carries survive per the durability flag.
-                        let retained: Vec<TokenId> = if faults.durable_tokens {
-                            protocols[i].known().iter().collect()
-                        } else {
-                            assignment[i].clone()
-                        };
-                        protocols[i].on_restart(me, &retained);
-                        arenas.down_until[i] = round + faults.down_rounds;
-                        arenas.was_down[i] = true;
-                        // A volatile restart can forget tokens: re-derive the
-                        // node's completion-oracle flag.
-                        let inf = universe.is_subset(protocols[i].known());
-                        if inf != arenas.informed[i] {
-                            arenas.informed[i] = inf;
-                            if inf {
-                                informed_count += 1;
-                            } else {
-                                informed_count -= 1;
-                            }
-                        }
-                    }
-                }
-                // While a crashed node heads a cluster, repair the round's
-                // hierarchy so live members re-home to live heads.
-                let down: Vec<bool> = (0..n).map(|i| arenas.is_down(round, i)).collect();
-                if (0..n).any(|i| down[i] && hierarchy.is_head(NodeId::from_index(i))) {
-                    hierarchy = Arc::new(re_elect(
-                        &graph,
-                        &hierarchy,
-                        &down,
-                        GatewayPolicy::default(),
-                    ));
                 }
             }
-
-            if tracer.enabled() {
-                let heads: Vec<Option<NodeId>> = (0..n)
-                    .map(|i| hierarchy.head_of(NodeId::from_index(i)))
-                    .collect();
-                if round > 0 {
-                    for (i, (old, new)) in arenas.prev_heads.iter().zip(&heads).enumerate() {
-                        if old != new {
-                            tracer.reaffiliation(
-                                round as u64,
-                                i as u64,
-                                old.map(|h| h.0 as u64),
-                                new.map(|h| h.0 as u64),
-                            );
-                        }
-                    }
-                }
-                arenas.prev_heads = heads;
+            for &(node, old, new) in &log.reaffs {
+                tracer.reaffiliation(round as u64, node, old, new);
             }
 
             // The oracle sees the round exactly as the protocols do: the
             // effective hierarchy, after any crash re-election.
             if let Some(stream) = oracle.as_mut() {
-                if let Some(verdict) = stream.push(&graph, &hierarchy) {
+                if let Some(verdict) = stream.push(&graph, &ctx.hierarchy) {
                     verdict.emit_into(tracer);
                 }
             }
 
             let informed_at_start = informed_count;
-
-            let mut round_tokens = 0u64;
-            let mut round_packets = 0u64;
-
             for inbox in inboxes.iter_mut() {
                 inbox.clear();
             }
 
-            // Mature delayed envelopes first: they land ahead of round-`r`
-            // fresh deliveries, mirroring the event runtime's
-            // flush-held-then-send order. A delivery maturing while its
-            // receiver is down is lost, exactly like a fresh one — the
-            // reliability layer (if on) recovers it by timer.
-            if !trivial && faults.delay_ppm > 0 {
-                for v in 0..n {
-                    if delayed[v].is_empty() {
-                        continue;
-                    }
-                    let entries = std::mem::take(&mut delayed[v]);
-                    for (due, rid, msg) in entries {
-                        if due > round {
-                            delayed[v].push((due, rid, msg));
-                            continue;
-                        }
-                        if arenas.is_down(round, v) {
-                            continue;
-                        }
-                        if let Some((_, receivers)) = plane.as_mut() {
-                            if !receivers[v].accept(msg.from.index(), rid) {
-                                metrics.dups_discarded += 1;
-                                continue;
-                            }
-                        }
-                        inboxes[v].push(msg);
-                    }
-                }
-            }
-
             // Send phase: every live node computes its messages against its
             // own view — node-independent, so it fans out over the pool.
-            let outs: Vec<Vec<Outgoing>> = {
-                let arenas = &arenas;
-                let hierarchy: &Hierarchy = &hierarchy;
-                pool::map_mut(protocols, threads, |i, p| {
-                    if (!trivial && arenas.is_down(round, i)) || p.finished() {
-                        return Vec::new();
-                    }
-                    let me = NodeId::from_index(i);
-                    let view = LocalView {
-                        me,
-                        round,
-                        role: hierarchy.role(me),
-                        cluster: hierarchy.cluster_of(me),
-                        head: hierarchy.head_of(me),
-                        parent: hierarchy.parent_of(me),
-                        neighbors: csr.neighbors(me),
-                    };
-                    p.send(&view)
-                })
-            };
-
-            // Accounting + delivery: one sequential pass in sender-id
-            // order, so metrics, trace events and inbox ordering are
-            // identical whatever the send phase's thread count was.
-            for (i, node_outs) in outs.into_iter().enumerate() {
-                let me = NodeId::from_index(i);
-                // Reliability-layer retransmits flush before the node's
-                // fresh sends (the event runtime's step order). A link
-                // absent from this round's topology leaves the entry
-                // pending — the timer simply fires again later.
-                if let Some((senders, receivers)) = plane.as_mut() {
-                    if !arenas.is_down(round, i) {
-                        for rt in senders[i].due(round) {
-                            let v = NodeId::from_index(rt.to);
-                            if !csr.has_edge(me, v) {
-                                continue;
-                            }
-                            let (payload, directed) = rt.item;
-                            let cost = payload.len() as u64;
-                            round_tokens += cost;
-                            round_packets += 1;
-                            metrics.tokens_by_role[role_slot(hierarchy.role(me))] += cost;
-                            metrics.retransmit_timeouts += 1;
-                            tracer.retransmit_timeout(
-                                round as u64,
-                                me.0 as u64,
-                                v.0 as u64,
-                                rt.attempt,
-                            );
-                            if faulted_delivery(
-                                &faults,
-                                round,
-                                me,
-                                v,
-                                &mut metrics,
-                                &mut fault_window,
-                                &mut backbone_fault,
-                                &arenas.down_until,
-                                tracer,
-                            ) {
-                                continue;
-                            }
-                            // Retransmits skip the delay/dup rolls: the
-                            // envelope took its chaos at first send; the
-                            // timer exists to outlast it.
-                            if receivers[v.index()].accept(i, rt.rid) {
-                                inboxes[v.index()].push(Incoming {
-                                    from: me,
-                                    directed,
-                                    payload,
-                                });
-                            } else {
-                                metrics.dups_discarded += 1;
-                            }
-                        }
-                    }
+            let outs: Vec<Vec<Outgoing>> = pool::map_mut(protocols, threads, |i, p| {
+                if ctx.down[i] || p.finished() {
+                    return Vec::new();
                 }
-                // Per-(sender, round) envelope sequence — the delay/dup
-                // hash key component, numbered exactly like the event
-                // runtime's outgoing envelopes.
-                let mut next_seq: u32 = 0;
-                for out in node_outs {
-                    if out.payload.is_empty() {
-                        continue;
-                    }
-                    let seq = next_seq;
-                    next_seq += 1;
-                    let cost = out.payload.len() as u64;
-                    round_tokens += cost;
-                    round_packets += 1;
-                    metrics.tokens_by_role[role_slot(hierarchy.role(me))] += cost;
-                    if tracer.enabled() {
-                        let w = cfg.cost_weights;
-                        let bytes = cost * w.token_bytes + w.packet_header_bytes;
-                        let role = obs_role(hierarchy.role(me));
-                        let first = out.payload.first().expect("non-empty payload").0;
-                        match out.dest {
-                            Destination::Broadcast => tracer.head_broadcast(
-                                round as u64,
-                                me.0 as u64,
-                                first,
-                                cost,
-                                role,
-                                bytes,
-                            ),
-                            Destination::Unicast(v) => tracer.token_push(
-                                round as u64,
-                                me.0 as u64,
-                                first,
-                                cost,
-                                role,
-                                v.0 as u64,
-                                bytes,
-                            ),
-                        }
-                    }
-                    if out.retransmit {
-                        metrics.retransmits += 1;
-                        if tracer.enabled() {
-                            let dst = match out.dest {
-                                Destination::Broadcast => None,
-                                Destination::Unicast(v) => Some(v.0 as u64),
-                            };
-                            tracer.retransmit(round as u64, me.0 as u64, cost, dst);
-                        }
-                    }
-                    match out.dest {
-                        Destination::Broadcast => {
-                            if cfg.record_messages {
-                                record_message(
-                                    &mut metrics,
-                                    &cfg,
-                                    &mut warned_log_cap,
-                                    MessageRecord {
-                                        round,
-                                        from: me,
-                                        to: None,
-                                        delivered: true,
-                                        tokens: out.payload.to_vec(),
-                                    },
-                                );
-                            }
-                            for &v in csr.neighbors(me) {
-                                let rid = match plane.as_mut() {
-                                    Some((senders, _)) => senders[i].register(
-                                        v.index(),
-                                        (out.payload.clone(), false),
-                                        round,
-                                    ),
-                                    None => 0,
-                                };
-                                if !trivial
-                                    && faulted_delivery(
-                                        &faults,
-                                        round,
-                                        me,
-                                        v,
-                                        &mut metrics,
-                                        &mut fault_window,
-                                        &mut backbone_fault,
-                                        &arenas.down_until,
-                                        tracer,
-                                    )
-                                {
-                                    continue;
-                                }
-                                if !trivial {
-                                    let d = faults.delay_of(round, i, v.index(), seq);
-                                    if d > 0 {
-                                        metrics.delays_injected += 1;
-                                        tracer.delayed(
-                                            round as u64,
-                                            me.0 as u64,
-                                            v.0 as u64,
-                                            d as u64,
-                                        );
-                                        delayed[v.index()].push((
-                                            round + d,
-                                            rid,
-                                            Incoming {
-                                                from: me,
-                                                directed: false,
-                                                payload: out.payload.clone(),
-                                            },
-                                        ));
-                                        continue;
-                                    }
-                                    if faults.duplicates(round, i, v.index(), seq) {
-                                        // Lock-step models injection plus the
-                                        // receive plane's immediate discard
-                                        // (token monotonicity makes the copy a
-                                        // no-op); the event runtime actually
-                                        // sends twice and dedups in the
-                                        // RoundBuffer.
-                                        metrics.duplicates_injected += 1;
-                                        metrics.dups_discarded += 1;
-                                        tracer.duplicated(round as u64, me.0 as u64, v.0 as u64);
-                                    }
-                                }
-                                if let Some((_, receivers)) = plane.as_mut() {
-                                    if !receivers[v.index()].accept(i, rid) {
-                                        metrics.dups_discarded += 1;
-                                        continue;
-                                    }
-                                }
-                                inboxes[v.index()].push(Incoming {
-                                    from: me,
-                                    directed: false,
-                                    payload: out.payload.clone(),
-                                });
-                            }
-                        }
-                        Destination::Unicast(v) => {
-                            let delivered = csr.has_edge(me, v);
-                            if cfg.record_messages {
-                                record_message(
-                                    &mut metrics,
-                                    &cfg,
-                                    &mut warned_log_cap,
-                                    MessageRecord {
-                                        round,
-                                        from: me,
-                                        to: Some(v),
-                                        delivered,
-                                        tokens: out.payload.to_vec(),
-                                    },
-                                );
-                            }
-                            if delivered {
-                                let rid = match plane.as_mut() {
-                                    Some((senders, _)) => senders[i].register(
-                                        v.index(),
-                                        (out.payload.clone(), true),
-                                        round,
-                                    ),
-                                    None => 0,
-                                };
-                                if !trivial
-                                    && faulted_delivery(
-                                        &faults,
-                                        round,
-                                        me,
-                                        v,
-                                        &mut metrics,
-                                        &mut fault_window,
-                                        &mut backbone_fault,
-                                        &arenas.down_until,
-                                        tracer,
-                                    )
-                                {
-                                    continue;
-                                }
-                                if !trivial {
-                                    let d = faults.delay_of(round, i, v.index(), seq);
-                                    if d > 0 {
-                                        metrics.delays_injected += 1;
-                                        tracer.delayed(
-                                            round as u64,
-                                            me.0 as u64,
-                                            v.0 as u64,
-                                            d as u64,
-                                        );
-                                        delayed[v.index()].push((
-                                            round + d,
-                                            rid,
-                                            Incoming {
-                                                from: me,
-                                                directed: true,
-                                                payload: out.payload,
-                                            },
-                                        ));
-                                        continue;
-                                    }
-                                    if faults.duplicates(round, i, v.index(), seq) {
-                                        metrics.duplicates_injected += 1;
-                                        metrics.dups_discarded += 1;
-                                        tracer.duplicated(round as u64, me.0 as u64, v.0 as u64);
-                                    }
-                                }
-                                if let Some((_, receivers)) = plane.as_mut() {
-                                    if !receivers[v.index()].accept(i, rid) {
-                                        metrics.dups_discarded += 1;
-                                        continue;
-                                    }
-                                }
-                                inboxes[v.index()].push(Incoming {
-                                    from: me,
-                                    directed: true,
-                                    payload: out.payload,
-                                });
-                            } else {
-                                metrics.dropped_unicasts += 1;
-                            }
-                        }
-                    }
-                }
-            }
+                p.send(&ctx.view(NodeId::from_index(i), round))
+            });
 
-            // The round barrier makes every receiver's ledger consultable
-            // at once, so acks apply omnisciently here — the same value the
-            // event runtime's piggybacked markers would deliver one round
-            // later.
-            if let Some((senders, receivers)) = plane.as_mut() {
-                for (i, s) in senders.iter_mut().enumerate() {
-                    s.sync_acks(|to| receivers[to].cum(i));
-                }
-            }
-
-            // Within-round inbox permutation: reorder is adversarial but
-            // pure, keyed on `(fault_seed, round, receiver)`.
-            if !trivial && faults.reorder {
-                for (i, inbox) in inboxes.iter_mut().enumerate() {
-                    faults.shuffle(round, i, inbox);
+            // Delivery: a trivial plan's envelopes go straight into the
+            // inboxes; a non-trivial plan's through one `RoundBuffer` per
+            // receiver and the receiver step, as a mailbox would deliver
+            // them.
+            let mut tally = Tally::default();
+            if trivial {
+                let emit = |env: Envelope| {
+                    if let EnvelopeKind::Payload {
+                        payload, directed, ..
+                    } = env.kind
+                    {
+                        inboxes[env.to.index()].push(Incoming {
+                            from: env.from,
+                            directed,
+                            payload,
+                        });
+                    }
+                };
+                send_pass(
+                    &plane,
+                    ctx,
+                    round,
+                    outs,
+                    &mut links,
+                    &mut tally,
+                    tracer,
+                    &mut metrics,
+                    &cfg,
+                    emit,
+                );
+            } else {
+                let emit = |env: Envelope| buffers[env.to.index()].push(env);
+                send_pass(
+                    &plane,
+                    ctx,
+                    round,
+                    outs,
+                    &mut links,
+                    &mut tally,
+                    tracer,
+                    &mut metrics,
+                    &cfg,
+                    emit,
+                );
+                for (v, buffer) in buffers.iter_mut().enumerate() {
+                    let taken = buffer.take_round(round);
+                    inboxes[v] = plane.accept(ctx, round, v, &mut links[v], taken, &mut tally);
                 }
             }
 
             // Receive phase: node-independent again — fan out, then fold
             // the freshly-informed flags back into the oracle counter.
             let newly_informed: Vec<bool> = {
-                let arenas = &arenas;
-                let inboxes = &inboxes;
-                let universe = &universe;
-                let hierarchy: &Hierarchy = &hierarchy;
+                let (informed, inboxes, universe) = (&informed, &inboxes, &universe);
                 pool::map_mut(protocols, threads, |i, p| {
-                    if !trivial && arenas.is_down(round, i) {
+                    if ctx.down[i] {
                         return false; // deliveries to crashed nodes are lost
                     }
-                    let me = NodeId::from_index(i);
-                    let view = LocalView {
-                        me,
-                        round,
-                        role: hierarchy.role(me),
-                        cluster: hierarchy.cluster_of(me),
-                        head: hierarchy.head_of(me),
-                        parent: hierarchy.parent_of(me),
-                        neighbors: csr.neighbors(me),
-                    };
-                    p.receive(&view, &inboxes[i]);
-                    !arenas.informed[i] && !inboxes[i].is_empty() && universe.is_subset(p.known())
+                    p.receive(&ctx.view(NodeId::from_index(i), round), &inboxes[i]);
+                    !informed[i] && !inboxes[i].is_empty() && universe.is_subset(p.known())
                 })
             };
             for (i, fresh) in newly_informed.into_iter().enumerate() {
                 if fresh {
-                    arenas.informed[i] = true;
+                    informed[i] = true;
                     informed_count += 1;
                 }
             }
 
-            metrics.tokens_sent += round_tokens;
-            metrics.packets_sent += round_packets;
+            tally.fold(round, &mut metrics, &mut fault_window, &mut backbone_fault);
             if cfg.record_rounds {
                 metrics.rounds.push(RoundMetrics {
-                    tokens_sent: round_tokens,
-                    packets_sent: round_packets,
+                    tokens_sent: tally.tokens(),
+                    packets_sent: tally.packets(),
                     informed_nodes: informed_at_start,
                 });
             }
@@ -1377,11 +989,8 @@ impl<'t> Engine<'t> {
             // change — unless the delivery plane still holds envelopes in
             // flight (delayed or unacked), which can inform nodes after
             // every protocol quiesced.
-            let plane_in_flight = delayed.iter().map(Vec::len).sum::<usize>()
-                + plane
-                    .as_ref()
-                    .map_or(0, |(s, _)| s.iter().map(SenderWindow::in_flight).sum());
-            if protocols.iter().all(|p| p.finished()) && plane_in_flight == 0 {
+            let in_flight: usize = links.iter().map(Link::in_flight).sum();
+            if protocols.iter().all(|p| p.finished()) && in_flight == 0 {
                 budget_exhausted = false;
                 break;
             }
@@ -1397,18 +1006,7 @@ impl<'t> Engine<'t> {
         let outcome = match completion_round {
             Some(round) => Outcome::Completed { round },
             None => {
-                // Tokens missing somewhere = universe minus the
-                // intersection of all nodes' known sets (word-parallel
-                // fold instead of a k × n membership scan).
-                let mut everywhere = universe.clone();
-                for p in protocols.iter() {
-                    if everywhere.is_empty() {
-                        break;
-                    }
-                    let known = p.known();
-                    everywhere = everywhere.iter().filter(|t| known.contains(t)).collect();
-                }
-                let missing_tokens = k - everywhere.len();
+                let missing_tokens = missing_tokens(&universe, protocols.iter());
                 // The oracle's attribution (exact definition, exact round)
                 // outranks the coarse fault-window heuristic.
                 let oracle_violation = stability.as_ref().and_then(|s| s.violation);
@@ -1428,7 +1026,12 @@ impl<'t> Engine<'t> {
                 }
             }
         };
-        tracer.run_end(rounds_executed as u64, completion_round.is_some());
+        end_trace(
+            tracer,
+            rounds_executed,
+            completion_round.is_some(),
+            metrics.dups_discarded,
+        );
         let wall = lockstep_wall(start, metrics.tokens_sent);
         RunReport {
             rounds_executed,
@@ -1442,6 +1045,60 @@ impl<'t> Engine<'t> {
             stall: None,
         }
     }
+}
+
+/// The lock-step sender pass: every node's sender step in node-id order,
+/// replaying its trace events and keeping its message records as it
+/// finishes, so metrics, trace events and inbox order are identical
+/// whatever the send phase's thread count was. A trivial plan passes one
+/// idle link that every node shares.
+#[allow(clippy::too_many_arguments)]
+fn send_pass(
+    plane: &Plane<'_>,
+    ctx: &RoundCtx,
+    round: usize,
+    outs: Vec<Vec<Outgoing>>,
+    links: &mut [Link],
+    tally: &mut Tally,
+    tracer: &mut Tracer,
+    metrics: &mut Metrics,
+    cfg: &RunConfig<'_>,
+    mut emit: impl FnMut(Envelope),
+) {
+    let (mut evts, mut msgs) = (Vec::new(), Vec::new());
+    for (i, node_outs) in outs.into_iter().enumerate() {
+        let link = &mut links[if links.len() == 1 { 0 } else { i }];
+        plane.send(
+            ctx, round, i, link, node_outs, tally, &mut evts, &mut msgs, &mut emit,
+        );
+        if tracer.enabled() {
+            for e in evts.drain(..) {
+                replay(tracer, round as u64, i as u64, &e);
+            }
+        }
+        if cfg.record_messages {
+            for m in msgs.drain(..) {
+                record_message(metrics, cfg.message_log_cap, m);
+            }
+        }
+    }
+}
+
+/// Tokens of `universe` still unknown to at least one node: the universe
+/// minus the intersection of all known sets.
+pub(crate) fn missing_tokens<'p, P: Protocol + 'p>(
+    universe: &TokenSet,
+    protocols: impl Iterator<Item = &'p P>,
+) -> usize {
+    let mut everywhere = universe.clone();
+    for p in protocols {
+        if everywhere.is_empty() {
+            break;
+        }
+        let known = p.known();
+        everywhere = everywhere.iter().filter(|t| known.contains(t)).collect();
+    }
+    universe.len() - everywhere.len()
 }
 
 /// Wall-clock summary for a lock-step run: elapsed time and throughput
@@ -1488,64 +1145,6 @@ fn resolve_threads(threads: usize, n: usize) -> usize {
     }
 }
 
-/// Append to the message log, stopping with a loud warning at the cap.
-fn record_message(
-    metrics: &mut Metrics,
-    cfg: &RunConfig<'_>,
-    warned: &mut bool,
-    record: MessageRecord,
-) {
-    if metrics.log.len() >= cfg.message_log_cap {
-        metrics.log_truncated = true;
-        if !*warned {
-            *warned = true;
-            eprintln!(
-                "hinet-sim: message log reached RunConfig::message_log_cap ({}); \
-                 further MessageRecords are dropped — raise the cap or disable \
-                 record_messages for large runs",
-                cfg.message_log_cap
-            );
-        }
-        return;
-    }
-    metrics.log.push(record);
-}
-
-/// Fault-plane delivery gate: returns `true` when the `from → to`
-/// delivery is lost this round, accounting and tracing the fault.
-/// Deliveries to crashed receivers are lost silently — the crash event
-/// already explains them.
-#[allow(clippy::too_many_arguments)]
-fn faulted_delivery(
-    faults: &FaultPlan,
-    round: usize,
-    from: NodeId,
-    to: NodeId,
-    metrics: &mut Metrics,
-    fault_window: &mut Option<(u64, u64)>,
-    backbone_fault: &mut bool,
-    down_until: &[usize],
-    tracer: &mut Tracer,
-) -> bool {
-    if round < down_until[to.index()] {
-        return true;
-    }
-    let kind = if faults.partitioned(round, from.index(), to.index()) {
-        FaultKind::Partition
-    } else if faults.drops_message(round, from.index(), to.index()) {
-        FaultKind::Loss
-    } else {
-        return false;
-    };
-    if kind == FaultKind::Partition {
-        *backbone_fault = true;
-    }
-    metrics.faults_injected += 1;
-    note_fault(fault_window, round as u64);
-    tracer.fault_injected(round as u64, from.0 as u64, Some(to.0 as u64), kind);
-    true
-}
-
 /// Widen the `(first, last)` fault window to include `round`.
 pub(crate) fn note_fault(window: &mut Option<(u64, u64)>, round: u64) {
     *window = Some(match *window {
@@ -1557,6 +1156,7 @@ pub(crate) fn note_fault(window: &mut Option<(u64, u64)>, round: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::LocalView;
     use crate::token::round_robin_assignment;
     use hinet_cluster::ctvg::{CtvgTrace, CtvgTraceProvider};
     use hinet_cluster::hierarchy::single_cluster;
@@ -2016,6 +1616,28 @@ mod tests {
         )
         .run(&mut provider, &mut protocols, &assignment);
         assert_eq!(plain.to_jsonl(), faulted.to_jsonl());
+    }
+
+    #[test]
+    fn lockstep_trace_header_carries_the_dedup_gauge() {
+        use crate::fault::FaultPlan;
+        use hinet_rt::obs::{ObsConfig, ParsedTrace};
+
+        let assignment = round_robin_assignment(5, 5);
+        let mut provider = star_provider(5, 10);
+        let mut protocols: Vec<Flood> = (0..5).map(|_| Flood::new()).collect();
+        let mut tracer = Tracer::new(ObsConfig::full());
+        let faults = FaultPlan::new(4).with_dup_ppm(500_000);
+        let report = Engine::new(RunConfig::new().faults(faults).tracer(&mut tracer)).run(
+            &mut provider,
+            &mut protocols,
+            &assignment,
+        );
+        let m = &report.metrics;
+        assert!(m.duplicates_injected > 0, "a 50% dup plan must fire");
+        assert_eq!(m.dups_discarded, m.duplicates_injected);
+        let parsed = ParsedTrace::parse_jsonl(&tracer.to_jsonl()).unwrap();
+        assert_eq!(parsed.counters.dups_discarded, m.dups_discarded);
     }
 
     #[test]

@@ -14,9 +14,11 @@
 //! node's send for round `r` always runs against its state after its own
 //! round `r-1` receive — so every protocol instance evolves round-by-round
 //! identically to lock-step. Crash/recovery/re-election decisions are
-//! global per-round state; they are built round-sequentially by a shared
-//! context server (one [`RoundCtx`] per round, derived from its
-//! predecessor's down-state) so they too match lock-step bit for bit.
+//! global per-round state; they come from the same round builder the
+//! lock-step engine uses (one [`RoundCtx`] per round, derived from its
+//! predecessor's down-state), served here by a shared context server, and
+//! every envelope crosses the same delivery plane
+//! ([`crate::delivery::Plane`]) — so they too match lock-step bit for bit.
 //!
 //! Stopping is detected by an oracle that folds per-node round reports in
 //! round order; nodes past the eventually-final stop round ("overshoot")
@@ -28,25 +30,21 @@
 //! knew when it entered overshoot). Metrics and trace events are buffered
 //! per `(node, round)` and merged/replayed in lock-step order for rounds
 //! below the final stop, so reports and trace bytes match the lock-step
-//! engine exactly (the trace differs only in its `mode` meta stamp and the
-//! event-runtime counters).
+//! engine exactly (the trace differs only in its `mode` meta stamp).
 
+use crate::delivery::{end_trace, record_message, replay, BufEvt, Link, Plane, Tally};
 use crate::engine::{
-    note_fault, obs_role, resolve_event_threads, role_slot, MessageRecord, Metrics, NodeStall,
-    Outcome, RoundMetrics, RunConfig, RunReport, StallDiag, TokenLatency, WallClock,
+    missing_tokens, note_fault, resolve_event_threads, MessageRecord, Metrics, NodeStall, Outcome,
+    RoundMetrics, RunConfig, RunReport, StallDiag, TokenLatency, WallClock,
 };
 use crate::fault::FaultPlan;
-use crate::protocol::{Destination, LocalView, Payload, Protocol};
-use crate::reliable::{ReceiverLedger, ReliableConfig, SenderWindow};
+use crate::protocol::Protocol;
+use crate::round::{Builder, RoundCtx};
 use crate::token::{TokenId, TokenSet};
-use crate::transport::{ChannelTransport, Envelope, EnvelopeKind, RoundBuffer, Transport};
-use hinet_cluster::clustering::{re_elect, GatewayPolicy};
+use crate::transport::{ChannelTransport, Envelope, RoundBuffer, Transport};
 use hinet_cluster::ctvg::HierarchyProvider;
-use hinet_cluster::hierarchy::Hierarchy;
-use hinet_graph::csr::CsrGraph;
 use hinet_graph::graph::NodeId;
-use hinet_graph::Graph;
-use hinet_rt::obs::{self, FaultKind, Tracer};
+use hinet_rt::obs::Tracer;
 use hinet_rt::pool;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -61,145 +59,11 @@ const PARK_TIMEOUT: Duration = Duration::from_millis(10);
 /// every node has already passed.
 const CTX_CACHE_SOFT_CAP: usize = 64;
 
-/// Per-round global context: topology view, repaired hierarchy and the
-/// round's crash/down state, identical to what the lock-step engine
-/// computes at the top of its round loop.
-struct RoundCtx {
-    csr: Arc<CsrGraph>,
-    hierarchy: Arc<Hierarchy>,
-    /// `down[i]`: node `i` is silent this round (inside a crash window).
-    down: Box<[bool]>,
-    /// `crashed[i]`: the fault plane crashes node `i` at the start of this
-    /// round (the node applies `on_restart` when it reaches the round).
-    crashed: Box<[bool]>,
-}
-
-/// Per-round builder-side event log, kept for the whole run (unlike the
-/// heavyweight [`RoundCtx`]s, which are pruned): everything the trace
-/// replay and the crash/recovery counters need.
-#[derive(Default)]
-struct RoundLog {
-    recoveries: Vec<usize>,
-    crashes: Vec<usize>,
-    /// `(node, old_head, new_head)` — recorded only when tracing.
-    reaffs: Vec<(u64, Option<u64>, Option<u64>)>,
-}
-
-/// Round-context server: owns the provider and builds [`RoundCtx`]s
-/// strictly in round order (crash state is a running fold over rounds).
-struct Builder<'p> {
-    provider: &'p mut (dyn HierarchyProvider + Send),
-    n: usize,
-    validate: bool,
-    tracing: bool,
-    faults: FaultPlan,
-    trivial: bool,
-    next: usize,
-    down_until: Vec<usize>,
-    was_down: Vec<bool>,
-    prev_heads: Vec<Option<NodeId>>,
-    graph_cache: Option<(Arc<Graph>, Arc<CsrGraph>)>,
-    ctxs: BTreeMap<usize, Arc<RoundCtx>>,
-    logs: Vec<RoundLog>,
-}
-
-impl Builder<'_> {
-    fn build_next(&mut self) {
-        let round = self.next;
-        let n = self.n;
-        let graph = self.provider.graph_at(round);
-        let mut hierarchy = self.provider.hierarchy_at(round);
-        if self.validate {
-            hierarchy
-                .validate(&graph)
-                .unwrap_or_else(|e| panic!("round {round}: invalid hierarchy: {e}"));
-        }
-        let rebuild = self
-            .graph_cache
-            .as_ref()
-            .is_none_or(|(src, _)| !Arc::ptr_eq(src, &graph));
-        if rebuild {
-            self.graph_cache = Some((Arc::clone(&graph), Arc::new(CsrGraph::from(&*graph))));
-        }
-        let csr = Arc::clone(&self.graph_cache.as_ref().expect("csr cache primed").1);
-
-        let mut log = RoundLog::default();
-        let mut crashed = vec![false; n].into_boxed_slice();
-        if !self.trivial {
-            for i in 0..n {
-                if self.was_down[i] && round >= self.down_until[i] {
-                    self.was_down[i] = false;
-                    log.recoveries.push(i);
-                }
-            }
-            for i in 0..n {
-                if round < self.down_until[i] {
-                    continue; // still down; cannot crash again yet
-                }
-                let me = NodeId::from_index(i);
-                if self.faults.crashes(round, i, hierarchy.is_head(me)) {
-                    crashed[i] = true;
-                    log.crashes.push(i);
-                    self.down_until[i] = round + self.faults.down_rounds;
-                    self.was_down[i] = true;
-                }
-            }
-        }
-        let down: Box<[bool]> = (0..n).map(|i| round < self.down_until[i]).collect();
-        if !self.trivial && (0..n).any(|i| down[i] && hierarchy.is_head(NodeId::from_index(i))) {
-            hierarchy = Arc::new(re_elect(
-                &graph,
-                &hierarchy,
-                &down,
-                GatewayPolicy::default(),
-            ));
-        }
-        if self.tracing {
-            let heads: Vec<Option<NodeId>> = (0..n)
-                .map(|i| hierarchy.head_of(NodeId::from_index(i)))
-                .collect();
-            if round > 0 {
-                for (i, (old, new)) in self.prev_heads.iter().zip(&heads).enumerate() {
-                    if old != new {
-                        log.reaffs.push((
-                            i as u64,
-                            old.map(|h| h.0 as u64),
-                            new.map(|h| h.0 as u64),
-                        ));
-                    }
-                }
-            }
-            self.prev_heads = heads;
-        }
-        self.logs.push(log);
-        self.ctxs.insert(
-            round,
-            Arc::new(RoundCtx {
-                csr,
-                hierarchy,
-                down,
-                crashed,
-            }),
-        );
-        self.next = round + 1;
-    }
-}
-
 /// One node's contribution to a round, accumulated across its send and
 /// receive steps and reported to the oracle once the round is done.
 #[derive(Default)]
 struct NodeReport {
-    tokens: u64,
-    packets: u64,
-    by_role: [u64; 3],
-    dropped_unicasts: u64,
-    faults: u64,
-    partition: bool,
-    retransmits: u64,
-    delays: u64,
-    dups_injected: u64,
-    dups_discarded: u64,
-    rt_timeouts: u64,
+    tally: Tally,
     informed_start: i64,
     informed_end: i64,
     finished: i64,
@@ -248,19 +112,7 @@ impl Oracle {
     fn report(&mut self, round: usize, rep: NodeReport) -> Option<usize> {
         let pr = self.pending.entry(round).or_default();
         pr.reports += 1;
-        pr.agg.tokens += rep.tokens;
-        pr.agg.packets += rep.packets;
-        for s in 0..3 {
-            pr.agg.by_role[s] += rep.by_role[s];
-        }
-        pr.agg.dropped_unicasts += rep.dropped_unicasts;
-        pr.agg.faults += rep.faults;
-        pr.agg.partition |= rep.partition;
-        pr.agg.retransmits += rep.retransmits;
-        pr.agg.delays += rep.delays;
-        pr.agg.dups_injected += rep.dups_injected;
-        pr.agg.dups_discarded += rep.dups_discarded;
-        pr.agg.rt_timeouts += rep.rt_timeouts;
+        pr.agg.tally.add(&rep.tally);
         pr.agg.informed_start += rep.informed_start;
         pr.agg.informed_end += rep.informed_end;
         pr.agg.finished += rep.finished;
@@ -282,28 +134,17 @@ impl Oracle {
             let informed_at_start = self.informed;
             self.informed = (self.informed as i64 + a.informed_end) as usize;
             self.finished = (self.finished as i64 + a.finished) as usize;
-            let m = &mut self.metrics;
-            m.tokens_sent += a.tokens;
-            m.packets_sent += a.packets;
-            for s in 0..3 {
-                m.tokens_by_role[s] += a.by_role[s];
-            }
-            m.dropped_unicasts += a.dropped_unicasts;
-            m.faults_injected += a.faults;
-            m.retransmits += a.retransmits;
-            m.delays_injected += a.delays;
-            m.duplicates_injected += a.dups_injected;
-            m.dups_discarded += a.dups_discarded;
-            m.retransmit_timeouts += a.rt_timeouts;
             self.inflight += a.inflight;
-            if a.faults > 0 {
-                note_fault(&mut self.fault_window, r as u64);
-            }
-            self.backbone |= a.partition;
+            a.tally.fold(
+                r,
+                &mut self.metrics,
+                &mut self.fault_window,
+                &mut self.backbone,
+            );
             if self.record_rounds {
-                m.rounds.push(RoundMetrics {
-                    tokens_sent: a.tokens,
-                    packets_sent: a.packets,
+                self.metrics.rounds.push(RoundMetrics {
+                    tokens_sent: a.tally.tokens(),
+                    packets_sent: a.tally.packets(),
                     informed_nodes: informed_at_start,
                 });
             }
@@ -367,54 +208,6 @@ impl Doorbell {
     }
 }
 
-/// Buffered trace event, replayed through the real [`Tracer`] after the
-/// run in lock-step emission order.
-enum BufEvt {
-    Broadcast {
-        token: u64,
-        cost: u64,
-        role: obs::Role,
-        bytes: u64,
-    },
-    Push {
-        token: u64,
-        cost: u64,
-        role: obs::Role,
-        to: u64,
-        bytes: u64,
-    },
-    Retransmit {
-        cost: u64,
-        dst: Option<u64>,
-    },
-    Fault {
-        to: u64,
-        kind: FaultKind,
-    },
-    Delayed {
-        to: u64,
-        rounds: u64,
-    },
-    Duplicated {
-        to: u64,
-    },
-    RetransmitTimeout {
-        to: u64,
-        attempt: u32,
-    },
-}
-
-/// An outgoing envelope the fault plane delayed: it is held at the sender
-/// and flushed (with its original `rid`) during the sender's `release`
-/// round send step, landing in the receiver's `release`-round inbox.
-struct HeldEnvelope {
-    release: usize,
-    to: NodeId,
-    rid: u64,
-    payload: Payload,
-    directed: bool,
-}
-
 /// Per-node runtime state owned by its shard.
 struct NodeState {
     round: usize,
@@ -431,17 +224,10 @@ struct NodeState {
     rep: NodeReport,
     /// Last round in which this node applied a crash restart.
     crashed_at: Option<usize>,
-    /// Outgoing envelopes the fault plane delayed, awaiting their release
-    /// round.
-    held: Vec<HeldEnvelope>,
-    /// Reliability sender window — `Some` only when the run is reliable;
-    /// carries every unacked envelope and its retransmit timer.
-    window: Option<SenderWindow<(Payload, bool)>>,
-    /// Reliability receiver ledger: per-sender cumulative-ack state and
-    /// rid-level dedup for retransmitted envelopes.
-    ledger: ReceiverLedger,
-    /// In-flight count (held + window) at the end of the last receive
-    /// step, so each round reports a delta to the oracle.
+    /// Delivery-plane state: held envelopes, reliability window, ledger.
+    link: Link,
+    /// In-flight count at the end of the last receive step, so each round
+    /// reports a delta to the oracle.
     last_inflight: i64,
     /// Buffered trace events, `(round, events)` ascending.
     evts: Vec<(usize, Vec<BufEvt>)>,
@@ -450,7 +236,7 @@ struct NodeState {
 }
 
 impl NodeState {
-    fn new() -> NodeState {
+    fn new(link: Link) -> NodeState {
         NodeState {
             round: 0,
             sent: false,
@@ -463,9 +249,7 @@ impl NodeState {
             learned: TokenSet::new(),
             rep: NodeReport::default(),
             crashed_at: None,
-            held: Vec::new(),
-            window: None,
-            ledger: ReceiverLedger::new(),
+            link,
             last_inflight: 0,
             evts: Vec::new(),
             msgs: Vec::new(),
@@ -498,14 +282,7 @@ struct Shared<'a> {
     universe: &'a TokenSet,
     assignment: &'a [Vec<TokenId>],
     faults: &'a FaultPlan,
-    trivial: bool,
-    tracing: bool,
-    record_messages: bool,
-    token_bytes: u64,
-    packet_header_bytes: u64,
-    /// Reliability layer active: acks ride on round markers, unacked
-    /// envelopes retransmit on timer (only with a non-trivial fault plan).
-    reliable: bool,
+    plane: Plane<'a>,
     /// Stall watchdog — `Some` when `RunConfig::stall_rounds > 0`.
     watchdog: Option<Mutex<Watchdog>>,
     /// No-progress window before the watchdog fires.
@@ -626,7 +403,6 @@ pub(crate) fn run<P: Protocol + Send>(
         p.on_start(NodeId::from_index(i), &assignment[i]);
     }
 
-    let trivial = faults.is_trivial();
     let tracing = tracer.enabled();
 
     // Initial census: informed/finished counts plus the latency cover
@@ -669,8 +445,7 @@ pub(crate) fn run<P: Protocol + Send>(
     }
     if cfg.max_rounds == 0 {
         tracer.run_end(0, false);
-        let flat: Vec<&P> = protocols.iter().collect();
-        let missing = missing_tokens(&universe, &flat, k);
+        let missing = missing_tokens(&universe, protocols.iter());
         return RunReport {
             rounds_executed: 0,
             completion_round: None,
@@ -700,21 +475,12 @@ pub(crate) fn run<P: Protocol + Send>(
     }
 
     let shared = Shared {
-        server: Mutex::new(Builder {
+        server: Mutex::new(Builder::new(
             provider,
-            n,
-            validate: cfg.validate_hierarchy,
+            cfg.validate_hierarchy,
             tracing,
-            faults: faults.clone(),
-            trivial,
-            next: 0,
-            down_until: vec![0; n],
-            was_down: vec![false; n],
-            prev_heads: Vec::new(),
-            graph_cache: None,
-            ctxs: BTreeMap::new(),
-            logs: Vec::new(),
-        }),
+            &faults,
+        )),
         oracle: Mutex::new(Oracle {
             n,
             next: 0,
@@ -745,12 +511,14 @@ pub(crate) fn run<P: Protocol + Send>(
         universe: &universe,
         assignment,
         faults: &faults,
-        trivial,
-        tracing,
-        record_messages: cfg.record_messages,
-        token_bytes: cfg.cost_weights.token_bytes,
-        packet_header_bytes: cfg.cost_weights.packet_header_bytes,
-        reliable: cfg.reliable && !trivial,
+        plane: Plane::new(
+            &faults,
+            cfg.reliable,
+            tracing,
+            cfg.record_messages,
+            cfg.cost_weights,
+            true,
+        ),
         watchdog: (cfg.stall_rounds > 0).then(|| {
             let window = PARK_TIMEOUT * cfg.stall_rounds as u32;
             Mutex::new(Watchdog::new(Instant::now(), window))
@@ -779,16 +547,10 @@ pub(crate) fn run<P: Protocol + Send>(
             let (chunk, tail) = rest.split_at_mut(take);
             let mut nodes = Vec::with_capacity(take);
             for (j, p) in chunk.iter().enumerate() {
-                let mut st = NodeState::new();
+                let mut st = NodeState::new(shared.plane.link(base + j));
                 st.learned = p.known().clone();
                 st.informed = universe.is_subset(p.known());
                 st.finished = p.finished();
-                if shared.reliable {
-                    // Same per-sender jitter seed derivation as lock-step.
-                    let seed =
-                        faults.seed ^ ((base + j) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                    st.window = Some(SenderWindow::new(seed, ReliableConfig::default()));
-                }
                 nodes.push(st);
             }
             shards.push(Shard {
@@ -863,22 +625,12 @@ pub(crate) fn run<P: Protocol + Send>(
     // honouring the cap exactly like the lock-step recorder.
     if cfg.record_messages {
         let mut cursors = vec![0usize; n];
-        'merge: for r in 0..rounds_executed {
+        for r in 0..rounds_executed {
             for shard in &shards {
                 for (j, st) in shard.nodes.iter().enumerate() {
                     let c = &mut cursors[shard.base + j];
                     while *c < st.msgs.len() && st.msgs[*c].round == r {
-                        if metrics.log.len() >= cfg.message_log_cap {
-                            metrics.log_truncated = true;
-                            eprintln!(
-                                "hinet-sim: message log reached RunConfig::message_log_cap \
-                                 ({}); further MessageRecords are dropped — raise the cap or \
-                                 disable record_messages for large runs",
-                                cfg.message_log_cap
-                            );
-                            break 'merge;
-                        }
-                        metrics.log.push(st.msgs[*c].clone());
+                        record_message(&mut metrics, cfg.message_log_cap, st.msgs[*c].clone());
                         *c += 1;
                     }
                 }
@@ -924,13 +676,12 @@ pub(crate) fn run<P: Protocol + Send>(
             }
         }
     }
-    tracer.run_end(rounds_executed as u64, completion_round.is_some());
-    let stalls = shared.stalls.load(Ordering::Relaxed);
-    let depth = shared.transport.max_depth() as u64;
-    if tracing {
-        tracer.note_runtime(stalls, depth);
-        tracer.note_dedup(metrics.dups_discarded);
-    }
+    end_trace(
+        tracer,
+        rounds_executed,
+        completion_round.is_some(),
+        metrics.dups_discarded,
+    );
 
     // Wall-clock metrics: throughput over the whole execution, per-token
     // cover latency from the stamped completion instants.
@@ -958,19 +709,18 @@ pub(crate) fn run<P: Protocol + Send>(
             0.0
         },
         latency,
-        reassembly_stalls: stalls,
-        mailbox_depth_max: depth,
+        reassembly_stalls: shared.stalls.load(Ordering::Relaxed),
+        mailbox_depth_max: shared.transport.max_depth() as u64,
     };
 
     let outcome = match completion_round {
         Some(round) => Outcome::Completed { round },
         None => {
             let missing = {
-                let mut flat: Vec<&P> = Vec::with_capacity(n);
-                for shard in &shards {
-                    flat.extend(shard.protocols.iter());
-                }
-                missing_tokens(&universe, &flat, k)
+                missing_tokens(
+                    &universe,
+                    shards.iter().flat_map(|shard| shard.protocols.iter()),
+                )
             };
             if stall.is_some() {
                 // The watchdog halted the run: report the stall with its
@@ -1005,20 +755,6 @@ pub(crate) fn run<P: Protocol + Send>(
         stability: None,
         stall,
     }
-}
-
-/// `k` minus the number of tokens known everywhere (the lock-step stall
-/// accounting, word-for-word).
-fn missing_tokens<P: Protocol>(universe: &TokenSet, protocols: &[&P], k: usize) -> usize {
-    let mut everywhere = universe.clone();
-    for p in protocols {
-        if everywhere.is_empty() {
-            break;
-        }
-        let known = p.known();
-        everywhere = everywhere.iter().filter(|t| known.contains(t)).collect();
-    }
-    k - everywhere.len()
 }
 
 /// The worker loop for one shard: repeatedly sweep the shard's nodes,
@@ -1137,9 +873,8 @@ fn record_stall<P: Protocol>(shared: &Shared<'_>, shard: &Shard<'_, P>) {
         let ctx = shared.ctx(r);
         let missing = st.buffer.missing_markers(r, ctx.csr.neighbors(me));
         let oldest_unacked = st
-            .window
-            .as_ref()
-            .and_then(|w| w.oldest_unacked())
+            .link
+            .oldest_unacked()
             .map(|registered| r.saturating_sub(registered));
         info.push(NodeStall {
             node: me,
@@ -1151,9 +886,9 @@ fn record_stall<P: Protocol>(shared: &Shared<'_>, shard: &Shard<'_, P>) {
 }
 
 /// A node's round-`r` send step: apply this round's crash (if any), run the
-/// protocol's send against the round view, gate every delivery through the
-/// fault plane, enqueue payload envelopes, and flush one end-of-round
-/// marker per neighbour.
+/// protocol's send against the round view, and hand everything to the
+/// shared delivery plane, which gates each delivery, enqueues payload
+/// envelopes and flushes one end-of-round marker per neighbour.
 fn step_send<P: Protocol>(
     shared: &Shared<'_>,
     i: usize,
@@ -1175,321 +910,32 @@ fn step_send<P: Protocol>(
         st.rep.informed_start += i64::from(inf) - i64::from(st.informed);
         st.informed = inf;
     }
-    let neighbors = ctx.csr.neighbors(me);
+    let outs = if !ctx.down[i] && !p.finished() {
+        p.send(&ctx.view(me, r))
+    } else {
+        Vec::new()
+    };
     let mut evts: Vec<BufEvt> = Vec::new();
-    let role = ctx.hierarchy.role(me);
-    // Delivery-plane flushes (timer retransmits, matured delayed
-    // envelopes) take seq numbers descending from just below the marker
-    // sentinel: fresh protocol sends keep the lock-step 0.. numbering (so
-    // their delay/dup hash keys match lock-step), and the buffer's
-    // `(from, seq)` sort stays collision-free.
-    let mut flush_seq = u32::MAX - 1;
-    if !ctx.down[i] {
-        // Reliability-window timer retransmits: a re-send pays full token
-        // cost, keeps its original rid (receiver ledgers dedup), and skips
-        // the delay/dup rolls — only the loss gate applies.
-        let due = match st.window.as_mut() {
-            Some(w) => w.due(r),
-            None => Vec::new(),
-        };
-        for rt in due {
-            let v = NodeId::from_index(rt.to);
-            if !ctx.csr.has_edge(me, v) {
-                continue; // no edge this round; the timer re-fires later
-            }
-            let (payload, directed) = rt.item;
-            let cost = payload.len() as u64;
-            st.rep.tokens += cost;
-            st.rep.packets += 1;
-            st.rep.by_role[role_slot(role)] += cost;
-            st.rep.rt_timeouts += 1;
-            if shared.tracing {
-                evts.push(BufEvt::RetransmitTimeout {
-                    to: v.0 as u64,
-                    attempt: rt.attempt,
-                });
-            }
-            if !shared.trivial && gated(shared, r, me, v, ctx, st, &mut evts) {
-                continue;
-            }
-            shared.transport.send(Envelope {
-                round: r,
-                from: me,
-                to: v,
-                seq: flush_seq,
-                kind: EnvelopeKind::Payload {
-                    payload,
-                    directed,
-                    rid: rt.rid,
-                },
-            });
-            flush_seq -= 1;
-        }
-        // Matured delayed envelopes land in the receiver's current-round
-        // inbox; a receiver down at maturity loses them (the reliability
-        // layer, when on, recovers by timer).
-        if !st.held.is_empty() {
-            let held = std::mem::take(&mut st.held);
-            for h in held {
-                if h.release > r || !ctx.csr.has_edge(me, h.to) {
-                    st.held.push(h);
-                    continue;
-                }
-                if ctx.down[h.to.index()] {
-                    continue;
-                }
-                shared.transport.send(Envelope {
-                    round: r,
-                    from: me,
-                    to: h.to,
-                    seq: flush_seq,
-                    kind: EnvelopeKind::Payload {
-                        payload: h.payload,
-                        directed: h.directed,
-                        rid: h.rid,
-                    },
-                });
-                flush_seq -= 1;
-            }
-        }
-    }
-    if !ctx.down[i] && !p.finished() {
-        let view = LocalView {
-            me,
-            round: r,
-            role,
-            cluster: ctx.hierarchy.cluster_of(me),
-            head: ctx.hierarchy.head_of(me),
-            parent: ctx.hierarchy.parent_of(me),
-            neighbors,
-        };
-        let outs = p.send(&view);
-        let mut seq = 0u32;
-        for out in outs {
-            if out.payload.is_empty() {
-                continue;
-            }
-            let cost = out.payload.len() as u64;
-            st.rep.tokens += cost;
-            st.rep.packets += 1;
-            st.rep.by_role[role_slot(role)] += cost;
-            if shared.tracing {
-                let bytes = cost * shared.token_bytes + shared.packet_header_bytes;
-                let token = out.payload.first().expect("non-empty payload").0;
-                match out.dest {
-                    Destination::Broadcast => evts.push(BufEvt::Broadcast {
-                        token,
-                        cost,
-                        role: obs_role(role),
-                        bytes,
-                    }),
-                    Destination::Unicast(v) => evts.push(BufEvt::Push {
-                        token,
-                        cost,
-                        role: obs_role(role),
-                        to: v.0 as u64,
-                        bytes,
-                    }),
-                }
-            }
-            if out.retransmit {
-                st.rep.retransmits += 1;
-                if shared.tracing {
-                    let dst = match out.dest {
-                        Destination::Broadcast => None,
-                        Destination::Unicast(v) => Some(v.0 as u64),
-                    };
-                    evts.push(BufEvt::Retransmit { cost, dst });
-                }
-            }
-            match out.dest {
-                Destination::Broadcast => {
-                    if shared.record_messages {
-                        st.msgs.push(MessageRecord {
-                            round: r,
-                            from: me,
-                            to: None,
-                            delivered: true,
-                            tokens: out.payload.to_vec(),
-                        });
-                    }
-                    for &v in neighbors {
-                        deliver(
-                            shared,
-                            r,
-                            me,
-                            v,
-                            ctx,
-                            st,
-                            &mut evts,
-                            &out.payload,
-                            false,
-                            seq,
-                        );
-                    }
-                }
-                Destination::Unicast(v) => {
-                    let delivered = ctx.csr.has_edge(me, v);
-                    if shared.record_messages {
-                        st.msgs.push(MessageRecord {
-                            round: r,
-                            from: me,
-                            to: Some(v),
-                            delivered,
-                            tokens: out.payload.to_vec(),
-                        });
-                    }
-                    if delivered {
-                        deliver(
-                            shared,
-                            r,
-                            me,
-                            v,
-                            ctx,
-                            st,
-                            &mut evts,
-                            &out.payload,
-                            true,
-                            seq,
-                        );
-                    } else {
-                        st.rep.dropped_unicasts += 1;
-                    }
-                }
-            }
-            seq += 1;
-        }
-    }
-    if shared.tracing && !evts.is_empty() {
+    shared.plane.send(
+        ctx,
+        r,
+        i,
+        &mut st.link,
+        outs,
+        &mut st.rep.tally,
+        &mut evts,
+        &mut st.msgs,
+        &mut |env: Envelope| shared.transport.send(env),
+    );
+    if !evts.is_empty() {
         st.evts.push((r, evts));
     }
-    // End-of-round markers: every node — down, finished or silent — tells
-    // each round-r neighbour it is done sending, so receiver quorums close.
-    // When the reliability layer is on, each marker piggybacks the sender's
-    // cumulative ack for the envelopes that neighbour has sent it.
-    for &v in neighbors {
-        let ack = if shared.reliable {
-            st.ledger.cum(v.index())
-        } else {
-            0
-        };
-        shared.transport.send(Envelope {
-            round: r,
-            from: me,
-            to: v,
-            seq: u32::MAX,
-            kind: EnvelopeKind::RoundDone { ack },
-        });
-    }
 }
 
-/// Fault-plane delivery gate (the lock-step `faulted_delivery`, buffered):
-/// `true` when the `from → to` delivery is lost this round. Deliveries to
-/// crashed receivers are lost silently — the crash event already explains
-/// them.
-fn gated(
-    shared: &Shared<'_>,
-    r: usize,
-    from: NodeId,
-    to: NodeId,
-    ctx: &RoundCtx,
-    st: &mut NodeState,
-    evts: &mut Vec<BufEvt>,
-) -> bool {
-    if ctx.down[to.index()] {
-        return true;
-    }
-    let kind = if shared.faults.partitioned(r, from.index(), to.index()) {
-        FaultKind::Partition
-    } else if shared.faults.drops_message(r, from.index(), to.index()) {
-        FaultKind::Loss
-    } else {
-        return false;
-    };
-    if kind == FaultKind::Partition {
-        st.rep.partition = true;
-    }
-    st.rep.faults += 1;
-    if shared.tracing {
-        evts.push(BufEvt::Fault {
-            to: to.0 as u64,
-            kind,
-        });
-    }
-    true
-}
-
-/// One fresh protocol-send delivery `from → to`: register it with the
-/// reliability window (before the loss gate, so lost envelopes still
-/// retransmit), roll the fault plane's loss / delay / duplication
-/// decisions, and either hold the envelope for its release round or
-/// enqueue it (twice, when duplicated — the receiver buffer's `(from,
-/// seq)` dedup discards and counts the copy).
-#[allow(clippy::too_many_arguments)]
-fn deliver(
-    shared: &Shared<'_>,
-    r: usize,
-    me: NodeId,
-    v: NodeId,
-    ctx: &RoundCtx,
-    st: &mut NodeState,
-    evts: &mut Vec<BufEvt>,
-    payload: &Payload,
-    directed: bool,
-    seq: u32,
-) {
-    let rid = match st.window.as_mut() {
-        Some(w) => w.register(v.index(), (payload.clone(), directed), r),
-        None => 0,
-    };
-    if !shared.trivial && gated(shared, r, me, v, ctx, st, evts) {
-        return;
-    }
-    if !shared.trivial {
-        let d = shared.faults.delay_of(r, me.index(), v.index(), seq);
-        if d > 0 {
-            st.rep.delays += 1;
-            if shared.tracing {
-                evts.push(BufEvt::Delayed {
-                    to: v.0 as u64,
-                    rounds: d as u64,
-                });
-            }
-            st.held.push(HeldEnvelope {
-                release: r + d,
-                to: v,
-                rid,
-                payload: payload.clone(),
-                directed,
-            });
-            return;
-        }
-    }
-    let envelope = || Envelope {
-        round: r,
-        from: me,
-        to: v,
-        seq,
-        kind: EnvelopeKind::Payload {
-            payload: payload.clone(),
-            directed,
-            rid,
-        },
-    };
-    shared.transport.send(envelope());
-    if !shared.trivial && shared.faults.duplicates(r, me.index(), v.index(), seq) {
-        st.rep.dups_injected += 1;
-        if shared.tracing {
-            evts.push(BufEvt::Duplicated { to: v.0 as u64 });
-        }
-        shared.transport.send(envelope());
-    }
-}
-
-/// A node's round-`r` receive step: release the reassembled inbox, run the
-/// protocol's receive (unless the node is down — its inbox is lost), track
-/// informed/finished transitions and the per-token latency cover, and
-/// submit the round report to the oracle.
+/// A node's round-`r` receive step: release the reassembled inbox through
+/// the delivery plane, run the protocol's receive (unless the node is
+/// down — its inbox is lost), track informed/finished transitions and the
+/// per-token latency cover, and submit the round report to the oracle.
 fn step_recv<P: Protocol>(
     shared: &Shared<'_>,
     i: usize,
@@ -1500,44 +946,11 @@ fn step_recv<P: Protocol>(
 ) {
     let me = NodeId::from_index(i);
     let taken = st.buffer.take_round(r);
-    st.rep.dups_discarded += taken.dups_discarded;
-    let mut inbox = taken.inbox;
+    let inbox = shared
+        .plane
+        .accept(ctx, r, i, &mut st.link, taken, &mut st.rep.tally);
     if !ctx.down[i] {
-        if shared.reliable {
-            // Acks ride on the neighbours' round markers: release every
-            // envelope this node sent them that they now acknowledge.
-            if let Some(w) = st.window.as_mut() {
-                for &(from, ack) in &taken.acks {
-                    w.ack(from.index(), ack);
-                }
-            }
-            // Rid-level dedup: the buffer's `(from, seq)` dedup cannot see
-            // a timer retransmit of an envelope that also arrived late —
-            // the receiver ledger can.
-            let rids = taken.rids;
-            let mut keep = Vec::with_capacity(inbox.len());
-            for (msg, rid) in inbox.into_iter().zip(rids) {
-                if st.ledger.accept(msg.from.index(), rid) {
-                    keep.push(msg);
-                } else {
-                    st.rep.dups_discarded += 1;
-                }
-            }
-            inbox = keep;
-        }
-        if !shared.trivial && shared.faults.reorder {
-            shared.faults.shuffle(r, i, &mut inbox);
-        }
-        let view = LocalView {
-            me,
-            round: r,
-            role: ctx.hierarchy.role(me),
-            cluster: ctx.hierarchy.cluster_of(me),
-            head: ctx.hierarchy.head_of(me),
-            parent: ctx.hierarchy.parent_of(me),
-            neighbors: ctx.csr.neighbors(me),
-        };
-        p.receive(&view, &inbox);
+        p.receive(&ctx.view(me, r), &inbox);
         if !st.informed && !inbox.is_empty() && shared.universe.is_subset(p.known()) {
             st.informed = true;
             st.rep.informed_end += 1;
@@ -1565,8 +978,7 @@ fn step_recv<P: Protocol>(
     let fin = p.finished();
     st.rep.finished += i64::from(fin) - i64::from(st.finished);
     st.finished = fin;
-    let inflight_now =
-        st.held.len() as i64 + st.window.as_ref().map_or(0, |w| w.in_flight() as i64);
+    let inflight_now = st.link.in_flight() as i64;
     st.rep.inflight = inflight_now - st.last_inflight;
     st.last_inflight = inflight_now;
 
@@ -1584,41 +996,16 @@ fn step_recv<P: Protocol>(
     }
 }
 
-/// Emit one buffered event through the tracer.
-fn replay(tracer: &mut Tracer, r: u64, node: u64, e: &BufEvt) {
-    match *e {
-        BufEvt::Broadcast {
-            token,
-            cost,
-            role,
-            bytes,
-        } => tracer.head_broadcast(r, node, token, cost, role, bytes),
-        BufEvt::Push {
-            token,
-            cost,
-            role,
-            to,
-            bytes,
-        } => tracer.token_push(r, node, token, cost, role, to, bytes),
-        BufEvt::Retransmit { cost, dst } => tracer.retransmit(r, node, cost, dst),
-        BufEvt::Fault { to, kind } => tracer.fault_injected(r, node, Some(to), kind),
-        BufEvt::Delayed { to, rounds } => tracer.delayed(r, node, to, rounds),
-        BufEvt::Duplicated { to } => tracer.duplicated(r, node, to),
-        BufEvt::RetransmitTimeout { to, attempt } => {
-            tracer.retransmit_timeout(r, node, to, attempt)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{Engine, ExecMode, RunConfig};
-    use crate::protocol::{Incoming, Outgoing};
+    use crate::protocol::{Incoming, LocalView, Outgoing};
     use crate::token::round_robin_assignment;
     use hinet_cluster::ctvg::{CtvgTrace, CtvgTraceProvider};
     use hinet_cluster::hierarchy::single_cluster;
     use hinet_graph::trace::TvgTrace;
+    use hinet_graph::Graph;
     use hinet_rt::obs::ObsConfig;
 
     /// The plain flooding protocol from the engine tests: broadcast
@@ -1752,17 +1139,21 @@ mod tests {
         };
         let lock = trace(ExecMode::Lockstep);
         let event = trace(ExecMode::Event);
-        // Headers differ (mode meta stamp, runtime counters); every event
-        // line after them must be byte-identical.
+        // Headers differ only by the mode meta stamp; every event line
+        // after them must be byte-identical.
         let lock_events: Vec<&str> = lock.lines().skip(1).collect();
         let event_events: Vec<&str> = event.lines().skip(1).collect();
         assert_eq!(event_events, lock_events);
         let event_header = event.lines().next().unwrap();
         let lock_header = lock.lines().next().unwrap();
-        assert!(event_header.contains("event"), "mode meta stamp missing");
         assert!(
             !lock_header.contains("event"),
             "lock-step header must not change"
+        );
+        assert_eq!(
+            event_header.replacen(",\"mode\":\"event\"", "", 1),
+            lock_header,
+            "only the mode meta stamp may differ"
         );
     }
 

@@ -4,6 +4,10 @@
 //! node's knowledge is the row space of the vectors it has received. The
 //! basis is kept in **reduced row-echelon form** so rank queries, decoded
 //! token extraction and random recombination are all cheap.
+//!
+//! It lives in the simulator because coded packets are an ordinary
+//! [`crate::protocol::Payload::Coded`] payload: the engine carries and
+//! bills them like any other message (see `hinet_core::netcode`).
 
 use hinet_rt::rng::Rng;
 

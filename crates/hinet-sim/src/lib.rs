@@ -19,7 +19,8 @@
 //! * [`protocol::Protocol`] — the per-node state machine interface
 //!   (send/receive per round with a [`protocol::LocalView`] of the node's
 //!   role, cluster and neighborhood), exchanging [`protocol::Payload`]
-//!   messages (`One` token or an `Arc`-shared packed `Set`).
+//!   messages (`One` token, an `Arc`-shared packed `Set`, or a
+//!   network-coded `Coded` combination over [`gf2`]).
 //! * [`engine`] — the round loop, message delivery (broadcast and
 //!   head-unicast), the completion oracle, and cost accounting, behind the
 //!   single entry point [`engine::Engine::run`]. The communication metric
@@ -47,11 +48,14 @@
 // must be documented.
 #![warn(missing_docs)]
 
+mod delivery;
 pub mod engine;
 mod event;
 pub mod fault;
+pub mod gf2;
 pub mod protocol;
 pub mod reliable;
+mod round;
 pub mod token;
 pub mod transport;
 

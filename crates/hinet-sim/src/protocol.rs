@@ -1,5 +1,6 @@
 //! The per-node protocol interface.
 
+use crate::gf2::Gf2Vec;
 use crate::token::{TokenId, TokenSet};
 use hinet_cluster::hierarchy::{ClusterId, Role};
 use hinet_graph::graph::NodeId;
@@ -40,27 +41,42 @@ pub enum Destination {
     Unicast(NodeId),
 }
 
-/// A message payload: either a single token (the per-round selections of
-/// Algorithm 1 and KLO) or a whole token set (Algorithm 2's `broadcast
-/// TA`, flooding).
+/// A message payload: a single token (the per-round selections of
+/// Algorithm 1 and KLO), a whole token set (Algorithm 2's `broadcast
+/// TA`, flooding), or a network-coded combination of tokens (RLNC).
 ///
 /// Single-token pushes carry the id inline — no allocation per message.
-/// Set payloads are `Arc`-shared: a broadcast delivered to a thousand
-/// neighbors clones a refcount, not a bitset.
+/// Set and coded payloads are `Arc`-shared: a broadcast delivered to a
+/// thousand neighbors clones a refcount, not a bitset.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Payload {
     /// Exactly one token.
     One(TokenId),
     /// A whole token set, shared between all its deliveries.
     Set(Arc<TokenSet>),
+    /// A random linear combination of tokens over GF(2): one
+    /// token-payload's worth of data plus a `k`-bit coefficient header.
+    Coded(Arc<Gf2Vec>),
 }
 
 impl Payload {
-    /// Number of tokens carried — the paper's per-message cost.
+    /// Number of tokens carried — the paper's per-message cost. A coded
+    /// packet counts as one token-payload.
     pub fn len(&self) -> usize {
         match self {
             Payload::One(_) => 1,
             Payload::Set(s) => s.len(),
+            Payload::Coded(_) => 1,
+        }
+    }
+
+    /// Bytes of coefficient header the payload carries on top of its
+    /// token bytes: `⌈k/8⌉` for a coded packet over `k` tokens, 0
+    /// otherwise.
+    pub fn coefficient_bytes(&self) -> u64 {
+        match self {
+            Payload::Coded(v) => v.len().div_ceil(8) as u64,
+            _ => 0,
         }
     }
 
@@ -71,30 +87,37 @@ impl Payload {
     }
 
     /// The smallest carried token id — what the trace schema records as
-    /// the message's representative `token`.
+    /// the message's representative `token` (for a coded packet, its
+    /// pivot: the lowest token it combines).
     pub fn first(&self) -> Option<TokenId> {
         match self {
             Payload::One(t) => Some(*t),
             Payload::Set(s) => s.min(),
+            Payload::Coded(v) => v.leading().map(|i| TokenId(i as u64)),
         }
     }
 
-    /// Ascending iterator over the carried tokens.
+    /// Ascending iterator over the carried tokens (for a coded packet,
+    /// the tokens it combines).
     pub fn iter(&self) -> PayloadIter<'_> {
         match self {
             Payload::One(t) => PayloadIter::One(Some(*t)),
             Payload::Set(s) => PayloadIter::Set(s.iter()),
+            Payload::Coded(v) => PayloadIter::Coded(v, 0),
         }
     }
 
     /// Union the carried tokens into `ta` — word-parallel for set
-    /// payloads, a single bit-set for one-token pushes.
+    /// payloads, a single bit-set for one-token pushes. A coded packet
+    /// reveals no token on its own (decode it through a
+    /// [`crate::gf2::Gf2Basis`]), so it adds nothing.
     pub fn union_into(&self, ta: &mut TokenSet) {
         match self {
             Payload::One(t) => {
                 ta.insert(*t);
             }
             Payload::Set(s) => ta.union_with(s),
+            Payload::Coded(_) => {}
         }
     }
 
@@ -110,6 +133,8 @@ pub enum PayloadIter<'a> {
     One(Option<TokenId>),
     /// Set payload.
     Set(crate::token::Iter<'a>),
+    /// Coded payload: the vector and the next coefficient to inspect.
+    Coded(&'a Gf2Vec, usize),
 }
 
 impl Iterator for PayloadIter<'_> {
@@ -118,6 +143,15 @@ impl Iterator for PayloadIter<'_> {
         match self {
             PayloadIter::One(t) => t.take(),
             PayloadIter::Set(it) => it.next(),
+            PayloadIter::Coded(v, i) => {
+                while *i < v.len() {
+                    *i += 1;
+                    if v.get(*i - 1) {
+                        return Some(TokenId(*i as u64 - 1));
+                    }
+                }
+                None
+            }
         }
     }
 }

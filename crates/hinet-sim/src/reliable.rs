@@ -4,8 +4,8 @@
 //! the round it was sent. Once the fault plane can drop and delay
 //! deliveries, recovery used to be the job of each algorithm's bespoke ARQ
 //! (`retransmit` in Algorithms 1/2 only). This module generalises that
-//! into one state machine every executor shares — the lock-step engine,
-//! the event driver, and the RLNC executor all recover through it:
+//! into one state machine for every protocol; the delivery plane both
+//! drivers share (the lock-step engine and the event driver) runs it:
 //!
 //! * **Sender side** ([`SenderWindow`]): every payload handed to a link is
 //!   registered under a per-link monotone *reliable id* (`rid`). A pending
@@ -18,11 +18,11 @@
 //! * **Receiver side** ([`ReceiverLedger`]): accepts each `(sender, rid)`
 //!   at most once (retransmit duplicates are discarded and counted by the
 //!   caller) and maintains the *cumulative ack* — the smallest rid not yet
-//!   received; everything below it has arrived. In the event driver the
-//!   cumulative ack piggybacks on the link's next
-//!   [`crate::transport::EnvelopeKind::RoundDone`] marker; the lock-step
-//!   engine, which has no markers, applies it at the round barrier
-//!   (same value, one round earlier — both schedules are deterministic).
+//!   received; everything below it has arrived. The cumulative ack
+//!   piggybacks on the link's next
+//!   [`crate::transport::EnvelopeKind::RoundDone`] marker and takes
+//!   effect at the sender's receive step of that round, identically in
+//!   both execution modes.
 //!
 //! # Determinism
 //!
@@ -195,18 +195,6 @@ impl<T: Clone> SenderWindow<T> {
             }
         }
         out
-    }
-
-    /// Apply acks for every link in one sweep: `cum_of(to)` yields the
-    /// receiver `to`'s cumulative ack for this sender's link. Used by the
-    /// lock-step engine, whose round barrier makes every receiver's ledger
-    /// consultable at once (the event runtime instead applies the acks
-    /// piggybacked on round markers as they arrive).
-    pub fn sync_acks(&mut self, mut cum_of: impl FnMut(usize) -> u64) {
-        for (&to, link) in &mut self.links {
-            let cum = cum_of(to);
-            link.pending.retain(|p| p.rid >= cum);
-        }
     }
 
     /// Total unacked envelopes across all links.

@@ -133,20 +133,21 @@ fn main() {
         ]);
     }
 
-    // Network coding runs outside the token-payload protocol interface.
-    let mut coded_field = field(seed);
-    let rlnc = hinet::core::netcode::run_rlnc(
+    // RLNC broadcasts every round until the budget ends, so it runs on
+    // the same flat field but stops at completion.
+    let mut coded_field = FlatProvider::new(field(seed));
+    let rlnc = run_algorithm(
+        &AlgorithmKind::Rlnc { k, seed },
         &mut coded_field,
         &assignment,
-        seed,
-        hinet::sim::engine::RunConfig::new().max_rounds(rounds_budget),
+        RunConfig::new().max_rounds(rounds_budget),
     );
     results.push_row(vec![
         "RLNC network coding (flat)".into(),
         rlnc.completed().to_string(),
         rlnc.completion_round.map_or("—".into(), |r| r.to_string()),
-        rlnc.packets_sent.to_string(),
-        rlnc.packets_sent.to_string(),
+        rlnc.metrics.tokens_sent.to_string(),
+        rlnc.metrics.packets_sent.to_string(),
     ]);
     println!("{}", results.to_text());
     println!(

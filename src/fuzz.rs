@@ -34,9 +34,9 @@
 //! (offender, base). The same `hinet fuzz --seed S` finds, shrinks and
 //! archives byte-identical offenders on every machine.
 
-use crate::scenario::{Scenario, ScenarioFile, ScenarioReport, RETRANSMIT_ALGORITHMS};
+use crate::scenario::{Scenario, ScenarioFile, RETRANSMIT_ALGORITHMS};
 use hinet_core::params::{alg1_plan, alg2_rounds_1interval, klo_plan, remark1_phases};
-use hinet_rt::obs::{ObsConfig, Tracer};
+use hinet_rt::obs::Tracer;
 use hinet_rt::rng::{mix, Rng, SliceRandom, Xoshiro256StarStar};
 use hinet_sim::engine::Outcome;
 use hinet_sim::fault::Partition;
@@ -153,46 +153,18 @@ pub fn analytic_bound(sc: &Scenario) -> Option<usize> {
     }
 }
 
-/// Execute a scenario and classify the result (see [`Class`]). Runs with
-/// a heavily sampled tracer: counters stay exact (the RLNC path needs the
-/// fault counters) while the event ring stays tiny.
+/// Execute a scenario (untraced) and classify the result (see [`Class`]).
 pub fn classify(sc: &Scenario) -> Result<Class, String> {
-    let mut tracer = Tracer::new(ObsConfig::sampled(1 << 20));
-    let report = sc.run_traced(&mut tracer)?;
-    let completed = |round: usize| match analytic_bound(sc) {
-        Some(bound) if round > bound => Class::BoundExceeded { round, bound },
-        _ => Class::Completed { round },
-    };
-    Ok(match &report {
-        ScenarioReport::Engine(r) => match r.outcome {
-            Outcome::Completed { round } => completed(round),
-            Outcome::Stalled {
-                budget_exhausted, ..
-            } => Class::Stalled { budget_exhausted },
-            Outcome::AssumptionViolated { def, .. } => Class::AssumptionViolated { def },
+    let report = sc.run_traced(&mut Tracer::disabled())?;
+    Ok(match report.outcome {
+        Outcome::Completed { round } => match analytic_bound(sc) {
+            Some(bound) if round > bound => Class::BoundExceeded { round, bound },
+            _ => Class::Completed { round },
         },
-        ScenarioReport::Rlnc(r) => match r.completion_round {
-            Some(round) => completed(round),
-            None => {
-                let c = tracer.counters();
-                if c.faults_injected == 0 && c.crashes == 0 {
-                    // RLNC keeps transmitting until the budget ends, so an
-                    // unfaulted incomplete run is always budget-bound.
-                    Class::Stalled {
-                        budget_exhausted: true,
-                    }
-                } else {
-                    let backbone = c.crashes > 0
-                        || sc
-                            .partitions
-                            .iter()
-                            .any(|p| p.start < r.rounds_executed && p.end > 0);
-                    Class::AssumptionViolated {
-                        def: if backbone { 2 } else { 1 },
-                    }
-                }
-            }
-        },
+        Outcome::Stalled {
+            budget_exhausted, ..
+        } => Class::Stalled { budget_exhausted },
+        Outcome::AssumptionViolated { def, .. } => Class::AssumptionViolated { def },
     })
 }
 

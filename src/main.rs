@@ -79,7 +79,7 @@ use hinet::graph::generators::{
 };
 use hinet::rt::obs::diff::{diff_traces, DiffConfig};
 use hinet::rt::obs::{ObsConfig, ParsedTrace, TraceSummary, Tracer};
-use hinet::scenario::{Scenario, ScenarioReport};
+use hinet::scenario::Scenario;
 use hinet::sim::engine::RunReport;
 use hinet_rt::flags::{flag, parse_flags, FlagSet, FlagSpec};
 use std::process::ExitCode;
@@ -553,6 +553,12 @@ fn print_report(sc: &Scenario, label: &str, report: &RunReport) {
         report.metrics.tokens_by_role[2],
     );
     let m = &report.metrics;
+    if m.coefficient_bytes > 0 {
+        println!(
+            "coded packets: {}  coefficient-header bytes: {}",
+            m.packets_sent, m.coefficient_bytes
+        );
+    }
     if m.faults_injected + m.crashes + m.recoveries + m.retransmits > 0 {
         println!(
             "faults: {} dropped deliveries, {} crashes, {} recoveries, {} retransmits",
@@ -681,40 +687,23 @@ fn cmd_run(flags: &FlagSet) -> ExitCode {
             stream_trace(out_path, &mut tracer)?;
         }
         let report = sc.run_traced_with_oracle(&mut tracer, flags.has("stability-stream"))?;
-        let mut stalled = false;
-        match &report {
-            ScenarioReport::Engine(r) => {
-                print_report(&sc, sc.kind()?.label(), r);
-                if let Some(diag) = &r.stall {
-                    print_stall_diag(diag);
-                    stalled = true;
-                }
-                if let Some(s) = &r.stability {
-                    match s.violation {
-                        Some(v) => println!(
-                            "stability oracle: VIOLATED Def {} at round {} (window starting {})",
-                            v.def, v.round, v.window_start
-                        ),
-                        None => println!(
-                            "stability oracle: {}/{} windows (T, L)-HiNet  min L*={}",
-                            s.hinet_windows,
-                            s.windows,
-                            s.min_hinet_l.map_or("-".into(), |l| l.to_string()),
-                        ),
-                    }
-                }
-            }
-            ScenarioReport::Rlnc(r) => {
-                println!(
-                    "algorithm: rlnc  dynamics: {}  n={} k={} seed={}",
-                    sc.dynamics, sc.n, sc.k, sc.seed
-                );
-                println!(
-                    "completed: {}  rounds: {:?}  coded packets: {}",
-                    r.completed(),
-                    r.completion_round,
-                    r.packets_sent
-                );
+        print_report(&sc, sc.kind()?.label(), &report);
+        let stalled = report.stall.is_some();
+        if let Some(diag) = &report.stall {
+            print_stall_diag(diag);
+        }
+        if let Some(s) = &report.stability {
+            match s.violation {
+                Some(v) => println!(
+                    "stability oracle: VIOLATED Def {} at round {} (window starting {})",
+                    v.def, v.round, v.window_start
+                ),
+                None => println!(
+                    "stability oracle: {}/{} windows (T, L)-HiNet  min L*={}",
+                    s.hinet_windows,
+                    s.windows,
+                    s.min_hinet_l.map_or("-".into(), |l| l.to_string()),
+                ),
             }
         }
         if want_trace {
@@ -795,15 +784,10 @@ fn cmd_trace(pos: &[String], flags: &FlagSet) -> ExitCode {
     }
 
     // Mode 2: run the scenario with tracing on.
-    let run = || -> Result<(Scenario, Tracer, ScenarioReport), String> {
+    let run = || -> Result<(Scenario, Tracer, RunReport), String> {
         let sc = Scenario::from_flags(flags)?;
         let stability_wanted = flags.has("stability");
         let stream_wanted = flags.has("stability-stream");
-        if (stability_wanted || stream_wanted) && sc.algorithm == "rlnc" {
-            return Err(
-                "--stability is not supported for rlnc (no cluster hierarchy to verify)".into(),
-            );
-        }
         if stability_wanted && stream_wanted {
             return Err(
                 "--stability and --stability-stream are alternative verifiers; pick one \
@@ -827,7 +811,7 @@ fn cmd_trace(pos: &[String], flags: &FlagSet) -> ExitCode {
             // Providers are deterministic in the scenario seed, so a fresh
             // one replays the run's dynamics for post-hoc verification.
             let mut replay = sc.provider(&sc.kind()?)?;
-            let trace = CtvgTrace::capture(replay.as_mut(), report.rounds_executed().max(1));
+            let trace = CtvgTrace::capture(replay.as_mut(), report.rounds_executed.max(1));
             trace_stability_windows(&trace, sc.t, sc.l, &mut tracer);
         }
         if stream_wanted {
@@ -835,7 +819,7 @@ fn cmd_trace(pos: &[String], flags: &FlagSet) -> ExitCode {
             // verifier: no materialised trace, constant memory per round.
             let mut replay = sc.provider(&sc.kind()?)?;
             let mut stream = StabilityStream::new(sc.t, sc.l);
-            for round in 0..report.rounds_executed().max(1) {
+            for round in 0..report.rounds_executed.max(1) {
                 let g = replay.graph_at(round);
                 let h = replay.hierarchy_at(round);
                 if let Some(verdict) = stream.push(&g, &h) {
@@ -865,7 +849,7 @@ fn cmd_trace(pos: &[String], flags: &FlagSet) -> ExitCode {
         "traced {} on {}: {} rounds, {} events recorded",
         sc.algorithm,
         sc.dynamics,
-        report.rounds_executed(),
+        report.rounds_executed,
         tracer.len().max(tracer.streamed().unwrap_or(0) as usize),
     );
     if let Some(path) = flags.get("out") {
@@ -882,10 +866,10 @@ fn cmd_trace(pos: &[String], flags: &FlagSet) -> ExitCode {
         }
     }
     if summary_wanted || (!events_wanted && flags.get("out").is_none()) {
-        print_summary(&TraceSummary::from_tracer(&tracer), report.engine());
+        print_summary(&TraceSummary::from_tracer(&tracer), Some(&report));
     }
     // Same exit contract as `hinet run`: a watchdog halt is exit 1.
-    if let Some(diag) = report.engine().and_then(|r| r.stall.as_ref()) {
+    if let Some(diag) = &report.stall {
         print_stall_diag(diag);
         return ExitCode::from(1);
     }

@@ -18,14 +18,12 @@
 use hinet_cluster::clustering::ClusteringKind;
 use hinet_cluster::ctvg::{FlatProvider, HierarchyProvider};
 use hinet_cluster::generators::{ClusteredMobilityGen, HiNetConfig, HiNetGen};
-use hinet_core::netcode::{run_rlnc, RlncReport};
 use hinet_core::params::{alg1_plan, klo_plan, remark1_phases, required_phase_length, PhasePlan};
 use hinet_core::runner::{run_algorithm, AlgorithmKind};
 use hinet_graph::generators::{
     BackboneKind, EdgeMarkovianGen, ManhattanConfig, ManhattanGen, OneIntervalGen,
     RandomWaypointGen, TIntervalGen, WaypointConfig,
 };
-use hinet_graph::trace::TopologyProvider;
 use hinet_rt::flags::FlagSet;
 use hinet_rt::obs::{ParsedTrace, Tracer};
 use hinet_sim::engine::{ExecMode, RunConfig, RunReport};
@@ -206,60 +204,7 @@ fn fraction_to_ppm(name: &str, value: f64) -> Result<u32, String> {
     Ok((value * 1_000_000.0).round() as u32)
 }
 
-/// Outcome of [`Scenario::run_traced`]: the engine report for
-/// token-forwarding algorithms, or the network-coding report for `rlnc`.
-#[derive(Clone, Debug)]
-pub enum ScenarioReport {
-    /// A round-engine run ([`hinet_sim::engine::Engine`]).
-    Engine(RunReport),
-    /// An RLNC run ([`hinet_core::netcode::run_rlnc`]).
-    Rlnc(RlncReport),
-}
-
-impl ScenarioReport {
-    /// Whether dissemination completed.
-    pub fn completed(&self) -> bool {
-        match self {
-            ScenarioReport::Engine(r) => r.completed(),
-            ScenarioReport::Rlnc(r) => r.completed(),
-        }
-    }
-
-    /// Rounds executed.
-    pub fn rounds_executed(&self) -> usize {
-        match self {
-            ScenarioReport::Engine(r) => r.rounds_executed,
-            ScenarioReport::Rlnc(r) => r.rounds_executed,
-        }
-    }
-
-    /// Round at which dissemination completed, if it did.
-    pub fn completion_round(&self) -> Option<usize> {
-        match self {
-            ScenarioReport::Engine(r) => r.completion_round,
-            ScenarioReport::Rlnc(r) => r.completion_round,
-        }
-    }
-
-    /// The engine report, when the scenario ran on the round engine.
-    pub fn engine(&self) -> Option<&RunReport> {
-        match self {
-            ScenarioReport::Engine(r) => Some(r),
-            ScenarioReport::Rlnc(_) => None,
-        }
-    }
-
-    /// The RLNC report, when the scenario ran the coded executor.
-    pub fn rlnc(&self) -> Option<&RlncReport> {
-        match self {
-            ScenarioReport::Engine(_) => None,
-            ScenarioReport::Rlnc(r) => Some(r),
-        }
-    }
-}
-
-/// Algorithm names the CLI accepts (every [`Scenario::kind`] selector plus
-/// the out-of-engine `rlnc` executor).
+/// Algorithm names the CLI accepts (every [`Scenario::kind`] selector).
 pub const ALGORITHMS: &[&str] = &[
     "alg1",
     "remark1",
@@ -505,13 +450,6 @@ impl Scenario {
                     .into(),
             );
         }
-        if self.mode == ExecMode::Event && self.algorithm == "rlnc" {
-            return Err(
-                "--mode event only applies to round-engine algorithms; rlnc runs the coded \
-                 executor outside the engine"
-                    .into(),
-            );
-        }
         if self.max_delay == 0 {
             return Err("--max-delay must be at least 1 round".into());
         }
@@ -657,8 +595,7 @@ impl Scenario {
     }
 
     /// The algorithm selector with its derived parameterisation. Errors on
-    /// unknown names and on `rlnc`, which runs outside the round engine
-    /// (see [`Scenario::run_traced`]).
+    /// unknown names.
     pub fn kind(&self) -> Result<AlgorithmKind, String> {
         let (n, k, alpha, l, theta, t) = (self.n, self.k, self.alpha, self.l, self.theta, self.t);
         Ok(match self.algorithm.as_str() {
@@ -682,11 +619,12 @@ impl Scenario {
             "delta" => AlgorithmKind::DeltaFlood {
                 rounds: self.budget,
             },
+            "rlnc" => AlgorithmKind::Rlnc { k, seed: self.seed },
             other => return Err(format!("unknown algorithm '{other}'")),
         })
     }
 
-    /// The hierarchy-carrying dynamics provider for round-engine runs.
+    /// The hierarchy-carrying dynamics provider the scenario runs on.
     pub fn provider(
         &self,
         kind: &AlgorithmKind,
@@ -734,27 +672,6 @@ impl Scenario {
                 ClusteringKind::GreedyDominating,
                 true,
             )),
-            other => return Err(format!("unknown dynamics '{other}'")),
-        })
-    }
-
-    /// The flat (hierarchy-free) dynamics provider RLNC broadcasts over.
-    /// `hinet` maps to the 1-interval generator — coded dissemination
-    /// ignores cluster structure, so only connectivity matters.
-    pub fn rlnc_provider(&self) -> Result<Box<dyn TopologyProvider>, String> {
-        let (n, seed) = (self.n, self.seed);
-        Ok(match self.dynamics.as_str() {
-            "flat-1" | "hinet" => Box::new(OneIntervalGen::new(n, true, n / 5, seed)),
-            "flat-t" => Box::new(TIntervalGen::new(
-                n,
-                self.t,
-                BackboneKind::Path,
-                n / 5,
-                seed,
-            )),
-            "waypoint" => Box::new(RandomWaypointGen::new(n, WaypointConfig::default(), seed)),
-            "manhattan" => Box::new(ManhattanGen::new(n, ManhattanConfig::default(), seed)),
-            "emdg" => Box::new(EdgeMarkovianGen::new(n, 0.002, 0.05, 0.04, true, seed)),
             other => return Err(format!("unknown dynamics '{other}'")),
         })
     }
@@ -825,10 +742,9 @@ impl Scenario {
     }
 
     /// Execute the scenario, streaming events and meta stamps into
-    /// `tracer`: the engine path for token-forwarding algorithms, the
-    /// coded executor for `rlnc`. All runs use the default round-robin
-    /// token assignment and [`hinet_sim::CostWeights::default`].
-    pub fn run_traced(&self, tracer: &mut Tracer) -> Result<ScenarioReport, String> {
+    /// `tracer`. All runs use the default round-robin token assignment
+    /// and [`hinet_sim::CostWeights::default`].
+    pub fn run_traced(&self, tracer: &mut Tracer) -> Result<RunReport, String> {
         self.run_traced_with_oracle(tracer, false)
     }
 
@@ -838,21 +754,14 @@ impl Scenario {
     /// [`hinet_cluster::stability::stream::StabilityStream`] at the
     /// scenario's own `(T, L)`, emitting `stability_window` events and
     /// attributing incomplete runs to the exact violated definition and
-    /// round. The oracle is lock-step only: it is rejected for `rlnc`
-    /// (which runs outside the round engine) and for `--mode event`
-    /// (whose rounds are reassembled post-hoc, not observed live).
+    /// round. The oracle is lock-step only: it is rejected for
+    /// `--mode event` (whose rounds are reassembled post-hoc, not observed
+    /// live).
     pub fn run_traced_with_oracle(
         &self,
         tracer: &mut Tracer,
         oracle: bool,
-    ) -> Result<ScenarioReport, String> {
-        if oracle && self.algorithm == "rlnc" {
-            return Err(
-                "--stability-stream only applies to round-engine algorithms; rlnc runs the \
-                 coded executor outside the round engine"
-                    .into(),
-            );
-        }
+    ) -> Result<RunReport, String> {
         if oracle && self.mode == ExecMode::Event {
             return Err(
                 "--stability-stream requires lock-step execution; --mode event reassembles \
@@ -863,21 +772,6 @@ impl Scenario {
         }
         self.stamp_meta(tracer);
         let assignment = round_robin_assignment(self.n, self.k);
-        let faults = self.fault_plan();
-        if self.algorithm == "rlnc" {
-            let mut provider = self.rlnc_provider()?;
-            let report = run_rlnc(
-                provider.as_mut(),
-                &assignment,
-                self.seed,
-                RunConfig::new()
-                    .max_rounds(self.budget)
-                    .faults(faults)
-                    .reliable(self.reliable)
-                    .tracer(tracer),
-            );
-            return Ok(ScenarioReport::Rlnc(report));
-        }
         let kind = self.kind()?;
         let mut provider = self.provider(&kind)?;
         // The oracle checks the (T, L) the dynamics actually promise: the
@@ -888,21 +782,20 @@ impl Scenario {
         } else {
             self.t
         };
-        let report = run_algorithm(
+        Ok(run_algorithm(
             &kind,
             provider.as_mut(),
             &assignment,
             RunConfig::new()
                 .max_rounds(self.budget)
-                .faults(faults)
+                .faults(self.fault_plan())
                 .retransmit(self.retransmit)
                 .reliable(self.reliable)
                 .stall_rounds(self.stall_rounds)
                 .mode(self.mode)
                 .stability_oracle(oracle.then_some((oracle_t, self.l)))
                 .tracer(tracer),
-        );
-        Ok(ScenarioReport::Engine(report))
+        ))
     }
 }
 
@@ -1248,13 +1141,10 @@ mod tests {
         let mut tracer = Tracer::new(ObsConfig::full());
         let report = sc.run_traced(&mut tracer).unwrap();
         assert!(report.completed());
-        assert!(report.rlnc().is_some());
         let parsed = ParsedTrace::parse_jsonl(&tracer.to_jsonl()).unwrap();
         assert_eq!(parsed.meta_get("algorithm"), Some("rlnc"));
-        assert_eq!(
-            parsed.counters.packets_sent,
-            report.rlnc().unwrap().packets_sent
-        );
+        assert_eq!(parsed.counters.packets_sent, report.metrics.packets_sent);
+        assert_eq!(parsed.counters.bytes_sent, report.total_bytes());
         assert_eq!(Scenario::from_meta(&parsed).unwrap(), sc);
     }
 
@@ -1615,6 +1505,7 @@ mod tests {
         assert!(small("magic", "hinet").kind().is_err());
         let sc = small("alg1", "mystery");
         assert!(sc.provider(&sc.kind().unwrap()).is_err());
-        assert!(small("rlnc", "mystery").rlnc_provider().is_err());
+        let sc = small("rlnc", "mystery");
+        assert!(sc.provider(&sc.kind().unwrap()).is_err());
     }
 }

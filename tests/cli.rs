@@ -283,13 +283,31 @@ fn trace_supports_rlnc_end_to_end() {
     assert!(text.contains("traced rlnc"), "{text}");
     assert!(text.contains("head_broadcast"), "{text}");
 
-    // But stability verification still has no meaning for a flat coded run.
-    let out = hinet()
-        .args(["trace", "--algorithm", "rlnc", "--stability"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8(out.stderr).unwrap().contains("rlnc"));
+    // RLNC runs over the same hierarchy providers as every other
+    // algorithm, so both stability verifiers apply to its runs too.
+    for verifier in ["--stability", "--stability-stream"] {
+        let out = hinet()
+            .args([
+                "trace",
+                "--algorithm",
+                "rlnc",
+                "--n",
+                "30",
+                "--k",
+                "3",
+                verifier,
+                "--summary",
+            ])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{verifier}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(text.contains("stability windows"), "{verifier}: {text}");
+    }
 }
 
 #[test]

@@ -18,8 +18,9 @@
 
 use hinet::rt::check::check;
 use hinet::rt::obs::{Event, ObsConfig, ParsedTrace, Tracer};
-use hinet::scenario::{Scenario, ScenarioReport};
+use hinet::scenario::Scenario;
 use hinet_sim::ExecMode;
+use hinet_sim::RunReport;
 
 fn scenario(algorithm: &str, dynamics: &str, n: usize, k: usize, seed: u64) -> Scenario {
     let (alpha, l) = (2, 2);
@@ -54,7 +55,7 @@ fn scenario(algorithm: &str, dynamics: &str, n: usize, k: usize, seed: u64) -> S
     }
 }
 
-fn record(sc: &Scenario) -> (ScenarioReport, String) {
+fn record(sc: &Scenario) -> (RunReport, String) {
     let mut tracer = Tracer::new(ObsConfig::full());
     let report = sc.run_traced(&mut tracer).expect("scenario must run");
     (report, tracer.to_jsonl())
@@ -79,8 +80,7 @@ fn chaotic(base: Scenario, fault_seed: u64, mode: ExecMode) -> Scenario {
 
 /// (a) One recovery path for every protocol: under loss + delay + dup +
 /// reorder the reliability layer still completes dissemination — HiNet
-/// Algorithms 1 and 2 and the KLO flood in both execution modes, RLNC
-/// through its own engine.
+/// Algorithms 1 and 2, the KLO flood and RLNC, in both execution modes.
 #[test]
 fn chaos_with_reliability_still_completes_everywhere() {
     check("chaos_reliable_completes", 12, |ctx| {
@@ -90,11 +90,7 @@ fn chaos_with_reliability_still_completes_everywhere() {
             ("klo-flood", "flat-1"),
             ("rlnc", "flat-1"),
         ]);
-        let &mode = if algorithm == "rlnc" {
-            &ExecMode::Lockstep
-        } else {
-            ctx.pick(&[ExecMode::Lockstep, ExecMode::Event])
-        };
+        let &mode = ctx.pick(&[ExecMode::Lockstep, ExecMode::Event]);
         let &seed = ctx.pick(&[1u64, 5, 9, 13]);
         let &fault_seed = ctx.pick(&[2u64, 7, 19]);
         let sc = chaotic(scenario(algorithm, dynamics, 18, 3, seed), fault_seed, mode);
@@ -171,11 +167,7 @@ fn chaotic_reliable_runs_replay_byte_for_byte() {
             ("klo-flood", "flat-1"),
             ("rlnc", "flat-1"),
         ]);
-        let &mode = if algorithm == "rlnc" {
-            &ExecMode::Lockstep
-        } else {
-            ctx.pick(&[ExecMode::Lockstep, ExecMode::Event])
-        };
+        let &mode = ctx.pick(&[ExecMode::Lockstep, ExecMode::Event]);
         let &seed = ctx.pick(&[2u64, 6, 11]);
         let &fault_seed = ctx.pick(&[3u64, 8, 21]);
         let sc = chaotic(scenario(algorithm, dynamics, 18, 3, seed), fault_seed, mode);
@@ -212,9 +204,7 @@ fn duplicates_never_double_count() {
         };
         let (pr, a) = record(&plain);
         let (dr, b) = record(&dupped);
-        let (ScenarioReport::Engine(pe), ScenarioReport::Engine(de)) = (&pr, &dr) else {
-            panic!("engine algorithms report engine runs");
-        };
+        let (pe, de) = (&pr, &dr);
         assert_eq!(
             de.completion_round, pe.completion_round,
             "{algorithm} (seed={seed}): duplication changed the completion round"

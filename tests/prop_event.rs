@@ -5,16 +5,18 @@
 //! Five contracts: (a) an event-mode run of any engine scenario produces
 //! the same dissemination result (completion round, outcome, paper
 //! metrics) as the lock-step engine, across worker counts; (b) the trace
-//! event stream is byte-identical between the modes — only the header
-//! (the `mode` meta stamp and the runtime gauges) may differ; (c) an
-//! event-mode run replays byte-for-byte under the same seeds; (d) the
-//! equivalence survives the fault plane, including the crash-mid-round
-//! edge case where a node restarts while its neighbours' round messages
-//! are already queued; (e) a `RoundBuffer` fed any arrival permutation
-//! releases the inbox in lock-step `(sender, seq)` order.
+//! is byte-identical between the modes — events and header counters; only
+//! the `mode` meta stamp differs; (c) an event-mode run replays
+//! byte-for-byte under the same seeds at any worker count; (d) the
+//! equivalence survives the whole fault and delivery plane — loss,
+//! crashes (including the crash-mid-round edge case where a node restarts
+//! while its neighbours' round messages are already queued), delay,
+//! duplication, reorder and the reliability layer — for every algorithm,
+//! RLNC included; (e) a `RoundBuffer` fed any arrival permutation releases
+//! the inbox in lock-step `(sender, seq)` order.
 
 use hinet::rt::check::check;
-use hinet::rt::obs::{ObsConfig, Tracer};
+use hinet::rt::obs::{ObsConfig, ParsedTrace, Tracer};
 use hinet::scenario::Scenario;
 use hinet_graph::graph::NodeId;
 use hinet_sim::transport::{Envelope, EnvelopeKind, RoundBuffer};
@@ -57,7 +59,6 @@ fn scenario(algorithm: &str, dynamics: &str, n: usize, k: usize, seed: u64) -> S
 fn record(sc: &Scenario) -> (hinet_sim::RunReport, String) {
     let mut tracer = Tracer::new(ObsConfig::full());
     let report = sc.run_traced(&mut tracer).expect("scenario must run");
-    let report = report.engine().expect("engine scenario").clone();
     (report, tracer.to_jsonl())
 }
 
@@ -67,13 +68,39 @@ fn assert_same_result(lock: &hinet_sim::RunReport, event: &hinet_sim::RunReport)
     assert_eq!(event.completion_round, lock.completion_round);
     assert_eq!(event.rounds_executed, lock.rounds_executed);
     assert_eq!(event.outcome, lock.outcome);
-    assert_eq!(event.metrics.tokens_sent, lock.metrics.tokens_sent);
-    assert_eq!(event.metrics.packets_sent, lock.metrics.packets_sent);
-    assert_eq!(event.metrics.tokens_by_role, lock.metrics.tokens_by_role);
-    assert_eq!(event.metrics.faults_injected, lock.metrics.faults_injected);
-    assert_eq!(event.metrics.crashes, lock.metrics.crashes);
-    assert_eq!(event.metrics.recoveries, lock.metrics.recoveries);
-    assert_eq!(event.metrics.retransmits, lock.metrics.retransmits);
+    let (e, l) = (&event.metrics, &lock.metrics);
+    assert_eq!(e.tokens_sent, l.tokens_sent);
+    assert_eq!(e.packets_sent, l.packets_sent);
+    assert_eq!(e.tokens_by_role, l.tokens_by_role);
+    assert_eq!(e.coefficient_bytes, l.coefficient_bytes);
+    assert_eq!(e.dropped_unicasts, l.dropped_unicasts);
+    assert_eq!(e.faults_injected, l.faults_injected);
+    assert_eq!(e.crashes, l.crashes);
+    assert_eq!(e.recoveries, l.recoveries);
+    assert_eq!(e.retransmits, l.retransmits);
+    assert_eq!(e.delays_injected, l.delays_injected);
+    assert_eq!(e.duplicates_injected, l.duplicates_injected);
+    assert_eq!(e.dups_discarded, l.dups_discarded);
+    assert_eq!(e.retransmit_timeouts, l.retransmit_timeouts);
+}
+
+/// Assert two traces are identical apart from event mode's `mode` meta
+/// stamp: every event line, every header counter, every other stamp.
+fn assert_same_trace(lock: &str, event: &str) {
+    let lock_events: Vec<&str> = lock.lines().skip(1).collect();
+    let event_events: Vec<&str> = event.lines().skip(1).collect();
+    assert_eq!(event_events, lock_events, "event stream must match");
+    let l = ParsedTrace::parse_jsonl(lock).expect("lock-step trace parses");
+    let e = ParsedTrace::parse_jsonl(event).expect("event trace parses");
+    assert_eq!(e.counters, l.counters, "header counters must match");
+    assert_eq!(e.meta_get("mode"), Some("event"));
+    let meta: Vec<_> = e
+        .meta
+        .iter()
+        .filter(|(k, _)| k != "mode")
+        .cloned()
+        .collect();
+    assert_eq!(meta, l.meta, "only the mode stamp may differ");
 }
 
 /// (a)+(b) Clean scenarios: same result, byte-identical event stream.
@@ -91,52 +118,88 @@ fn event_mode_matches_lockstep_on_clean_scenarios() {
             ..sc
         });
         assert_same_result(&lock, &event);
-        let lock_events: Vec<&str> = lock_trace.lines().skip(1).collect();
-        let event_events: Vec<&str> = event_trace.lines().skip(1).collect();
-        assert_eq!(event_events, lock_events, "event stream must match");
+        assert_same_trace(&lock_trace, &event_trace);
     });
 }
 
-/// (c) Event-mode runs replay byte-for-byte: worker interleaving must
-/// never leak into the artifact.
+/// (c) Event-mode runs replay byte-for-byte: neither the worker count nor
+/// worker interleaving may leak into the artifact.
 #[test]
 fn event_mode_replays_byte_identically() {
+    use hinet_core::runner::run_algorithm;
+    use hinet_sim::engine::RunConfig;
+    use hinet_sim::token::round_robin_assignment;
+
     check("event_replays_identically", 8, |ctx| {
-        let &algorithm = ctx.pick(&["alg2", "klo-flood", "kactive"]);
+        let &algorithm = ctx.pick(&["alg2", "klo-flood", "kactive", "rlnc"]);
         let &seed = ctx.pick(&[3u64, 11, 29]);
         let &loss_ppm = ctx.pick(&[0u32, 50_000]);
         let sc = Scenario {
-            mode: ExecMode::Event,
             loss_ppm,
             fault_seed: seed,
             ..scenario(algorithm, "hinet", 16, 3, seed)
         };
-        let (_, first) = record(&sc);
-        let (_, second) = record(&sc);
-        assert_eq!(first, second, "same scenario, same bytes");
+        let run = |threads: usize| {
+            let kind = sc.kind().expect("known algorithm");
+            let mut provider = sc.provider(&kind).expect("known dynamics");
+            let mut tracer = Tracer::new(ObsConfig::full());
+            run_algorithm(
+                &kind,
+                provider.as_mut(),
+                &round_robin_assignment(sc.n, sc.k),
+                RunConfig::new()
+                    .max_rounds(sc.budget)
+                    .faults(sc.fault_plan())
+                    .mode(ExecMode::Event)
+                    .threads(threads)
+                    .tracer(&mut tracer),
+            );
+            tracer.to_jsonl()
+        };
+        let &threads = ctx.pick(&[1usize, 2, 8]);
+        let first = run(threads);
+        assert_eq!(first, run(threads), "same scenario, same bytes");
+        let &other = ctx.pick(&[1usize, 2, 8]);
+        assert_eq!(first, run(other), "{threads} vs {other} workers");
     });
 }
 
-/// (d) The fault plane intercepts at the transport boundary: loss,
-/// scheduled crashes (including mid-flood, with queued neighbour traffic)
-/// and hazard crashes all preserve the lock-step result.
+/// (d) One delivery plane for both drivers: loss, scheduled crashes
+/// (including mid-flood, with queued neighbour traffic), delay,
+/// duplication, reorder and the reliability layer all preserve the
+/// lock-step result — events and counters byte for byte.
 #[test]
 fn event_mode_matches_lockstep_under_faults() {
-    check("event_matches_lockstep_faulted", 10, |ctx| {
-        let &algorithm = ctx.pick(&["alg2", "klo-flood"]);
+    check("event_matches_lockstep_faulted", 16, |ctx| {
+        let &(algorithm, dynamics) = ctx.pick(&[
+            ("alg1", "hinet"),
+            ("alg2", "hinet"),
+            ("klo-flood", "hinet"),
+            ("rlnc", "flat-1"),
+        ]);
         let &seed = ctx.pick(&[1u64, 7, 19]);
         let &loss_ppm = ctx.pick(&[0u32, 30_000, 80_000]);
-        let &crash_round = ctx.pick(&[1usize, 2]);
-        let &crash_node = ctx.pick(&[0usize, 3, 5]);
+        let &crash = ctx.pick(&[None, Some((1usize, 0usize)), Some((2, 3)), Some((1, 5))]);
         let &down_rounds = ctx.pick(&[1usize, 2]);
         let &durable = ctx.pick(&[false, true]);
+        let &(delay_ppm, max_delay) = ctx.pick(&[(0u32, 1usize), (60_000, 3)]);
+        let &dup_ppm = ctx.pick(&[0u32, 50_000]);
+        let &reorder = ctx.pick(&[false, true]);
+        let reliable = (loss_ppm > 0 || delay_ppm > 0) && *ctx.pick(&[false, true]);
+        let base = scenario(algorithm, dynamics, 14, 3, seed);
         let sc = Scenario {
             loss_ppm,
-            crash_at: vec![(crash_round, crash_node)],
-            durable_tokens: durable,
+            crash_at: crash.into_iter().collect(),
+            durable_tokens: durable && crash.is_some(),
             down_rounds,
+            delay_ppm,
+            max_delay,
+            dup_ppm,
+            reorder,
+            reliable,
             fault_seed: seed.wrapping_mul(3) + 1,
-            ..scenario(algorithm, "hinet", 14, 3, seed)
+            budget: 2 * base.budget,
+            ..base
         };
         let (lock, lock_trace) = record(&sc);
         let (event, event_trace) = record(&Scenario {
@@ -144,9 +207,7 @@ fn event_mode_matches_lockstep_under_faults() {
             ..sc
         });
         assert_same_result(&lock, &event);
-        let lock_events: Vec<&str> = lock_trace.lines().skip(1).collect();
-        let event_events: Vec<&str> = event_trace.lines().skip(1).collect();
-        assert_eq!(event_events, lock_events, "faulted event stream must match");
+        assert_same_trace(&lock_trace, &event_trace);
     });
 }
 

@@ -8,7 +8,6 @@ use hinet::cluster::clustering::{
     backbone_connects_heads, cluster_with_policy, dhop_lowest_id, ClusteringKind, GatewayPolicy,
     LccMaintainer,
 };
-use hinet::core::netcode::gf2::{Gf2Basis, Gf2Vec};
 use hinet::graph::generators::{ManhattanConfig, ManhattanGen};
 use hinet::graph::graph::{Graph, GraphBuilder, NodeId};
 use hinet::graph::trace::{TopologyProvider, TvgTrace};
@@ -16,6 +15,7 @@ use hinet::graph::traversal::is_connected;
 use hinet::graph::verify::is_always_connected;
 use hinet::rt::check::{check, CaseCtx};
 use hinet::rt::rng::{Rng, Xoshiro256StarStar};
+use hinet::sim::gf2::{Gf2Basis, Gf2Vec};
 
 const CASES: usize = 48;
 

@@ -17,9 +17,10 @@
 
 use hinet::rt::check::check;
 use hinet::rt::obs::{Event, ObsConfig, ParsedTrace, Tracer};
-use hinet::scenario::{Scenario, ScenarioReport};
+use hinet::scenario::Scenario;
 use hinet::sim::engine::Outcome;
 use hinet::sim::fault::Partition;
+use hinet_sim::RunReport;
 use std::collections::BTreeSet;
 
 fn scenario(algorithm: &str, dynamics: &str, n: usize, k: usize, seed: u64) -> Scenario {
@@ -55,7 +56,7 @@ fn scenario(algorithm: &str, dynamics: &str, n: usize, k: usize, seed: u64) -> S
     }
 }
 
-fn record(sc: &Scenario) -> (ScenarioReport, String) {
+fn record(sc: &Scenario) -> (RunReport, String) {
     let mut tracer = Tracer::new(ObsConfig::full());
     let report = sc.run_traced(&mut tracer).expect("scenario must run");
     (report, tracer.to_jsonl())
@@ -91,20 +92,18 @@ fn bounded_loss_with_retransmission_still_completes() {
             "{algorithm} at {loss_ppm} ppm (n={n}, seed={seed}, fault_seed={fault_seed}) \
              did not complete"
         );
-        if let ScenarioReport::Engine(r) = &report {
+        assert!(
+            matches!(report.outcome, Outcome::Completed { .. }),
+            "completed run must report Outcome::Completed, got: {}",
+            report.outcome
+        );
+        // Any loss that mattered was recovered by the wrapper; losses
+        // only ever *delay*, so drops and retransmits move together.
+        if report.metrics.retransmits > 0 {
             assert!(
-                matches!(r.outcome, Outcome::Completed { .. }),
-                "completed run must report Outcome::Completed, got: {}",
-                r.outcome
+                report.metrics.faults_injected > 0,
+                "retransmissions without any injected fault at {loss_ppm} ppm"
             );
-            // Any loss that mattered was recovered by the wrapper; losses
-            // only ever *delay*, so drops and retransmits move together.
-            if r.metrics.retransmits > 0 {
-                assert!(
-                    r.metrics.faults_injected > 0,
-                    "retransmissions without any injected fault at {loss_ppm} ppm"
-                );
-            }
         }
     });
 }
@@ -194,6 +193,7 @@ fn full_run_partitions_starve_the_cut_off_side() {
             ("alg1", "hinet"),
             ("alg2", "hinet"),
             ("klo-flood", "flat-1"),
+            ("rlnc", "flat-1"),
         ]);
         let &seed = ctx.pick(&[1u64, 5, 9, 13]);
         let &cut = ctx.pick(&[5usize, 9, 12]);
@@ -212,14 +212,12 @@ fn full_run_partitions_starve_the_cut_off_side() {
             "{algorithm} on {dynamics} (seed={seed}, cut={cut}) completed across a \
              full-run partition"
         );
-        if let ScenarioReport::Engine(r) = &report {
-            assert!(
-                matches!(r.outcome, Outcome::AssumptionViolated { def: 2, .. }),
-                "{algorithm} (seed={seed}, cut={cut}): expected a def-2 violation, \
-                 got: {}",
-                r.outcome
-            );
-        }
+        assert!(
+            matches!(report.outcome, Outcome::AssumptionViolated { def: 2, .. }),
+            "{algorithm} (seed={seed}, cut={cut}): expected a def-2 violation, \
+             got: {}",
+            report.outcome
+        );
     });
 }
 
@@ -233,6 +231,7 @@ fn out_of_horizon_partitions_are_behaviourally_invisible() {
             ("alg1", "hinet"),
             ("alg2", "hinet"),
             ("klo-flood", "flat-1"),
+            ("rlnc", "flat-1"),
         ]);
         let &seed = ctx.pick(&[1u64, 4, 9, 16]);
         let &cut = ctx.pick(&[4usize, 11]);

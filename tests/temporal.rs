@@ -109,12 +109,12 @@ fn rlnc_cannot_beat_makespan_either() {
     let trace = TvgTrace::capture(&mut gen, 4 * n);
     let makespan = flooding_makespan(&trace, NodeId(0), 0).unwrap();
     let assignment = single_source_assignment(n, 4, 0);
-    let mut provider = TraceProvider::new(trace);
-    let report = hinet::core::netcode::run_rlnc(
+    let mut provider = FlatProvider::new(TraceProvider::new(trace));
+    let report = run_algorithm(
+        &AlgorithmKind::Rlnc { k: 4, seed },
         &mut provider,
         &assignment,
-        seed,
-        hinet::sim::engine::RunConfig::new().max_rounds(4 * n),
+        RunConfig::new().max_rounds(4 * n),
     );
     assert!(report.completed());
     assert!(report.completion_round.unwrap() >= makespan);
