@@ -163,20 +163,21 @@ test -s target/ci-delivery/BENCH_sweep_chaos.json
 echo "delivery smoke: OK"
 
 # Event-runtime smoke: a seeded event-mode run must produce the same
-# dissemination result as the lock-step engine — identical trace behaviour
-# (the headers differ only by the `mode` meta stamp, hence --ignore meta),
-# wall-clock metrics reported, and the sweep_async suite must emit its
-# JSON artifact and gate against itself.
+# dissemination result as the lock-step engine — the artifacts differ
+# only by the `mode` meta stamp the event driver adds, so with exactly
+# that stamp stripped they must be byte-identical (any other drift, meta
+# included, fails) — report wall-clock metrics, and the sweep_async suite
+# must emit its JSON artifact and gate against itself.
 rm -rf target/ci-event
 ./target/release/hinet trace --algorithm alg2 --n 32 --k 4 --seed 5 \
     --out target/ci-event/lockstep.jsonl >/dev/null
 ./target/release/hinet trace --algorithm alg2 --n 32 --k 4 --seed 5 \
     --mode event --out target/ci-event/event.jsonl >/dev/null
-./target/release/hinet trace --diff target/ci-event/lockstep.jsonl \
-    target/ci-event/event.jsonl --ignore meta >/dev/null || {
-    echo "event smoke: event-mode run diverged from lock-step" >&2
+sed '1s/,"mode":"event"//' target/ci-event/event.jsonl >target/ci-event/event-unstamped.jsonl
+cmp -s target/ci-event/lockstep.jsonl target/ci-event/event-unstamped.jsonl || {
+    echo "event smoke: event-mode run diverged from lock-step beyond the mode stamp" >&2
     ./target/release/hinet trace --diff target/ci-event/lockstep.jsonl \
-        target/ci-event/event.jsonl --ignore meta >&2 || true
+        target/ci-event/event-unstamped.jsonl >&2 || true
     exit 1
 }
 ./target/release/hinet run --algorithm klo-flood --n 32 --k 4 --seed 5 \
@@ -237,9 +238,10 @@ echo "corpus replay: OK"
 
 # Streaming-verifier gate: on an archived corpus scenario the batch
 # (--stability) and one-pass streaming (--stability-stream) verifiers must
-# emit identical stability_window event streams — any divergence between
-# the two verifier families fails the build (the artifacts differ only in
-# the streaming path's gauge meta, hence --ignore meta).
+# emit identical stability_window event streams. The artifacts differ
+# only by the streaming path's peak-state gauge, so with exactly that meta
+# stamp stripped they must be byte-identical — any other divergence fails
+# the build.
 rm -rf target/ci-stream
 mkdir -p target/ci-stream
 for sc in tests/corpus/*.scenario; do
@@ -252,11 +254,12 @@ for sc in tests/corpus/*.scenario; do
         echo "stream gate: $stem streamed no stability_window events" >&2
         exit 1
     }
-    ./target/release/hinet trace --diff "target/ci-stream/$stem.batch.jsonl" \
-        "target/ci-stream/$stem.stream.jsonl" --ignore meta >/dev/null || {
+    sed -E '1s/,"stability_stream_peak_bytes":"[0-9]+"//' \
+        "target/ci-stream/$stem.stream.jsonl" >"target/ci-stream/$stem.unstamped.jsonl"
+    cmp -s "target/ci-stream/$stem.batch.jsonl" "target/ci-stream/$stem.unstamped.jsonl" || {
         echo "stream gate: $stem: streaming verdicts diverged from batch" >&2
         ./target/release/hinet trace --diff "target/ci-stream/$stem.batch.jsonl" \
-            "target/ci-stream/$stem.stream.jsonl" --ignore meta >&2 || true
+            "target/ci-stream/$stem.unstamped.jsonl" >&2 || true
         exit 1
     }
 done

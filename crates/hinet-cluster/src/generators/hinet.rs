@@ -52,35 +52,44 @@ impl HiNetConfig {
         }
     }
 
-    /// Gateway nodes required by the backbone.
-    pub fn gateways_needed(&self) -> usize {
-        self.num_heads.saturating_sub(1) * (self.l - 1)
-    }
-
-    fn validate(&self) {
-        assert!(self.n >= 1, "need at least one node");
-        assert!(self.num_heads >= 1, "need at least one head");
-        assert!(
-            self.num_heads <= self.theta && self.theta <= self.n,
-            "need num_heads ≤ theta ≤ n, got {} ≤ {} ≤ {}",
-            self.num_heads,
-            self.theta,
-            self.n
-        );
-        assert!(self.l >= 1, "L must be at least 1");
-        assert!(self.t >= 1, "T must be at least 1");
-        assert!(
-            (0.0..=1.0).contains(&self.reaffil_prob),
-            "reaffil_prob outside [0,1]"
-        );
-        assert!(
-            self.num_heads + self.gateways_needed() <= self.n,
-            "n={} too small for {} heads with L={} backbone ({} gateways needed)",
-            self.n,
-            self.num_heads,
-            self.l,
-            self.gateways_needed()
-        );
+    /// Check the configuration: at least one node and one head,
+    /// `num_heads ≤ theta ≤ n`, `L, T ≥ 1`, `reaffil_prob ∈ [0, 1]`, and
+    /// enough nodes for the heads plus the backbone's gateways. The error
+    /// names the violated rule.
+    pub fn check(&self) -> Result<(), String> {
+        if self.n == 0 {
+            return Err("need at least one node".into());
+        }
+        if self.num_heads == 0 {
+            return Err("need at least one head".into());
+        }
+        if self.num_heads > self.theta || self.theta > self.n {
+            return Err(format!(
+                "need num_heads ≤ theta ≤ n, got {} ≤ {} ≤ {}",
+                self.num_heads, self.theta, self.n
+            ));
+        }
+        if self.l == 0 {
+            return Err("L must be at least 1".into());
+        }
+        if self.t == 0 {
+            return Err("T must be at least 1".into());
+        }
+        if !(0.0..=1.0).contains(&self.reaffil_prob) {
+            return Err("reaffil_prob outside [0,1]".into());
+        }
+        let gateways = (self.num_heads - 1).saturating_mul(self.l - 1);
+        if self
+            .num_heads
+            .checked_add(gateways)
+            .is_none_or(|needed| needed > self.n)
+        {
+            return Err(format!(
+                "n={} too small for {} heads with L={} backbone ({gateways} gateways needed)",
+                self.n, self.num_heads, self.l
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -123,10 +132,15 @@ pub struct HiNetGen {
 }
 
 impl HiNetGen {
-    /// Build a generator; panics on invalid configuration (see
-    /// [`HiNetConfig`] field docs).
+    /// Build a generator.
+    ///
+    /// # Panics
+    /// Panics on an invalid configuration; [`HiNetConfig::check`] reports
+    /// the same rules as an error instead.
     pub fn new(cfg: HiNetConfig) -> Self {
-        cfg.validate();
+        if let Err(e) = cfg.check() {
+            panic!("invalid HiNetConfig: {e}");
+        }
         HiNetGen {
             cfg,
             assignment: Vec::new(),

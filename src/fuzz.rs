@@ -34,12 +34,12 @@
 //! (offender, base). The same `hinet fuzz --seed S` finds, shrinks and
 //! archives byte-identical offenders on every machine.
 
-use crate::scenario::{Scenario, ScenarioFile, RETRANSMIT_ALGORITHMS};
+use crate::knobs::{self, Field};
+use crate::scenario::{Scenario, ScenarioFile};
 use hinet_core::params::{alg1_plan, alg2_rounds_1interval, klo_plan, remark1_phases};
 use hinet_rt::obs::Tracer;
-use hinet_rt::rng::{mix, Rng, SliceRandom, Xoshiro256StarStar};
+use hinet_rt::rng::{mix, Rng, Xoshiro256StarStar};
 use hinet_sim::engine::Outcome;
-use hinet_sim::fault::Partition;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -145,7 +145,7 @@ pub fn analytic_bound(sc: &Scenario) -> Option<usize> {
     }
     match (sc.algorithm.as_str(), sc.dynamics.as_str()) {
         ("alg1", "hinet") => Some(alg1_plan(sc.k, sc.alpha, sc.l, sc.theta).total_rounds()),
-        ("remark1", "hinet") => Some(sc.t * remark1_phases(sc.theta, sc.alpha)),
+        ("remark1", "hinet") => Some(sc.t() * remark1_phases(sc.theta, sc.alpha)),
         ("alg2", "hinet") | ("alg2-mh", "hinet") => Some(alg2_rounds_1interval(sc.n)),
         ("klo-phased", "flat-t") => Some(klo_plan(sc.k, sc.alpha, sc.l, sc.n).total_rounds()),
         ("klo-flood", "flat-1") => Some(alg2_rounds_1interval(sc.n)),
@@ -191,19 +191,16 @@ impl FuzzConfig {
     /// with `n=20`, `k=3`, `α=2`, `L=2`, `θ=7`, completing in well under
     /// a hundred rounds so thousands of mutants stay cheap.
     pub fn default_base() -> Scenario {
-        let (n, k, alpha, l) = (20, 3, 2, 2);
-        let t = hinet_core::params::required_phase_length(k, alpha, l);
-        Scenario {
-            n,
-            k,
-            alpha,
-            l,
+        let mut base = Scenario {
+            n: 20,
+            k: 3,
+            alpha: 2,
+            l: 2,
             theta: 7,
-            seed: 42,
-            t,
-            budget: 4 * n + 4 * t,
             ..Scenario::defaults()
-        }
+        };
+        base.budget = base.derived_budget();
+        base
     }
 }
 
@@ -357,19 +354,6 @@ pub fn fuzz(cfg: &FuzzConfig) -> Result<FuzzReport, String> {
     Ok(report)
 }
 
-/// Fault-rate menus the mutator draws from (0 re-enters the fault-free
-/// regime so mutation can also *remove* faults).
-const LOSS_MENU: &[u32] = &[0, 20_000, 50_000, 100_000, 250_000, 500_000];
-const CRASH_MENU: &[u32] = &[0, 5_000, 20_000, 100_000];
-const DELAY_MENU: &[u32] = &[0, 20_000, 50_000, 150_000];
-const DUP_MENU: &[u32] = &[0, 10_000, 50_000, 150_000];
-
-/// Scheduled faults (crash rounds, partition starts) are drawn from this
-/// many opening rounds so they land while the run is still in flight —
-/// healthy scenarios complete in well under this many rounds, so a
-/// uniform draw over the whole budget would mostly schedule no-ops.
-const EARLY_ROUNDS: usize = 12;
-
 /// Apply 1–3 seeded mutation operators to a copy of `base`, retrying
 /// (deterministically) until the mutant validates. Falls back to the base
 /// itself if 64 attempts all produce invalid combinations.
@@ -377,7 +361,7 @@ pub fn mutate(base: &Scenario, rng: &mut Xoshiro256StarStar) -> Scenario {
     for _ in 0..64 {
         let mut sc = base.clone();
         for _ in 0..1 + rng.random_range(0usize..3) {
-            mutate_op(&mut sc, rng);
+            mutate_op(&mut sc, rng, base);
         }
         normalise(&mut sc);
         if sc.validate().is_ok() {
@@ -387,83 +371,17 @@ pub fn mutate(base: &Scenario, rng: &mut Xoshiro256StarStar) -> Scenario {
     base.clone()
 }
 
-/// One mutation operator, chosen and parameterised by the seeded stream.
-fn mutate_op(sc: &mut Scenario, rng: &mut Xoshiro256StarStar) {
-    match rng.random_range(0usize..21) {
-        0 => sc.n = rng.random_range(8usize..=40),
-        1 => sc.k = rng.random_range(1usize..=6),
-        2 => sc.alpha = rng.random_range(1usize..=4),
-        3 => sc.l = rng.random_range(1usize..=3),
-        4 => sc.theta = rng.random_range(1usize..=sc.n),
-        5 => sc.seed = rng.random_range(0u64..1024),
-        6 => sc.fault_seed = rng.random_range(0u64..1024),
-        7 => sc.loss_ppm = *LOSS_MENU.choose(rng).unwrap(),
-        8 => sc.crash_ppm = *CRASH_MENU.choose(rng).unwrap(),
-        9 => {
-            let entry = (
-                rng.random_range(0usize..sc.budget.min(EARLY_ROUNDS)),
-                rng.random_range(0usize..sc.n),
-            );
-            if !sc.crash_at.contains(&entry) {
-                sc.crash_at.push(entry);
-            }
-        }
-        10 => {
-            let start = rng.random_range(0usize..sc.budget.min(EARLY_ROUNDS));
-            let len = rng.random_range(1usize..=sc.budget);
-            sc.partitions.push(Partition {
-                start,
-                end: start + len,
-                cut: rng.random_range(1usize..sc.n),
-            });
-        }
-        11 => {
-            sc.target_heads = !sc.target_heads;
-            if sc.target_heads && sc.crash_ppm == 0 {
-                sc.crash_ppm = 5_000;
-            }
-        }
-        12 => {
-            if RETRANSMIT_ALGORITHMS.contains(&sc.algorithm.as_str()) {
-                sc.retransmit = !sc.retransmit;
-            }
-        }
-        13 => {
-            sc.durable_tokens = !sc.durable_tokens;
-            if sc.durable_tokens && sc.crash_ppm == 0 && sc.crash_at.is_empty() {
-                sc.crash_ppm = 5_000;
-            }
-        }
-        14 => sc.down_rounds = rng.random_range(1usize..=4),
-        15 => sc.budget = rng.random_range(2usize..=4 * sc.n + 4 * sc.t),
-        16 => {
-            sc.delay_ppm = *DELAY_MENU.choose(rng).unwrap();
-            if sc.delay_ppm > 0 && sc.max_delay == 1 {
-                sc.max_delay = rng.random_range(1usize..=4);
-            }
-        }
-        17 => {
-            sc.max_delay = rng.random_range(1usize..=4);
-            if sc.max_delay > 1 && sc.delay_ppm == 0 {
-                sc.delay_ppm = 20_000;
-            }
-        }
-        18 => sc.dup_ppm = *DUP_MENU.choose(rng).unwrap(),
-        19 => sc.reorder = !sc.reorder,
-        _ => {
-            sc.reliable = !sc.reliable;
-            if sc.reliable && sc.loss_ppm == 0 && sc.delay_ppm == 0 {
-                sc.loss_ppm = 20_000;
-            }
-        }
-    }
+/// One mutation operator: a knob drawn by its slot (see
+/// [`knobs::Knob::slot`]), mutated by its table row.
+fn mutate_op(sc: &mut Scenario, rng: &mut Xoshiro256StarStar, base: &Scenario) {
+    let fuzzed = knobs::fuzzed();
+    fuzzed[rng.random_range(0..fuzzed.len())].apply_mutation(sc, rng, base);
 }
 
-/// Restore the derived invariants a mutation may have broken: recompute
-/// `T`, clamp θ into `1..=n`, and drop fault entries that fell outside
-/// the (possibly shrunk) node range.
+/// Restore the invariants a mutation may have broken: clamp θ into
+/// `1..=n`, and drop fault entries that fell outside the (possibly
+/// shrunk) node range.
 fn normalise(sc: &mut Scenario) {
-    sc.t = hinet_core::params::required_phase_length(sc.k, sc.alpha, sc.l);
     sc.theta = sc.theta.clamp(1, sc.n);
     let n = sc.n;
     sc.crash_at.retain(|&(_, node)| node < n);
@@ -515,74 +433,61 @@ pub fn shrink(found: &Scenario, base: &Scenario, key: &str) -> Result<(Scenario,
 /// deterministic order. Every candidate is strictly closer to the base
 /// than `cur` under the sum-of-field-distances metric.
 fn shrink_candidates(cur: &Scenario, base: &Scenario) -> Vec<Scenario> {
+    let fuzzed = knobs::fuzzed();
     let mut out = Vec::new();
-    let mut push = |cand: Scenario| out.push(cand);
 
-    // Numeric fields: jump to the base value, then try the midpoint.
-    macro_rules! numeric {
-        ($field:ident, $ty:ty) => {
-            if cur.$field != base.$field {
-                let mut to_base = cur.clone();
-                to_base.$field = base.$field;
-                normalise(&mut to_base);
-                push(to_base);
-                let mid = midpoint(cur.$field as u64, base.$field as u64) as $ty;
-                if mid != cur.$field && mid != base.$field {
-                    let mut to_mid = cur.clone();
-                    to_mid.$field = mid;
-                    normalise(&mut to_mid);
-                    push(to_mid);
-                }
-            }
+    // Numbers: jump to the base value, then try the midpoint.
+    for field in fuzzed.iter().map(|k| k.field) {
+        let (Some(c), Some(b)) = (field.number(cur), field.number(base)) else {
+            continue;
         };
-    }
-    numeric!(n, usize);
-    numeric!(k, usize);
-    numeric!(alpha, usize);
-    numeric!(l, usize);
-    numeric!(theta, usize);
-    numeric!(seed, u64);
-    numeric!(fault_seed, u64);
-    numeric!(loss_ppm, u32);
-    numeric!(crash_ppm, u32);
-    numeric!(down_rounds, usize);
-    numeric!(delay_ppm, u32);
-    numeric!(max_delay, usize);
-    numeric!(dup_ppm, u32);
-    numeric!(budget, usize);
-
-    // Schedules: drop one entry at a time.
-    for i in 0..cur.crash_at.len() {
-        let mut cand = cur.clone();
-        cand.crash_at.remove(i);
-        push(cand);
-    }
-    for i in 0..cur.partitions.len() {
-        let mut cand = cur.clone();
-        cand.partitions.remove(i);
-        push(cand);
-        // Or keep it but halve the window.
-        let p = cur.partitions[i];
-        let span = p.end - p.start;
-        if span > 1 {
-            let mut cand = cur.clone();
-            cand.partitions[i].end = p.start + span / 2;
-            push(cand);
+        let mid = midpoint(c, b);
+        for (value, wanted) in [(b, c != b), (mid, c != b && mid != c && mid != b)] {
+            if wanted {
+                let mut cand = cur.clone();
+                field.set_number(&mut cand, value);
+                normalise(&mut cand);
+                out.push(cand);
+            }
         }
     }
 
-    // Booleans: reset to the base value.
-    for reset in [
-        |sc: &mut Scenario, b: &Scenario| sc.target_heads = b.target_heads,
-        |sc: &mut Scenario, b: &Scenario| sc.retransmit = b.retransmit,
-        |sc: &mut Scenario, b: &Scenario| sc.durable_tokens = b.durable_tokens,
-        |sc: &mut Scenario, b: &Scenario| sc.reorder = b.reorder,
-        |sc: &mut Scenario, b: &Scenario| sc.reliable = b.reliable,
-    ] {
-        let mut cand = cur.clone();
-        reset(&mut cand, base);
-        if cand != *cur {
-            push(cand);
+    // Schedules: drop one entry at a time; or keep a partition window but
+    // halve it.
+    for field in fuzzed.iter().map(|k| k.field) {
+        match field {
+            Field::Crashes(get, set) => {
+                for i in 0..get(cur).len() {
+                    let mut cand = cur.clone();
+                    set(&mut cand).remove(i);
+                    out.push(cand);
+                }
+            }
+            Field::Partitions(get, set) => {
+                for (i, p) in get(cur).iter().enumerate() {
+                    let mut cand = cur.clone();
+                    set(&mut cand).remove(i);
+                    out.push(cand);
+                    let span = p.end - p.start;
+                    if span > 1 {
+                        let mut cand = cur.clone();
+                        set(&mut cand)[i].end = p.start + span / 2;
+                        out.push(cand);
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+
+    // Switches: reset to the base value.
+    for field in fuzzed.iter().map(|k| k.field) {
+        if let Field::Switch(get, set) = field {
+            if get(cur) != get(base) {
+                let mut cand = cur.clone();
+                *set(&mut cand) = *get(base);
+                out.push(cand);
+            }
         }
     }
     out
@@ -663,6 +568,7 @@ pub fn replay_corpus(path: &Path) -> Result<Vec<ReplayOutcome>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hinet_sim::fault::Partition;
 
     #[test]
     fn default_base_completes_within_its_bound() {

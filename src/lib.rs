@@ -6,6 +6,7 @@
 //! runnable entry points.
 
 pub mod fuzz;
+pub mod knobs;
 pub mod scenario;
 
 pub use hinet_analysis as analysis;

@@ -12,38 +12,10 @@
 //! hinet help                          this text
 //! ```
 //!
-//! `hinet run` and `hinet trace` share the scenario options (all optional):
-//!
-//! ```text
-//! --scenario FILE    load a hinet-scenario/v1 file as the base; any
-//!                    other scenario flag overrides the file's value
-//! --algorithm NAME   alg1 | remark1 | alg2 | alg2-mh | klo-phased |
-//!                    klo-flood | gossip | kactive | delta | rlnc   [alg1]
-//! --dynamics NAME    hinet | flat-t | flat-1 | waypoint | manhattan |
-//!                    emdg                                          [hinet]
-//! --n N              nodes                                         [100]
-//! --k K              tokens                                        [8]
-//! --alpha A          progress coefficient                          [5]
-//! --l L              hop bound                                     [2]
-//! --theta TH         head-capable pool                             [n/3]
-//! --seed S           RNG seed                                      [42]
-//! --budget R         round budget                                  [4n+4T]
-//! --loss P           per-delivery drop probability (fraction)      [0]
-//! --crash-rate P     per-node per-round crash hazard (fraction)    [0]
-//! --crash-at R:U,..  scheduled crashes (round:node pairs)          [none]
-//! --partition S:E:C,..  sever links across cut C in rounds [S, E)  [none]
-//! --down-rounds N    rounds a hazard-crashed node stays down       [1]
-//! --target-heads     hazard crashes only hit current heads
-//! --fault-seed S     fault decision seed                           [0]
-//! --retransmit       HiNet algorithms recover via retransmission
-//! --durable-tokens   accumulated tokens survive crashes
-//! --delay P          per-delivery delay probability (fraction)     [0]
-//! --max-delay N      max rounds a delayed delivery is held         [1]
-//! --dup P            per-delivery duplication probability          [0]
-//! --reorder          seeded per-round inbox reordering
-//! --reliable         generalised ack/timeout/backoff recovery layer
-//! --stall-rounds N   event-mode stall watchdog threshold (0 = off) [0]
-//! ```
+//! `hinet run` and `hinet trace` share the scenario options (all
+//! optional): `--scenario FILE` loads a hinet-scenario/v1 file as the
+//! base, and one flag per knob of [`hinet::knobs::KNOBS`] overrides it
+//! (`hinet help` lists them with their defaults).
 //!
 //! `hinet run` additionally accepts `--trace` (record a `hinet-trace/v1`
 //! JSONL artifact) and `--trace-out FILE` (where to write it). `hinet
@@ -68,37 +40,27 @@
 
 use hinet::analysis::experiments::all_experiments;
 use hinet::cluster::audit::StreamingAudit;
-use hinet::cluster::clustering::ClusteringKind;
-use hinet::cluster::ctvg::{CtvgTrace, FlatProvider, HierarchyProvider};
-use hinet::cluster::generators::{ClusteredMobilityGen, HiNetConfig, HiNetGen};
+use hinet::cluster::ctvg::CtvgTrace;
+use hinet::cluster::generators::HiNetConfig;
 use hinet::cluster::stability::stream::StabilityStream;
 use hinet::cluster::stability::trace_stability_windows;
-use hinet::graph::generators::{
-    BackboneKind, EdgeMarkovianGen, ManhattanConfig, ManhattanGen, OneIntervalGen,
-    RandomWaypointGen, TIntervalGen, WaypointConfig,
-};
+use hinet::knobs::scenario_flags;
 use hinet::rt::obs::diff::{diff_traces, DiffConfig};
 use hinet::rt::obs::{ObsConfig, ParsedTrace, TraceSummary, Tracer};
-use hinet::scenario::Scenario;
+use hinet::scenario::{dynamics_provider, Scenario, ALGORITHMS, DYNAMICS};
 use hinet::sim::engine::RunReport;
-use hinet_rt::flags::{flag, parse_flags, FlagSet, FlagSpec};
+use hinet_rt::flags::{flag, parse_flags, render_help, FlagSet, FlagSpec};
 use std::process::ExitCode;
 
-const HELP: &str = "hinet — (T, L)-HiNet dissemination reproduction
+const USAGE: &str = "hinet — (T, L)-HiNet dissemination reproduction
 
 USAGE:
   hinet tables [--analytic-only]    reproduce Tables 2 & 3 (+ simulated E3)
   hinet experiments [E3 E13 ...]    run experiments (default: all 16)
   hinet export [DIR]                write experiment tables as md/csv
-  hinet run [--algorithm A] [--dynamics D] [--n N] [--k K]
-            [--alpha A] [--l L] [--theta TH] [--seed S]
-            [--loss P] [--crash-rate P] [--crash-at R:U,..]
-            [--target-heads] [--fault-seed S] [--retransmit]
-            [--durable-tokens] [--delay P] [--max-delay N] [--dup P]
-            [--reorder] [--reliable] [--stall-rounds N]
-            [--mode lockstep|event]
-            [--stability-stream] [--trace] [--trace-out FILE]
-  hinet trace [scenario flags as for run] [--in FILE] [--events]
+  hinet run [scenario flags] [--stability-stream] [--trace]
+            [--trace-out FILE]
+  hinet trace [scenario flags] [--in FILE] [--events]
             [--summary] [--out FILE] [--filter KIND] [--stability]
             [--stability-stream] [--sample N]
   hinet trace --diff A [B] [--json] [--ignore TIERS]
@@ -108,11 +70,17 @@ USAGE:
             [--max-offenders N] [--no-archive]
   hinet fuzz --replay PATH          re-check an archived scenario corpus
   hinet bench [--filter S] [--json] [--baseline FILE] ...  (see bench --help)
-  hinet help
+  hinet help";
 
-run algorithms: alg1 remark1 alg2 alg2-mh klo-phased klo-flood gossip
-                kactive delta rlnc
-run dynamics:   hinet flat-t flat-1 waypoint manhattan emdg";
+/// The usage text, with the scenario flags rendered from the knob table.
+fn help() -> String {
+    format!(
+        "{USAGE}\n\nscenario flags (run, trace):\n{}\nrun algorithms: {}\nrun dynamics:   {}",
+        render_help(&scenario_flags()),
+        ALGORITHMS.join(" "),
+        DYNAMICS.join(" ")
+    )
+}
 
 const TABLES_FLAGS: &[FlagSpec] = &[flag(
     "analytic-only",
@@ -120,81 +88,8 @@ const TABLES_FLAGS: &[FlagSpec] = &[flag(
     "skip the simulated Table 3 (E3)",
 )];
 
+/// `hinet run`'s own flags, after the scenario flags.
 const RUN_FLAGS: &[FlagSpec] = &[
-    flag(
-        "scenario",
-        true,
-        "load a hinet-scenario/v1 FILE as the base scenario",
-    ),
-    flag("algorithm", true, "algorithm to run [alg1]"),
-    flag("dynamics", true, "dynamics model [hinet]"),
-    flag("n", true, "nodes [100]"),
-    flag("k", true, "tokens [8]"),
-    flag("alpha", true, "progress coefficient [5]"),
-    flag("l", true, "hop bound [2]"),
-    flag("theta", true, "head-capable pool [n/3]"),
-    flag("seed", true, "RNG seed [42]"),
-    flag("budget", true, "round budget [4n+4T]"),
-    flag("loss", true, "per-delivery drop probability, fraction [0]"),
-    flag(
-        "crash-rate",
-        true,
-        "per-node per-round crash hazard, fraction [0]",
-    ),
-    flag("crash-at", true, "scheduled crashes, round:node[,..]"),
-    flag(
-        "partition",
-        true,
-        "sever links across a cut, start:end:cut[,..]",
-    ),
-    flag(
-        "down-rounds",
-        true,
-        "rounds a hazard-crashed node stays down [1]",
-    ),
-    flag(
-        "target-heads",
-        false,
-        "hazard crashes only hit current heads",
-    ),
-    flag("fault-seed", true, "fault decision seed [0]"),
-    flag(
-        "retransmit",
-        false,
-        "HiNet algorithms recover via retransmission",
-    ),
-    flag(
-        "durable-tokens",
-        false,
-        "accumulated tokens survive crashes",
-    ),
-    flag(
-        "delay",
-        true,
-        "per-delivery delay probability, fraction [0]",
-    ),
-    flag(
-        "max-delay",
-        true,
-        "max rounds a delayed delivery is held [1]",
-    ),
-    flag(
-        "dup",
-        true,
-        "per-delivery duplication probability, fraction [0]",
-    ),
-    flag("reorder", false, "seeded per-round inbox reordering"),
-    flag(
-        "reliable",
-        false,
-        "generalised ack/timeout/backoff recovery layer",
-    ),
-    flag(
-        "stall-rounds",
-        true,
-        "event-mode stall watchdog threshold, 0 = off [0]",
-    ),
-    flag("mode", true, "execution mode, lockstep|event [lockstep]"),
     flag(
         "stability-stream",
         false,
@@ -208,81 +103,8 @@ const RUN_FLAGS: &[FlagSpec] = &[
     ),
 ];
 
+/// `hinet trace`'s own flags, after the scenario flags.
 const TRACE_FLAGS: &[FlagSpec] = &[
-    flag(
-        "scenario",
-        true,
-        "load a hinet-scenario/v1 FILE as the base scenario",
-    ),
-    flag("algorithm", true, "algorithm to run [alg1]"),
-    flag("dynamics", true, "dynamics model [hinet]"),
-    flag("n", true, "nodes [100]"),
-    flag("k", true, "tokens [8]"),
-    flag("alpha", true, "progress coefficient [5]"),
-    flag("l", true, "hop bound [2]"),
-    flag("theta", true, "head-capable pool [n/3]"),
-    flag("seed", true, "RNG seed [42]"),
-    flag("budget", true, "round budget [4n+4T]"),
-    flag("loss", true, "per-delivery drop probability, fraction [0]"),
-    flag(
-        "crash-rate",
-        true,
-        "per-node per-round crash hazard, fraction [0]",
-    ),
-    flag("crash-at", true, "scheduled crashes, round:node[,..]"),
-    flag(
-        "partition",
-        true,
-        "sever links across a cut, start:end:cut[,..]",
-    ),
-    flag(
-        "down-rounds",
-        true,
-        "rounds a hazard-crashed node stays down [1]",
-    ),
-    flag(
-        "target-heads",
-        false,
-        "hazard crashes only hit current heads",
-    ),
-    flag("fault-seed", true, "fault decision seed [0]"),
-    flag(
-        "retransmit",
-        false,
-        "HiNet algorithms recover via retransmission",
-    ),
-    flag(
-        "durable-tokens",
-        false,
-        "accumulated tokens survive crashes",
-    ),
-    flag(
-        "delay",
-        true,
-        "per-delivery delay probability, fraction [0]",
-    ),
-    flag(
-        "max-delay",
-        true,
-        "max rounds a delayed delivery is held [1]",
-    ),
-    flag(
-        "dup",
-        true,
-        "per-delivery duplication probability, fraction [0]",
-    ),
-    flag("reorder", false, "seeded per-round inbox reordering"),
-    flag(
-        "reliable",
-        false,
-        "generalised ack/timeout/backoff recovery layer",
-    ),
-    flag(
-        "stall-rounds",
-        true,
-        "event-mode stall watchdog threshold, 0 = off [0]",
-    ),
-    flag("mode", true, "execution mode, lockstep|event [lockstep]"),
     flag(
         "in",
         true,
@@ -425,12 +247,14 @@ impl Command {
                 })
             }
             "run" => {
-                let (pos, flags) = parse_flags(RUN_FLAGS, rest)?;
+                let (pos, flags) =
+                    parse_flags(&[scenario_flags(), RUN_FLAGS.to_vec()].concat(), rest)?;
                 reject_positionals("run", &pos)?;
                 Ok(Command::Run(flags))
             }
             "trace" => {
-                let (pos, flags) = parse_flags(TRACE_FLAGS, rest)?;
+                let (pos, flags) =
+                    parse_flags(&[scenario_flags(), TRACE_FLAGS.to_vec()].concat(), rest)?;
                 if flags.get("diff").is_none() {
                     reject_positionals("trace", &pos)?;
                 } else if pos.len() > 1 {
@@ -812,13 +636,13 @@ fn cmd_trace(pos: &[String], flags: &FlagSet) -> ExitCode {
             // one replays the run's dynamics for post-hoc verification.
             let mut replay = sc.provider(&sc.kind()?)?;
             let trace = CtvgTrace::capture(replay.as_mut(), report.rounds_executed.max(1));
-            trace_stability_windows(&trace, sc.t, sc.l, &mut tracer);
+            trace_stability_windows(&trace, sc.t(), sc.l, &mut tracer);
         }
         if stream_wanted {
             // Same replay, but one round at a time through the streaming
             // verifier: no materialised trace, constant memory per round.
             let mut replay = sc.provider(&sc.kind()?)?;
-            let mut stream = StabilityStream::new(sc.t, sc.l);
+            let mut stream = StabilityStream::new(sc.t(), sc.l);
             for round in 0..report.rounds_executed.max(1) {
                 let g = replay.graph_at(round);
                 let h = replay.hierarchy_at(round);
@@ -955,11 +779,14 @@ fn cmd_audit(flags: &FlagSet) -> ExitCode {
     use hinet::cluster::audit::audit;
 
     let parse = || -> Result<(usize, usize, u64), String> {
-        Ok((
+        let (n, rounds) = (
             flags.parsed("n", 60usize)?,
             flags.parsed("rounds", 36usize)?,
-            flags.parsed("seed", 42u64)?,
-        ))
+        );
+        if n == 0 || rounds == 0 {
+            return Err("audit needs --n and --rounds of at least 1".into());
+        }
+        Ok((n, rounds, flags.parsed("seed", 42u64)?))
     };
     let (n, rounds, seed) = match parse() {
         Ok(v) => v,
@@ -969,44 +796,27 @@ fn cmd_audit(flags: &FlagSet) -> ExitCode {
         }
     };
     let dynamics = flags.get("dynamics").unwrap_or("hinet");
-
-    let mut provider: Box<dyn HierarchyProvider> = match dynamics {
-        "hinet" => Box::new(HiNetGen::new(HiNetConfig {
-            n,
-            num_heads: (n / 8).max(1),
-            theta: (n / 4).max(1),
-            l: 2,
-            t: 6,
-            reaffil_prob: 0.15,
-            rotate_heads: true,
-            noise_edges: n / 5,
-            seed,
-        })),
-        "flat-t" => Box::new(FlatProvider::new(TIntervalGen::new(
-            n,
-            6,
-            BackboneKind::Path,
-            n / 5,
-            seed,
-        ))),
-        "flat-1" => Box::new(FlatProvider::new(OneIntervalGen::new(n, true, n / 5, seed))),
-        "waypoint" => Box::new(ClusteredMobilityGen::new(
-            RandomWaypointGen::new(n, WaypointConfig::default(), seed),
-            ClusteringKind::LowestId,
-            true,
-        )),
-        "manhattan" => Box::new(ClusteredMobilityGen::new(
-            ManhattanGen::new(n, ManhattanConfig::default(), seed),
-            ClusteringKind::LowestId,
-            true,
-        )),
-        "emdg" => Box::new(ClusteredMobilityGen::new(
-            EdgeMarkovianGen::new(n, 0.002, 0.05, 0.04, true, seed),
-            ClusteringKind::GreedyDominating,
-            true,
-        )),
-        other => {
-            eprintln!("unknown dynamics '{other}'");
+    let hinet = HiNetConfig {
+        n,
+        num_heads: (n / 8).max(1),
+        theta: (n / 4).max(1),
+        l: 2,
+        t: 6,
+        reaffil_prob: 0.15,
+        rotate_heads: true,
+        noise_edges: n / 5,
+        seed,
+    };
+    let checked = match dynamics {
+        "hinet" => hinet
+            .check()
+            .map_err(|e| format!("hinet dynamics at --n {n}: {e}")),
+        _ => Ok(()),
+    };
+    let mut provider = match checked.and_then(|()| dynamics_provider(dynamics, hinet, 6)) {
+        Ok(provider) => provider,
+        Err(e) => {
+            eprintln!("{e}");
             return ExitCode::from(2);
         }
     };
@@ -1112,7 +922,7 @@ fn main() -> ExitCode {
     let command = match Command::parse(&args) {
         Ok(cmd) => cmd,
         Err(e) => {
-            eprintln!("{e}\n\n{HELP}");
+            eprintln!("{e}\n\n{}", help());
             return ExitCode::from(2);
         }
     };
@@ -1129,7 +939,7 @@ fn main() -> ExitCode {
         Command::Fuzz(flags) => cmd_fuzz(&flags),
         Command::Bench(args) => hinet_bench::cli::run_from_args(&args),
         Command::Help => {
-            println!("{HELP}");
+            println!("{}", help());
             ExitCode::SUCCESS
         }
     }

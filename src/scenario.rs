@@ -9,16 +9,18 @@
 //! produce byte-identical `hinet-trace/v1` artifacts, so any divergence is
 //! a behaviour change, not noise.
 //!
-//! The struct is constructed either from CLI flags
-//! ([`Scenario::from_flags`]) or from a trace's own header metadata
-//! ([`Scenario::from_meta`]) — the latter is how `hinet trace --diff A`
-//! re-runs a golden trace's scenario live without the caller restating the
-//! parameters.
+//! The struct is constructed from CLI flags ([`Scenario::from_flags`]),
+//! from a scenario file ([`ScenarioFile`]) or from a trace's own header
+//! metadata ([`Scenario::from_meta`]) — the latter is how `hinet trace
+//! --diff A` re-runs a golden trace's scenario live without the caller
+//! restating the parameters. All three codecs, and the fuzzer's mutation
+//! operators, are driven by one row per field in [`crate::knobs::KNOBS`].
 
+use crate::knobs::{Field, Rule, KNOBS};
 use hinet_cluster::clustering::ClusteringKind;
 use hinet_cluster::ctvg::{FlatProvider, HierarchyProvider};
 use hinet_cluster::generators::{ClusteredMobilityGen, HiNetConfig, HiNetGen};
-use hinet_core::params::{alg1_plan, klo_plan, remark1_phases, required_phase_length, PhasePlan};
+use hinet_core::params::{alg1_plan, klo_plan, remark1_phases, PhasePlan};
 use hinet_core::runner::{run_algorithm, AlgorithmKind};
 use hinet_graph::generators::{
     BackboneKind, EdgeMarkovianGen, ManhattanConfig, ManhattanGen, OneIntervalGen,
@@ -37,7 +39,8 @@ pub const SCENARIO_SCHEMA: &str = "hinet-scenario/v1";
 
 /// One simulation's full parameterisation (see the module docs). Both
 /// providers and protocols built from a scenario are deterministic in
-/// `seed`, so two instances replay identical dynamics.
+/// `seed`, so two instances replay identical dynamics. The phase length
+/// `T` is not a field: [`Scenario::t`] derives it from `k`, `α` and `L`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Scenario {
     /// Node count.
@@ -59,8 +62,6 @@ pub struct Scenario {
     /// Dynamics model, by CLI name (`hinet`, `flat-t`, `flat-1`,
     /// `waypoint`, `manhattan`, `emdg`).
     pub dynamics: String,
-    /// Required phase length `T = k + α·L`.
-    pub t: usize,
     /// Hard round budget for unbounded baselines.
     pub budget: usize,
     /// Per-delivery message-loss probability in parts per million
@@ -193,17 +194,6 @@ pub fn partition_spec_string(partitions: &[Partition]) -> String {
         .join(",")
 }
 
-/// Parse a probability flag given as a fraction (`0.05` = 5 %) into parts
-/// per million.
-fn fraction_to_ppm(name: &str, value: f64) -> Result<u32, String> {
-    if !(0.0..=1.0).contains(&value) || !value.is_finite() {
-        return Err(format!(
-            "--{name} must be a fraction in [0, 1], got {value}"
-        ));
-    }
-    Ok((value * 1_000_000.0).round() as u32)
-}
-
 /// Algorithm names the CLI accepts (every [`Scenario::kind`] selector).
 pub const ALGORITHMS: &[&str] = &[
     "alg1",
@@ -229,19 +219,17 @@ impl Scenario {
     /// The documented CLI defaults: `alg1` on `hinet` dynamics with
     /// `n=100`, `k=8`, `α=5`, `L=2`, `θ=n/3`, `seed=42`, no faults.
     pub fn defaults() -> Scenario {
-        let (n, k, alpha, l) = (100, 8, 5, 2);
-        let t = required_phase_length(k, alpha, l);
-        Scenario {
+        let n = 100;
+        let mut sc = Scenario {
             n,
-            k,
-            alpha,
-            l,
+            k: 8,
+            alpha: 5,
+            l: 2,
             theta: n / 3,
             seed: 42,
             algorithm: "alg1".into(),
             dynamics: "hinet".into(),
-            t,
-            budget: 4 * n + 4 * t,
+            budget: 0,
             loss_ppm: 0,
             crash_ppm: 0,
             crash_at: vec![],
@@ -258,12 +246,22 @@ impl Scenario {
             reliable: false,
             stall_rounds: 0,
             mode: ExecMode::Lockstep,
-        }
+        };
+        sc.budget = sc.derived_budget();
+        sc
     }
 
-    /// The default round budget for the scenario's size: `4n + 4T`.
+    /// The required phase length `T = k + α·L` (Theorem 1). Saturates
+    /// where it would overflow; [`Scenario::validate`] rejects such
+    /// scenarios.
+    pub fn t(&self) -> usize {
+        self.alpha.saturating_mul(self.l).saturating_add(self.k)
+    }
+
+    /// The default round budget for the scenario's size: `4n + 4T`
+    /// (saturating, like [`Scenario::t`]).
     pub fn derived_budget(&self) -> usize {
-        4 * self.n + 4 * self.t
+        self.n.saturating_add(self.t()).saturating_mul(4)
     }
 
     /// Build from parsed CLI flags, applying the documented defaults
@@ -283,131 +281,73 @@ impl Scenario {
     /// can only switch a behaviour *on* over the base. The result is
     /// validated (see [`Scenario::validate`]).
     pub fn from_flags_over(flags: &FlagSet, base: Option<Scenario>) -> Result<Scenario, String> {
-        let stock = Scenario::defaults();
         // With no base, θ and the budget derive from the (possibly flagged)
         // n rather than the stock n; a base pins them explicitly.
         let derive = base.is_none();
-        let base = base.unwrap_or(stock);
-        let n = flags.parsed("n", base.n)?;
-        let k = flags.parsed("k", base.k)?;
-        let alpha = flags.parsed("alpha", base.alpha)?;
-        let l = flags.parsed("l", base.l)?;
-        let theta = flags.parsed("theta", if derive { (n / 3).max(1) } else { base.theta })?;
-        let seed = flags.parsed("seed", base.seed)?;
-        let t = required_phase_length(k, alpha, l);
-        let loss_ppm = match flags.get("loss") {
-            Some(_) => fraction_to_ppm("loss", flags.parsed("loss", 0.0f64)?)?,
-            None => base.loss_ppm,
-        };
-        let crash_ppm = match flags.get("crash-rate") {
-            Some(_) => fraction_to_ppm("crash-rate", flags.parsed("crash-rate", 0.0f64)?)?,
-            None => base.crash_ppm,
-        };
-        let delay_ppm = match flags.get("delay") {
-            Some(_) => fraction_to_ppm("delay", flags.parsed("delay", 0.0f64)?)?,
-            None => base.delay_ppm,
-        };
-        let dup_ppm = match flags.get("dup") {
-            Some(_) => fraction_to_ppm("dup", flags.parsed("dup", 0.0f64)?)?,
-            None => base.dup_ppm,
-        };
-        let crash_at = match flags.get("crash-at") {
-            Some(spec) => parse_crash_spec(spec)?,
-            None => base.crash_at,
-        };
-        let partitions = match flags.get("partition") {
-            Some(spec) => parse_partition_spec(spec)?,
-            None => base.partitions,
-        };
-        let budget = flags.parsed("budget", if derive { 4 * n + 4 * t } else { base.budget })?;
-        let sc = Scenario {
-            n,
-            k,
-            alpha,
-            l,
-            theta,
-            seed,
-            algorithm: flags
-                .get("algorithm")
-                .unwrap_or(&base.algorithm)
-                .to_string(),
-            dynamics: flags.get("dynamics").unwrap_or(&base.dynamics).to_string(),
-            t,
-            budget,
-            loss_ppm,
-            crash_ppm,
-            crash_at,
-            target_heads: flags.has("target-heads") || base.target_heads,
-            fault_seed: flags.parsed("fault-seed", base.fault_seed)?,
-            retransmit: flags.has("retransmit") || base.retransmit,
-            durable_tokens: flags.has("durable-tokens") || base.durable_tokens,
-            partitions,
-            down_rounds: flags.parsed("down-rounds", base.down_rounds)?,
-            delay_ppm,
-            max_delay: flags.parsed("max-delay", base.max_delay)?,
-            dup_ppm,
-            reorder: flags.has("reorder") || base.reorder,
-            reliable: flags.has("reliable") || base.reliable,
-            stall_rounds: flags.parsed("stall-rounds", base.stall_rounds)?,
-            mode: match flags.get("mode") {
-                Some(raw) => raw.parse()?,
-                None => base.mode,
-            },
-        };
+        let mut sc = base.unwrap_or_else(Scenario::defaults);
+        for knob in KNOBS {
+            knob.apply_flag(&mut sc, flags)?;
+        }
+        if derive && !flags.has("theta") {
+            sc.theta = (sc.n / 3).max(1);
+        }
+        if derive && !flags.has("budget") {
+            sc.budget = sc.derived_budget();
+        }
         sc.validate()?;
         Ok(sc)
     }
 
+    /// The `HiNetGen` configuration `hinet` dynamics runs on, with phase
+    /// length `t`.
+    fn hinet_config(&self, t: usize) -> HiNetConfig {
+        HiNetConfig {
+            n: self.n,
+            num_heads: (self.theta / 2).max(1).min(self.theta),
+            theta: self.theta,
+            l: self.l,
+            t,
+            reaffil_prob: 0.1,
+            rotate_heads: true,
+            noise_edges: self.n / 5,
+            seed: self.seed,
+        }
+    }
+
     /// Reject conflicting or nonsensical parameter combinations with a
-    /// usage-grade message (the CLI maps these to exit code 2). Called by
-    /// [`Scenario::from_flags_over`] and [`ScenarioFile::parse`];
-    /// [`Scenario::from_meta`] stays lenient so old artifacts keep
-    /// parsing.
+    /// usage-grade message (the CLI maps these to exit code 2). Each
+    /// knob's own range is checked by its table row ([`Knob::check`]);
+    /// this adds the rules between knobs. Called by every constructor:
+    /// [`Scenario::from_flags_over`], [`Scenario::from_meta`] and
+    /// [`ScenarioFile::parse`].
+    ///
+    /// [`Knob::check`]: crate::knobs::Knob::check
     pub fn validate(&self) -> Result<(), String> {
-        if self.n == 0 {
-            return Err("--n must be at least 1".into());
+        for knob in KNOBS {
+            knob.check(self)?;
         }
-        if self.k == 0 {
-            return Err("--k must be at least 1".into());
+        let sized = self
+            .alpha
+            .checked_mul(self.l)
+            .and_then(|al| al.checked_add(self.k))
+            .and_then(|t| t.checked_add(self.n))
+            .and_then(|nt| nt.checked_mul(4));
+        if sized.is_none() {
+            return Err(format!(
+                "T = k + α·L or the 4n + 4T round budget overflows for n={} k={} α={} L={}",
+                self.n, self.k, self.alpha, self.l
+            ));
         }
-        if self.alpha == 0 {
-            return Err("--alpha must be a positive integer".into());
-        }
-        if self.l == 0 {
-            return Err("--l must be a positive integer".into());
-        }
-        if self.theta == 0 || self.theta > self.n {
+        if self.theta > self.n {
             return Err(format!(
                 "--theta must be in 1..=n, got {} with n={}",
                 self.theta, self.n
             ));
         }
-        if self.budget == 0 {
-            return Err("--budget must be at least 1".into());
-        }
         if self.dynamics == "hinet" {
-            // Mirror HiNetGen's feasibility assert: the generator derives
-            // θ/2 cluster heads and needs (heads-1)·(L-1) distinct gateway
-            // nodes to stitch the L-hop backbone between them.
-            let heads = (self.theta / 2).clamp(1, self.theta);
-            let gateways = heads.saturating_sub(1) * (self.l - 1);
-            if heads + gateways > self.n {
-                return Err(format!(
-                    "hinet dynamics derives {heads} cluster heads from --theta {} and an \
-                     L={} backbone needs {gateways} gateway nodes between them — n={} is \
-                     too small; raise --n or lower --theta/--l",
-                    self.theta, self.l, self.n
-                ));
-            }
-        }
-        if self.down_rounds == 0 {
-            return Err("--down-rounds must be at least 1".into());
-        }
-        if !ALGORITHMS.contains(&self.algorithm.as_str()) {
-            return Err(format!("unknown algorithm '{}'", self.algorithm));
-        }
-        if !DYNAMICS.contains(&self.dynamics.as_str()) {
-            return Err(format!("unknown dynamics '{}'", self.dynamics));
+            self.hinet_config(self.t())
+                .check()
+                .map_err(|e| format!("hinet dynamics with --theta {}: {e}", self.theta))?;
         }
         for &(round, node) in &self.crash_at {
             if node >= self.n {
@@ -450,9 +390,6 @@ impl Scenario {
                     .into(),
             );
         }
-        if self.max_delay == 0 {
-            return Err("--max-delay must be at least 1 round".into());
-        }
         if self.max_delay != 1 && self.delay_ppm == 0 {
             return Err(
                 "--max-delay only matters when deliveries can be delayed; add --delay".into(),
@@ -479,95 +416,33 @@ impl Scenario {
     }
 
     /// Reconstruct the scenario a trace was recorded under, from the meta
-    /// stamps written by [`Scenario::stamp_meta`]. This is how
-    /// `hinet trace --diff A` re-runs `A`'s scenario live.
+    /// stamps written by [`Scenario::stamp_meta`], and validate it. This is
+    /// how `hinet trace --diff A` re-runs `A`'s scenario live. Optional
+    /// stamps are absent at their defaults, so fault-free artifacts from
+    /// before a knob existed stay readable.
     pub fn from_meta(trace: &ParsedTrace) -> Result<Scenario, String> {
-        let get = |key: &str| -> Result<&str, String> {
-            trace.meta_get(key).ok_or(format!(
-                "trace header lacks meta '{key}' — re-record it with this version of hinet"
-            ))
-        };
-        let num = |key: &str| -> Result<usize, String> {
-            get(key)?
-                .parse()
-                .map_err(|e| format!("trace meta '{key}': {e}"))
-        };
-        // `scenario` first: it is the stamp old artifacts lack, so its
-        // absence gives the most useful error.
-        let algorithm = get("scenario")?.to_string();
-        let dynamics = get("dynamics")?.to_string();
-        let (n, k, alpha, l) = (num("n")?, num("k")?, num("alpha")?, num("l")?);
-        let t = required_phase_length(k, alpha, l);
-        // Fault stamps are written only when non-default, so absence means
-        // "no faults" — old fault-free artifacts stay readable.
-        let opt_num = |key: &str| -> Result<u64, String> {
-            match trace.meta_get(key) {
-                Some(s) => s.parse().map_err(|e| format!("trace meta '{key}': {e}")),
-                None => Ok(0),
+        let mut sc = Scenario::defaults();
+        let mut derive_budget = false;
+        for knob in KNOBS {
+            match trace.meta_get(knob.meta) {
+                Some(raw) => knob
+                    .field
+                    .decode(&mut sc, raw)
+                    .map_err(|e| format!("trace meta '{}': {e}", knob.meta))?,
+                None if knob.rule == Rule::Required => {
+                    return Err(format!(
+                        "trace header lacks meta '{}' — re-record it with this version of hinet",
+                        knob.meta
+                    ))
+                }
+                None => derive_budget |= knob.rule == Rule::Budget,
             }
-        };
-        let crash_at = match trace.meta_get("crash_at") {
-            Some(spec) => parse_crash_spec(spec)?,
-            None => vec![],
-        };
-        let partitions = match trace.meta_get("partitions") {
-            Some(spec) => parse_partition_spec(spec)?,
-            None => vec![],
-        };
-        // `budget` and `down_rounds` are stamped only when non-default.
-        let budget = match trace.meta_get("budget") {
-            Some(raw) => raw
-                .parse()
-                .map_err(|e| format!("trace meta 'budget': {e}"))?,
-            None => 4 * n + 4 * t,
-        };
-        let down_rounds = match trace.meta_get("down_rounds") {
-            Some(raw) => raw
-                .parse()
-                .map_err(|e| format!("trace meta 'down_rounds': {e}"))?,
-            None => 1,
-        };
-        let max_delay = match trace.meta_get("max_delay") {
-            Some(raw) => raw
-                .parse()
-                .map_err(|e| format!("trace meta 'max_delay': {e}"))?,
-            None => 1,
-        };
-        Ok(Scenario {
-            n,
-            k,
-            alpha,
-            l,
-            theta: num("theta")?,
-            seed: get("seed")?
-                .parse()
-                .map_err(|e| format!("trace meta 'seed': {e}"))?,
-            algorithm,
-            dynamics,
-            t,
-            budget,
-            loss_ppm: opt_num("loss_ppm")? as u32,
-            crash_ppm: opt_num("crash_ppm")? as u32,
-            crash_at,
-            target_heads: opt_num("target_heads")? != 0,
-            fault_seed: opt_num("fault_seed")?,
-            retransmit: opt_num("retransmit")? != 0,
-            durable_tokens: opt_num("durable_tokens")? != 0,
-            partitions,
-            down_rounds,
-            delay_ppm: opt_num("delay_ppm")? as u32,
-            max_delay,
-            dup_ppm: opt_num("dup_ppm")? as u32,
-            reorder: opt_num("reorder")? != 0,
-            reliable: opt_num("reliable")? != 0,
-            stall_rounds: opt_num("stall_rounds")? as usize,
-            // Stamped by the engine's event path, absent on lock-step
-            // traces (which stay byte-identical to older artifacts).
-            mode: match trace.meta_get("mode") {
-                Some(raw) => raw.parse()?,
-                None => ExecMode::Lockstep,
-            },
-        })
+        }
+        if derive_budget {
+            sc.budget = sc.derived_budget();
+        }
+        sc.validate()?;
+        Ok(sc)
     }
 
     /// The deterministic fault plan the scenario's fault fields describe.
@@ -597,7 +472,7 @@ impl Scenario {
     /// The algorithm selector with its derived parameterisation. Errors on
     /// unknown names.
     pub fn kind(&self) -> Result<AlgorithmKind, String> {
-        let (n, k, alpha, l, theta, t) = (self.n, self.k, self.alpha, self.l, self.theta, self.t);
+        let (n, k, alpha, l, theta, t) = (self.n, self.k, self.alpha, self.l, self.theta, self.t());
         Ok(match self.algorithm.as_str() {
             "alg1" => AlgorithmKind::HiNetPhased(alg1_plan(k, alpha, l, theta)),
             "remark1" => AlgorithmKind::HiNetRemark1(PhasePlan {
@@ -613,7 +488,8 @@ impl Scenario {
                 seed: self.seed,
             },
             "kactive" => AlgorithmKind::KActiveFlood {
-                activity: n / 2,
+                // At least one round even for n = 1, where n/2 would be 0.
+                activity: (n / 2).max(1),
                 rounds: self.budget,
             },
             "delta" => AlgorithmKind::DeltaFlood {
@@ -629,51 +505,22 @@ impl Scenario {
         &self,
         kind: &AlgorithmKind,
     ) -> Result<Box<dyn HierarchyProvider + Send>, String> {
-        let (n, l, theta, seed) = (self.n, self.l, self.theta, self.seed);
-        Ok(match self.dynamics.as_str() {
-            "hinet" => {
-                let num_heads = (theta / 2).clamp(1, theta);
-                Box::new(HiNetGen::new(HiNetConfig {
-                    n,
-                    num_heads,
-                    theta,
-                    l,
-                    t: if matches!(kind, AlgorithmKind::HiNetFullExchange { .. }) {
-                        1
-                    } else {
-                        self.t
-                    },
-                    reaffil_prob: 0.1,
-                    rotate_heads: true,
-                    noise_edges: n / 5,
-                    seed,
-                }))
-            }
-            "flat-t" => Box::new(FlatProvider::new(TIntervalGen::new(
-                n,
-                self.t,
-                BackboneKind::Path,
-                n / 5,
-                seed,
-            ))),
-            "flat-1" => Box::new(FlatProvider::new(OneIntervalGen::new(n, true, n / 5, seed))),
-            "waypoint" => Box::new(ClusteredMobilityGen::new(
-                RandomWaypointGen::new(n, WaypointConfig::default(), seed),
-                ClusteringKind::LowestId,
-                true,
-            )),
-            "manhattan" => Box::new(ClusteredMobilityGen::new(
-                ManhattanGen::new(n, ManhattanConfig::default(), seed),
-                ClusteringKind::LowestId,
-                true,
-            )),
-            "emdg" => Box::new(ClusteredMobilityGen::new(
-                EdgeMarkovianGen::new(n, 0.002, 0.05, 0.04, true, seed),
-                ClusteringKind::GreedyDominating,
-                true,
-            )),
-            other => return Err(format!("unknown dynamics '{other}'")),
-        })
+        dynamics_provider(
+            &self.dynamics,
+            self.hinet_config(self.dynamics_t(kind)),
+            self.t(),
+        )
+    }
+
+    /// The phase length the `hinet` dynamics promise for `kind`: the
+    /// full-exchange family runs on per-round (T = 1) hierarchies,
+    /// everything else on [`Scenario::t`].
+    fn dynamics_t(&self, kind: &AlgorithmKind) -> usize {
+        if matches!(kind, AlgorithmKind::HiNetFullExchange { .. }) {
+            1
+        } else {
+            self.t()
+        }
     }
 
     /// Attach the scenario parameters to a trace's header metadata. The
@@ -681,63 +528,19 @@ impl Scenario {
     /// `algorithm` label the runner stamps), so [`Scenario::from_meta`]
     /// can rebuild this exact struct from the artifact alone.
     pub fn stamp_meta(&self, tracer: &mut Tracer) {
-        tracer.meta("scenario", self.algorithm.as_str());
-        tracer.meta("dynamics", self.dynamics.as_str());
-        tracer.meta("n", self.n.to_string());
-        tracer.meta("k", self.k.to_string());
-        tracer.meta("alpha", self.alpha.to_string());
-        tracer.meta("l", self.l.to_string());
-        tracer.meta("theta", self.theta.to_string());
-        tracer.meta("seed", self.seed.to_string());
-        // Fault stamps only when non-default: fault-free artifacts stay
-        // byte-identical to those from before the fault plane existed.
-        if self.loss_ppm > 0 {
-            tracer.meta("loss_ppm", self.loss_ppm.to_string());
-        }
-        if self.crash_ppm > 0 {
-            tracer.meta("crash_ppm", self.crash_ppm.to_string());
-        }
-        if !self.crash_at.is_empty() {
-            tracer.meta("crash_at", crash_spec_string(&self.crash_at));
-        }
-        if self.target_heads {
-            tracer.meta("target_heads", "1");
-        }
-        if self.fault_seed != 0 {
-            tracer.meta("fault_seed", self.fault_seed.to_string());
-        }
-        if self.retransmit {
-            tracer.meta("retransmit", "1");
-        }
-        if self.durable_tokens {
-            tracer.meta("durable_tokens", "1");
-        }
-        if !self.partitions.is_empty() {
-            tracer.meta("partitions", partition_spec_string(&self.partitions));
-        }
-        if self.down_rounds != 1 {
-            tracer.meta("down_rounds", self.down_rounds.to_string());
-        }
-        if self.delay_ppm > 0 {
-            tracer.meta("delay_ppm", self.delay_ppm.to_string());
-        }
-        if self.max_delay != 1 {
-            tracer.meta("max_delay", self.max_delay.to_string());
-        }
-        if self.dup_ppm > 0 {
-            tracer.meta("dup_ppm", self.dup_ppm.to_string());
-        }
-        if self.reorder {
-            tracer.meta("reorder", "1");
-        }
-        if self.reliable {
-            tracer.meta("reliable", "1");
-        }
-        if self.stall_rounds != 0 {
-            tracer.meta("stall_rounds", self.stall_rounds.to_string());
-        }
-        if self.budget != self.derived_budget() {
-            tracer.meta("budget", self.budget.to_string());
+        // Optional stamps only when non-default, and the budget last:
+        // fault-free artifacts stay byte-identical to those from before
+        // the fault plane existed.
+        for last in [false, true] {
+            for knob in KNOBS.iter().filter(|k| (k.rule == Rule::Budget) == last) {
+                if knob.in_meta(self) {
+                    let value = match knob.field {
+                        Field::Switch(..) => "1".to_string(),
+                        field => field.render(self),
+                    };
+                    tracer.meta(knob.meta, value);
+                }
+            }
         }
     }
 
@@ -774,14 +577,8 @@ impl Scenario {
         let assignment = round_robin_assignment(self.n, self.k);
         let kind = self.kind()?;
         let mut provider = self.provider(&kind)?;
-        // The oracle checks the (T, L) the dynamics actually promise: the
-        // full-exchange family runs on per-round (T = 1) hierarchies (see
-        // [`Scenario::provider`]), everything else on the phase length.
-        let oracle_t = if matches!(kind, AlgorithmKind::HiNetFullExchange { .. }) {
-            1
-        } else {
-            self.t
-        };
+        // The oracle checks the (T, L) the dynamics actually promise.
+        let oracle_t = self.dynamics_t(&kind);
         Ok(run_algorithm(
             &kind,
             provider.as_mut(),
@@ -797,6 +594,46 @@ impl Scenario {
                 .tracer(tracer),
         ))
     }
+}
+
+/// The hierarchy-carrying provider for a dynamics model by CLI name (see
+/// [`DYNAMICS`]): `hinet` runs [`HiNetGen`] on `hinet`, `flat-t` a
+/// T-interval path backbone with phase length `flat_t`, and the rest take
+/// `n` and the seed from `hinet`. Every model adds `n/5` noise edges or
+/// its own churn.
+pub fn dynamics_provider(
+    dynamics: &str,
+    hinet: HiNetConfig,
+    flat_t: usize,
+) -> Result<Box<dyn HierarchyProvider + Send>, String> {
+    let (n, seed) = (hinet.n, hinet.seed);
+    Ok(match dynamics {
+        "hinet" => Box::new(HiNetGen::new(hinet)),
+        "flat-t" => Box::new(FlatProvider::new(TIntervalGen::new(
+            n,
+            flat_t,
+            BackboneKind::Path,
+            n / 5,
+            seed,
+        ))),
+        "flat-1" => Box::new(FlatProvider::new(OneIntervalGen::new(n, true, n / 5, seed))),
+        "waypoint" => Box::new(ClusteredMobilityGen::new(
+            RandomWaypointGen::new(n, WaypointConfig::default(), seed),
+            ClusteringKind::LowestId,
+            true,
+        )),
+        "manhattan" => Box::new(ClusteredMobilityGen::new(
+            ManhattanGen::new(n, ManhattanConfig::default(), seed),
+            ClusteringKind::LowestId,
+            true,
+        )),
+        "emdg" => Box::new(ClusteredMobilityGen::new(
+            EdgeMarkovianGen::new(n, 0.002, 0.05, 0.04, true, seed),
+            ClusteringKind::GreedyDominating,
+            true,
+        )),
+        other => return Err(format!("unknown dynamics '{other}'")),
+    })
 }
 
 /// A declarative scenario file: a [`Scenario`] plus an optional recorded
@@ -820,43 +657,6 @@ pub struct ScenarioFile {
     pub expect: Option<String>,
 }
 
-/// Keys [`ScenarioFile::parse`] requires. `budget` is explicit in files
-/// (unlike trace metadata) so a file pins the whole run even when `n`
-/// is later overridden from the command line.
-const REQUIRED_KEYS: &[&str] = &[
-    "schema",
-    "algorithm",
-    "dynamics",
-    "n",
-    "k",
-    "alpha",
-    "l",
-    "theta",
-    "seed",
-    "budget",
-];
-
-/// Optional keys (defaulting to "off"/1) plus the outcome annotation.
-const OPTIONAL_KEYS: &[&str] = &[
-    "loss_ppm",
-    "crash_ppm",
-    "crash_at",
-    "target_heads",
-    "fault_seed",
-    "retransmit",
-    "durable_tokens",
-    "partitions",
-    "down_rounds",
-    "delay_ppm",
-    "max_delay",
-    "dup_ppm",
-    "reorder",
-    "reliable",
-    "stall_rounds",
-    "mode",
-    "expect_outcome",
-];
-
 impl ScenarioFile {
     /// Wrap a scenario with no recorded outcome.
     pub fn new(scenario: Scenario) -> ScenarioFile {
@@ -866,72 +666,18 @@ impl ScenarioFile {
         }
     }
 
-    /// Serialise to the `key = value` file format. Optional keys are
-    /// written only when non-default, mirroring [`Scenario::stamp_meta`].
+    /// Serialise to the `key = value` file format: every required key
+    /// and the budget, then the optional keys that differ from their
+    /// defaults, then the outcome.
     pub fn render(&self) -> String {
-        let sc = &self.scenario;
-        let mut out = String::new();
-        out.push_str("# hinet scenario file — see docs/SCENARIOS.md\n");
+        let mut out = String::from("# hinet scenario file — see docs/SCENARIOS.md\n");
         out.push_str(&format!("schema = {SCENARIO_SCHEMA}\n"));
-        out.push_str(&format!("algorithm = {}\n", sc.algorithm));
-        out.push_str(&format!("dynamics = {}\n", sc.dynamics));
-        out.push_str(&format!("n = {}\n", sc.n));
-        out.push_str(&format!("k = {}\n", sc.k));
-        out.push_str(&format!("alpha = {}\n", sc.alpha));
-        out.push_str(&format!("l = {}\n", sc.l));
-        out.push_str(&format!("theta = {}\n", sc.theta));
-        out.push_str(&format!("seed = {}\n", sc.seed));
-        out.push_str(&format!("budget = {}\n", sc.budget));
-        if sc.loss_ppm > 0 {
-            out.push_str(&format!("loss_ppm = {}\n", sc.loss_ppm));
-        }
-        if sc.crash_ppm > 0 {
-            out.push_str(&format!("crash_ppm = {}\n", sc.crash_ppm));
-        }
-        if !sc.crash_at.is_empty() {
-            out.push_str(&format!("crash_at = {}\n", crash_spec_string(&sc.crash_at)));
-        }
-        if sc.target_heads {
-            out.push_str("target_heads = true\n");
-        }
-        if sc.fault_seed != 0 {
-            out.push_str(&format!("fault_seed = {}\n", sc.fault_seed));
-        }
-        if sc.retransmit {
-            out.push_str("retransmit = true\n");
-        }
-        if sc.durable_tokens {
-            out.push_str("durable_tokens = true\n");
-        }
-        if !sc.partitions.is_empty() {
+        for knob in KNOBS.iter().filter(|k| k.in_file(&self.scenario)) {
             out.push_str(&format!(
-                "partitions = {}\n",
-                partition_spec_string(&sc.partitions)
+                "{} = {}\n",
+                knob.key,
+                knob.field.render(&self.scenario)
             ));
-        }
-        if sc.down_rounds != 1 {
-            out.push_str(&format!("down_rounds = {}\n", sc.down_rounds));
-        }
-        if sc.delay_ppm > 0 {
-            out.push_str(&format!("delay_ppm = {}\n", sc.delay_ppm));
-        }
-        if sc.max_delay != 1 {
-            out.push_str(&format!("max_delay = {}\n", sc.max_delay));
-        }
-        if sc.dup_ppm > 0 {
-            out.push_str(&format!("dup_ppm = {}\n", sc.dup_ppm));
-        }
-        if sc.reorder {
-            out.push_str("reorder = true\n");
-        }
-        if sc.reliable {
-            out.push_str("reliable = true\n");
-        }
-        if sc.stall_rounds != 0 {
-            out.push_str(&format!("stall_rounds = {}\n", sc.stall_rounds));
-        }
-        if sc.mode != ExecMode::Lockstep {
-            out.push_str(&format!("mode = {}\n", sc.mode));
         }
         if let Some(expect) = &self.expect {
             out.push_str(&format!("expect_outcome = {expect}\n"));
@@ -941,9 +687,11 @@ impl ScenarioFile {
 
     /// Parse the `key = value` format back into a validated scenario.
     /// Inverse of [`ScenarioFile::render`]; see the type docs for the
-    /// accepted grammar.
+    /// accepted grammar. Keys the file omits take their
+    /// [`Scenario::defaults`] value; required keys and the budget must be
+    /// present.
     pub fn parse(text: &str) -> Result<ScenarioFile, String> {
-        let mut seen: Vec<(String, String)> = Vec::new();
+        let mut seen: Vec<(&str, &str)> = Vec::new();
         for (lineno, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -956,105 +704,45 @@ impl ScenarioFile {
                 ));
             };
             let (key, value) = (key.trim(), value.trim());
-            if !REQUIRED_KEYS.contains(&key) && !OPTIONAL_KEYS.contains(&key) {
+            let known = ["schema", "expect_outcome"].contains(&key)
+                || KNOBS.iter().any(|knob| knob.key == key);
+            if !known {
                 return Err(format!(
                     "scenario file line {}: unknown key '{key}'",
                     lineno + 1
                 ));
             }
-            if seen.iter().any(|(k, _)| k == key) {
+            if seen.iter().any(|&(k, _)| k == key) {
                 return Err(format!(
                     "scenario file line {}: duplicate key '{key}'",
                     lineno + 1
                 ));
             }
-            seen.push((key.to_string(), value.to_string()));
+            seen.push((key, value));
         }
-        let get = |key: &str| seen.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str());
-        for key in REQUIRED_KEYS {
-            if get(key).is_none() {
-                return Err(format!("scenario file lacks required key '{key}'"));
+        let get = |key: &str| seen.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v);
+        match get("schema") {
+            None => return Err("scenario file lacks required key 'schema'".into()),
+            Some(SCENARIO_SCHEMA) => {}
+            Some(schema) => {
+                return Err(format!(
+                    "scenario file schema '{schema}' is not {SCENARIO_SCHEMA}"
+                ))
             }
         }
-        let schema = get("schema").unwrap();
-        if schema != SCENARIO_SCHEMA {
-            return Err(format!(
-                "scenario file schema '{schema}' is not {SCENARIO_SCHEMA}"
-            ));
+        let mut scenario = Scenario::defaults();
+        for knob in KNOBS {
+            match get(knob.key) {
+                Some(raw) => knob
+                    .field
+                    .decode(&mut scenario, raw)
+                    .map_err(|e| format!("scenario file key '{}': {e}", knob.key))?,
+                None if matches!(knob.rule, Rule::Required | Rule::Budget) => {
+                    return Err(format!("scenario file lacks required key '{}'", knob.key))
+                }
+                None => {}
+            }
         }
-        let num = |key: &str| -> Result<usize, String> {
-            get(key)
-                .unwrap()
-                .parse()
-                .map_err(|e| format!("scenario file key '{key}': {e}"))
-        };
-        let opt_u64 = |key: &str| -> Result<u64, String> {
-            match get(key) {
-                Some(raw) => raw
-                    .parse()
-                    .map_err(|e| format!("scenario file key '{key}': {e}")),
-                None => Ok(0),
-            }
-        };
-        let boolean = |key: &str| -> Result<bool, String> {
-            match get(key) {
-                Some("true") | Some("1") => Ok(true),
-                Some("false") | Some("0") | None => Ok(false),
-                Some(other) => Err(format!(
-                    "scenario file key '{key}': '{other}' is not a boolean (true/false/1/0)"
-                )),
-            }
-        };
-        let (k, alpha, l) = (num("k")?, num("alpha")?, num("l")?);
-        let scenario = Scenario {
-            n: num("n")?,
-            k,
-            alpha,
-            l,
-            theta: num("theta")?,
-            seed: opt_u64("seed")?,
-            algorithm: get("algorithm").unwrap().to_string(),
-            dynamics: get("dynamics").unwrap().to_string(),
-            t: required_phase_length(k, alpha, l),
-            budget: num("budget")?,
-            loss_ppm: opt_u64("loss_ppm")? as u32,
-            crash_ppm: opt_u64("crash_ppm")? as u32,
-            crash_at: match get("crash_at") {
-                Some(spec) => parse_crash_spec(spec)?,
-                None => vec![],
-            },
-            target_heads: boolean("target_heads")?,
-            fault_seed: opt_u64("fault_seed")?,
-            retransmit: boolean("retransmit")?,
-            durable_tokens: boolean("durable_tokens")?,
-            partitions: match get("partitions") {
-                Some(spec) => parse_partition_spec(spec)?,
-                None => vec![],
-            },
-            down_rounds: match get("down_rounds") {
-                Some(raw) => raw
-                    .parse()
-                    .map_err(|e| format!("scenario file key 'down_rounds': {e}"))?,
-                None => 1,
-            },
-            delay_ppm: opt_u64("delay_ppm")? as u32,
-            max_delay: match get("max_delay") {
-                Some(raw) => raw
-                    .parse()
-                    .map_err(|e| format!("scenario file key 'max_delay': {e}"))?,
-                None => 1,
-            },
-            dup_ppm: opt_u64("dup_ppm")? as u32,
-            reorder: boolean("reorder")?,
-            reliable: boolean("reliable")?,
-            stall_rounds: opt_u64("stall_rounds")? as usize,
-            mode: match get("mode") {
-                Some(raw) => raw
-                    .parse()
-                    .map_err(|e| format!("scenario file key 'mode': {e}"))?,
-                None => ExecMode::Lockstep,
-            },
-        };
         scenario.validate()?;
         Ok(ScenarioFile {
             scenario,
@@ -1086,6 +774,7 @@ impl ScenarioFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hinet_core::params::required_phase_length;
     use hinet_rt::obs::{ObsConfig, ParsedTrace};
 
     fn small(algorithm: &str, dynamics: &str) -> Scenario {
@@ -1100,7 +789,6 @@ mod tests {
             seed: 11,
             algorithm: algorithm.into(),
             dynamics: dynamics.into(),
-            t,
             budget: 4 * 20 + 4 * t,
             loss_ppm: 0,
             crash_ppm: 0,
@@ -1199,24 +887,11 @@ mod tests {
         let mut tracer = Tracer::new(ObsConfig::full());
         sc.run_traced(&mut tracer).unwrap();
         let parsed = ParsedTrace::parse_jsonl(&tracer.to_jsonl()).unwrap();
-        for key in [
-            "loss_ppm",
-            "crash_ppm",
-            "crash_at",
-            "target_heads",
-            "fault_seed",
-            "retransmit",
-            "durable_tokens",
-            "partitions",
-            "down_rounds",
-            "delay_ppm",
-            "max_delay",
-            "dup_ppm",
-            "reorder",
-            "reliable",
-            "stall_rounds",
-            "budget",
-        ] {
+        for key in KNOBS
+            .iter()
+            .filter(|k| k.rule != Rule::Required)
+            .map(|k| k.meta)
+        {
             assert_eq!(parsed.meta_get(key), None, "{key} must not be stamped");
         }
     }

@@ -445,6 +445,59 @@ fn audit_reports_all_sections() {
     assert!(text.contains("1-interval connected: true"));
 }
 
+/// A trace header edited to an invalid scenario is a usage error for the
+/// live re-run form of `trace --diff`, not a panic: `from_meta` validates.
+#[test]
+fn trace_diff_rejects_invalid_golden_headers() {
+    let golden = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/alg1.jsonl"),
+    )
+    .unwrap();
+    let dir = std::env::temp_dir().join(format!("hinet-cli-header-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let cases: &[(&str, &str, &str)] = &[
+        (r#""theta":"8""#, r#""theta":"0""#, "--theta"),
+        (r#""theta":"8""#, r#""theta":"25""#, "--theta"),
+        (r#""l":"2""#, r#""l":"0""#, "--l"),
+        (r#""n":"24""#, r#""n":"0""#, "--n"),
+        (r#""alpha":"2""#, r#""alpha":"0""#, "--alpha"),
+    ];
+    for (i, (from, to, needle)) in cases.iter().enumerate() {
+        let (header, events) = golden.split_once('\n').unwrap();
+        assert!(header.contains(from), "golden header lacks {from}");
+        let path = dir.join(format!("crafted{i}.jsonl"));
+        std::fs::write(&path, format!("{}\n{events}", header.replacen(from, to, 1))).unwrap();
+        let out = hinet()
+            .args(["trace", "--diff", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "header with {to} must exit 2");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.contains(needle),
+            "header with {to}: stderr must name '{needle}', got:\n{err}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Degenerate audit sizes are usage errors, not panics.
+#[test]
+fn audit_rejects_degenerate_sizes() {
+    let cases: &[&[&str]] = &[
+        &["audit", "--n", "0"],
+        &["audit", "--n", "1", "--rounds", "0"],
+        &["audit", "--n", "1", "--rounds", "0", "--stream"],
+        &["audit", "--dynamics", "flat-1", "--n", "0"],
+    ];
+    for args in cases {
+        let out = hinet().args(*args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        assert!(!String::from_utf8(out.stderr).unwrap().is_empty());
+    }
+}
+
 #[test]
 fn run_rejects_unknown_flag() {
     let out = hinet().args(["run", "--frobnicate", "3"]).output().unwrap();
@@ -629,6 +682,11 @@ fn run_rejects_nonsense_scenario_flag_combinations() {
         ),
         (&["--reliable"], "add --loss or --delay"),
         (&["--stall-rounds", "8"], "--mode event"),
+        (
+            &["--n", "10", "--l", "9223372036854775807", "--alpha", "2"],
+            "overflows",
+        ),
+        (&["--n", "10", "--mode", "async"], "unknown execution mode"),
     ];
     for (args, needle) in cases {
         let out = hinet().arg("run").args(*args).output().unwrap();

@@ -9,6 +9,7 @@
 //! tests/corpus`); this test keeps `cargo test` self-contained.
 
 use hinet::fuzz::replay_corpus;
+use hinet::scenario::ScenarioFile;
 use std::path::Path;
 
 #[test]
@@ -37,4 +38,29 @@ fn every_archived_offender_reproduces_its_recorded_outcome() {
             "the corpus must retain at least one '{kind}' offender"
         );
     }
+}
+
+/// Every archived file is in canonical form: parsing and re-rendering it
+/// reproduces the file byte for byte, so the corpus cannot drift from
+/// the writer.
+#[test]
+fn every_archived_file_re_renders_byte_identically() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    let mut checked = 0;
+    for entry in std::fs::read_dir(&dir).expect("tests/corpus readable") {
+        let path = entry.unwrap().path();
+        if path.extension().is_none_or(|x| x != "scenario") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let file = ScenarioFile::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(
+            file.render(),
+            text,
+            "{} is not in canonical form",
+            path.display()
+        );
+        checked += 1;
+    }
+    assert!(checked > 0, "tests/corpus/ must hold scenario files");
 }

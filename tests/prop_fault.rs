@@ -35,7 +35,6 @@ fn scenario(algorithm: &str, dynamics: &str, n: usize, k: usize, seed: u64) -> S
         seed,
         algorithm: algorithm.into(),
         dynamics: dynamics.into(),
-        t,
         budget: 4 * n + 4 * t,
         loss_ppm: 0,
         crash_ppm: 0,

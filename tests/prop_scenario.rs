@@ -1,182 +1,116 @@
-//! Round-trip property suite for the scenario layer, on the seeded
-//! `hinet_rt::check` harness (replay any failure with
+//! Round-trip and robustness property suite for the scenario layer, on
+//! the seeded `hinet_rt::check` harness (replay any failure with
 //! `HINET_CHECK_SEED=<seed printed on failure>`).
 //!
-//! Two identities, exercised across every algorithm × dynamics pairing
-//! and a menu of non-trivial fault plans:
+//! Scenarios are drawn knob by knob from the knob table's own mutation
+//! menus (`hinet::knobs::KNOBS`), so a new knob is covered as soon as it
+//! has a row. Three properties:
 //!
 //! * `Scenario::from_flags → stamp_meta → from_meta` is the identity —
 //!   whatever the CLI accepts, a recorded trace describes exactly;
 //! * `ScenarioFile::render → parse` is the identity — whatever the
-//!   fuzzer archives, a later replay loads exactly.
+//!   fuzzer archives, a later replay loads exactly;
+//! * byte-mutated scenario files and trace headers parse to `Ok` or
+//!   `Err` and never panic.
 //!
-//! Neither identity requires running a simulation, so the suite sweeps
-//! the whole combination space cheaply.
+//! None of them runs a simulation, so the suite sweeps the whole
+//! combination space cheaply.
 
-use hinet::rt::check::check;
-use hinet::rt::flags::{flag, parse_flags, FlagSpec};
+use hinet::knobs::{scenario_flags, Field, KNOBS};
+use hinet::rt::check::{check, CaseCtx};
+use hinet::rt::flags::parse_flags;
 use hinet::rt::obs::{ObsConfig, ParsedTrace, Tracer};
-use hinet::scenario::{Scenario, ScenarioFile, ALGORITHMS, DYNAMICS, RETRANSMIT_ALGORITHMS};
+use hinet::rt::rng::{Rng, Xoshiro256StarStar};
+use hinet::scenario::{Scenario, ScenarioFile, ALGORITHMS, DYNAMICS};
+use hinet_sim::ExecMode;
 
-/// The scenario subset of the CLI's `run`/`trace` flag tables.
-const SCENARIO_FLAGS: &[FlagSpec] = &[
-    flag("algorithm", true, ""),
-    flag("dynamics", true, ""),
-    flag("n", true, ""),
-    flag("k", true, ""),
-    flag("alpha", true, ""),
-    flag("l", true, ""),
-    flag("theta", true, ""),
-    flag("seed", true, ""),
-    flag("budget", true, ""),
-    flag("loss", true, ""),
-    flag("crash-rate", true, ""),
-    flag("crash-at", true, ""),
-    flag("partition", true, ""),
-    flag("down-rounds", true, ""),
-    flag("target-heads", false, ""),
-    flag("fault-seed", true, ""),
-    flag("retransmit", false, ""),
-    flag("durable-tokens", false, ""),
-    flag("delay", true, ""),
-    flag("max-delay", true, ""),
-    flag("dup", true, ""),
-    flag("reorder", false, ""),
-    flag("reliable", false, ""),
-    flag("stall-rounds", true, ""),
-    flag("mode", true, ""),
-];
+/// A valid scenario on a random algorithm and dynamics model, with every
+/// knob drawn from its mutation menu: two passes over the table, each
+/// knob mutated with probability ½ and the mutation kept only when the
+/// scenario still validates.
+fn random_scenario(ctx: &mut CaseCtx) -> Scenario {
+    let mut base = Scenario {
+        algorithm: ctx.pick(ALGORITHMS).to_string(),
+        dynamics: ctx.pick(DYNAMICS).to_string(),
+        n: 14,
+        k: 3,
+        alpha: 2,
+        l: 2,
+        theta: 5,
+        ..Scenario::defaults()
+    };
+    base.budget = base.derived_budget();
+    let mut rng = Xoshiro256StarStar::seed_from_u64(ctx.next_u64());
+    let mut sc = base.clone();
+    for _ in 0..2 {
+        for knob in KNOBS {
+            if rng.random_bool(0.5) {
+                let mut cand = sc.clone();
+                knob.apply_mutation(&mut cand, &mut rng, &base);
+                if cand.validate().is_ok() {
+                    sc = cand;
+                }
+            }
+        }
+    }
+    sc
+}
 
-/// A named non-trivial fault plan, as extra CLI arguments.
-const FAULT_COMBOS: &[(&str, &[&str])] = &[
-    ("loss", &["--loss", "0.05", "--fault-seed", "7"]),
-    ("hazard", &["--crash-rate", "0.01", "--fault-seed", "3"]),
-    (
-        "assassin",
-        &[
-            "--crash-rate",
-            "0.02",
-            "--target-heads",
-            "--down-rounds",
-            "3",
-        ],
-    ),
-    ("scheduled", &["--crash-at", "2:0,5:3", "--durable-tokens"]),
-    ("partition", &["--partition", "0:6:4,9:12:7"]),
-    (
-        "chaos",
-        &[
-            "--delay",
-            "0.03",
-            "--max-delay",
-            "3",
-            "--dup",
-            "0.02",
-            "--reorder",
-            "--fault-seed",
-            "5",
-        ],
-    ),
-    (
-        "reliable",
-        &[
-            "--loss",
-            "0.05",
-            "--delay",
-            "0.02",
-            "--max-delay",
-            "2",
-            "--reliable",
-            "--fault-seed",
-            "9",
-        ],
-    ),
-    (
-        "everything",
-        &[
-            "--loss",
-            "0.1",
-            "--crash-rate",
-            "0.005",
-            "--crash-at",
-            "1:2",
-            "--partition",
-            "3:9:5",
-            "--fault-seed",
-            "11",
-            "--down-rounds",
-            "2",
-            "--budget",
-            "77",
-        ],
-    ),
-];
+/// The CLI spelling of `sc`: one flag per knob, switches only when on.
+fn flag_args(sc: &Scenario) -> Vec<String> {
+    let mut args = Vec::new();
+    for knob in KNOBS {
+        let flag = format!("--{}", knob.flag);
+        match knob.field {
+            Field::Switch(get, _) if *get(sc) => args.push(flag),
+            Field::Switch(..) => {}
+            Field::Ppm(get, _) => args.extend([flag, (*get(sc) as f64 / 1e6).to_string()]),
+            field => args.extend([flag, field.render(sc)]),
+        }
+    }
+    args
+}
 
-fn scenario_from_args(args: &[String]) -> Scenario {
-    let (pos, flags) = parse_flags(SCENARIO_FLAGS, args).expect("test args must parse");
-    assert!(pos.is_empty());
-    Scenario::from_flags(&flags).unwrap_or_else(|e| panic!("args {args:?} must validate: {e}"))
+/// `sc`'s trace header: the scenario's own stamps, plus the `mode` stamp
+/// the event driver adds.
+fn stamped(sc: &Scenario) -> String {
+    let mut tracer = Tracer::new(ObsConfig::full());
+    sc.stamp_meta(&mut tracer);
+    if sc.mode == ExecMode::Event {
+        tracer.meta("mode", "event");
+    }
+    tracer.run_end(0, true);
+    tracer.to_jsonl()
 }
 
 #[test]
 fn from_flags_stamp_meta_from_meta_is_the_identity() {
-    check("scenario_meta_round_trip", 16, |ctx| {
-        let &algorithm = ctx.pick(ALGORITHMS);
-        let &dynamics = ctx.pick(DYNAMICS);
-        let &(combo, fault_args) = ctx.pick(FAULT_COMBOS);
-        let &seed = ctx.pick(&[1u64, 42, 977]);
-        let mut args: Vec<String> = [
-            "--algorithm",
-            algorithm,
-            "--dynamics",
-            dynamics,
-            "--n",
-            "14",
-            "--k",
-            "3",
-            "--alpha",
-            "2",
-            "--l",
-            "2",
-            "--theta",
-            "5",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        args.extend(["--seed".to_string(), seed.to_string()]);
-        args.extend(fault_args.iter().map(|s| s.to_string()));
-        // The ARQ wrapper only exists for the HiNet algorithms; everywhere
-        // else the flag is (correctly) rejected, so only add it there —
-        // and never alongside the generalised --reliable layer, which it
-        // conflicts with.
-        if RETRANSMIT_ALGORITHMS.contains(&algorithm) && !fault_args.contains(&"--reliable") {
-            args.push("--retransmit".to_string());
-        }
-        let sc = scenario_from_args(&args);
+    check("scenario_meta_round_trip", 96, |ctx| {
+        let sc = random_scenario(ctx);
+        let args = flag_args(&sc);
+        let (pos, flags) = parse_flags(&scenario_flags(), &args).expect("test args must parse");
+        assert!(pos.is_empty());
+        let from_flags = Scenario::from_flags(&flags)
+            .unwrap_or_else(|e| panic!("args {args:?} must validate: {e}"));
+        assert_eq!(from_flags, sc, "from_flags({args:?}) differs from sc");
 
-        // Identity 1: CLI → trace metadata → scenario.
-        let mut tracer = Tracer::new(ObsConfig::full());
-        sc.stamp_meta(&mut tracer);
-        tracer.run_end(0, true);
-        let parsed = ParsedTrace::parse_jsonl(&tracer.to_jsonl()).expect("meta trace parses");
+        let parsed = ParsedTrace::parse_jsonl(&stamped(&sc)).expect("meta trace parses");
         let rebuilt = Scenario::from_meta(&parsed).expect("stamped meta must reconstruct");
         assert_eq!(
             rebuilt, sc,
-            "{algorithm} on {dynamics} with the '{combo}' plan (seed={seed}): \
-             from_meta(stamp_meta(sc)) differs from sc"
+            "from_meta(stamp_meta(sc)) differs from sc = {args:?}"
         );
+    });
+}
 
-        // Identity 2: scenario file writer → parser.
+#[test]
+fn render_parse_is_the_identity() {
+    check("scenario_file_round_trip", 96, |ctx| {
+        let sc = random_scenario(ctx);
         let file = ScenarioFile::new(sc.clone());
         let reparsed = ScenarioFile::parse(&file.render())
             .unwrap_or_else(|e| panic!("rendered file must parse: {e}\n{}", file.render()));
-        assert_eq!(
-            reparsed.scenario, sc,
-            "{algorithm} on {dynamics} with the '{combo}' plan (seed={seed}): \
-             parse(render(sc)) differs from sc"
-        );
-        assert_eq!(reparsed.expect, None);
+        assert_eq!(reparsed, file, "parse(render(sc)) differs from sc");
     });
 }
 
@@ -185,32 +119,97 @@ fn from_flags_stamp_meta_from_meta_is_the_identity() {
 #[test]
 fn expect_outcome_survives_render_parse() {
     check("scenario_expect_round_trip", 12, |ctx| {
-        let &algorithm = ctx.pick(&["alg1", "alg2", "rlnc"]);
         let &expect = ctx.pick(&[
             "completed (round 6)",
             "stalled (budget exhausted)",
             "assumption-violated (def 2)",
         ]);
-        let sc = scenario_from_args(&[
-            "--algorithm".to_string(),
-            algorithm.to_string(),
-            "--n".to_string(),
-            "12".to_string(),
-            "--k".to_string(),
-            "2".to_string(),
-            "--alpha".to_string(),
-            "2".to_string(),
-            "--l".to_string(),
-            "1".to_string(),
-            "--theta".to_string(),
-            "4".to_string(),
-        ]);
         let file = ScenarioFile {
-            scenario: sc,
+            scenario: random_scenario(ctx),
             expect: Some(expect.to_string()),
         };
         let reparsed = ScenarioFile::parse(&file.render()).expect("rendered file parses");
         assert_eq!(reparsed.expect.as_deref(), Some(expect));
         assert_eq!(reparsed.scenario, file.scenario);
+    });
+}
+
+/// Apply 1–4 edits to `text`: replace a run of digits with a boundary
+/// value, or replace, insert or delete one byte (favouring bytes that are
+/// meaningful to the two grammars).
+fn mutate_bytes(ctx: &mut CaseCtx, text: &str) -> String {
+    const BOUNDARY: &[&str] = &[
+        "0",
+        "1",
+        "2",
+        "",
+        "1000001",
+        "4294967296",
+        "18446744073709551615",
+    ];
+    const ALPHABET: &[u8] = b"0123456789-:,=\"{}[] \n.e#";
+    let mut bytes = text.as_bytes().to_vec();
+    for _ in 0..ctx.random_range(1usize..=4) {
+        let digit_runs: Vec<(usize, usize)> = bytes
+            .iter()
+            .enumerate()
+            .filter(|&(i, b)| b.is_ascii_digit() && (i == 0 || !bytes[i - 1].is_ascii_digit()))
+            .map(|(start, _)| {
+                let len = bytes[start..]
+                    .iter()
+                    .take_while(|b| b.is_ascii_digit())
+                    .count();
+                (start, start + len)
+            })
+            .collect();
+        if !digit_runs.is_empty() && ctx.random_bool(0.5) {
+            let &(start, end) = ctx.pick(&digit_runs);
+            let value = ctx.pick(BOUNDARY).as_bytes();
+            bytes.splice(start..end, value.iter().copied());
+            continue;
+        }
+        let at = ctx.random_range(0..=bytes.len());
+        let byte = if ctx.random_bool(0.8) {
+            *ctx.pick(ALPHABET)
+        } else {
+            ctx.next_u64() as u8
+        };
+        match ctx.random_range(0usize..3) {
+            0 if at < bytes.len() => bytes[at] = byte,
+            1 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => bytes.insert(at, byte),
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+#[test]
+fn byte_mutated_files_and_headers_never_panic() {
+    let goldens: Vec<String> = ["alg1", "alg2", "klo-flood", "klo-phased", "remark1", "rlnc"]
+        .iter()
+        .map(|name| {
+            let path = format!("{}/tests/golden/{name}.jsonl", env!("CARGO_MANIFEST_DIR"));
+            std::fs::read_to_string(path).expect("golden readable")
+        })
+        .collect();
+    check("scenario_parsers_survive_byte_mutation", 512, |ctx| {
+        let sc = random_scenario(ctx);
+        let file = mutate_bytes(ctx, &ScenarioFile::new(sc.clone()).render());
+        let _ = ScenarioFile::parse(&file);
+
+        let trace = if ctx.random_bool(0.5) {
+            ctx.pick(&goldens).clone()
+        } else {
+            stamped(&sc)
+        };
+        let (header, events) = trace.split_once('\n').unwrap();
+        let trace = format!("{}\n{events}", mutate_bytes(ctx, header));
+        if let Ok(parsed) = ParsedTrace::parse_jsonl(&trace) {
+            if let Ok(sc) = Scenario::from_meta(&parsed) {
+                let _ = sc.kind();
+            }
+        }
     });
 }

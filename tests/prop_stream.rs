@@ -352,7 +352,7 @@ fn corpus_scenarios_stream_equals_batch() {
         let mut provider = sc.provider(&kind).expect("corpus scenario provider");
         let rounds = sc.budget.clamp(1, 48);
         let trace = CtvgTrace::capture(provider.as_mut(), rounds);
-        assert_stream_matches_batch(&trace, sc.t, sc.l);
+        assert_stream_matches_batch(&trace, sc.t(), sc.l);
         checked += 1;
     }
     assert!(
