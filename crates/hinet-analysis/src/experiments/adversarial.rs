@@ -23,7 +23,7 @@ use hinet_sim::token::single_source_assignment;
 /// not just send-suppression heuristics. (Memoryless per-round churn also
 /// defeats delta-flooding — links vanish before the news crosses them —
 /// which only sharpens the point.)
-pub fn e13_quiescence_trap() -> ExperimentResult {
+pub(crate) fn e13_quiescence_trap() -> ExperimentResult {
     let n = 30;
     let budget = 4 * n; // generous: n−1 suffices for the guaranteed one
     let assignment = single_source_assignment(n, 1, 0);

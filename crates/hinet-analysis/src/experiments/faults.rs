@@ -33,7 +33,7 @@ const LOSS_PPM: [u32; 3] = [0, 50_000, 100_000];
 /// fungible. Losses are charged to the sender (the packet was on the air),
 /// so the `tokens sent` column shows what the channel consumed, not what
 /// arrived.
-pub fn e17_loss_resilience() -> ExperimentResult {
+pub(crate) fn e17_loss_resilience() -> ExperimentResult {
     let n = 60;
     let k = 8;
     let budget = 3 * n;

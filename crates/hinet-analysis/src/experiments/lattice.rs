@@ -23,7 +23,7 @@ struct Implication {
 /// definition holds, all of its children must hold. A single violation
 /// falsifies the verifier stack (the property tests at workspace level do
 /// the same with random parameters).
-pub fn e4_definition_lattice() -> ExperimentResult {
+pub(crate) fn e4_definition_lattice() -> ExperimentResult {
     let mut imps = vec![
         Implication {
             name: "Def 8 ⇒ Def 4 (stable hierarchy)",

@@ -36,7 +36,7 @@ fn slow_field(n: usize, seed: u64) -> RandomWaypointGen {
 /// every round) but adds growth-triggered member relays; the experiment
 /// measures where the balance falls and reports the measured head counts
 /// alongside the costs.
-pub fn e14_multihop_clusters() -> ExperimentResult {
+pub(crate) fn e14_multihop_clusters() -> ExperimentResult {
     let n = 70;
     let k = 8;
     let budget = n - 1;

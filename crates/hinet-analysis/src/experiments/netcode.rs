@@ -23,7 +23,7 @@ const SEEDS: [u64; 3] = [3, 17, 59];
 /// the HiNet hierarchy attacks an orthogonal axis — *who* transmits —
 /// so its savings stack conceptually with coding, which the paper's
 /// related-work section hints at via \[8\].
-pub fn e15_network_coding() -> ExperimentResult {
+pub(crate) fn e15_network_coding() -> ExperimentResult {
     let n = 60;
     let k = 8;
     let budget = 3 * n;

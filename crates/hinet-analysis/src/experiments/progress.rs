@@ -17,7 +17,7 @@ use hinet_sim::token::round_robin_assignment;
 /// S-curves completing in a handful of rounds (Algorithm 2's curve tracks
 /// flooding at a fraction of the traffic since only the backbone speaks);
 /// gossip's curve has a long stochastic tail.
-pub fn e16_progress_curves() -> ExperimentResult {
+pub(crate) fn e16_progress_curves() -> ExperimentResult {
     let n = 50;
     let k = 6;
     let seed = 12;

@@ -88,7 +88,7 @@ pub fn e3_simulated_table3() -> ExperimentResult {
 
 /// E11: ablation — Remark 1's ∞-stable-heads variant against plain
 /// Algorithm 1 on the same stable-head dynamics.
-pub fn e11_remark1_ablation() -> ExperimentResult {
+pub(crate) fn e11_remark1_ablation() -> ExperimentResult {
     let p = ModelParams::table3();
     let pairs: Vec<(ScenarioReport, ScenarioReport)> = run_sweep(&SEEDS, 0, |&seed| {
         (
@@ -139,7 +139,7 @@ pub fn e11_remark1_ablation() -> ExperimentResult {
 /// E12: the paper's future-work direction — clusters over an
 /// edge-Markovian dynamic graph. Algorithm 2 over an emergent (lowest-ID)
 /// hierarchy vs flat KLO flooding, on identical EMDG dynamics.
-pub fn e12_emdg_clusters() -> ExperimentResult {
+pub(crate) fn e12_emdg_clusters() -> ExperimentResult {
     let n = 60;
     let k = 6;
     let outcomes: Vec<(u64, u64, u64, u64)> = run_sweep(&SEEDS, 0, |&seed| {

@@ -14,7 +14,7 @@ use hinet_core::analysis::{self, ModelParams};
 const SIM_SEED: u64 = 7;
 
 /// Table-3-proportioned parameters scaled to network size `n`.
-pub fn params_for_n(n: u64) -> ModelParams {
+pub(crate) fn params_for_n(n: u64) -> ModelParams {
     ModelParams {
         n0: n,
         theta: (3 * n / 10).max(2),
@@ -81,7 +81,7 @@ fn sweep_over<I: Sync>(
 }
 
 /// E5: cost vs network size `n₀` with Table-3 proportions held fixed.
-pub fn e5_sweep_n() -> ExperimentResult {
+pub(crate) fn e5_sweep_n() -> ExperimentResult {
     let ns: Vec<u64> = vec![40, 80, 120, 160, 200];
     sweep_over(
         "E5",
@@ -98,7 +98,7 @@ pub fn e5_sweep_n() -> ExperimentResult {
 }
 
 /// E6: cost vs token count `k`.
-pub fn e6_sweep_k() -> ExperimentResult {
+pub(crate) fn e6_sweep_k() -> ExperimentResult {
     let ks: Vec<u64> = vec![2, 4, 8, 16, 32];
     let base = ModelParams::table3();
     sweep_over(
@@ -118,7 +118,7 @@ pub fn e6_sweep_k() -> ExperimentResult {
 /// E7: cost vs progress coefficient `α` — the stability/time trade-off:
 /// higher α demands a longer stable window `T = k + αL` but buys fewer
 /// phases.
-pub fn e7_sweep_alpha() -> ExperimentResult {
+pub(crate) fn e7_sweep_alpha() -> ExperimentResult {
     let alphas: Vec<u64> = vec![1, 2, 5, 10, 15];
     let base = ModelParams::table3();
     sweep_over(
@@ -137,7 +137,7 @@ pub fn e7_sweep_alpha() -> ExperimentResult {
 }
 
 /// E8: cost vs hop bound `L` of cluster-head connectivity.
-pub fn e8_sweep_l() -> ExperimentResult {
+pub(crate) fn e8_sweep_l() -> ExperimentResult {
     let ls: Vec<u64> = vec![1, 2, 3, 4];
     let base = ModelParams::table3();
     sweep_over(
@@ -157,7 +157,7 @@ pub fn e8_sweep_l() -> ExperimentResult {
 
 /// E9: cost vs re-affiliation churn `n_r` — the axis where the hierarchy's
 /// advantage erodes, including the crossover point.
-pub fn e9_sweep_churn() -> ExperimentResult {
+pub(crate) fn e9_sweep_churn() -> ExperimentResult {
     let nrs: Vec<u64> = vec![0, 2, 4, 8, 16, 32, 64];
     let base = ModelParams::table3();
     let rows = run_sweep(&nrs, 0, |&n_r| {
@@ -212,7 +212,7 @@ pub fn e9_sweep_churn() -> ExperimentResult {
 
 /// E10: the headline claim — communication reduction across an (n₀, k)
 /// grid, analytic, with the maximum called out.
-pub fn e10_headline() -> ExperimentResult {
+pub(crate) fn e10_headline() -> ExperimentResult {
     let ns: [u64; 4] = [50, 100, 200, 400];
     let ks: [u64; 4] = [2, 8, 32, 128];
     let mut table = Table::new(

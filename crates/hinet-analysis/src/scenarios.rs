@@ -51,7 +51,7 @@ fn default_cfg() -> RunConfig<'static> {
 /// model's `n_m` members: members = `n − h·L + (L−1)`, so
 /// `h = (n + L − 1 − n_m) / L`, clamped to `[1, θ]` and to the backbone
 /// feasibility bound.
-pub fn heads_for_members(p: &ModelParams) -> usize {
+fn heads_for_members(p: &ModelParams) -> usize {
     let (n, l, n_m) = (p.n0 as usize, p.l as usize, p.n_m as usize);
     let raw = (n + l - 1).saturating_sub(n_m) / l;
     raw.clamp(1, p.theta as usize)
@@ -84,7 +84,7 @@ pub fn hinet_config(p: &ModelParams, t: usize, rotate_heads: bool, seed: u64) ->
 }
 
 /// Row 1 — flat KLO on a `(k+αL)`-interval-connected adversary.
-pub fn run_klo_t_interval(p: &ModelParams, seed: u64) -> ScenarioReport {
+pub(crate) fn run_klo_t_interval(p: &ModelParams, seed: u64) -> ScenarioReport {
     let plan: PhasePlan = klo_plan(p.k as usize, p.alpha as usize, p.l as usize, p.n0 as usize);
     let gen = TIntervalGen::new(
         p.n0 as usize,
@@ -163,7 +163,7 @@ pub fn run_remark1(p: &ModelParams, seed: u64) -> ScenarioReport {
 }
 
 /// Row 3 — flat KLO full flooding on a 1-interval-connected adversary.
-pub fn run_klo_1interval(p: &ModelParams, seed: u64) -> ScenarioReport {
+pub(crate) fn run_klo_1interval(p: &ModelParams, seed: u64) -> ScenarioReport {
     let n = p.n0 as usize;
     let gen = OneIntervalGen::new(n, true, n / 5, seed);
     let mut provider = FlatProvider::new(gen);
@@ -183,7 +183,7 @@ pub fn run_klo_1interval(p: &ModelParams, seed: u64) -> ScenarioReport {
 }
 
 /// Row 4 — Algorithm 2 on a (1, L)-HiNet.
-pub fn run_hinet_1l(p: &ModelParams, seed: u64) -> ScenarioReport {
+pub(crate) fn run_hinet_1l(p: &ModelParams, seed: u64) -> ScenarioReport {
     let n = p.n0 as usize;
     let mut cfg = hinet_config(p, 1, true, seed);
     cfg.reaffil_prob = reaffil_prob_for(p, n - 1);

@@ -53,8 +53,6 @@ impl CsrGraph {
     }
 
     /// Single-source BFS distances; `u32::MAX` marks unreachable nodes.
-    ///
-    /// Scratch-free convenience wrapper around [`CsrGraph::bfs_into`].
     pub fn bfs(&self, src: NodeId) -> Vec<u32> {
         let mut dist = vec![u32::MAX; self.n()];
         let mut queue = Vec::with_capacity(self.n());
@@ -67,7 +65,7 @@ impl CsrGraph {
     /// `dist` must have length `n` and is fully overwritten; `queue` is
     /// cleared. Reuse avoids an allocation per snapshot when verifying long
     /// traces.
-    pub fn bfs_into(&self, src: NodeId, dist: &mut [u32], queue: &mut Vec<NodeId>) {
+    fn bfs_into(&self, src: NodeId, dist: &mut [u32], queue: &mut Vec<NodeId>) {
         assert_eq!(dist.len(), self.n());
         dist.fill(u32::MAX);
         queue.clear();

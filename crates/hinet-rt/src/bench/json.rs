@@ -1,6 +1,6 @@
-//! A minimal JSON tree, writer, and parser — just enough for the
-//! `BENCH_*.json` artifacts (objects, arrays, strings, f64 numbers, bools,
-//! null) without a registry dependency. Numbers round-trip exactly for the
+//! A minimal JSON tree, writer, and parser — just enough for the trace
+//! artifacts and benchmark reports (objects, arrays, strings, f64 numbers,
+//! bools, null) without a registry dependency. Numbers round-trip exactly for the
 //! integer range the artifacts use (|x| < 2⁵³).
 
 use std::fmt;

@@ -1,728 +1,40 @@
-//! A zero-dependency timing harness: the in-tree replacement for criterion.
-//!
-//! Benchmarks keep the shape they had under criterion — a suite function
-//! receives a [`Bench`], opens [`Group`]s, and registers closures against a
-//! [`Bencher`] — so porting a criterion bench file is mechanical:
-//!
-//! ```
-//! use hinet_rt::bench::{Bench, BenchConfig, BenchmarkId};
-//!
-//! fn suite(c: &mut Bench) {
-//!     let mut group = c.benchmark_group("example");
-//!     group.sample_size(10);
-//!     group.bench_function("fib_10", |b| b.iter(|| (1..10u64).product::<u64>()));
-//!     group.bench_with_input(BenchmarkId::new("sum", 100), &100u64, |b, &n| {
-//!         b.iter(|| (0..n).sum::<u64>())
-//!     });
-//!     group.finish();
-//! }
-//!
-//! let mut bench = Bench::new(BenchConfig::fast());
-//! suite(&mut bench);
-//! assert_eq!(bench.take_results().len(), 2);
-//! ```
-//!
-//! Measurement model: a monotonic-clock warmup estimates the cost of one
-//! iteration, [`stats::calibrate_batch`] turns that estimate into an
-//! iteration batch per timing sample, and the sample set is summarised with
-//! outlier-robust statistics ([`stats::Stats`]). Every benchmark runs under
-//! a wall-clock budget: sampling stops early (keeping at least
-//! [`MIN_SAMPLES`]) once the budget is spent, so a slow benchmark degrades
-//! to fewer samples instead of hanging the suite.
-//!
-//! Results serialise to `BENCH_<suite>.json` ([`SuiteReport`]) with
-//! environment metadata, and [`compare`] implements the `--baseline`
-//! regression gate over the medians.
+//! The small pieces a benchmark report needs without a registry
+//! dependency: a JSON tree with its writer and parser ([`json`]), which
+//! the trace artifacts and `perfbench` reports share, and the
+//! outlier-robust [`median`] that `perfbench` summarises its runs with.
 
 pub mod json;
-pub mod stats;
 
-pub use stats::{calibrate_batch, median, percentile, Stats};
-
-use json::Json;
-use std::collections::BTreeSet;
-use std::fmt::Display;
-use std::hint::black_box;
-use std::time::{Duration, Instant};
-
-/// Samples always collected before the wall-clock budget may stop a
-/// benchmark early (a median needs a few points to mean anything).
-pub const MIN_SAMPLES: usize = 5;
-
-/// Default per-benchmark sample count (groups may override).
-pub const DEFAULT_SAMPLE_SIZE: usize = 20;
-
-/// Harness-level configuration (one per [`Bench`]).
-#[derive(Clone, Debug)]
-pub struct BenchConfig {
-    /// Overrides every group's sample count when set (`--sample-size`).
-    pub sample_size_override: Option<usize>,
-    /// Wall-clock budget per benchmark, warmup included (`--budget-ms`).
-    pub budget: Duration,
-    /// Suppress per-benchmark result lines (artifacts are unaffected).
-    pub quiet: bool,
-}
-
-impl Default for BenchConfig {
-    fn default() -> Self {
-        BenchConfig {
-            sample_size_override: None,
-            budget: Duration::from_millis(2000),
-            quiet: false,
-        }
-    }
-}
-
-impl BenchConfig {
-    /// A configuration for smoke tests: tiny budget, few samples, quiet.
-    pub fn fast() -> Self {
-        BenchConfig {
-            sample_size_override: Some(MIN_SAMPLES),
-            budget: Duration::from_millis(20),
-            quiet: true,
-        }
-    }
-}
-
-/// One measured benchmark, ready for the JSON artifact.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BenchResult {
-    /// Full id: `group/function` or `group/function/param`.
-    pub id: String,
-    /// Timing samples actually collected.
-    pub samples: usize,
-    /// Iterations batched into each sample.
-    pub iters_per_sample: u64,
-    /// Per-iteration summary statistics.
-    pub stats: Stats,
-}
-
-/// The harness handle a suite function receives (criterion's `Criterion`).
-pub struct Bench {
-    cfg: BenchConfig,
-    results: Vec<BenchResult>,
-    printed: BTreeSet<String>,
-}
-
-impl Bench {
-    /// A harness with the given configuration.
-    pub fn new(cfg: BenchConfig) -> Self {
-        Bench {
-            cfg,
-            results: Vec::new(),
-            printed: BTreeSet::new(),
-        }
-    }
-
-    /// Open a named benchmark group (ids become `name/...`).
-    pub fn benchmark_group(&mut self, name: impl Into<String>) -> Group<'_> {
-        Group {
-            name: name.into(),
-            sample_size: DEFAULT_SAMPLE_SIZE,
-            bench: self,
-        }
-    }
-
-    /// Print a reproduction table once per harness, keyed by `key` — the
-    /// harness-owned replacement for the old caller-supplied
-    /// `static Once` + `print_once` pattern. Suites may be invoked any
-    /// number of times; `render` runs only on the first call for its key.
-    pub fn print_table(&mut self, key: &str, render: impl FnOnce() -> String) {
-        if self.printed.insert(key.to_string()) && !self.cfg.quiet {
-            println!("\n{}", render());
-        }
-    }
-
-    /// Drain the results measured so far.
-    pub fn take_results(&mut self) -> Vec<BenchResult> {
-        std::mem::take(&mut self.results)
-    }
-
-    fn run_one(&mut self, id: String, sample_size: usize, f: impl FnOnce(&mut Bencher)) {
-        let mut bencher = Bencher {
-            sample_size,
-            budget: self.cfg.budget,
-            samples: Vec::new(),
-            iters_per_sample: 0,
-        };
-        f(&mut bencher);
-        if bencher.samples.is_empty() {
-            // The closure never called `iter` — nothing to record.
-            if !self.cfg.quiet {
-                println!("{id:<44}  skipped (no iter() call)");
-            }
-            return;
-        }
-        let stats = Stats::from_samples(&bencher.samples);
-        if !self.cfg.quiet {
-            println!(
-                "{id:<44}  median {:>9}  min {:>9}  p95 {:>9}  ({} samples x {} iters)",
-                fmt_ns(stats.median_ns),
-                fmt_ns(stats.min_ns),
-                fmt_ns(stats.p95_ns),
-                bencher.samples.len(),
-                bencher.iters_per_sample,
-            );
-        }
-        self.results.push(BenchResult {
-            id,
-            samples: bencher.samples.len(),
-            iters_per_sample: bencher.iters_per_sample,
-            stats,
-        });
-    }
-}
-
-/// Group sample-size override is applied via [`Group::sample_size`]; the
-/// harness-level `--sample-size` flag wins over both.
-pub struct Group<'a> {
-    bench: &'a mut Bench,
-    name: String,
-    sample_size: usize,
-}
-
-impl Group<'_> {
-    /// Set the sample count for subsequent benchmarks in this group.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = n.max(1);
-        self
-    }
-
-    /// Measure one benchmark.
-    pub fn bench_function(
-        &mut self,
-        id: impl Into<BenchmarkId>,
-        f: impl FnOnce(&mut Bencher),
-    ) -> &mut Self {
-        let id = id.into().full_id(&self.name);
-        let sample_size = self.effective_sample_size();
-        self.bench.run_one(id, sample_size, f);
-        self
-    }
-
-    /// Measure one benchmark parameterised by `input` (criterion's
-    /// `bench_with_input`; the input only feeds the closure, the id's
-    /// parameter half carries it into the artifact).
-    pub fn bench_with_input<I: ?Sized>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        f: impl FnOnce(&mut Bencher, &I),
-    ) -> &mut Self {
-        let id = id.full_id(&self.name);
-        let sample_size = self.effective_sample_size();
-        self.bench.run_one(id, sample_size, |b| f(b, input));
-        self
-    }
-
-    /// Close the group (symmetry with criterion; all work is eager).
-    pub fn finish(self) {}
-
-    fn effective_sample_size(&self) -> usize {
-        self.bench
-            .cfg
-            .sample_size_override
-            .unwrap_or(self.sample_size)
-            .max(1)
-    }
-}
-
-/// A benchmark id: function name plus an optional parameter rendering.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BenchmarkId {
-    function: String,
-    param: Option<String>,
-}
-
-impl BenchmarkId {
-    /// `function/parameter` id (criterion's constructor).
-    pub fn new(function: impl Display, param: impl Display) -> Self {
-        BenchmarkId {
-            function: function.to_string(),
-            param: Some(param.to_string()),
-        }
-    }
-
-    fn full_id(&self, group: &str) -> String {
-        match &self.param {
-            Some(p) => format!("{group}/{}/{p}", self.function),
-            None => format!("{group}/{}", self.function),
-        }
-    }
-}
-
-impl From<&str> for BenchmarkId {
-    fn from(function: &str) -> Self {
-        BenchmarkId {
-            function: function.to_string(),
-            param: None,
-        }
-    }
-}
-
-impl From<String> for BenchmarkId {
-    fn from(function: String) -> Self {
-        BenchmarkId {
-            function,
-            param: None,
-        }
-    }
-}
-
-/// The measurement handle passed to benchmark closures.
-pub struct Bencher {
-    sample_size: usize,
-    budget: Duration,
-    samples: Vec<f64>,
-    iters_per_sample: u64,
-}
-
-impl Bencher {
-    /// Measure `f`: warm up on the monotonic clock, calibrate an iteration
-    /// batch so each timing sample costs roughly `budget / sample_size`,
-    /// then collect samples until the count or the wall-clock budget is
-    /// reached (whichever comes first, but never fewer than
-    /// [`MIN_SAMPLES`]).
-    pub fn iter<T>(&mut self, mut f: impl FnMut() -> T) {
-        let start = Instant::now();
-        // Warmup: a slice of the budget, at least one iteration.
-        let warmup =
-            (self.budget / 10).clamp(Duration::from_micros(500), Duration::from_millis(200));
-        let mut warm_iters = 0u64;
-        while warm_iters == 0 || start.elapsed() < warmup {
-            black_box(f());
-            warm_iters += 1;
-        }
-        let per_iter_ns = start.elapsed().as_nanos() as f64 / warm_iters as f64;
-
-        let remaining = self.budget.saturating_sub(start.elapsed());
-        let target_sample_ns = remaining.as_nanos() as f64 / self.sample_size as f64;
-        let batch = calibrate_batch(per_iter_ns, target_sample_ns);
-
-        self.samples.clear();
-        self.iters_per_sample = batch;
-        for s in 0..self.sample_size {
-            if s >= MIN_SAMPLES && start.elapsed() >= self.budget {
-                break;
-            }
-            let t0 = Instant::now();
-            for _ in 0..batch {
-                black_box(f());
-            }
-            self.samples
-                .push(t0.elapsed().as_nanos() as f64 / batch as f64);
-        }
-    }
-}
-
-/// Human-readable nanoseconds.
-pub fn fmt_ns(ns: f64) -> String {
-    if ns < 1_000.0 {
-        format!("{ns:.1} ns")
-    } else if ns < 1_000_000.0 {
-        format!("{:.2} us", ns / 1_000.0)
-    } else if ns < 1_000_000_000.0 {
-        format!("{:.2} ms", ns / 1_000_000.0)
+/// Median of a sample set; even-length sets average the middle pair.
+///
+/// Wall-clock timings on shared machines have a one-sided noise
+/// distribution (interrupts, frequency scaling), so the median is the
+/// robust location estimate.
+///
+/// # Panics
+/// Panics if `xs` is empty.
+pub fn median(xs: &[f64]) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let n = sorted.len();
+    assert!(n > 0, "median of empty input");
+    if n % 2 == 1 {
+        sorted[n / 2]
     } else {
-        format!("{:.2} s", ns / 1_000_000_000.0)
+        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
     }
-}
-
-/// Artifact schema identifier (bump on breaking JSON changes).
-pub const SCHEMA: &str = "hinet-bench/v1";
-
-/// Environment metadata recorded in every artifact.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Meta {
-    /// `git rev-parse --short HEAD` at measurement time, or `"unknown"`.
-    pub commit: String,
-    /// `std::env::consts::OS`.
-    pub os: String,
-    /// `std::env::consts::ARCH`.
-    pub arch: String,
-    /// Seed the suites were invoked with (informational; suites derive
-    /// their own per-iteration seeds).
-    pub seed: u64,
-    /// Milliseconds since the Unix epoch at capture time.
-    pub unix_ms: u64,
-}
-
-impl Meta {
-    /// Capture the current environment.
-    pub fn capture(seed: u64) -> Meta {
-        let commit = std::process::Command::new("git")
-            .args(["rev-parse", "--short=12", "HEAD"])
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| "unknown".into());
-        let unix_ms = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0);
-        Meta {
-            commit,
-            os: std::env::consts::OS.into(),
-            arch: std::env::consts::ARCH.into(),
-            seed,
-            unix_ms,
-        }
-    }
-}
-
-/// One suite's measurements plus metadata — the `BENCH_<suite>.json` schema.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SuiteReport {
-    /// Suite name (`sweep_n`, `headline`, ...).
-    pub suite: String,
-    /// Environment metadata.
-    pub meta: Meta,
-    /// Per-benchmark results in registration order.
-    pub benchmarks: Vec<BenchResult>,
-}
-
-impl SuiteReport {
-    /// Artifact file name: `BENCH_<suite>.json`.
-    pub fn file_name(&self) -> String {
-        format!("BENCH_{}.json", self.suite)
-    }
-
-    /// Serialise to the artifact JSON (pretty-printed).
-    pub fn to_json(&self) -> String {
-        let benchmarks = self
-            .benchmarks
-            .iter()
-            .map(|b| {
-                Json::Obj(vec![
-                    ("id".into(), Json::Str(b.id.clone())),
-                    ("samples".into(), Json::Num(b.samples as f64)),
-                    (
-                        "iters_per_sample".into(),
-                        Json::Num(b.iters_per_sample as f64),
-                    ),
-                    ("min_ns".into(), Json::Num(b.stats.min_ns)),
-                    ("max_ns".into(), Json::Num(b.stats.max_ns)),
-                    ("mean_ns".into(), Json::Num(b.stats.mean_ns)),
-                    ("median_ns".into(), Json::Num(b.stats.median_ns)),
-                    ("p95_ns".into(), Json::Num(b.stats.p95_ns)),
-                ])
-            })
-            .collect();
-        let root = Json::Obj(vec![
-            ("schema".into(), Json::Str(SCHEMA.into())),
-            ("suite".into(), Json::Str(self.suite.clone())),
-            (
-                "meta".into(),
-                Json::Obj(vec![
-                    ("commit".into(), Json::Str(self.meta.commit.clone())),
-                    ("os".into(), Json::Str(self.meta.os.clone())),
-                    ("arch".into(), Json::Str(self.meta.arch.clone())),
-                    ("seed".into(), Json::Num(self.meta.seed as f64)),
-                    ("unix_ms".into(), Json::Num(self.meta.unix_ms as f64)),
-                ]),
-            ),
-            ("benchmarks".into(), Json::Arr(benchmarks)),
-        ]);
-        let mut text = root.pretty();
-        text.push('\n');
-        text
-    }
-
-    /// Parse an artifact produced by [`SuiteReport::to_json`].
-    pub fn from_json(text: &str) -> Result<SuiteReport, String> {
-        let root = Json::parse(text)?;
-        let schema = root
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("missing 'schema'")?;
-        if schema != SCHEMA {
-            return Err(format!("schema '{schema}' is not '{SCHEMA}'"));
-        }
-        let suite = root
-            .get("suite")
-            .and_then(Json::as_str)
-            .ok_or("missing 'suite'")?
-            .to_string();
-        let meta = root.get("meta").ok_or("missing 'meta'")?;
-        let meta_str = |key: &str| -> Result<String, String> {
-            meta.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or(format!("missing meta.{key}"))
-        };
-        let meta = Meta {
-            commit: meta_str("commit")?,
-            os: meta_str("os")?,
-            arch: meta_str("arch")?,
-            seed: meta
-                .get("seed")
-                .and_then(Json::as_u64)
-                .ok_or("missing meta.seed")?,
-            unix_ms: meta
-                .get("unix_ms")
-                .and_then(Json::as_u64)
-                .ok_or("missing meta.unix_ms")?,
-        };
-        let mut benchmarks = Vec::new();
-        for b in root
-            .get("benchmarks")
-            .and_then(Json::as_arr)
-            .ok_or("missing 'benchmarks'")?
-        {
-            let num = |key: &str| -> Result<f64, String> {
-                b.get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or(format!("missing benchmark field '{key}'"))
-            };
-            benchmarks.push(BenchResult {
-                id: b
-                    .get("id")
-                    .and_then(Json::as_str)
-                    .ok_or("missing benchmark 'id'")?
-                    .to_string(),
-                samples: num("samples")? as usize,
-                iters_per_sample: num("iters_per_sample")? as u64,
-                stats: Stats {
-                    min_ns: num("min_ns")?,
-                    max_ns: num("max_ns")?,
-                    mean_ns: num("mean_ns")?,
-                    median_ns: num("median_ns")?,
-                    p95_ns: num("p95_ns")?,
-                },
-            });
-        }
-        Ok(SuiteReport {
-            suite,
-            meta,
-            benchmarks,
-        })
-    }
-}
-
-/// One benchmark whose median slowed past the gate threshold.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Regression {
-    /// Benchmark id.
-    pub id: String,
-    /// Baseline median (ns/iter).
-    pub baseline_ns: f64,
-    /// Current median (ns/iter).
-    pub current_ns: f64,
-    /// Relative change in percent (positive = slower).
-    pub change_pct: f64,
-}
-
-/// Outcome of a baseline comparison.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Comparison {
-    /// Benchmarks present in both reports.
-    pub compared: usize,
-    /// Benchmarks beyond the threshold, worst first.
-    pub regressions: Vec<Regression>,
-    /// Ids present in only one of the two reports.
-    pub missing: Vec<String>,
-}
-
-/// Compare `current` medians against `baseline`, flagging anything more
-/// than `max_regress_pct` percent slower.
-pub fn compare(baseline: &SuiteReport, current: &SuiteReport, max_regress_pct: f64) -> Comparison {
-    let mut cmp = Comparison::default();
-    for cur in &current.benchmarks {
-        let Some(base) = baseline.benchmarks.iter().find(|b| b.id == cur.id) else {
-            cmp.missing.push(cur.id.clone());
-            continue;
-        };
-        cmp.compared += 1;
-        if base.stats.median_ns <= 0.0 {
-            continue; // a zero baseline cannot express a ratio
-        }
-        let change_pct = (cur.stats.median_ns / base.stats.median_ns - 1.0) * 100.0;
-        if change_pct > max_regress_pct {
-            cmp.regressions.push(Regression {
-                id: cur.id.clone(),
-                baseline_ns: base.stats.median_ns,
-                current_ns: cur.stats.median_ns,
-                change_pct,
-            });
-        }
-    }
-    for base in &baseline.benchmarks {
-        if !current.benchmarks.iter().any(|c| c.id == base.id) {
-            cmp.missing.push(base.id.clone());
-        }
-    }
-    cmp.regressions
-        .sort_by(|a, b| b.change_pct.total_cmp(&a.change_pct));
-    cmp
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny_suite(c: &mut Bench) {
-        c.print_table("tiny", || "TABLE".into());
-        let mut group = c.benchmark_group("tiny");
-        group.sample_size(6);
-        group.bench_function("sum", |b| b.iter(|| (0..64u64).sum::<u64>()));
-        group.bench_with_input(BenchmarkId::new("sum_n", 128), &128u64, |b, &n| {
-            b.iter(|| (0..n).sum::<u64>())
-        });
-        group.finish();
-    }
-
     #[test]
-    fn harness_records_ids_and_positive_stats() {
-        let mut bench = Bench::new(BenchConfig::fast());
-        tiny_suite(&mut bench);
-        let results = bench.take_results();
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].id, "tiny/sum");
-        assert_eq!(results[1].id, "tiny/sum_n/128");
-        for r in &results {
-            assert!(r.samples >= 1);
-            assert!(r.iters_per_sample >= 1);
-            assert!(r.stats.min_ns >= 0.0);
-            assert!(r.stats.min_ns <= r.stats.median_ns);
-            assert!(r.stats.median_ns <= r.stats.p95_ns);
-            assert!(r.stats.p95_ns <= r.stats.max_ns);
-        }
-        // take_results drains.
-        assert!(bench.take_results().is_empty());
-    }
-
-    #[test]
-    fn print_table_renders_once_per_key() {
-        let mut bench = Bench::new(BenchConfig {
-            quiet: false,
-            ..BenchConfig::fast()
-        });
-        let mut calls = 0;
-        for _ in 0..3 {
-            bench.print_table("t", || {
-                calls += 1;
-                String::new()
-            });
-        }
-        assert_eq!(calls, 1);
-        bench.print_table("other", || {
-            calls += 1;
-            String::new()
-        });
-        assert_eq!(calls, 2);
-    }
-
-    #[test]
-    fn budget_caps_samples_but_keeps_the_minimum() {
-        let mut bench = Bench::new(BenchConfig {
-            sample_size_override: Some(1000),
-            budget: Duration::from_millis(5),
-            quiet: true,
-        });
-        let mut group = bench.benchmark_group("slow");
-        group.bench_function("sleep", |b| {
-            b.iter(|| std::thread::sleep(Duration::from_micros(300)))
-        });
-        group.finish();
-        let results = bench.take_results();
-        assert_eq!(results.len(), 1);
-        assert!(results[0].samples >= MIN_SAMPLES);
-        assert!(results[0].samples < 1000, "budget should stop sampling");
-    }
-
-    fn sample_report() -> SuiteReport {
-        SuiteReport {
-            suite: "sweep_n".into(),
-            meta: Meta {
-                commit: "abc123def456".into(),
-                os: "linux".into(),
-                arch: "x86_64".into(),
-                seed: 42,
-                unix_ms: 1_700_000_000_000,
-            },
-            benchmarks: vec![
-                BenchResult {
-                    id: "sweep_n/alg1_vs_klo/40".into(),
-                    samples: 10,
-                    iters_per_sample: 4,
-                    stats: Stats {
-                        min_ns: 100.0,
-                        max_ns: 200.0,
-                        mean_ns: 150.5,
-                        median_ns: 149.0,
-                        p95_ns: 190.0,
-                    },
-                },
-                BenchResult {
-                    id: "sweep_n/alg1_vs_klo/80".into(),
-                    samples: 10,
-                    iters_per_sample: 2,
-                    stats: Stats {
-                        min_ns: 400.0,
-                        max_ns: 900.0,
-                        mean_ns: 600.0,
-                        median_ns: 550.0,
-                        p95_ns: 880.0,
-                    },
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn suite_report_json_round_trips() {
-        let report = sample_report();
-        let text = report.to_json();
-        assert!(text.contains("\"schema\""));
-        assert!(text.contains("hinet-bench/v1"));
-        let parsed = SuiteReport::from_json(&text).unwrap();
-        assert_eq!(parsed, report);
-        assert_eq!(parsed.file_name(), "BENCH_sweep_n.json");
-    }
-
-    #[test]
-    fn from_json_rejects_wrong_schema_and_missing_fields() {
-        assert!(SuiteReport::from_json("{}").is_err());
-        let wrong = sample_report().to_json().replace(SCHEMA, "other/v9");
-        assert!(SuiteReport::from_json(&wrong).is_err());
-    }
-
-    #[test]
-    fn compare_flags_regressions_past_the_threshold() {
-        let base = sample_report();
-        let mut slowed = base.clone();
-        slowed.benchmarks[1].stats.median_ns *= 1.5; // +50%
-        let cmp = compare(&base, &slowed, 10.0);
-        assert_eq!(cmp.compared, 2);
-        assert_eq!(cmp.regressions.len(), 1);
-        assert_eq!(cmp.regressions[0].id, "sweep_n/alg1_vs_klo/80");
-        assert!((cmp.regressions[0].change_pct - 50.0).abs() < 1e-9);
-        // Within threshold: no regression.
-        assert!(compare(&base, &slowed, 60.0).regressions.is_empty());
-        // Identical reports: clean.
-        let clean = compare(&base, &base, 0.5);
-        assert!(clean.regressions.is_empty());
-        assert!(clean.missing.is_empty());
-    }
-
-    #[test]
-    fn compare_reports_missing_ids_from_both_sides() {
-        let base = sample_report();
-        let mut cur = base.clone();
-        cur.benchmarks[0].id = "sweep_n/renamed/40".into();
-        let cmp = compare(&base, &cur, 10.0);
-        assert_eq!(cmp.compared, 1);
-        assert_eq!(cmp.missing.len(), 2);
-    }
-
-    #[test]
-    fn fmt_ns_scales_units() {
-        assert_eq!(fmt_ns(12.0), "12.0 ns");
-        assert_eq!(fmt_ns(12_300.0), "12.30 us");
-        assert_eq!(fmt_ns(12_300_000.0), "12.30 ms");
-        assert_eq!(fmt_ns(2_500_000_000.0), "2.50 s");
+    fn median_of_known_samples() {
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert_eq!(median(&[7.0]), 7.0);
+        // Robustness: one huge outlier does not move the median.
+        assert_eq!(median(&[1.0, 2.0, 3.0, 4.0, 1e12]), 3.0);
     }
 }

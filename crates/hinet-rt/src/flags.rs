@@ -1,4 +1,4 @@
-//! Typed `--flag` parsing shared by the `hinet` CLI and the bench binary.
+//! Typed `--flag` parsing shared by the `hinet` CLI and `perfbench`.
 //!
 //! Each command declares its flags up front as a [`FlagSpec`] table;
 //! [`parse_flags`] then rejects unknown flags and missing values instead of

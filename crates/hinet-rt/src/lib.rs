@@ -13,12 +13,10 @@
 //! * [`check`] — a minimal seeded property-test harness: per-case seeds
 //!   derived deterministically from the property name, failing-seed
 //!   reporting, and re-run-by-seed via `HINET_CHECK_SEED`.
-//! * [`bench`](mod@bench) — a zero-dependency timing harness (criterion-shaped
-//!   `Bench`/`Group`/`Bencher` surface, calibrated iteration batching,
-//!   outlier-robust statistics, `BENCH_*.json` artifacts, and the
-//!   `--baseline` regression gate).
+//! * [`bench`](mod@bench) — the JSON tree, writer and parser shared by the
+//!   trace artifacts and `perfbench` reports, and the robust [`bench::median`].
 //! * [`flags`] — typed `--flag` parsing with declared specs, shared by the
-//!   `hinet` CLI and the bench binary.
+//!   `hinet` CLI and `perfbench`.
 //! * [`obs`] — structured per-round tracing and metrics: typed events in a
 //!   bounded ring buffer, exact monotonic counters, phase spans, and the
 //!   `hinet-trace/v1` JSONL artifact with its [`obs::TraceSummary`]

@@ -587,8 +587,8 @@ impl Drop for PhaseSpan<'_> {
 /// stability verifiers.
 ///
 /// Cost model: with [`ObsMode::Off`] every public emission method returns
-/// after one branch (`enabled()`), so a disabled tracer on the engine's hot
-/// path costs ≤ 2% (gated by the `headline` bench suite in CI).
+/// after one branch (`enabled()`), so a disabled tracer costs the engine's
+/// hot path one predictable branch per call.
 #[derive(Debug)]
 pub struct Tracer {
     cfg: ObsConfig,

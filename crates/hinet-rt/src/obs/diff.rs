@@ -1,5 +1,5 @@
-//! Structured comparison of two `hinet-trace/v1` artifacts — the
-//! behavioural analogue of the bench `--baseline` regression gate.
+//! Structured comparison of two `hinet-trace/v1` artifacts — a behavioural
+//! regression gate.
 //!
 //! Two traces of the same seeded scenario must be *identical*: every
 //! provider, protocol and RNG in the workspace is deterministic in the

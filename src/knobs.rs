@@ -3,7 +3,7 @@
 //! A row declares everything the rest of the program needs to know about
 //! one knob: its CLI flag and help text, its scenario-file and trace-meta
 //! keys, its value codec (the [`Field`] variant), when it may be omitted
-//! ([`Rule`]), its lower bound, and the fuzzer's mutation operator. The
+//! ([`Rule`]), its bounds, and the fuzzer's mutation operator. The
 //! scenario builders ([`Scenario::from_flags_over`],
 //! [`Scenario::from_meta`], [`Scenario::stamp_meta`],
 //! [`crate::scenario::ScenarioFile`]), the per-knob half of
@@ -24,6 +24,23 @@ use hinet_sim::engine::ExecMode;
 use hinet_sim::fault::Partition;
 use std::fmt::Display;
 use std::str::FromStr;
+
+/// Ceiling of `n` and `theta`, and of `hinet audit --n`.
+pub const MAX_NODES: u64 = 1_000_000;
+/// Ceiling of `k`.
+pub const MAX_TOKENS: u64 = 1_000_000;
+/// Ceiling of `alpha` and `l`: with `n` and `k` at theirs, `4n + 4T`
+/// stays under [`MAX_ROUNDS`].
+pub const MAX_PHASE_FACTOR: u64 = 1_000;
+/// Ceiling of every round count (`budget`, `down_rounds`, `max_delay`,
+/// `stall_rounds`), and of `hinet audit --rounds`.
+pub const MAX_ROUNDS: u64 = 100_000_000;
+/// Ceiling of the packed token state [`Scenario::validate`] admits, in
+/// bits: `n·k`, or `n·k²` for `rlnc` (1.25 GB per copy).
+pub const MAX_TOKEN_STATE_BITS: u64 = 10_000_000_000;
+/// Ceiling of `n` under `emdg` dynamics, whose generator keeps a dense
+/// `n(n−1)/2`-byte edge-state table (50 MB at the ceiling).
+pub const MAX_EMDG_NODES: u64 = 10_000;
 
 /// Read access to one [`Scenario`] field.
 pub type Get<T> = fn(&Scenario) -> &T;
@@ -58,7 +75,7 @@ pub enum Field {
 
 /// `knob!(name: Variant, "flag", "help")`: the [`Knob`] for
 /// `Scenario::name`, keyed `name` in files and meta — an optional knob
-/// with no bound and no mutation until the builder methods add them.
+/// with no bounds and no mutation until the builder methods add them.
 macro_rules! knob {
     ($name:ident: $variant:ident $(($extra:expr))?, $flag:literal, $help:literal) => {
         Knob {
@@ -69,6 +86,7 @@ macro_rules! knob {
             field: Field::$variant(|sc| &sc.$name, |sc| &mut sc.$name $(, $extra)?),
             rule: Rule::Optional,
             min: 0,
+            max: u64::MAX,
             mutation: None,
             slot: None,
         }
@@ -189,6 +207,9 @@ pub struct Knob {
     pub rule: Rule,
     /// Lower bound of a count (0 = none).
     pub min: u64,
+    /// Upper bound of a count (`u64::MAX` = none): sizes are bounded
+    /// before anything is allocated for them.
+    pub max: u64,
     /// Mutation operator, used by the fuzzer and the property tests.
     pub mutation: Option<Mutation>,
     /// The fuzzer's draw slot: `hinet fuzz` picks an operator by drawing
@@ -202,8 +223,8 @@ impl Knob {
         Knob { rule, ..self }
     }
 
-    const fn at_least(self, min: u64) -> Knob {
-        Knob { min, ..self }
+    const fn within(self, min: u64, max: u64) -> Knob {
+        Knob { min, max, ..self }
     }
 
     const fn mutate(self, mutation: Mutation) -> Knob {
@@ -271,7 +292,7 @@ impl Knob {
     }
 
     /// The knob's own range: names from their list, rates at most one
-    /// million ppm, counts at least [`Knob::min`].
+    /// million ppm, counts in [`Knob::min`]`..=`[`Knob::max`].
     pub fn check(&self, sc: &Scenario) -> Result<(), String> {
         match self.field {
             Field::Name(get, _, names) if !names.contains(&get(sc).as_str()) => {
@@ -284,6 +305,9 @@ impl Knob {
             )),
             field if field.number(sc).is_some_and(|v| v < self.min) => {
                 Err(format!("--{} must be at least {}", self.flag, self.min))
+            }
+            field if field.number(sc).is_some_and(|v| v > self.max) => {
+                Err(format!("--{} must be at most {}", self.flag, self.max))
             }
             _ => Ok(()),
         }
@@ -327,30 +351,30 @@ pub const KNOBS: &[Knob] = &[
     knob!(dynamics: Name(DYNAMICS), "dynamics", "dynamics model [hinet]").rule(Required),
     knob!(n: Count, "n", "nodes [100]")
         .rule(Required)
-        .at_least(1)
+        .within(1, MAX_NODES)
         .fuzz(0, Uniform(8, 40)),
     knob!(k: Count, "k", "tokens [8]")
         .rule(Required)
-        .at_least(1)
+        .within(1, MAX_TOKENS)
         .fuzz(1, Uniform(1, 6)),
     knob!(alpha: Count, "alpha", "progress coefficient [5]")
         .rule(Required)
-        .at_least(1)
+        .within(1, MAX_PHASE_FACTOR)
         .fuzz(2, Uniform(1, 4)),
     knob!(l: Count, "l", "hop bound [2]")
         .rule(Required)
-        .at_least(1)
+        .within(1, MAX_PHASE_FACTOR)
         .fuzz(3, Uniform(1, 3)),
     knob!(theta: Count, "theta", "head-capable pool [n/3]")
         .rule(Required)
-        .at_least(1)
+        .within(1, MAX_NODES)
         .fuzz(4, Custom(theta_up_to_n)),
     knob!(seed: Seed, "seed", "RNG seed [42]")
         .rule(Required)
         .fuzz(5, Uniform(0, 1023)),
     knob!(budget: Count, "budget", "round budget [4n+4T]")
         .rule(Budget)
-        .at_least(1)
+        .within(1, MAX_ROUNDS)
         .fuzz(15, Custom(budget_up_to_base_default)),
     knob!(loss_ppm: Ppm, "loss", "per-delivery drop probability, fraction [0]")
         .fuzz(7, Menu(&[0, 20_000, 50_000, 100_000, 250_000, 500_000])),
@@ -368,12 +392,12 @@ pub const KNOBS: &[Knob] = &[
     knob!(partitions: Partitions, "partition", "sever links across a cut, start:end:cut[,..]")
         .fuzz(10, Custom(add_early_partition)),
     knob!(down_rounds: Count, "down-rounds", "rounds a hazard-crashed node stays down [1]")
-        .at_least(1)
+        .within(1, MAX_ROUNDS)
         .fuzz(14, Uniform(1, 4)),
     knob!(delay_ppm: Ppm, "delay", "per-delivery delay probability, fraction [0]")
         .fuzz(16, Custom(draw_delay)),
     knob!(max_delay: Count, "max-delay", "max rounds a delayed delivery is held [1]")
-        .at_least(1)
+        .within(1, MAX_ROUNDS)
         .fuzz(17, Custom(draw_max_delay)),
     knob!(dup_ppm: Ppm, "dup", "per-delivery duplication probability, fraction [0]")
         .fuzz(18, Menu(&[0, 10_000, 50_000, 150_000])),
@@ -382,6 +406,7 @@ pub const KNOBS: &[Knob] = &[
     knob!(reliable: Switch, "reliable", "generalised ack/timeout/backoff recovery layer")
         .fuzz(20, Custom(toggle_reliable)),
     knob!(stall_rounds: Count, "stall-rounds", "event-mode stall watchdog threshold, 0 = off [0]")
+        .within(0, MAX_ROUNDS)
         .mutate(Uniform(0, 64)),
     knob!(mode: Mode, "mode", "execution mode, lockstep|event [lockstep]")
         .rule(Unstamped)
@@ -517,6 +542,16 @@ mod tests {
                 knob.key
             );
         }
+    }
+
+    #[test]
+    fn the_derived_budget_stays_within_its_ceiling() {
+        let mut sc = Scenario::defaults();
+        sc.n = MAX_NODES as usize;
+        sc.k = MAX_TOKENS as usize;
+        sc.alpha = MAX_PHASE_FACTOR as usize;
+        sc.l = MAX_PHASE_FACTOR as usize;
+        assert!(sc.derived_budget() as u64 <= MAX_ROUNDS);
     }
 
     #[test]

@@ -10,7 +10,6 @@ pub mod knobs;
 pub mod scenario;
 
 pub use hinet_analysis as analysis;
-pub use hinet_bench as bench;
 pub use hinet_cluster as cluster;
 pub use hinet_core as core;
 pub use hinet_graph as graph;

@@ -8,7 +8,6 @@
 //! hinet trace [options]               one traced simulation (hinet-trace/v1)
 //! hinet audit [options]               stability report for a dynamics trace
 //! hinet fuzz [options]                seeded adversarial scenario search
-//! hinet bench [options]               timing benchmarks (see `hinet bench --help`)
 //! hinet help                          this text
 //! ```
 //!
@@ -44,10 +43,10 @@ use hinet::cluster::ctvg::CtvgTrace;
 use hinet::cluster::generators::HiNetConfig;
 use hinet::cluster::stability::stream::StabilityStream;
 use hinet::cluster::stability::trace_stability_windows;
-use hinet::knobs::scenario_flags;
+use hinet::knobs::{scenario_flags, MAX_NODES, MAX_ROUNDS};
 use hinet::rt::obs::diff::{diff_traces, DiffConfig};
 use hinet::rt::obs::{ObsConfig, ParsedTrace, TraceSummary, Tracer};
-use hinet::scenario::{dynamics_provider, Scenario, ALGORITHMS, DYNAMICS};
+use hinet::scenario::{check_dynamics_size, dynamics_provider, Scenario, ALGORITHMS, DYNAMICS};
 use hinet::sim::engine::RunReport;
 use hinet_rt::flags::{flag, parse_flags, render_help, FlagSet, FlagSpec};
 use std::process::ExitCode;
@@ -69,7 +68,6 @@ USAGE:
   hinet fuzz [--seed S] [--cases N] [--scenario FILE] [--out DIR]
             [--max-offenders N] [--no-archive]
   hinet fuzz --replay PATH          re-check an archived scenario corpus
-  hinet bench [--filter S] [--json] [--baseline FILE] ...  (see bench --help)
   hinet help";
 
 /// The usage text, with the scenario flags rendered from the knob table.
@@ -213,8 +211,6 @@ enum Command {
     Trace(Vec<String>, FlagSet),
     Audit(FlagSet),
     Fuzz(FlagSet),
-    /// Raw args, forwarded to `hinet_bench::cli` (which owns the flag table).
-    Bench(Vec<String>),
     Help,
 }
 
@@ -293,7 +289,6 @@ impl Command {
                 }
                 Ok(Command::Fuzz(flags))
             }
-            "bench" => Ok(Command::Bench(rest.to_vec())),
             "help" | "--help" | "-h" => Ok(Command::Help),
             other => Err(format!("unknown command '{other}'")),
         }
@@ -783,8 +778,11 @@ fn cmd_audit(flags: &FlagSet) -> ExitCode {
             flags.parsed("n", 60usize)?,
             flags.parsed("rounds", 36usize)?,
         );
-        if n == 0 || rounds == 0 {
-            return Err("audit needs --n and --rounds of at least 1".into());
+        // The scenario ceilings on n and the round budget.
+        for (flag, value, max) in [("n", n, MAX_NODES), ("rounds", rounds, MAX_ROUNDS)] {
+            if !(1..=max).contains(&(value as u64)) {
+                return Err(format!("audit needs --{flag} in 1..={max}, got {value}"));
+            }
         }
         Ok((n, rounds, flags.parsed("seed", 42u64)?))
     };
@@ -811,7 +809,7 @@ fn cmd_audit(flags: &FlagSet) -> ExitCode {
         "hinet" => hinet
             .check()
             .map_err(|e| format!("hinet dynamics at --n {n}: {e}")),
-        _ => Ok(()),
+        _ => check_dynamics_size(dynamics, n),
     };
     let mut provider = match checked.and_then(|()| dynamics_provider(dynamics, hinet, 6)) {
         Ok(provider) => provider,
@@ -937,7 +935,6 @@ fn main() -> ExitCode {
         Command::Trace(pos, flags) => cmd_trace(&pos, &flags),
         Command::Audit(flags) => cmd_audit(&flags),
         Command::Fuzz(flags) => cmd_fuzz(&flags),
-        Command::Bench(args) => hinet_bench::cli::run_from_args(&args),
         Command::Help => {
             println!("{}", help());
             ExitCode::SUCCESS

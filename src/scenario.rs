@@ -16,7 +16,7 @@
 //! restating the parameters. All three codecs, and the fuzzer's mutation
 //! operators, are driven by one row per field in [`crate::knobs::KNOBS`].
 
-use crate::knobs::{Field, Rule, KNOBS};
+use crate::knobs::{Field, Rule, KNOBS, MAX_EMDG_NODES, MAX_TOKEN_STATE_BITS};
 use hinet_cluster::clustering::ClusteringKind;
 use hinet_cluster::ctvg::{FlatProvider, HierarchyProvider};
 use hinet_cluster::generators::{ClusteredMobilityGen, HiNetConfig, HiNetGen};
@@ -326,18 +326,22 @@ impl Scenario {
         for knob in KNOBS {
             knob.check(self)?;
         }
-        let sized = self
-            .alpha
-            .checked_mul(self.l)
-            .and_then(|al| al.checked_add(self.k))
-            .and_then(|t| t.checked_add(self.n))
-            .and_then(|nt| nt.checked_mul(4));
-        if sized.is_none() {
+        // Every node holds a packed k-bit token set; under rlnc, a GF(2)
+        // basis of up to k such rows.
+        let (rows, rule) = if self.algorithm == "rlnc" {
+            (self.k, "n·k² for rlnc")
+        } else {
+            (1, "n·k")
+        };
+        let bits = self.n as u128 * self.k as u128 * rows as u128;
+        if bits > MAX_TOKEN_STATE_BITS as u128 {
             return Err(format!(
-                "T = k + α·L or the 4n + 4T round budget overflows for n={} k={} α={} L={}",
-                self.n, self.k, self.alpha, self.l
+                "--n {} with --k {} needs {bits} bits of token state ({rule}), over the \
+                 ceiling of {MAX_TOKEN_STATE_BITS}; lower --n or --k",
+                self.n, self.k,
             ));
         }
+        check_dynamics_size(&self.dynamics, self.n)?;
         if self.theta > self.n {
             return Err(format!(
                 "--theta must be in 1..=n, got {} with n={}",
@@ -634,6 +638,17 @@ pub fn dynamics_provider(
         )),
         other => return Err(format!("unknown dynamics '{other}'")),
     })
+}
+
+/// Reject sizes a dynamics model cannot hold: `emdg` keeps a dense
+/// `n(n−1)/2` edge table, so it takes at most [`MAX_EMDG_NODES`] nodes.
+pub fn check_dynamics_size(dynamics: &str, n: usize) -> Result<(), String> {
+    if dynamics == "emdg" && n as u64 > MAX_EMDG_NODES {
+        return Err(format!(
+            "--n must be at most {MAX_EMDG_NODES} with --dynamics emdg, got {n}"
+        ));
+    }
+    Ok(())
 }
 
 /// A declarative scenario file: a [`Scenario`] plus an optional recorded

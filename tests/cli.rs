@@ -462,6 +462,7 @@ fn trace_diff_rejects_invalid_golden_headers() {
         (r#""l":"2""#, r#""l":"0""#, "--l"),
         (r#""n":"24""#, r#""n":"0""#, "--n"),
         (r#""alpha":"2""#, r#""alpha":"0""#, "--alpha"),
+        (r#""n":"24""#, r#""n":"10000000000""#, "--n"),
     ];
     for (i, (from, to, needle)) in cases.iter().enumerate() {
         let (header, events) = golden.split_once('\n').unwrap();
@@ -482,19 +483,33 @@ fn trace_diff_rejects_invalid_golden_headers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Degenerate audit sizes are usage errors, not panics.
+/// Degenerate and oversized audit sizes are usage errors naming the
+/// flag, not panics or failed allocations.
 #[test]
 fn audit_rejects_degenerate_sizes() {
-    let cases: &[&[&str]] = &[
-        &["audit", "--n", "0"],
-        &["audit", "--n", "1", "--rounds", "0"],
-        &["audit", "--n", "1", "--rounds", "0", "--stream"],
-        &["audit", "--dynamics", "flat-1", "--n", "0"],
+    let cases: &[(&[&str], &str)] = &[
+        (&["audit", "--n", "0"], "--n"),
+        (&["audit", "--n", "1", "--rounds", "0"], "--rounds"),
+        (
+            &["audit", "--n", "1", "--rounds", "0", "--stream"],
+            "--rounds",
+        ),
+        (&["audit", "--dynamics", "flat-1", "--n", "0"], "--n"),
+        (&["audit", "--n", "10000000000", "--rounds", "3"], "--n"),
+        (
+            &["audit", "--n", "100", "--rounds", "10000000000"],
+            "--rounds",
+        ),
+        (&["audit", "--n", "100000", "--dynamics", "emdg"], "--n"),
     ];
-    for args in cases {
+    for (args, needle) in cases {
         let out = hinet().args(*args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
-        assert!(!String::from_utf8(out.stderr).unwrap().is_empty());
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.contains(needle),
+            "{args:?}: stderr must name '{needle}', got:\n{err}"
+        );
     }
 }
 
@@ -512,131 +527,6 @@ fn run_rejects_malformed_value() {
     let out = hinet().args(["run", "--n", "lots"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8(out.stderr).unwrap().contains("--n"));
-}
-
-#[test]
-fn bench_list_names_all_suites() {
-    let out = hinet().args(["bench", "--list"]).output().unwrap();
-    assert!(out.status.success());
-    let text = String::from_utf8(out.stdout).unwrap();
-    for suite in ["sweep_n", "headline", "table3_simulated", "extensions"] {
-        assert!(text.contains(suite), "missing '{suite}' in:\n{text}");
-    }
-}
-
-#[test]
-fn bench_rejects_unknown_flag() {
-    let out = hinet().args(["bench", "--warmup", "3"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8(out.stderr)
-        .unwrap()
-        .contains("unknown flag --warmup"));
-}
-
-#[test]
-fn bench_rejects_unmatched_filter() {
-    let out = hinet()
-        .args(["bench", "--filter", "no_such_suite"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8(out.stderr).unwrap().contains("no suite"));
-}
-
-/// A fast `hinet bench --json` run writes a parseable artifact, and the
-/// `--baseline` gate fails a run against a synthetically faster baseline.
-#[test]
-fn bench_json_artifact_and_regression_gate() {
-    use hinet::rt::bench::SuiteReport;
-
-    let dir = std::env::temp_dir().join(format!("hinet-cli-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let out = hinet()
-        .args([
-            "bench",
-            "--filter",
-            "headline",
-            "--sample-size",
-            "5",
-            "--budget-ms",
-            "50",
-            "--json",
-            "--out-dir",
-            dir.to_str().unwrap(),
-            "--seed",
-            "7",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    let artifact = dir.join("BENCH_headline.json");
-    let text = std::fs::read_to_string(&artifact).unwrap();
-    let report = SuiteReport::from_json(&text).unwrap();
-    assert_eq!(report.suite, "headline");
-    assert_eq!(report.meta.seed, 7);
-    assert!(!report.benchmarks.is_empty());
-    for b in &report.benchmarks {
-        assert!(b.stats.min_ns <= b.stats.median_ns);
-        assert!(b.stats.median_ns <= b.stats.p95_ns);
-    }
-
-    // Shrink every baseline median 10x: the rerun must look regressed.
-    let mut faster = report.clone();
-    for b in &mut faster.benchmarks {
-        b.stats.median_ns /= 10.0;
-    }
-    let baseline = dir.join("BENCH_headline_faster.json");
-    std::fs::write(&baseline, faster.to_json()).unwrap();
-
-    let out = hinet()
-        .args([
-            "bench",
-            "--filter",
-            "headline",
-            "--sample-size",
-            "5",
-            "--budget-ms",
-            "50",
-            "--baseline",
-            baseline.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8(out.stdout)
-        .unwrap()
-        .contains("REGRESSION"));
-
-    // Against its own artifact (generous threshold), the gate passes.
-    let out = hinet()
-        .args([
-            "bench",
-            "--filter",
-            "headline",
-            "--sample-size",
-            "5",
-            "--budget-ms",
-            "50",
-            "--baseline",
-            artifact.to_str().unwrap(),
-            "--max-regress",
-            "10000",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Every conflicting or nonsensical scenario flag combination exits 2
@@ -684,9 +574,46 @@ fn run_rejects_nonsense_scenario_flag_combinations() {
         (&["--stall-rounds", "8"], "--mode event"),
         (
             &["--n", "10", "--l", "9223372036854775807", "--alpha", "2"],
-            "overflows",
+            "--l must be at most",
         ),
         (&["--n", "10", "--mode", "async"], "unknown execution mode"),
+        // Oversized scenarios are rejected before anything is allocated.
+        (&["--n", "10000000000", "--k", "4"], "--n must be at most"),
+        (
+            &[
+                "--n",
+                "10000000",
+                "--k",
+                "1000000",
+                "--algorithm",
+                "klo-flood",
+                "--dynamics",
+                "flat-1",
+            ],
+            "--n must be at most",
+        ),
+        (
+            &[
+                "--n",
+                "1000000",
+                "--k",
+                "100000",
+                "--algorithm",
+                "klo-flood",
+                "--dynamics",
+                "flat-1",
+            ],
+            "token state",
+        ),
+        (
+            &["--n", "20", "--k", "100000", "--algorithm", "rlnc"],
+            "n·k²",
+        ),
+        (&["--n", "100000", "--dynamics", "emdg"], "--dynamics emdg"),
+        (
+            &["--n", "20", "--budget", "100000001"],
+            "--budget must be at most",
+        ),
     ];
     for (args, needle) in cases {
         let out = hinet().arg("run").args(*args).output().unwrap();

@@ -12,6 +12,11 @@ use hinet::graph::generators::{BackboneKind, OneIntervalGen, TIntervalGen};
 use hinet::sim::engine::RunConfig;
 use hinet::sim::token::{round_robin_assignment, single_source_assignment};
 
+// The star workloads of the engine scale point, at reduced sizes.
+#[allow(dead_code)] // the example's `main` and its table renderer
+#[path = "../examples/scale_point.rs"]
+mod scale_point;
+
 fn hinet_gen(n: usize, t: usize, seed: u64) -> HiNetGen {
     HiNetGen::new(HiNetConfig {
         n,
@@ -241,4 +246,32 @@ fn per_role_accounting_sums_to_total() {
     assert_eq!(by_role, report.metrics.tokens_sent);
     let by_round: u64 = report.metrics.rounds.iter().map(|r| r.tokens_sent).sum();
     assert_eq!(by_round, report.metrics.tokens_sent);
+}
+
+/// A reduced point of the same shape as the n = 10^6 scale point: both
+/// protocols must complete on the star within the round budget.
+#[test]
+fn both_protocols_complete_on_the_star() {
+    for (n, k) in [(512, 64), (2_000, 100)] {
+        let alg2 = scale_point::run_alg2_star(n, k);
+        assert!(alg2.completed(), "alg2 n={n} k={k}: {}", alg2.outcome);
+        let flood = scale_point::run_klo_flood_star(n, k);
+        assert!(flood.completed(), "flood n={n} k={k}: {}", flood.outcome);
+        // The backbone saves traffic even on a star: only the head
+        // repeats the full set, members push once.
+        assert!(
+            alg2.metrics.tokens_sent < flood.metrics.tokens_sent,
+            "n={n} k={k}: alg2 {} !< flood {}",
+            alg2.metrics.tokens_sent,
+            flood.metrics.tokens_sent
+        );
+    }
+}
+
+#[test]
+fn star_runs_finish_in_a_handful_of_rounds() {
+    let report = scale_point::run_alg2_star(1_000, 50);
+    assert!(report.completion_round.unwrap() <= 3);
+    let report = scale_point::run_klo_flood_star(1_000, 50);
+    assert!(report.completion_round.unwrap() <= 3);
 }

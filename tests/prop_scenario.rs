@@ -16,7 +16,9 @@
 //! None of them runs a simulation, so the suite sweeps the whole
 //! combination space cheaply.
 
-use hinet::knobs::{scenario_flags, Field, KNOBS};
+use hinet::knobs::{
+    scenario_flags, Field, KNOBS, MAX_NODES, MAX_ROUNDS, MAX_TOKENS, MAX_TOKEN_STATE_BITS,
+};
 use hinet::rt::check::{check, CaseCtx};
 use hinet::rt::flags::parse_flags;
 use hinet::rt::obs::{ObsConfig, ParsedTrace, Tracer};
@@ -144,6 +146,9 @@ fn mutate_bytes(ctx: &mut CaseCtx, text: &str) -> String {
         "2",
         "",
         "1000001",
+        "10000001",
+        "100000001",
+        "10000000000",
         "4294967296",
         "18446744073709551615",
     ];
@@ -185,6 +190,15 @@ fn mutate_bytes(ctx: &mut CaseCtx, text: &str) -> String {
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
+/// Whatever a parser accepts is small enough to allocate.
+fn assert_within_ceilings(sc: &Scenario) {
+    assert!(sc.n as u64 <= MAX_NODES, "n = {}", sc.n);
+    assert!(sc.k as u64 <= MAX_TOKENS, "k = {}", sc.k);
+    assert!(sc.budget as u64 <= MAX_ROUNDS, "budget = {}", sc.budget);
+    let bits = sc.n as u128 * sc.k as u128;
+    assert!(bits <= MAX_TOKEN_STATE_BITS as u128, "n·k = {bits}");
+}
+
 #[test]
 fn byte_mutated_files_and_headers_never_panic() {
     let goldens: Vec<String> = ["alg1", "alg2", "klo-flood", "klo-phased", "remark1", "rlnc"]
@@ -197,7 +211,9 @@ fn byte_mutated_files_and_headers_never_panic() {
     check("scenario_parsers_survive_byte_mutation", 512, |ctx| {
         let sc = random_scenario(ctx);
         let file = mutate_bytes(ctx, &ScenarioFile::new(sc.clone()).render());
-        let _ = ScenarioFile::parse(&file);
+        if let Ok(parsed) = ScenarioFile::parse(&file) {
+            assert_within_ceilings(&parsed.scenario);
+        }
 
         let trace = if ctx.random_bool(0.5) {
             ctx.pick(&goldens).clone()
@@ -208,6 +224,7 @@ fn byte_mutated_files_and_headers_never_panic() {
         let trace = format!("{}\n{events}", mutate_bytes(ctx, header));
         if let Ok(parsed) = ParsedTrace::parse_jsonl(&trace) {
             if let Ok(sc) = Scenario::from_meta(&parsed) {
+                assert_within_ceilings(&sc);
                 let _ = sc.kind();
             }
         }
