@@ -260,4 +260,18 @@ if [ $((peak512 * 2)) -gt $((peak128 * 3)) ]; then
     echo "stream gate: peak state grew with the horizon ($peak128 -> $peak512 bytes)" >&2
     exit 1
 fi
+# (1, L) oracle smoke at scale: every round closes a window, so this run
+# evaluates the L-hop oracle on all 12 rounds at n = 20 000. With one
+# multi-source BFS per window it takes well under a second; the timeout
+# catches a return to a BFS per head (about 50 s on a 2-core VM).
+timeout 60 ./target/release/hinet run --algorithm alg2 --n 20000 --k 64 --seed 3 \
+    --stability-stream >target/ci-stream/oracle-1l.txt || {
+    echo "stream gate: (1, L) oracle smoke failed or timed out" >&2
+    exit 1
+}
+grep -q 'stability oracle: 12/12 windows' target/ci-stream/oracle-1l.txt || {
+    echo "stream gate: (1, L) oracle smoke did not verify 12/12 windows" >&2
+    cat target/ci-stream/oracle-1l.txt >&2
+    exit 1
+}
 echo "stream gate: OK"

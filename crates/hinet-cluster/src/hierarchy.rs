@@ -360,27 +360,63 @@ impl Hierarchy {
     /// "within distance `L` of each other" edges is connected. `None` if the
     /// heads cannot be mutually reached at all, `Some(0)` for ≤1 head.
     ///
-    /// Computed as the bottleneck (minimax) spanning value over pairwise head
-    /// distances: sort candidate head pairs by BFS distance and union-find
-    /// until the head set is connected; the last distance added is `L`.
+    /// `L` is the largest edge of a minimum spanning tree over the complete
+    /// head-distance graph (its bottleneck, or minimax, value), found
+    /// without computing any pairwise distance:
+    ///
+    /// 1. One BFS seeded from every head at once. Each reached node inherits
+    ///    its BFS parent's head, giving graph Voronoi regions and each node's
+    ///    distance `d` to its region's head.
+    /// 2. Kruskal over the boundary edges `(u, v)` (endpoints in different
+    ///    regions), weighted `d(u) + 1 + d(v)`. The union that leaves one
+    ///    component gives `L`; if components remain, the heads are split.
+    ///
+    /// By Mehlhorn ("A faster approximation algorithm for the Steiner
+    /// problem in graphs", IPL 27, 1988) a minimum spanning tree of this
+    /// boundary graph is one of the complete head-distance graph, so its
+    /// largest edge is exactly the minimax `L`. Cost: O(n + m + b log b) for
+    /// b boundary edges, against O(|H|·(n + m) + |H|² log |H|) for a BFS per
+    /// head.
     pub fn l_hop_connectivity(&self, g: &Graph) -> Option<usize> {
         let h = self.heads.len();
         if h <= 1 {
             return Some(0);
         }
-        // Pairwise head distances via BFS from each head.
-        let csr = hinet_graph::CsrGraph::from(g);
-        let mut pairs: Vec<(u32, usize, usize)> = Vec::with_capacity(h * (h - 1) / 2);
-        for (i, &hi) in self.heads.iter().enumerate() {
-            let dist = csr.bfs(hi);
-            for (j, &hj) in self.heads.iter().enumerate().skip(i + 1) {
-                let d = dist[hj.index()];
-                if d != u32::MAX {
-                    pairs.push((d, i, j));
+        const UNREACHED: u32 = u32::MAX;
+        // Multi-source BFS: `region[v]` is the index (into `heads`) of v's
+        // head, `dist[v]` its hop distance; `queue` ends up holding every
+        // node reachable from a head, in BFS order.
+        let mut region = vec![UNREACHED; g.n()];
+        let mut dist = vec![0u32; g.n()];
+        let mut queue: Vec<NodeId> = Vec::with_capacity(g.n());
+        for (i, &hd) in self.heads.iter().enumerate() {
+            region[hd.index()] = i as u32;
+            queue.push(hd);
+        }
+        let mut next = 0;
+        while let Some(&u) = queue.get(next) {
+            next += 1;
+            let (ru, du) = (region[u.index()], dist[u.index()]);
+            for &v in g.neighbors(u) {
+                if region[v.index()] == UNREACHED {
+                    region[v.index()] = ru;
+                    dist[v.index()] = du + 1;
+                    queue.push(v);
                 }
             }
         }
-        pairs.sort_unstable();
+        // Boundary edges, each once (u < v), as (weight, region, region).
+        let mut boundary: Vec<(u32, u32, u32)> = Vec::new();
+        for &u in &queue {
+            let ru = region[u.index()];
+            for &v in g.neighbors(u) {
+                let rv = region[v.index()];
+                if u < v && rv != ru {
+                    boundary.push((dist[u.index()] + 1 + dist[v.index()], ru, rv));
+                }
+            }
+        }
+        boundary.sort_unstable();
         // Union-find over head indices.
         let mut parent: Vec<usize> = (0..h).collect();
         fn find(parent: &mut [usize], x: usize) -> usize {
@@ -397,13 +433,13 @@ impl Hierarchy {
             root
         }
         let mut components = h;
-        for (d, i, j) in pairs {
-            let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
+        for (w, i, j) in boundary {
+            let (ri, rj) = (find(&mut parent, i as usize), find(&mut parent, j as usize));
             if ri != rj {
                 parent[ri] = rj;
                 components -= 1;
                 if components == 1 {
-                    return Some(d as usize);
+                    return Some(w as usize);
                 }
             }
         }

@@ -12,12 +12,16 @@
 //!   gcd-of-change-rounds summary that answers Def 4 for *every* `T` at
 //!   once (an aligned window contains no hierarchy change iff `T` divides
 //!   every change round).
-//! * **Defs 5/6/7** (stable head-connecting subgraph, L-hop bound) — an
-//!   incrementally maintained edge-intersection over the open window (the
-//!   same "carry the stable subgraph forward" idiom as the LCC maintenance
-//!   in [`LccMaintainer`](crate::clustering::LccMaintainer)), evaluated
-//!   with the window's
-//!   first-round head set exactly as the batch verifiers do.
+//! * **Defs 5/6/7** (stable head-connecting subgraph, L-hop bound) — the
+//!   open window's edge-intersection, with each round folded in **in
+//!   place** ([`Graph::intersect_in_place`]: no per-round graph
+//!   allocation; the same "carry the stable subgraph forward" idiom as the
+//!   LCC maintenance in
+//!   [`LccMaintainer`](crate::clustering::LccMaintainer)). It is evaluated
+//!   with the window's first-round head set, as the batch verifiers do, by
+//!   one [`Hierarchy::l_hop_connectivity`] call — one multi-source BFS
+//!   plus a sort of the boundary edges — which answers Def 6 and, by
+//!   whether a value exists, Def 5.
 //! * **Def 8** — the conjunction, per aligned window.
 //!
 //! Verdicts are *pointwise identical* to the batch verifiers — per window,
@@ -45,7 +49,6 @@
 use crate::hierarchy::Hierarchy;
 use crate::stability::same_structure;
 use hinet_graph::graph::{Graph, GraphBuilder, NodeId};
-use hinet_graph::traversal::connects_all;
 use hinet_rt::obs::Tracer;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -385,7 +388,7 @@ impl StabilityStream {
                 win.def4 = false;
                 self.record_violation(4, win.start, round);
             }
-            win.inter = win.inter.intersect(g);
+            win.inter.intersect_in_place(g);
             self.win = Some(win);
         }
 
@@ -485,8 +488,10 @@ impl StabilityStream {
     fn close_window(&mut self) -> WindowVerdict {
         let win = self.win.take().expect("no window open");
         let len = self.round - win.start;
-        let def5 = win.first.heads().len() <= 1 || connects_all(&win.inter, win.first.heads());
         let l_hop = win.first.l_hop_connectivity(&win.inter);
+        // Def 5 is "the heads are mutually reachable", which is exactly
+        // when the L-hop value exists.
+        let def5 = win.first.heads().len() <= 1 || l_hop.is_some();
         let def6 = match l_hop {
             Some(actual) => actual <= self.l,
             None => false,

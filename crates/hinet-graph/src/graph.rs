@@ -1,9 +1,10 @@
 //! Immutable undirected graph snapshots.
 //!
 //! A [`Graph`] is one round's topology in a dynamic network. It is built once
-//! via [`GraphBuilder`] (or the convenience constructors) and never mutated,
-//! so snapshots can be shared freely between the simulator, the verifiers and
-//! the cluster layer behind an `Arc`.
+//! via [`GraphBuilder`] (or the convenience constructors), and snapshots are
+//! shared freely between the simulator, the verifiers and the cluster layer
+//! behind an `Arc`. The one mutation, [`Graph::intersect_in_place`], is for
+//! an owned copy such as a verifier's running window intersection.
 
 use std::fmt;
 
@@ -257,6 +258,29 @@ impl Graph {
         }
     }
 
+    /// In-place [`Graph::intersect`]: keep only the edges `other` also has,
+    /// reusing `self`'s neighbor lists instead of allocating new ones. The
+    /// streaming stability verifier folds each round into its open window
+    /// this way.
+    ///
+    /// # Panics
+    /// Panics if node counts differ.
+    pub fn intersect_in_place(&mut self, other: &Graph) {
+        assert_eq!(self.n, other.n, "intersecting graphs of different order");
+        let mut m = 0;
+        for (xs, ys) in self.adj.iter_mut().zip(&other.adj) {
+            let mut j = 0;
+            xs.retain(|x| {
+                while j < ys.len() && ys[j] < *x {
+                    j += 1;
+                }
+                j < ys.len() && ys[j] == *x
+            });
+            m += xs.len();
+        }
+        self.m = m / 2;
+    }
+
     /// The edge-union of `self` and `other` (same node set).
     ///
     /// # Panics
@@ -472,6 +496,9 @@ mod tests {
         assert!(i.has_edge(nid(0), nid(1)));
         assert!(i.has_edge(nid(2), nid(3)));
         assert!(!i.has_edge(nid(1), nid(2)));
+        let mut in_place = g1.clone();
+        in_place.intersect_in_place(&g2);
+        assert_eq!(in_place, i);
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //!   instrumentation site), sampled (structural events always recorded,
 //!   high-volume data events one-in-N), or full.
 //! * JSONL export/import — [`Tracer::to_jsonl`] writes the
-//!   [`SCHEMA`] (`hinet-trace/v1`) artifact reusing the
-//!   [`crate::bench::json`] writer; [`ParsedTrace::parse_jsonl`] reads it
-//!   back; [`TraceSummary`] aggregates either side into per-phase round
-//!   counts and totals.
+//!   [`SCHEMA`] (`hinet-trace/v1`) artifact: the header through the
+//!   [`crate::bench::json`] writer, each event line through one direct
+//!   writer shared with the streaming sink; [`ParsedTrace::parse_jsonl`]
+//!   reads it back; [`TraceSummary`] aggregates either side into per-phase
+//!   round counts and totals.
 //!
 //! ```
 //! use hinet_rt::obs::{Event, ObsConfig, ParsedTrace, Role, TraceSummary, Tracer};
@@ -619,6 +620,21 @@ struct StreamSink {
     writer: std::io::BufWriter<std::fs::File>,
     /// Events written so far.
     written: u64,
+    /// Line buffer, reused for every event.
+    line: String,
+}
+
+impl StreamSink {
+    /// Append one event line to the spill file.
+    fn write(&mut self, te: &TraceEvent) -> std::io::Result<()> {
+        use std::io::Write;
+        self.line.clear();
+        write_event(&mut self.line, te);
+        self.line.push('\n');
+        self.writer.write_all(self.line.as_bytes())?;
+        self.written += 1;
+        Ok(())
+    }
 }
 
 impl Tracer {
@@ -716,11 +732,9 @@ impl Tracer {
             let te = TraceEvent { round, event };
             match &mut self.sink {
                 Some(sink) => {
-                    use std::io::Write;
                     // Streaming mode: the ring is bypassed entirely, so
                     // event retention no longer depends on its capacity.
-                    let _ = writeln!(sink.writer, "{}", event_json(&te));
-                    sink.written += 1;
+                    let _ = sink.write(&te);
                 }
                 None => self.ring.push(te),
             }
@@ -935,7 +949,7 @@ impl Tracer {
         );
         out.push('\n');
         for te in self.events() {
-            out.push_str(&event_json(te).to_string());
+            write_event(&mut out, te);
             out.push('\n');
         }
         out
@@ -955,7 +969,6 @@ impl Tracer {
     /// Parent directories are created. Events already held in the ring are
     /// spilled first, so switching mid-run loses nothing that was recorded.
     pub fn stream_to(&mut self, path: impl Into<std::path::PathBuf>) -> std::io::Result<()> {
-        use std::io::Write;
         let path = path.into();
         if let Some(dir) = path.parent() {
             if !dir.as_os_str().is_empty() {
@@ -969,10 +982,10 @@ impl Tracer {
             path,
             writer: std::io::BufWriter::new(file),
             written: 0,
+            line: String::new(),
         };
         for te in self.ring.iter() {
-            writeln!(sink.writer, "{}", event_json(te))?;
-            sink.written += 1;
+            sink.write(te)?;
         }
         self.ring = Ring::new(0);
         self.sink = Some(sink);
@@ -1074,18 +1087,43 @@ fn header_json(
     ])
 }
 
-fn opt_num(v: Option<u64>) -> Json {
-    match v {
-        Some(x) => Json::Num(x as f64),
-        None => Json::Null,
+/// Append one event's JSONL object (without the newline) to `out`.
+///
+/// The bytes are the ones the [`Json`] tree renderer would print for the
+/// same object — keys in the same order, `None` as `null` — for every
+/// integer up to 2⁵³; above that this prints the exact integer where the
+/// tree renderer printed the nearest `f64`. String values are fixed wire
+/// names (`[a-z_]`) that need no escaping.
+fn write_event(out: &mut String, te: &TraceEvent) {
+    fn key(out: &mut String, k: &str) {
+        out.push_str(",\"");
+        out.push_str(k);
+        out.push_str("\":");
     }
-}
-
-fn event_json(te: &TraceEvent) -> Json {
-    let mut fields = vec![
-        ("r".to_string(), Json::Num(te.round as f64)),
-        ("ev".to_string(), Json::Str(te.event.kind().into())),
-    ];
+    fn num(out: &mut String, k: &str, v: u64) {
+        key(out, k);
+        push_u64(out, v);
+    }
+    fn opt(out: &mut String, k: &str, v: Option<u64>) {
+        key(out, k);
+        match v {
+            Some(x) => push_u64(out, x),
+            None => out.push_str("null"),
+        }
+    }
+    fn text(out: &mut String, k: &str, v: &str) {
+        key(out, k);
+        out.push('"');
+        out.push_str(v);
+        out.push('"');
+    }
+    fn flag(out: &mut String, k: &str, v: bool) {
+        key(out, k);
+        out.push_str(if v { "true" } else { "false" });
+    }
+    out.push_str("{\"r\":");
+    push_u64(out, te.round);
+    text(out, "ev", te.event.kind());
     match &te.event {
         Event::RoundStart => {}
         Event::TokenPush {
@@ -1095,11 +1133,11 @@ fn event_json(te: &TraceEvent) -> Json {
             role,
             dst,
         } => {
-            fields.push(("node".into(), Json::Num(*node as f64)));
-            fields.push(("token".into(), Json::Num(*token as f64)));
-            fields.push(("count".into(), Json::Num(*count as f64)));
-            fields.push(("role".into(), Json::Str(role.as_str().into())));
-            fields.push(("dst".into(), Json::Num(*dst as f64)));
+            num(out, "node", *node);
+            num(out, "token", *token);
+            num(out, "count", *count);
+            text(out, "role", role.as_str());
+            num(out, "dst", *dst);
         }
         Event::HeadBroadcast {
             node,
@@ -1107,64 +1145,63 @@ fn event_json(te: &TraceEvent) -> Json {
             count,
             role,
         } => {
-            fields.push(("node".into(), Json::Num(*node as f64)));
-            fields.push(("token".into(), Json::Num(*token as f64)));
-            fields.push(("count".into(), Json::Num(*count as f64)));
-            fields.push(("role".into(), Json::Str(role.as_str().into())));
+            num(out, "node", *node);
+            num(out, "token", *token);
+            num(out, "count", *count);
+            text(out, "role", role.as_str());
         }
-        Event::PhaseAdvance { phase } => {
-            fields.push(("phase".into(), Json::Num(*phase as f64)));
-        }
+        Event::PhaseAdvance { phase } => num(out, "phase", *phase),
         Event::Reaffiliation { node, from, to } => {
-            fields.push(("node".into(), Json::Num(*node as f64)));
-            fields.push(("from".into(), opt_num(*from)));
-            fields.push(("to".into(), opt_num(*to)));
+            num(out, "node", *node);
+            opt(out, "from", *from);
+            opt(out, "to", *to);
         }
         Event::StabilityWindow { def, open, held } => {
-            fields.push(("def".into(), Json::Num(*def as f64)));
-            fields.push(("open".into(), Json::Bool(*open)));
-            fields.push(("held".into(), Json::Bool(*held)));
+            num(out, "def", u64::from(*def));
+            flag(out, "open", *open);
+            flag(out, "held", *held);
         }
         Event::FaultInjected { node, dst, kind } => {
-            fields.push(("node".into(), Json::Num(*node as f64)));
-            fields.push(("dst".into(), opt_num(*dst)));
-            fields.push(("kind".into(), Json::Str(kind.as_str().into())));
+            num(out, "node", *node);
+            opt(out, "dst", *dst);
+            text(out, "kind", kind.as_str());
         }
         Event::Crash { node, durable } => {
-            fields.push(("node".into(), Json::Num(*node as f64)));
-            fields.push(("durable".into(), Json::Bool(*durable)));
+            num(out, "node", *node);
+            flag(out, "durable", *durable);
         }
-        Event::Recover { node } => {
-            fields.push(("node".into(), Json::Num(*node as f64)));
-        }
+        Event::Recover { node } | Event::StallProbe { node } => num(out, "node", *node),
         Event::Retransmit { node, count, dst } => {
-            fields.push(("node".into(), Json::Num(*node as f64)));
-            fields.push(("count".into(), Json::Num(*count as f64)));
-            fields.push(("dst".into(), opt_num(*dst)));
+            num(out, "node", *node);
+            num(out, "count", *count);
+            opt(out, "dst", *dst);
         }
         Event::Delayed { node, dst, rounds } => {
-            fields.push(("node".into(), Json::Num(*node as f64)));
-            fields.push(("dst".into(), Json::Num(*dst as f64)));
-            fields.push(("rounds".into(), Json::Num(*rounds as f64)));
+            num(out, "node", *node);
+            num(out, "dst", *dst);
+            num(out, "rounds", *rounds);
         }
         Event::Duplicated { node, dst } => {
-            fields.push(("node".into(), Json::Num(*node as f64)));
-            fields.push(("dst".into(), Json::Num(*dst as f64)));
+            num(out, "node", *node);
+            num(out, "dst", *dst);
         }
         Event::RetransmitTimeout { node, dst, attempt } => {
-            fields.push(("node".into(), Json::Num(*node as f64)));
-            fields.push(("dst".into(), Json::Num(*dst as f64)));
-            fields.push(("attempt".into(), Json::Num(*attempt as f64)));
-        }
-        Event::StallProbe { node } => {
-            fields.push(("node".into(), Json::Num(*node as f64)));
+            num(out, "node", *node);
+            num(out, "dst", *dst);
+            num(out, "attempt", *attempt);
         }
         Event::RunEnd { rounds, completed } => {
-            fields.push(("rounds".into(), Json::Num(*rounds as f64)));
-            fields.push(("completed".into(), Json::Bool(*completed)));
+            num(out, "rounds", *rounds);
+            flag(out, "completed", *completed);
         }
     }
-    Json::Obj(fields)
+    out.push('}');
+}
+
+/// Append the decimal digits of `v`.
+fn push_u64(out: &mut String, v: u64) {
+    use std::fmt::Write;
+    write!(out, "{v}").expect("writing to a String cannot fail");
 }
 
 /// A parsed `hinet-trace/v1` artifact: the header's metadata, exact
@@ -1848,6 +1885,234 @@ mod tests {
             assert_eq!(FaultKind::parse(kind.as_str()), Some(kind));
         }
         assert_eq!(FaultKind::parse("gremlin"), None);
+    }
+
+    /// Slot of each `Event` variant. The match is exhaustive, so a new
+    /// variant does not compile until it has a slot — and the writer table
+    /// below then fails until it has a row for it.
+    fn variant_slot(e: &Event) -> usize {
+        match e {
+            Event::RoundStart => 0,
+            Event::TokenPush { .. } => 1,
+            Event::HeadBroadcast { .. } => 2,
+            Event::PhaseAdvance { .. } => 3,
+            Event::Reaffiliation { .. } => 4,
+            Event::StabilityWindow { .. } => 5,
+            Event::FaultInjected { .. } => 6,
+            Event::Crash { .. } => 7,
+            Event::Recover { .. } => 8,
+            Event::Retransmit { .. } => 9,
+            Event::Delayed { .. } => 10,
+            Event::Duplicated { .. } => 11,
+            Event::RetransmitTimeout { .. } => 12,
+            Event::StallProbe { .. } => 13,
+            Event::RunEnd { .. } => 14,
+        }
+    }
+
+    #[test]
+    fn event_writer_prints_one_literal_line_per_variant() {
+        // 2⁵³: the largest integer the `Json` tree renderer prints exactly.
+        const TOP: u64 = 1 << 53;
+        let rows: Vec<(u64, Event, &str)> = vec![
+            (0, Event::RoundStart, r#"{"r":0,"ev":"round_start"}"#),
+            (
+                TOP,
+                Event::TokenPush {
+                    node: 0,
+                    token: TOP,
+                    count: 1,
+                    role: Role::Member,
+                    dst: TOP,
+                },
+                r#"{"r":9007199254740992,"ev":"token_push","node":0,"token":9007199254740992,"count":1,"role":"member","dst":9007199254740992}"#,
+            ),
+            (
+                3,
+                Event::TokenPush {
+                    node: 12,
+                    token: 7,
+                    count: 0,
+                    role: Role::Gateway,
+                    dst: 0,
+                },
+                r#"{"r":3,"ev":"token_push","node":12,"token":7,"count":0,"role":"gateway","dst":0}"#,
+            ),
+            (
+                7,
+                Event::HeadBroadcast {
+                    node: TOP,
+                    token: 0,
+                    count: 64,
+                    role: Role::Head,
+                },
+                r#"{"r":7,"ev":"head_broadcast","node":9007199254740992,"token":0,"count":64,"role":"head"}"#,
+            ),
+            (
+                0,
+                Event::PhaseAdvance { phase: 0 },
+                r#"{"r":0,"ev":"phase_advance","phase":0}"#,
+            ),
+            (
+                1,
+                Event::Reaffiliation {
+                    node: 4,
+                    from: None,
+                    to: Some(TOP),
+                },
+                r#"{"r":1,"ev":"reaffiliation","node":4,"from":null,"to":9007199254740992}"#,
+            ),
+            (
+                2,
+                Event::Reaffiliation {
+                    node: 0,
+                    from: Some(0),
+                    to: None,
+                },
+                r#"{"r":2,"ev":"reaffiliation","node":0,"from":0,"to":null}"#,
+            ),
+            (
+                0,
+                Event::StabilityWindow {
+                    def: 8,
+                    open: true,
+                    held: false,
+                },
+                r#"{"r":0,"ev":"stability_window","def":8,"open":true,"held":false}"#,
+            ),
+            (
+                9,
+                Event::StabilityWindow {
+                    def: 2,
+                    open: false,
+                    held: true,
+                },
+                r#"{"r":9,"ev":"stability_window","def":2,"open":false,"held":true}"#,
+            ),
+            (
+                5,
+                Event::FaultInjected {
+                    node: 1,
+                    dst: None,
+                    kind: FaultKind::Loss,
+                },
+                r#"{"r":5,"ev":"fault_injected","node":1,"dst":null,"kind":"loss"}"#,
+            ),
+            (
+                5,
+                Event::FaultInjected {
+                    node: 2,
+                    dst: Some(0),
+                    kind: FaultKind::Partition,
+                },
+                r#"{"r":5,"ev":"fault_injected","node":2,"dst":0,"kind":"partition"}"#,
+            ),
+            (
+                6,
+                Event::Crash {
+                    node: 3,
+                    durable: true,
+                },
+                r#"{"r":6,"ev":"crash","node":3,"durable":true}"#,
+            ),
+            (
+                6,
+                Event::Crash {
+                    node: 0,
+                    durable: false,
+                },
+                r#"{"r":6,"ev":"crash","node":0,"durable":false}"#,
+            ),
+            (
+                8,
+                Event::Recover { node: TOP },
+                r#"{"r":8,"ev":"recover","node":9007199254740992}"#,
+            ),
+            (
+                4,
+                Event::Retransmit {
+                    node: 1,
+                    count: TOP,
+                    dst: None,
+                },
+                r#"{"r":4,"ev":"retransmit","node":1,"count":9007199254740992,"dst":null}"#,
+            ),
+            (
+                4,
+                Event::Retransmit {
+                    node: 0,
+                    count: 0,
+                    dst: Some(5),
+                },
+                r#"{"r":4,"ev":"retransmit","node":0,"count":0,"dst":5}"#,
+            ),
+            (
+                10,
+                Event::Delayed {
+                    node: 1,
+                    dst: 0,
+                    rounds: TOP,
+                },
+                r#"{"r":10,"ev":"delayed","node":1,"dst":0,"rounds":9007199254740992}"#,
+            ),
+            (
+                11,
+                Event::Duplicated { node: 0, dst: TOP },
+                r#"{"r":11,"ev":"duplicated","node":0,"dst":9007199254740992}"#,
+            ),
+            (
+                12,
+                Event::RetransmitTimeout {
+                    node: 4,
+                    dst: 5,
+                    attempt: 0,
+                },
+                r#"{"r":12,"ev":"retransmit_timeout","node":4,"dst":5,"attempt":0}"#,
+            ),
+            (
+                TOP,
+                Event::StallProbe { node: 0 },
+                r#"{"r":9007199254740992,"ev":"stall_probe","node":0}"#,
+            ),
+            (
+                TOP,
+                Event::RunEnd {
+                    rounds: TOP,
+                    completed: true,
+                },
+                r#"{"r":9007199254740992,"ev":"run_end","rounds":9007199254740992,"completed":true}"#,
+            ),
+            (
+                0,
+                Event::RunEnd {
+                    rounds: 0,
+                    completed: false,
+                },
+                r#"{"r":0,"ev":"run_end","rounds":0,"completed":false}"#,
+            ),
+        ];
+        let mut covered = [false; 15];
+        for (round, event, expected) in rows {
+            covered[variant_slot(&event)] = true;
+            let mut line = String::new();
+            write_event(&mut line, &TraceEvent { round, event });
+            assert_eq!(line, expected);
+            // The tree renderer prints the same bytes for the same object.
+            assert_eq!(Json::parse(expected).unwrap().to_string(), expected);
+        }
+        assert!(covered.iter().all(|&c| c), "a variant has no row");
+
+        // Above 2⁵³ the writer prints the exact integer, where the tree
+        // renderer printed the nearest f64 (2⁵³ + 1 came out as 2⁵³).
+        for (round, expected) in [
+            (TOP + 1, r#"{"r":9007199254740993,"ev":"round_start"}"#),
+            (u64::MAX, r#"{"r":18446744073709551615,"ev":"round_start"}"#),
+        ] {
+            let mut line = String::new();
+            let event = Event::RoundStart;
+            write_event(&mut line, &TraceEvent { round, event });
+            assert_eq!(line, expected);
+        }
     }
 
     fn emit_sample_run(t: &mut Tracer) {

@@ -43,7 +43,7 @@ use hinet::cluster::ctvg::CtvgTrace;
 use hinet::cluster::generators::HiNetConfig;
 use hinet::cluster::stability::stream::StabilityStream;
 use hinet::cluster::stability::trace_stability_windows;
-use hinet::knobs::{scenario_flags, MAX_NODES, MAX_ROUNDS};
+use hinet::knobs::{scenario_flags, MAX_AUDIT_NODE_ROUNDS, MAX_NODES, MAX_ROUNDS};
 use hinet::rt::obs::diff::{diff_traces, DiffConfig};
 use hinet::rt::obs::{ObsConfig, ParsedTrace, TraceSummary, Tracer};
 use hinet::scenario::{check_dynamics_size, dynamics_provider, Scenario, ALGORITHMS, DYNAMICS};
@@ -783,6 +783,14 @@ fn cmd_audit(flags: &FlagSet) -> ExitCode {
             if !(1..=max).contains(&(value as u64)) {
                 return Err(format!("audit needs --{flag} in 1..={max}, got {value}"));
             }
+        }
+        // The batch audit holds every round's snapshot; the stream holds one.
+        let node_rounds = n as u64 * rounds as u64;
+        if !flags.has("stream") && node_rounds > MAX_AUDIT_NODE_ROUNDS {
+            return Err(format!(
+                "batch audit holds every round: --n × --rounds = {node_rounds} exceeds \
+                 {MAX_AUDIT_NODE_ROUNDS} node-rounds; use --stream, which holds one round"
+            ));
         }
         Ok((n, rounds, flags.parsed("seed", 42u64)?))
     };

@@ -501,6 +501,7 @@ fn audit_rejects_degenerate_sizes() {
             "--rounds",
         ),
         (&["audit", "--n", "100000", "--dynamics", "emdg"], "--n"),
+        (&["audit", "--n", "1000000", "--rounds", "5000"], "--stream"),
     ];
     for (args, needle) in cases {
         let out = hinet().args(*args).output().unwrap();

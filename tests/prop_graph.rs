@@ -67,6 +67,10 @@ fn intersection_is_subgraph_of_both() {
         assert!(g1.contains_subgraph(&i));
         assert!(g2.contains_subgraph(&i));
         assert!(i.m() <= g1.m().min(g2.m()));
+        let mut in_place = g1.clone();
+        in_place.intersect_in_place(g2);
+        assert_eq!(in_place, i);
+        assert_eq!(in_place.m(), i.m());
     });
 }
 

@@ -10,19 +10,26 @@
 //! across seeded CTVG generators, archived fuzz-corpus scenarios, and
 //! fault-perturbed traces, under arbitrary chunk boundaries of the
 //! stream.
+//!
+//! Both verifier families share `Hierarchy::l_hop_connectivity` (one
+//! multi-source BFS), so it has its own differential property against an
+//! all-pairs reference kept here.
 
 use hinet::cluster::clustering::{re_elect, ClusteringKind, GatewayPolicy};
 use hinet::cluster::ctvg::{CtvgTrace, FlatProvider, HierarchyProvider};
 use hinet::cluster::generators::{ClusteredMobilityGen, HiNetConfig, HiNetGen};
+use hinet::cluster::hierarchy::{ClusterId, Hierarchy, Role};
 use hinet::cluster::stability::stream::{StabilityStream, StreamReport, WindowVerdict};
 use hinet::cluster::stability::{
     head_connectivity_in_window, head_set_stable_in_window, hierarchy_stable_in_window,
     is_head_set_forever_stable, l_hop_in_window, max_hierarchy_stability_sliding, max_hinet_t,
     min_hinet_l, trace_stability_windows,
 };
+use hinet::graph::graph::{Graph, GraphBuilder, NodeId};
+use hinet::graph::CsrGraph;
 use hinet::rt::check::{check, CaseCtx};
 use hinet::rt::obs::{ObsConfig, Tracer};
-use hinet::rt::rng::Rng;
+use hinet::rt::rng::{Rng, SliceRandom};
 use hinet::scenario::ScenarioFile;
 use std::path::Path;
 use std::sync::Arc;
@@ -359,4 +366,139 @@ fn corpus_scenarios_stream_equals_batch() {
         checked > 0,
         "the corpus must exercise at least one scenario"
     );
+}
+
+/// Reference L-hop head connectivity (Definition 6) by brute force: a BFS
+/// from every head, then union-find over all head pairs sorted by their
+/// distance; the distance that leaves one component is `L`. Costs
+/// O(|H|·(n + m) + |H|² log |H|) — the oracle for the one-BFS
+/// `Hierarchy::l_hop_connectivity`.
+fn l_hop_all_pairs(h: &Hierarchy, g: &Graph) -> Option<usize> {
+    let heads = h.heads();
+    if heads.len() <= 1 {
+        return Some(0);
+    }
+    let csr = CsrGraph::from(g);
+    let mut pairs: Vec<(u32, usize, usize)> = Vec::new();
+    for (i, &hi) in heads.iter().enumerate() {
+        let dist = csr.bfs(hi);
+        for (j, &hj) in heads.iter().enumerate().skip(i + 1) {
+            if dist[hj.index()] != u32::MAX {
+                pairs.push((dist[hj.index()], i, j));
+            }
+        }
+    }
+    pairs.sort_unstable();
+    let mut root: Vec<usize> = (0..heads.len()).collect();
+    fn find(root: &mut [usize], mut x: usize) -> usize {
+        while root[x] != x {
+            root[x] = root[root[x]];
+            x = root[x];
+        }
+        x
+    }
+    let mut components = heads.len();
+    for (d, i, j) in pairs {
+        let (ri, rj) = (find(&mut root, i), find(&mut root, j));
+        if ri != rj {
+            root[ri] = rj;
+            components -= 1;
+            if components == 1 {
+                return Some(d as usize);
+            }
+        }
+    }
+    None
+}
+
+/// A hierarchy on `g` with the given heads. Non-heads reachable from a
+/// head join the nearest one (by a multi-source BFS) as members or
+/// gateways; in multi-hop mode their parent is their BFS parent, so
+/// clusters span several hops. Unreachable nodes stay unclustered.
+fn hierarchy_on(c: &mut CaseCtx, g: &Graph, heads: &[NodeId], multi_hop: bool) -> Hierarchy {
+    let n = g.n();
+    let mut roles = vec![Role::Member; n];
+    let mut cluster_of: Vec<Option<ClusterId>> = vec![None; n];
+    let mut parent: Vec<Option<NodeId>> = vec![None; n];
+    let mut queue: Vec<NodeId> = heads.to_vec();
+    for &hd in heads {
+        roles[hd.index()] = Role::Head;
+        cluster_of[hd.index()] = Some(ClusterId(hd));
+    }
+    let mut next = 0;
+    while let Some(&u) = queue.get(next) {
+        next += 1;
+        for &v in g.neighbors(u) {
+            if cluster_of[v.index()].is_none() {
+                cluster_of[v.index()] = cluster_of[u.index()];
+                parent[v.index()] = Some(u);
+                if c.random_bool(0.3) {
+                    roles[v.index()] = Role::Gateway;
+                }
+                queue.push(v);
+            }
+        }
+    }
+    if multi_hop {
+        Hierarchy::with_parents(roles, cluster_of, parent)
+    } else {
+        Hierarchy::new(roles, cluster_of)
+    }
+}
+
+/// `Hierarchy::l_hop_connectivity` (one multi-source BFS, then Kruskal
+/// over the Voronoi boundary edges) must equal the all-pairs reference on
+/// every graph: n ≤ 64, edge densities from empty through sparse
+/// (disconnected) to dense, with or without a spanning tree underneath,
+/// head counts 0, 1, few, some and all, 1-hop and multi-hop hierarchies.
+#[test]
+fn one_bfs_l_hop_equals_all_pairs_reference() {
+    check("one_bfs_l_hop_equals_all_pairs_reference", 20_000, |c| {
+        let n = c.random_range(1usize..=64);
+        let mut b = GraphBuilder::new(n);
+        // A random spanning tree under a quarter of the cases: connected,
+        // with long head-to-head distances.
+        if c.random_range(0u32..4) == 0 {
+            for v in 1..n {
+                let u = c.random_range(0..v);
+                b.add_edge(NodeId::from_index(u), NodeId::from_index(v));
+            }
+        }
+        // Mostly sparse: around one expected neighbour per node the graph
+        // splits into several components.
+        let p = match c.random_range(0u32..3) {
+            0 => c.random_range(0.0f64..=2.0 / n as f64),
+            1 => c.random_range(0.0f64..=6.0 / n as f64),
+            _ => c.random_range(0.0f64..=1.0),
+        }
+        .min(1.0);
+        for u in 0..n {
+            for v in (u + 1)..n {
+                if c.random_bool(p) {
+                    b.add_edge(NodeId::from_index(u), NodeId::from_index(v));
+                }
+            }
+        }
+        let g = b.build();
+        let count = match c.random_range(0u32..10) {
+            0 => 0,
+            1 => 1,
+            2 => n,
+            3..=6 => c.random_range(2usize..=(n / 8).max(2)).min(n),
+            _ => c.random_range(2usize..=n.max(2)).min(n),
+        };
+        let mut nodes: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
+        nodes.shuffle(c);
+        let mut heads = nodes[..count].to_vec();
+        heads.sort_unstable();
+        let multi_hop = c.random::<bool>();
+        let h = hierarchy_on(c, &g, &heads, multi_hop);
+        assert_eq!(h.heads(), &heads[..]);
+        assert_eq!(
+            h.l_hop_connectivity(&g),
+            l_hop_all_pairs(&h, &g),
+            "n={n} m={} heads={heads:?}",
+            g.m()
+        );
+    });
 }
