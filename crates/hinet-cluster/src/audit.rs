@@ -2,8 +2,10 @@
 //!
 //! Pulls together the model predicates (Definitions 2–8), the flat-network
 //! baselines (per-round and T-interval connectivity), the churn statistics
-//! and the topology dynamics into a single report — what the
-//! `stability_audit` example and the CLI `audit` subcommand print.
+//! and the topology dynamics into a single report. [`StreamingAudit`]
+//! computes it in one forward pass — what the `stability_audit` example
+//! and the CLI `audit` subcommand run — and [`audit`] is the batch
+//! reference it is tested against.
 
 use crate::ctvg::CtvgTrace;
 use crate::hierarchy::Hierarchy;
@@ -42,7 +44,11 @@ pub struct StabilityReport {
     pub topology: TraceStats,
 }
 
-/// Audit a trace.
+/// Audit a materialised trace: the batch reference that
+/// [`StreamingAudit`] — the one-pass audit every caller in the workspace
+/// runs — is tested against, field for field (this module's tests and
+/// `tests/prop_stream.rs`). It holds every round of the trace; prefer
+/// [`StreamingAudit`] outside tests.
 ///
 /// # Panics
 /// Panics if any round's hierarchy fails validation — an invalid CTVG has

@@ -167,10 +167,14 @@ pub fn re_elect(g: &Graph, h: &Hierarchy, down: &[bool], policy: GatewayPolicy) 
 }
 
 /// Provider adapter: LCC maintenance over any topology provider.
+///
+/// Only the last requested round's hierarchy is kept. A later round steps
+/// the maintainer through every intermediate round; an earlier round
+/// restarts the maintainer and replays from round 0.
 pub struct LccMobilityGen<P> {
     inner: P,
     maintainer: LccMaintainer,
-    cache: Vec<std::sync::Arc<Hierarchy>>,
+    last: Option<(usize, std::sync::Arc<Hierarchy>)>,
 }
 
 impl<P: hinet_graph::trace::TopologyProvider> LccMobilityGen<P> {
@@ -179,7 +183,7 @@ impl<P: hinet_graph::trace::TopologyProvider> LccMobilityGen<P> {
         LccMobilityGen {
             inner,
             maintainer: LccMaintainer::new(policy),
-            cache: Vec::new(),
+            last: None,
         }
     }
 }
@@ -198,14 +202,22 @@ impl<P: hinet_graph::trace::TopologyProvider> hinet_graph::trace::TopologyProvid
 
 impl<P: hinet_graph::trace::TopologyProvider> crate::ctvg::HierarchyProvider for LccMobilityGen<P> {
     fn hierarchy_at(&mut self, round: usize) -> std::sync::Arc<Hierarchy> {
-        while self.cache.len() <= round {
-            let r = self.cache.len();
+        let next = match &self.last {
+            Some((r, h)) if *r == round => return std::sync::Arc::clone(h),
+            Some((r, _)) if *r < round => r + 1,
+            _ => {
+                self.maintainer = LccMaintainer::new(self.maintainer.policy);
+                0
+            }
+        };
+        for r in next..=round {
             let g = self.inner.graph_at(r);
             let h = self.maintainer.step(&g);
             debug_assert_eq!(h.validate(&g), Ok(()), "LCC repair must stay valid");
-            self.cache.push(std::sync::Arc::new(h));
+            self.last = Some((r, std::sync::Arc::new(h)));
         }
-        std::sync::Arc::clone(&self.cache[round])
+        let (_, h) = self.last.as_ref().expect("the loop ends at `round`");
+        std::sync::Arc::clone(h)
     }
 }
 

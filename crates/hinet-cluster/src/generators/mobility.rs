@@ -24,11 +24,16 @@ use std::sync::Arc;
 /// violation — this dramatically increases hierarchy stability under mild
 /// churn, which is exactly the effect cluster maintenance protocols exist
 /// to produce.
+///
+/// Only the last requested round's hierarchy is kept. A later round steps
+/// forward (through every intermediate round when sticky, since each
+/// round's clustering depends on the previous one); an earlier round is
+/// replayed from round 0.
 pub struct ClusteredMobilityGen<P> {
     inner: P,
     scheme: ClusterScheme,
     sticky: bool,
-    cache: Vec<Arc<Hierarchy>>,
+    last: Option<(usize, Arc<Hierarchy>)>,
 }
 
 impl<P: TopologyProvider> ClusteredMobilityGen<P> {
@@ -49,36 +54,13 @@ impl<P: TopologyProvider> ClusteredMobilityGen<P> {
             inner,
             scheme,
             sticky,
-            cache: Vec::new(),
+            last: None,
         }
     }
 
     /// The wrapped provider.
     pub fn inner(&self) -> &P {
         &self.inner
-    }
-
-    fn hierarchy_still_valid(h: &Hierarchy, g: &Graph) -> bool {
-        h.validate(g).is_ok()
-    }
-
-    fn compute_to(&mut self, round: usize) {
-        while self.cache.len() <= round {
-            let r = self.cache.len();
-            let g = self.inner.graph_at(r);
-            let reuse = if self.sticky && r > 0 {
-                let prev = &self.cache[r - 1];
-                Self::hierarchy_still_valid(prev, &g)
-            } else {
-                false
-            };
-            let h = if reuse {
-                Arc::clone(&self.cache[r - 1])
-            } else {
-                Arc::new(cluster_scheme(self.scheme, &g))
-            };
-            self.cache.push(h);
-        }
     }
 }
 
@@ -94,8 +76,26 @@ impl<P: TopologyProvider> TopologyProvider for ClusteredMobilityGen<P> {
 
 impl<P: TopologyProvider> HierarchyProvider for ClusteredMobilityGen<P> {
     fn hierarchy_at(&mut self, round: usize) -> Arc<Hierarchy> {
-        self.compute_to(round);
-        Arc::clone(&self.cache[round])
+        let next = match &self.last {
+            Some((r, h)) if *r == round => return Arc::clone(h),
+            Some((r, _)) if self.sticky && *r < round => r + 1,
+            _ if self.sticky => 0,
+            _ => round,
+        };
+        for r in next..=round {
+            let g = self.inner.graph_at(r);
+            // Sticky maintenance keeps the previous round's clustering
+            // while it is still valid for the new snapshot.
+            let h = match &self.last {
+                Some((_, prev)) if self.sticky && r > 0 && prev.validate(&g).is_ok() => {
+                    Arc::clone(prev)
+                }
+                _ => Arc::new(cluster_scheme(self.scheme, &g)),
+            };
+            self.last = Some((r, h));
+        }
+        let (_, h) = self.last.as_ref().expect("the loop ends at `round`");
+        Arc::clone(h)
     }
 }
 

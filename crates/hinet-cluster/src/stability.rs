@@ -144,6 +144,12 @@ pub fn is_head_set_forever_stable(trace: &CtvgTrace) -> bool {
 /// open/close events into `tracer` (open at the window's first round,
 /// close at its last, both carrying the verdict).
 ///
+/// This is the batch reference for the one-pass
+/// [`stream::StabilityStream`], which `hinet trace --stability-stream`
+/// and the engine's runtime oracle run: the differential tests
+/// (`tests/prop_stream.rs`) assert both emit the same events. It needs
+/// the materialised trace; prefer the stream outside tests.
+///
 /// Definitions traced per window: 2 (head set), 4 (hierarchy structure),
 /// 5 (head connectivity), 6 (L-hop ≤ `l`), 7 (5 ∧ 6), and 8 (4 ∧ 7).
 /// Definition 3 is per-cluster rather than per-window and is omitted.

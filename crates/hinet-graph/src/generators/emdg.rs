@@ -19,8 +19,9 @@ use std::sync::Arc;
 /// (drawn deterministically), so dissemination remains solvable while the
 /// Markovian churn statistics are preserved on the original edge set.
 ///
-/// State evolves forward from round 0; snapshots are cached, so revisiting
-/// any round is exact and O(1).
+/// State evolves forward from round 0; only the last requested round's
+/// snapshot is kept, and an earlier round is replayed from round 0, so
+/// revisiting any round is exact.
 #[derive(Clone, Debug)]
 pub struct EdgeMarkovianGen {
     n: usize,
@@ -31,8 +32,7 @@ pub struct EdgeMarkovianGen {
     ensure_connected: bool,
     /// Dense upper-triangular edge-presence state for the last computed round.
     state: Vec<bool>,
-    computed_through: Option<usize>,
-    cache: Vec<Arc<Graph>>,
+    last: Option<(usize, Arc<Graph>)>,
 }
 
 impl EdgeMarkovianGen {
@@ -64,8 +64,7 @@ impl EdgeMarkovianGen {
             seed,
             ensure_connected,
             state: vec![false; n * (n - 1) / 2],
-            computed_through: None,
-            cache: Vec::new(),
+            last: None,
         }
     }
 
@@ -97,49 +96,30 @@ impl EdgeMarkovianGen {
             }
         }
         let g = b.build();
-        if !self.ensure_connected {
-            return g;
+        if self.ensure_connected {
+            super::connect_components(g)
+        } else {
+            g
         }
-        // Patch: overlay a deterministic connectivity completion — connect
-        // component representatives in id order.
-        let labels = crate::traversal::components(&g);
-        let mut reps: Vec<NodeId> = labels.clone();
-        reps.sort_unstable();
-        reps.dedup();
-        if reps.len() <= 1 {
-            return g;
-        }
-        let mut b = GraphBuilder::new(n);
-        b.add_graph(&g);
-        for w in reps.windows(2) {
-            b.add_edge(w[0], w[1]);
-        }
-        b.build()
     }
 
-    fn advance_to(&mut self, round: usize) {
-        // Compute rounds sequentially up to `round`, caching snapshots.
-        while self.cache.len() <= round {
-            let next_round = self.cache.len();
-            let mut rng = stream_rng(self.seed, next_round as u64);
-            if next_round == 0 {
-                for s in self.state.iter_mut() {
-                    *s = rng.random_bool(self.initial_density);
-                }
-            } else {
-                for s in self.state.iter_mut() {
-                    if *s {
-                        if self.q > 0.0 && rng.random_bool(self.q) {
-                            *s = false;
-                        }
-                    } else if self.p > 0.0 && rng.random_bool(self.p) {
-                        *s = true;
+    /// Evolve the edge state through round `r`, given it holds round `r − 1`.
+    fn step_state(&mut self, r: usize) {
+        let mut rng = stream_rng(self.seed, r as u64);
+        if r == 0 {
+            for s in self.state.iter_mut() {
+                *s = rng.random_bool(self.initial_density);
+            }
+        } else {
+            for s in self.state.iter_mut() {
+                if *s {
+                    if self.q > 0.0 && rng.random_bool(self.q) {
+                        *s = false;
                     }
+                } else if self.p > 0.0 && rng.random_bool(self.p) {
+                    *s = true;
                 }
             }
-            self.computed_through = Some(next_round);
-            let g = self.snapshot_from_state();
-            self.cache.push(Arc::new(g));
         }
     }
 
@@ -165,8 +145,17 @@ impl TopologyProvider for EdgeMarkovianGen {
     }
 
     fn graph_at(&mut self, round: usize) -> Arc<Graph> {
-        self.advance_to(round);
-        Arc::clone(&self.cache[round])
+        let next = match &self.last {
+            Some((r, g)) if *r == round => return Arc::clone(g),
+            Some((r, _)) if *r < round => r + 1,
+            _ => 0,
+        };
+        for r in next..=round {
+            self.step_state(r);
+        }
+        let g = Arc::new(self.snapshot_from_state());
+        self.last = Some((round, Arc::clone(&g)));
+        g
     }
 }
 
@@ -246,7 +235,7 @@ mod tests {
         let mut g = EdgeMarkovianGen::new(15, 0.3, 0.3, 0.5, false, 8);
         let g3 = g.graph_at(3);
         let _ = g.graph_at(20);
-        assert!(Arc::ptr_eq(&g.graph_at(3), &g3));
+        assert_eq!(*g.graph_at(3), *g3);
     }
 
     #[test]

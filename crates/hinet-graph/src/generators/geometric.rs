@@ -45,15 +45,16 @@ struct NodeMotion {
 ///
 /// This is the "node mobility" scenario that motivates the paper (wireless
 /// ad hoc networks): topology change emerges from motion rather than from an
-/// explicit adversary. State evolves forward from round 0 and snapshots are
-/// cached for exact revisits.
+/// explicit adversary. State evolves forward from round 0; only the last
+/// requested round's snapshot is kept, and an earlier round is replayed
+/// from round 0.
 #[derive(Clone, Debug)]
 pub struct RandomWaypointGen {
     n: usize,
     cfg: WaypointConfig,
     seed: u64,
     motion: Vec<NodeMotion>,
-    cache: Vec<Arc<Graph>>,
+    last: Option<(usize, Arc<Graph>)>,
 }
 
 impl RandomWaypointGen {
@@ -76,12 +77,13 @@ impl RandomWaypointGen {
             cfg,
             seed,
             motion: Vec::new(),
-            cache: Vec::new(),
+            last: None,
         }
     }
 
-    /// Node positions of the most recently computed round (for examples that
-    /// want to render the field). Empty before the first `graph_at` call.
+    /// Node positions of the most recently requested round (for examples
+    /// that want to render the field). Empty before the first `graph_at`
+    /// call.
     pub fn positions(&self) -> Vec<(f64, f64)> {
         self.motion.iter().map(|m| (m.x, m.y)).collect()
     }
@@ -144,22 +146,11 @@ impl RandomWaypointGen {
             }
         }
         let g = b.build();
-        if !self.cfg.ensure_connected {
-            return g;
+        if self.cfg.ensure_connected {
+            super::connect_components(g)
+        } else {
+            g
         }
-        let labels = crate::traversal::components(&g);
-        let mut reps = labels.clone();
-        reps.sort_unstable();
-        reps.dedup();
-        if reps.len() <= 1 {
-            return g;
-        }
-        let mut b = GraphBuilder::new(n);
-        b.add_graph(&g);
-        for w in reps.windows(2) {
-            b.add_edge(w[0], w[1]);
-        }
-        b.build()
     }
 }
 
@@ -169,16 +160,21 @@ impl TopologyProvider for RandomWaypointGen {
     }
 
     fn graph_at(&mut self, round: usize) -> Arc<Graph> {
-        while self.cache.len() <= round {
-            let next = self.cache.len();
-            if next == 0 {
+        let next = match &self.last {
+            Some((r, g)) if *r == round => return Arc::clone(g),
+            Some((r, _)) if *r < round => r + 1,
+            _ => 0,
+        };
+        for r in next..=round {
+            if r == 0 {
                 self.init_motion();
             } else {
-                self.step_motion(next);
+                self.step_motion(r);
             }
-            self.cache.push(Arc::new(self.snapshot()));
         }
-        Arc::clone(&self.cache[round])
+        let g = Arc::new(self.snapshot());
+        self.last = Some((round, Arc::clone(&g)));
+        g
     }
 }
 

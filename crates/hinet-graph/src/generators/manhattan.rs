@@ -51,15 +51,15 @@ struct Vehicle {
 /// Compared to random-waypoint, Manhattan mobility produces *correlated*
 /// motion along shared streets — long-lived platoon links and abrupt
 /// breaks at turns — which stresses hierarchy maintenance differently.
-/// State evolves forward from round 0; snapshots are cached for exact
-/// revisits.
+/// State evolves forward from round 0; only the last requested round's
+/// snapshot is kept, and an earlier round is replayed from round 0.
 #[derive(Clone, Debug)]
 pub struct ManhattanGen {
     n: usize,
     cfg: ManhattanConfig,
     seed: u64,
     vehicles: Vec<Vehicle>,
-    cache: Vec<Arc<Graph>>,
+    last: Option<(usize, Arc<Graph>)>,
 }
 
 impl ManhattanGen {
@@ -85,7 +85,7 @@ impl ManhattanGen {
             cfg,
             seed,
             vehicles: Vec::new(),
-            cache: Vec::new(),
+            last: None,
         }
     }
 
@@ -170,22 +170,11 @@ impl ManhattanGen {
             }
         }
         let g = b.build();
-        if !self.cfg.ensure_connected {
-            return g;
+        if self.cfg.ensure_connected {
+            super::connect_components(g)
+        } else {
+            g
         }
-        let labels = crate::traversal::components(&g);
-        let mut reps = labels.clone();
-        reps.sort_unstable();
-        reps.dedup();
-        if reps.len() <= 1 {
-            return g;
-        }
-        let mut b = GraphBuilder::new(n);
-        b.add_graph(&g);
-        for w in reps.windows(2) {
-            b.add_edge(w[0], w[1]);
-        }
-        b.build()
     }
 
     /// Current vehicle positions (after the last computed round).
@@ -200,17 +189,22 @@ impl TopologyProvider for ManhattanGen {
     }
 
     fn graph_at(&mut self, round: usize) -> Arc<Graph> {
-        while self.cache.len() <= round {
-            let next = self.cache.len();
-            let mut rng = stream_rng(self.seed, 0xc17 ^ ((next as u64).wrapping_mul(2) + 1));
-            if next == 0 {
+        let next = match &self.last {
+            Some((r, g)) if *r == round => return Arc::clone(g),
+            Some((r, _)) if *r < round => r + 1,
+            _ => 0,
+        };
+        for r in next..=round {
+            let mut rng = stream_rng(self.seed, 0xc17 ^ ((r as u64).wrapping_mul(2) + 1));
+            if r == 0 {
                 self.init_vehicles(&mut rng);
             } else {
                 self.step_vehicles(&mut rng);
             }
-            self.cache.push(Arc::new(self.snapshot()));
         }
-        Arc::clone(&self.cache[round])
+        let g = Arc::new(self.snapshot());
+        self.last = Some((round, Arc::clone(&g)));
+        g
     }
 }
 

@@ -2,8 +2,9 @@
 //!
 //! Each generator implements [`crate::trace::TopologyProvider`] and is fully
 //! deterministic given its seed: the randomness of round `r` is derived from
-//! `(seed, r)` (or evolved deterministically from round 0), so revisiting a
-//! round always yields the identical snapshot.
+//! `(seed, r)` (or evolved deterministically from round 0, keeping only the
+//! last requested round and replaying from round 0 on a revisit), so
+//! revisiting a round always yields an equal snapshot.
 //!
 //! The generators realise the dynamics models used in the paper's analysis
 //! and related work:
@@ -38,3 +39,23 @@ pub use emdg::EdgeMarkovianGen;
 pub use geometric::{RandomWaypointGen, WaypointConfig};
 pub use interval::{BackboneKind, TIntervalGen};
 pub use manhattan::{ManhattanConfig, ManhattanGen};
+
+use crate::graph::{Graph, GraphBuilder};
+
+/// Patch `g` to be connected with the minimal deterministic completion the
+/// mobility and edge-Markovian generators share: chain the components'
+/// representatives in id order.
+fn connect_components(g: Graph) -> Graph {
+    let mut reps = crate::traversal::components(&g);
+    reps.sort_unstable();
+    reps.dedup();
+    if reps.len() <= 1 {
+        return g;
+    }
+    let mut b = GraphBuilder::new(g.n());
+    b.add_graph(&g);
+    for w in reps.windows(2) {
+        b.add_edge(w[0], w[1]);
+    }
+    b.build()
+}

@@ -13,11 +13,13 @@ use std::sync::Arc;
 /// Streaming source of per-round topology snapshots.
 ///
 /// `graph_at(r)` must be **deterministic**: calling it twice for the same
-/// round returns the same snapshot. Providers may be called with
-/// monotonically non-decreasing rounds by the simulator, but verifiers may
-/// revisit arbitrary rounds, so implementations cache or recompute
-/// deterministically (all generators in [`crate::generators`] derive the
-/// round's randomness from `(seed, round)`).
+/// round returns an equal snapshot. The simulator and the verifiers ask for
+/// rounds in non-decreasing order, so a stateful generator keeps only the
+/// last requested round: a later round steps its state forward, the same
+/// round returns the kept snapshot, and an earlier round resets the state
+/// and replays from round 0 (all generators in [`crate::generators`] derive
+/// the round's randomness from `(seed, round)`). Memory is thus bounded by
+/// one round, not by the horizon; a revisit costs a replay.
 pub trait TopologyProvider {
     /// Number of nodes (constant over the lifetime — the paper's model has a
     /// fixed `V`; churn is in edges, not nodes).

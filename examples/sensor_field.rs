@@ -10,13 +10,13 @@
 //! Run with: `cargo run --release --example sensor_field`
 
 use hinet::analysis::report::Table;
+use hinet::cluster::audit::StreamingAudit;
 use hinet::cluster::clustering::ClusteringKind;
-use hinet::cluster::ctvg::{CtvgTrace, CtvgTraceProvider, FlatProvider};
+use hinet::cluster::ctvg::{FlatProvider, HierarchyProvider};
 use hinet::cluster::generators::ClusteredMobilityGen;
-use hinet::cluster::reaffiliation::churn_stats;
-use hinet::cluster::stability::{max_hinet_t, min_hinet_l};
 use hinet::core::runner::{run_algorithm, AlgorithmKind};
 use hinet::graph::generators::{RandomWaypointGen, WaypointConfig};
+use hinet::graph::trace::TopologyProvider;
 use hinet::sim::engine::RunConfig;
 use hinet::sim::token::round_robin_assignment;
 
@@ -33,6 +33,11 @@ fn field(seed: u64) -> RandomWaypointGen {
     )
 }
 
+/// The field with a sticky lowest-ID clustering derived each round.
+fn clustered(seed: u64) -> ClusteredMobilityGen<RandomWaypointGen> {
+    ClusteredMobilityGen::new(field(seed), ClusteringKind::LowestId, true)
+}
+
 fn main() {
     let n = 80;
     let k = 10;
@@ -40,14 +45,15 @@ fn main() {
     let assignment = round_robin_assignment(n, k);
     let rounds_budget = n - 1;
 
-    // First, audit the emergent stability of the clustered trace.
-    let mut clustered = ClusteredMobilityGen::new(field(seed), ClusteringKind::LowestId, true);
-    let trace = CtvgTrace::capture(&mut clustered, rounds_budget);
-    trace
-        .validate()
-        .expect("derived hierarchy valid every round");
-    let stats = churn_stats(&trace);
-    let min_l = min_hinet_l(&trace, 1);
+    // First, audit the emergent stability of the clustered dynamics (the
+    // audit panics if the derived hierarchy is invalid in any round).
+    let mut audited = clustered(seed);
+    let mut streaming = StreamingAudit::new();
+    for round in 0..rounds_budget {
+        streaming.push(&audited.graph_at(round), &audited.hierarchy_at(round));
+    }
+    let audit = streaming.finish();
+    let stats = &audit.churn;
     println!(
         "sensor field: n={n}, k={k}, {} rounds of random-waypoint mobility",
         rounds_budget
@@ -62,8 +68,7 @@ fn main() {
     );
     println!(
         "emergent stability: largest T with (T, L)-HiNet = {:?} (L from per-round audit: {:?})",
-        min_l.and_then(|l| max_hinet_t(&trace, l)),
-        min_l
+        audit.max_hinet_t, audit.min_l
     );
     println!();
 
@@ -106,7 +111,7 @@ fn main() {
     ];
     for (label, kind, clustered_run) in contenders {
         let report = if clustered_run {
-            let mut provider = CtvgTraceProvider::new(trace.clone());
+            let mut provider = clustered(seed);
             run_algorithm(
                 &kind,
                 &mut provider,

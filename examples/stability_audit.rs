@@ -1,44 +1,44 @@
 //! Audit the stability properties (Definitions 2–8) of generated traces.
 //!
-//! For each dynamics generator, capture a trace and measure which model it
-//! actually satisfies: per-round connectivity, the largest T-interval
-//! connectivity (flat), the largest (T, L)-HiNet window, the minimal L,
-//! and the churn statistics the cost model consumes.
+//! For each dynamics generator, stream its rounds through the one-pass
+//! audit and report which model it actually satisfies: per-round
+//! connectivity, the largest T-interval connectivity (flat), the largest
+//! (T, L)-HiNet window, the minimal L, and the churn statistics the cost
+//! model consumes.
 //!
 //! Run with: `cargo run --release --example stability_audit`
 
 use hinet::analysis::report::Table;
+use hinet::cluster::audit::StreamingAudit;
 use hinet::cluster::clustering::{ClusteringKind, GatewayPolicy, LccMobilityGen};
-use hinet::cluster::ctvg::CtvgTrace;
+use hinet::cluster::ctvg::HierarchyProvider;
 use hinet::cluster::generators::{ClusteredMobilityGen, HiNetConfig, HiNetGen};
-use hinet::cluster::reaffiliation::churn_stats;
-use hinet::cluster::stability::{max_hinet_t, min_hinet_l};
 use hinet::graph::generators::{ManhattanConfig, ManhattanGen, RandomWaypointGen, WaypointConfig};
-use hinet::graph::verify::{is_always_connected, max_interval_connectivity};
 
-fn audit(label: &str, trace: &CtvgTrace, table: &mut Table) {
-    trace.validate().expect("hierarchy valid");
-    let always = is_always_connected(trace.topology());
-    let flat_t = max_interval_connectivity(trace.topology());
-    let l = min_hinet_l(trace, 1);
-    let hinet_t = l.and_then(|l| max_hinet_t(trace, l));
-    let stats = churn_stats(trace);
+const ROUNDS: usize = 36;
+
+fn audit(label: &str, provider: &mut dyn HierarchyProvider, table: &mut Table) {
+    let mut streaming = StreamingAudit::new();
+    for round in 0..ROUNDS {
+        streaming.push(&provider.graph_at(round), &provider.hierarchy_at(round));
+    }
+    let report = streaming.finish();
+    let opt = |v: Option<usize>| v.map_or("—".into(), |x| x.to_string());
     table.push_row(vec![
         label.into(),
-        always.to_string(),
-        flat_t.map_or("—".into(), |t| t.to_string()),
-        l.map_or("—".into(), |l| l.to_string()),
-        hinet_t.map_or("—".into(), |t| t.to_string()),
-        stats.distinct_heads.to_string(),
-        format!("{:.1}", stats.mean_members),
-        format!("{:.2}", stats.mean_reaffiliations),
+        report.always_connected.to_string(),
+        opt(report.max_flat_t),
+        opt(report.min_l),
+        opt(report.max_hinet_t),
+        report.churn.distinct_heads.to_string(),
+        format!("{:.1}", report.churn.mean_members),
+        format!("{:.2}", report.churn.mean_reaffiliations),
     ]);
 }
 
 fn main() {
-    let rounds = 36;
     let mut table = Table::new(
-        format!("Stability audit over {rounds}-round traces"),
+        format!("Stability audit over {ROUNDS}-round traces"),
         &[
             "generator",
             "1-interval conn.",
@@ -63,11 +63,7 @@ fn main() {
         noise_edges: 10,
         seed: 1,
     });
-    audit(
-        "constructed (6, 2)-HiNet",
-        &CtvgTrace::capture(&mut constructed, rounds),
-        &mut table,
-    );
+    audit("constructed (6, 2)-HiNet", &mut constructed, &mut table);
 
     // Constructed (1, L)-HiNet: hierarchy may change every round.
     let mut volatile = HiNetGen::new(HiNetConfig {
@@ -81,11 +77,7 @@ fn main() {
         noise_edges: 10,
         seed: 2,
     });
-    audit(
-        "constructed (1, 2)-HiNet",
-        &CtvgTrace::capture(&mut volatile, rounds),
-        &mut table,
-    );
+    audit("constructed (1, 2)-HiNet", &mut volatile, &mut table);
 
     // Emergent: slow mobility + lowest-ID clustering, sticky maintenance.
     let slow = RandomWaypointGen::new(
@@ -101,7 +93,7 @@ fn main() {
     let mut emergent_slow = ClusteredMobilityGen::new(slow, ClusteringKind::LowestId, true);
     audit(
         "emergent, slow mobility (sticky lowest-ID)",
-        &CtvgTrace::capture(&mut emergent_slow, rounds),
+        &mut emergent_slow,
         &mut table,
     );
 
@@ -119,7 +111,7 @@ fn main() {
     let mut emergent_fast = ClusteredMobilityGen::new(fast, ClusteringKind::HighestDegree, false);
     audit(
         "emergent, fast mobility (fresh highest-degree)",
-        &CtvgTrace::capture(&mut emergent_fast, rounds),
+        &mut emergent_fast,
         &mut table,
     );
 
@@ -137,7 +129,7 @@ fn main() {
     let mut lcc = LccMobilityGen::new(fast2, GatewayPolicy::MinimalPairwise);
     audit(
         "emergent, fast mobility (LCC maintenance)",
-        &CtvgTrace::capture(&mut lcc, rounds),
+        &mut lcc,
         &mut table,
     );
 
@@ -155,7 +147,7 @@ fn main() {
     let mut city_lcc = LccMobilityGen::new(city, GatewayPolicy::MinimalPairwise);
     audit(
         "Manhattan vehicular mobility (LCC maintenance)",
-        &CtvgTrace::capture(&mut city_lcc, rounds),
+        &mut city_lcc,
         &mut table,
     );
 

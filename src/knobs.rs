@@ -35,11 +35,6 @@ pub const MAX_PHASE_FACTOR: u64 = 1_000;
 /// Ceiling of every round count (`budget`, `down_rounds`, `max_delay`,
 /// `stall_rounds`), and of `hinet audit --rounds`.
 pub const MAX_ROUNDS: u64 = 100_000_000;
-/// Ceiling of `--n` × `--rounds` for the batch `hinet audit`, which holds
-/// every round's snapshot: about 73 bytes per node-round on `hinet`
-/// dynamics, so 0.7–0.9 GB peak RSS at the ceiling. `hinet audit --stream`
-/// keeps one round and has no such rule.
-pub const MAX_AUDIT_NODE_ROUNDS: u64 = 10_000_000;
 /// Ceiling of the packed token state [`Scenario::validate`] admits, in
 /// bits: `n·k`, or `n·k²` for `rlnc` (1.25 GB per copy).
 pub const MAX_TOKEN_STATE_BITS: u64 = 10_000_000_000;

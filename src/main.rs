@@ -20,7 +20,7 @@
 //! JSONL artifact) and `--trace-out FILE` (where to write it). `hinet
 //! trace` adds `--in FILE` (summarise an existing artifact instead of
 //! running), `--events`, `--summary`, `--out FILE`, `--filter KIND`,
-//! `--stability`, `--sample N`, and the trace-diff mode `--diff A [B]`
+//! `--stability-stream`, `--sample N`, and the trace-diff mode `--diff A [B]`
 //! (with `--json`, `--ignore`, `--max-divergences`, `--context` and
 //! `--update-golden`); see `docs/OBSERVABILITY.md`. Artifacts written via
 //! `--trace-out`/`--out` are streamed to disk incrementally, so arbitrarily
@@ -39,11 +39,9 @@
 
 use hinet::analysis::experiments::all_experiments;
 use hinet::cluster::audit::StreamingAudit;
-use hinet::cluster::ctvg::CtvgTrace;
 use hinet::cluster::generators::HiNetConfig;
 use hinet::cluster::stability::stream::StabilityStream;
-use hinet::cluster::stability::trace_stability_windows;
-use hinet::knobs::{scenario_flags, MAX_AUDIT_NODE_ROUNDS, MAX_NODES, MAX_ROUNDS};
+use hinet::knobs::{scenario_flags, MAX_NODES, MAX_ROUNDS};
 use hinet::rt::obs::diff::{diff_traces, DiffConfig};
 use hinet::rt::obs::{ObsConfig, ParsedTrace, TraceSummary, Tracer};
 use hinet::scenario::{check_dynamics_size, dynamics_provider, Scenario, ALGORITHMS, DYNAMICS};
@@ -60,11 +58,11 @@ USAGE:
   hinet run [scenario flags] [--stability-stream] [--trace]
             [--trace-out FILE]
   hinet trace [scenario flags] [--in FILE] [--events]
-            [--summary] [--out FILE] [--filter KIND] [--stability]
+            [--summary] [--out FILE] [--filter KIND]
             [--stability-stream] [--sample N]
   hinet trace --diff A [B] [--json] [--ignore TIERS]
             [--max-divergences N] [--context N] [--update-golden]
-  hinet audit [--dynamics D] [--n N] [--rounds R] [--seed S] [--stream]
+  hinet audit [--dynamics D] [--n N] [--rounds R] [--seed S]
   hinet fuzz [--seed S] [--cases N] [--scenario FILE] [--out DIR]
             [--max-offenders N] [--no-archive]
   hinet fuzz --replay PATH          re-check an archived scenario corpus
@@ -113,14 +111,9 @@ const TRACE_FLAGS: &[FlagSpec] = &[
     flag("out", true, "write the hinet-trace/v1 artifact to FILE"),
     flag("filter", true, "with --events, only kinds containing KIND"),
     flag(
-        "stability",
-        false,
-        "verify Defs 2-8 per aligned window and trace the verdicts",
-    ),
-    flag(
         "stability-stream",
         false,
-        "like --stability, via the one-pass streaming verifier",
+        "verify Defs 2-8 per aligned window and trace the verdicts",
     ),
     flag(
         "sample",
@@ -160,11 +153,6 @@ const AUDIT_FLAGS: &[FlagSpec] = &[
     flag("n", true, "nodes [60]"),
     flag("rounds", true, "trace length [36]"),
     flag("seed", true, "RNG seed [42]"),
-    flag(
-        "stream",
-        false,
-        "one-pass streaming audit (constant memory, identical report)",
-    ),
 ];
 
 const FUZZ_FLAGS: &[FlagSpec] = &[
@@ -605,15 +593,6 @@ fn cmd_trace(pos: &[String], flags: &FlagSet) -> ExitCode {
     // Mode 2: run the scenario with tracing on.
     let run = || -> Result<(Scenario, Tracer, RunReport), String> {
         let sc = Scenario::from_flags(flags)?;
-        let stability_wanted = flags.has("stability");
-        let stream_wanted = flags.has("stability-stream");
-        if stability_wanted && stream_wanted {
-            return Err(
-                "--stability and --stability-stream are alternative verifiers; pick one \
-                 (their stability_window event streams are identical)"
-                    .into(),
-            );
-        }
         let mut tracer = match flags.get("sample") {
             Some(_) => Tracer::new(ObsConfig::sampled(flags.parsed("sample", 1u32)?)),
             None => Tracer::new(ObsConfig::full()),
@@ -626,16 +605,10 @@ fn cmd_trace(pos: &[String], flags: &FlagSet) -> ExitCode {
             }
         }
         let report = sc.run_traced(&mut tracer)?;
-        if stability_wanted {
+        if flags.has("stability-stream") {
             // Providers are deterministic in the scenario seed, so a fresh
-            // one replays the run's dynamics for post-hoc verification.
-            let mut replay = sc.provider(&sc.kind()?)?;
-            let trace = CtvgTrace::capture(replay.as_mut(), report.rounds_executed.max(1));
-            trace_stability_windows(&trace, sc.t(), sc.l, &mut tracer);
-        }
-        if stream_wanted {
-            // Same replay, but one round at a time through the streaming
-            // verifier: no materialised trace, constant memory per round.
+            // one replays the run's dynamics, one round at a time, through
+            // the streaming verifier: memory bounded by one round.
             let mut replay = sc.provider(&sc.kind()?)?;
             let mut stream = StabilityStream::new(sc.t(), sc.l);
             for round in 0..report.rounds_executed.max(1) {
@@ -771,8 +744,6 @@ fn cmd_trace_diff(a_path: &str, b_path: Option<&str>, flags: &FlagSet) -> ExitCo
 }
 
 fn cmd_audit(flags: &FlagSet) -> ExitCode {
-    use hinet::cluster::audit::audit;
-
     let parse = || -> Result<(usize, usize, u64), String> {
         let (n, rounds) = (
             flags.parsed("n", 60usize)?,
@@ -783,14 +754,6 @@ fn cmd_audit(flags: &FlagSet) -> ExitCode {
             if !(1..=max).contains(&(value as u64)) {
                 return Err(format!("audit needs --{flag} in 1..={max}, got {value}"));
             }
-        }
-        // The batch audit holds every round's snapshot; the stream holds one.
-        let node_rounds = n as u64 * rounds as u64;
-        if !flags.has("stream") && node_rounds > MAX_AUDIT_NODE_ROUNDS {
-            return Err(format!(
-                "batch audit holds every round: --n × --rounds = {node_rounds} exceeds \
-                 {MAX_AUDIT_NODE_ROUNDS} node-rounds; use --stream, which holds one round"
-            ));
         }
         Ok((n, rounds, flags.parsed("seed", 42u64)?))
     };
@@ -827,22 +790,18 @@ fn cmd_audit(flags: &FlagSet) -> ExitCode {
         }
     };
     println!("stability audit: dynamics={dynamics} n={n} rounds={rounds} seed={seed}\n");
-    if flags.has("stream") {
-        // One pass over the provider, never materialising the trace: the
-        // report is bit-identical to the batch audit (see audit.rs tests).
-        let mut streaming = StreamingAudit::new();
-        for round in 0..rounds {
-            let g = provider.graph_at(round);
-            let h = provider.hierarchy_at(round);
-            streaming.push(&g, &h);
-        }
-        let peak = streaming.peak_state_bytes();
-        println!("{}", streaming.finish().to_text());
-        println!("streaming state peak: {peak} bytes");
-    } else {
-        let trace = CtvgTrace::capture(provider.as_mut(), rounds);
-        println!("{}", audit(&trace).to_text());
+    // One pass over the provider, never materialising the trace: the
+    // report equals the reference `audit` of the captured trace (see the
+    // audit.rs and tests/prop_stream.rs differential tests).
+    let mut streaming = StreamingAudit::new();
+    for round in 0..rounds {
+        let g = provider.graph_at(round);
+        let h = provider.hierarchy_at(round);
+        streaming.push(&g, &h);
     }
+    let peak = streaming.peak_state_bytes();
+    println!("{}", streaming.finish().to_text());
+    println!("streaming state peak: {peak} bytes");
     ExitCode::SUCCESS
 }
 

@@ -244,7 +244,7 @@ fn trace_stability_reports_windows() {
             "3",
             "--seed",
             "5",
-            "--stability",
+            "--stability-stream",
             "--summary",
         ])
         .output()
@@ -284,30 +284,28 @@ fn trace_supports_rlnc_end_to_end() {
     assert!(text.contains("head_broadcast"), "{text}");
 
     // RLNC runs over the same hierarchy providers as every other
-    // algorithm, so both stability verifiers apply to its runs too.
-    for verifier in ["--stability", "--stability-stream"] {
-        let out = hinet()
-            .args([
-                "trace",
-                "--algorithm",
-                "rlnc",
-                "--n",
-                "30",
-                "--k",
-                "3",
-                verifier,
-                "--summary",
-            ])
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{verifier}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let text = String::from_utf8(out.stdout).unwrap();
-        assert!(text.contains("stability windows"), "{verifier}: {text}");
-    }
+    // algorithm, so the stability verifier applies to its runs too.
+    let out = hinet()
+        .args([
+            "trace",
+            "--algorithm",
+            "rlnc",
+            "--n",
+            "30",
+            "--k",
+            "3",
+            "--stability-stream",
+            "--summary",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("stability windows"), "{text}");
 }
 
 #[test]
@@ -490,10 +488,6 @@ fn audit_rejects_degenerate_sizes() {
     let cases: &[(&[&str], &str)] = &[
         (&["audit", "--n", "0"], "--n"),
         (&["audit", "--n", "1", "--rounds", "0"], "--rounds"),
-        (
-            &["audit", "--n", "1", "--rounds", "0", "--stream"],
-            "--rounds",
-        ),
         (&["audit", "--dynamics", "flat-1", "--n", "0"], "--n"),
         (&["audit", "--n", "10000000000", "--rounds", "3"], "--n"),
         (
@@ -501,7 +495,6 @@ fn audit_rejects_degenerate_sizes() {
             "--rounds",
         ),
         (&["audit", "--n", "100000", "--dynamics", "emdg"], "--n"),
-        (&["audit", "--n", "1000000", "--rounds", "5000"], "--stream"),
     ];
     for (args, needle) in cases {
         let out = hinet().args(*args).output().unwrap();

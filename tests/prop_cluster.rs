@@ -1,19 +1,24 @@
 //! Property-based tests for the cluster substrate: clustering validity,
-//! HiNet generator guarantees, the Fig. 2 lattice, and churn accounting.
+//! HiNet generator guarantees, the Fig. 2 lattice, churn accounting, and
+//! exact revisits on the forward-only mobility providers.
 //!
 //! Ported to the in-tree [`hinet::rt::check`] harness; re-run a failing case
 //! with the `HINET_CHECK_SEED=…` command the failure message prints.
 
-use hinet::cluster::clustering::{cluster, ClusteringKind};
-use hinet::cluster::ctvg::CtvgTrace;
-use hinet::cluster::generators::{HiNetConfig, HiNetGen};
+use hinet::cluster::clustering::{cluster, ClusteringKind, GatewayPolicy, LccMobilityGen};
+use hinet::cluster::ctvg::{CtvgTrace, FlatProvider, HierarchyProvider};
+use hinet::cluster::generators::{ClusteredMobilityGen, HiNetConfig, HiNetGen};
 use hinet::cluster::hierarchy::ClusterId;
 use hinet::cluster::reaffiliation::churn_stats;
 use hinet::cluster::stability::{
     cluster_stable_in_window, has_t_interval_l_hop_connectivity, head_connectivity_in_window,
     is_head_set_t_stable, is_hierarchy_t_stable, is_t_l_hinet, l_hop_in_window, min_hinet_l,
 };
+use hinet::graph::generators::{
+    EdgeMarkovianGen, ManhattanConfig, ManhattanGen, RandomWaypointGen, WaypointConfig,
+};
 use hinet::graph::graph::{Graph, GraphBuilder, NodeId};
+use hinet::graph::trace::TopologyProvider;
 use hinet::graph::verify::is_always_connected;
 use hinet::rt::check::{check, CaseCtx};
 use hinet::rt::rng::Rng;
@@ -225,4 +230,79 @@ fn stability_verdicts_deterministic() {
         let (s1, s2) = (churn_stats(&t1), churn_stats(&t2));
         assert_eq!(s1, s2);
     });
+}
+
+/// Sweep rounds `0..rounds`, then revisit rounds in seeded random order,
+/// asking for the graph, the hierarchy or both in either order: every
+/// answer must equal the first sweep's by value.
+fn assert_revisits_replay<P: HierarchyProvider>(c: &mut CaseCtx, mut p: P, rounds: usize) {
+    let sweep: Vec<_> = (0..rounds)
+        .map(|r| (p.graph_at(r), p.hierarchy_at(r)))
+        .collect();
+    for _ in 0..2 * rounds {
+        let r = c.random_range(0..rounds);
+        let (g, h) = &sweep[r];
+        match c.random_range(0u32..3) {
+            0 => {
+                assert_eq!(*p.graph_at(r), **g, "graph at round {r}");
+                assert_eq!(*p.hierarchy_at(r), **h, "hierarchy at round {r}");
+            }
+            1 => {
+                assert_eq!(*p.hierarchy_at(r), **h, "hierarchy at round {r}");
+                assert_eq!(*p.graph_at(r), **g, "graph at round {r}");
+            }
+            _ => assert_eq!(*p.hierarchy_at(r), **h, "hierarchy at round {r}"),
+        }
+    }
+}
+
+/// Run [`assert_revisits_replay`] on `inner` as a flat provider or under
+/// one of the two clustering providers.
+fn revisit_with_hierarchy<P: TopologyProvider>(c: &mut CaseCtx, inner: P, rounds: usize) {
+    let kind = arb_kind(c);
+    match c.random_range(0u32..4) {
+        0 => assert_revisits_replay(c, FlatProvider::new(inner), rounds),
+        1 => assert_revisits_replay(c, ClusteredMobilityGen::new(inner, kind, true), rounds),
+        2 => assert_revisits_replay(c, ClusteredMobilityGen::new(inner, kind, false), rounds),
+        _ => assert_revisits_replay(
+            c,
+            LccMobilityGen::new(inner, GatewayPolicy::MinimalPairwise),
+            rounds,
+        ),
+    }
+}
+
+#[test]
+fn forward_only_providers_replay_revisits_exactly() {
+    check(
+        "forward_only_providers_replay_revisits_exactly",
+        CASES,
+        |c| {
+            let n = c.random_range(2usize..=30);
+            let seed = c.random::<u64>();
+            let rounds = c.random_range(1usize..=20);
+            let ensure_connected = c.random::<bool>();
+            match c.random_range(0u32..3) {
+                0 => {
+                    let cfg = WaypointConfig {
+                        ensure_connected,
+                        ..WaypointConfig::default()
+                    };
+                    revisit_with_hierarchy(c, RandomWaypointGen::new(n, cfg, seed), rounds);
+                }
+                1 => {
+                    let cfg = ManhattanConfig {
+                        ensure_connected,
+                        ..ManhattanConfig::default()
+                    };
+                    revisit_with_hierarchy(c, ManhattanGen::new(n, cfg, seed), rounds);
+                }
+                _ => {
+                    let (p, q) = (c.random_range(0.0..=0.3), c.random_range(0.0..=0.3));
+                    let emdg = EdgeMarkovianGen::new(n, p, q, 0.2, ensure_connected, seed);
+                    revisit_with_hierarchy(c, emdg, rounds);
+                }
+            }
+        },
+    );
 }

@@ -9,12 +9,16 @@
 //! `max_hinet_t`/`min_hinet_l` answers must equal the batch functions,
 //! across seeded CTVG generators, archived fuzz-corpus scenarios, and
 //! fault-perturbed traces, under arbitrary chunk boundaries of the
-//! stream.
+//! stream. The CLI's one-pass paths are pinned to the batch references
+//! end to end: `StreamingAudit` to `audit` on every dynamics family, and
+//! the streamed `stability_window` events to `trace_stability_windows`'s
+//! on every corpus scenario.
 //!
 //! Both verifier families share `Hierarchy::l_hop_connectivity` (one
 //! multi-source BFS), so it has its own differential property against an
 //! all-pairs reference kept here.
 
+use hinet::cluster::audit::{audit, StreamingAudit};
 use hinet::cluster::clustering::{re_elect, ClusteringKind, GatewayPolicy};
 use hinet::cluster::ctvg::{CtvgTrace, FlatProvider, HierarchyProvider};
 use hinet::cluster::generators::{ClusteredMobilityGen, HiNetConfig, HiNetGen};
@@ -30,7 +34,7 @@ use hinet::graph::CsrGraph;
 use hinet::rt::check::{check, CaseCtx};
 use hinet::rt::obs::{ObsConfig, Tracer};
 use hinet::rt::rng::{Rng, SliceRandom};
-use hinet::scenario::ScenarioFile;
+use hinet::scenario::{dynamics_provider, Scenario, ScenarioFile, DYNAMICS};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -336,36 +340,114 @@ fn fault_perturbed_traces_match_batch() {
     });
 }
 
-/// Every archived fuzz-corpus scenario, replayed through its own dynamics
-/// provider, must verify identically under both verifier families (the
-/// in-repo mirror of the ci.sh divergence gate).
-#[test]
-fn corpus_scenarios_stream_equals_batch() {
+/// Every archived fuzz-corpus scenario, in file-name order.
+fn corpus_scenarios() -> Vec<(String, Scenario)> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
-    let mut checked = 0usize;
     let mut entries: Vec<_> = std::fs::read_dir(&dir)
         .expect("tests/corpus must exist")
         .map(|e| e.expect("readable corpus entry").path())
         .filter(|p| p.extension().is_some_and(|x| x == "scenario"))
         .collect();
     entries.sort();
-    for path in entries {
-        let sc = ScenarioFile::load(&path)
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()))
-            .scenario;
-        let Ok(kind) = sc.kind() else {
-            continue; // rlnc runs outside the round engine: no hierarchy
-        };
+    let scenarios: Vec<_> = entries
+        .iter()
+        .map(|path| {
+            let file =
+                ScenarioFile::load(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            (path.display().to_string(), file.scenario)
+        })
+        .collect();
+    assert!(
+        !scenarios.is_empty(),
+        "the corpus must exercise at least one scenario"
+    );
+    scenarios
+}
+
+/// Every archived fuzz-corpus scenario, replayed through its own dynamics
+/// provider, must verify identically under both verifier families.
+#[test]
+fn corpus_scenarios_stream_equals_batch() {
+    for (path, sc) in corpus_scenarios() {
+        let kind = sc.kind().unwrap_or_else(|e| panic!("{path}: {e}"));
         let mut provider = sc.provider(&kind).expect("corpus scenario provider");
         let rounds = sc.budget.clamp(1, 48);
         let trace = CtvgTrace::capture(provider.as_mut(), rounds);
         assert_stream_matches_batch(&trace, sc.t(), sc.l);
-        checked += 1;
     }
-    assert!(
-        checked > 0,
-        "the corpus must exercise at least one scenario"
-    );
+}
+
+/// What `hinet trace --scenario F --stability-stream` records: the run's
+/// dynamics replayed over the rounds it executed, one round at a time
+/// through `StabilityStream`. Its `stability_window` events must be
+/// byte-identical to the reference `trace_stability_windows` over the
+/// captured trace, for every corpus scenario.
+#[test]
+fn stream_verdicts_match_batch_on_corpus() {
+    for (path, sc) in corpus_scenarios() {
+        let report = sc
+            .run_traced(&mut Tracer::disabled())
+            .unwrap_or_else(|e| panic!("{path}: {e}"));
+        let rounds = report.rounds_executed.max(1);
+        let provider = || sc.provider(&sc.kind().unwrap()).unwrap();
+
+        let mut batch = Tracer::new(ObsConfig::full());
+        let trace = CtvgTrace::capture(provider().as_mut(), rounds);
+        trace_stability_windows(&trace, sc.t(), sc.l, &mut batch);
+
+        let mut streamed = Tracer::new(ObsConfig::full());
+        let mut replay = provider();
+        let mut stream = StabilityStream::new(sc.t(), sc.l);
+        for round in 0..rounds {
+            let g = replay.graph_at(round);
+            let h = replay.hierarchy_at(round);
+            if let Some(v) = stream.push(&g, &h) {
+                v.emit_into(&mut streamed);
+            }
+        }
+        if let Some(v) = stream.finish().0 {
+            v.emit_into(&mut streamed);
+        }
+        assert!(!streamed.is_empty(), "{path}: no stability_window events");
+        assert_eq!(streamed.to_jsonl(), batch.to_jsonl(), "{path}");
+    }
+}
+
+/// `StreamingAudit` — what `hinet audit` runs — must equal the reference
+/// batch `audit` of the captured trace, field for field, on every dynamics
+/// family at two sizes and three seeds (the provider `hinet audit` builds).
+#[test]
+fn streaming_audit_matches_reference_on_every_dynamics() {
+    let rounds = 36;
+    for &dynamics in DYNAMICS {
+        for n in [30, 60] {
+            for seed in 1..=3 {
+                let hinet = HiNetConfig {
+                    n,
+                    num_heads: n / 8,
+                    theta: n / 4,
+                    l: 2,
+                    t: 6,
+                    reaffil_prob: 0.15,
+                    rotate_heads: true,
+                    noise_edges: n / 5,
+                    seed,
+                };
+                let provider = || dynamics_provider(dynamics, hinet, 6).unwrap();
+                let reference = audit(&CtvgTrace::capture(provider().as_mut(), rounds));
+                let mut streaming = StreamingAudit::new();
+                let mut p = provider();
+                for round in 0..rounds {
+                    streaming.push(&p.graph_at(round), &p.hierarchy_at(round));
+                }
+                assert_eq!(
+                    streaming.finish(),
+                    reference,
+                    "{dynamics} n={n} seed={seed}"
+                );
+            }
+        }
+    }
 }
 
 /// Reference L-hop head connectivity (Definition 6) by brute force: a BFS
