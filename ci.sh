@@ -147,19 +147,27 @@ echo "delivery smoke: OK"
 # dissemination result as the lock-step engine — the artifacts differ
 # only by the `mode` meta stamp the event driver adds, so with exactly
 # that stamp stripped they must be byte-identical (any other drift, meta
-# included, fails) — and report wall-clock metrics.
+# included, fails) — and report wall-clock metrics. The chaos case runs
+# loss, delay, duplication, reorder and the reliability layer's acks and
+# timer retransmits across the event runtime's worker threads.
 rm -rf target/ci-event
-./target/release/hinet trace --algorithm alg2 --n 32 --k 4 --seed 5 \
-    --out target/ci-event/lockstep.jsonl >/dev/null
-./target/release/hinet trace --algorithm alg2 --n 32 --k 4 --seed 5 \
-    --mode event --out target/ci-event/event.jsonl >/dev/null
-sed '1s/,"mode":"event"//' target/ci-event/event.jsonl >target/ci-event/event-unstamped.jsonl
-cmp -s target/ci-event/lockstep.jsonl target/ci-event/event-unstamped.jsonl || {
-    echo "event smoke: event-mode run diverged from lock-step beyond the mode stamp" >&2
-    ./target/release/hinet trace --diff target/ci-event/lockstep.jsonl \
-        target/ci-event/event-unstamped.jsonl >&2 || true
-    exit 1
+mkdir -p target/ci-event
+event_matches_lockstep() {
+    local name=$1
+    shift
+    ./target/release/hinet trace "$@" --out "target/ci-event/$name-lockstep.jsonl" >/dev/null
+    ./target/release/hinet trace "$@" --mode event --out "target/ci-event/$name-event.jsonl" >/dev/null
+    sed '1s/,"mode":"event"//' "target/ci-event/$name-event.jsonl" >"target/ci-event/$name-unstamped.jsonl"
+    cmp -s "target/ci-event/$name-lockstep.jsonl" "target/ci-event/$name-unstamped.jsonl" || {
+        echo "event smoke: $name event-mode run diverged from lock-step beyond the mode stamp" >&2
+        ./target/release/hinet trace --diff "target/ci-event/$name-lockstep.jsonl" \
+            "target/ci-event/$name-unstamped.jsonl" >&2 || true
+        exit 1
+    }
 }
+event_matches_lockstep clean --algorithm alg2 --n 32 --k 4 --seed 5
+event_matches_lockstep chaos --algorithm alg2 --n 48 --k 6 --seed 5 --loss 0.05 --delay 0.03 \
+    --max-delay 3 --dup 0.02 --reorder --reliable --fault-seed 9
 ./target/release/hinet run --algorithm klo-flood --n 32 --k 4 --seed 5 \
     --mode event >target/ci-event/klo.txt
 grep -q 'completed: true' target/ci-event/klo.txt || {

@@ -593,9 +593,7 @@ impl<'a> Plane<'a> {
         }
         if self.reliable {
             if let Some(w) = link.window.as_mut() {
-                for &(from, ack) in &taken.acks {
-                    w.ack(from.index(), ack);
-                }
+                w.ack(&taken.acks);
             }
             // The buffer's `(from, seq)` dedup cannot see a timer
             // retransmit of an envelope that also arrived late; the ledger

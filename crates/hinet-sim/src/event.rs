@@ -170,41 +170,55 @@ impl Oracle {
 
 /// Per-shard wakeup latch: workers park on it when their shard has no
 /// runnable node; the transport notifier and stop changes ring it.
+///
+/// A ring is one atomic epoch bump; it takes the lock and wakes the
+/// condvar only when a worker is parked. A waiter registers in `parked`
+/// under the lock before re-checking the epoch, and a ringer bumps the
+/// epoch before reading `parked` (both `SeqCst`), so either the ringer
+/// sees the waiter or the waiter sees the new epoch: no wake-up is lost.
 struct Doorbell {
-    epoch: Mutex<u64>,
+    epoch: AtomicU64,
+    parked: AtomicUsize,
+    lock: Mutex<()>,
     cv: Condvar,
 }
 
 impl Doorbell {
     fn new() -> Doorbell {
         Doorbell {
-            epoch: Mutex::new(0),
+            epoch: AtomicU64::new(0),
+            parked: AtomicUsize::new(0),
+            lock: Mutex::new(()),
             cv: Condvar::new(),
         }
     }
 
     fn epoch(&self) -> u64 {
-        *self.epoch.lock().expect("doorbell lock")
+        self.epoch.load(Ordering::SeqCst)
     }
 
     fn ring(&self) {
-        *self.epoch.lock().expect("doorbell lock") += 1;
-        self.cv.notify_all();
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            let _g = self.lock.lock().expect("doorbell lock");
+            self.cv.notify_all();
+        }
     }
 
-    /// Park until the epoch moves past `seen` or the timeout elapses.
-    fn wait(&self, seen: u64) {
-        let mut g = self.epoch.lock().expect("doorbell lock");
-        while *g == seen {
-            let (next, res) = self
-                .cv
-                .wait_timeout(g, PARK_TIMEOUT)
-                .expect("doorbell lock");
+    /// Park until the epoch moves past `seen` or `timeout` elapses;
+    /// returns whether the epoch moved.
+    fn wait(&self, seen: u64, timeout: Duration) -> bool {
+        let mut g = self.lock.lock().expect("doorbell lock");
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        while self.epoch() == seen {
+            let (next, res) = self.cv.wait_timeout(g, timeout).expect("doorbell lock");
             g = next;
             if res.timed_out() {
                 break;
             }
         }
+        self.parked.fetch_sub(1, Ordering::SeqCst);
+        self.epoch() != seen
     }
 }
 
@@ -853,7 +867,7 @@ fn run_shard<P: Protocol>(shared: &Shared<'_>, s: usize, shard: &mut Shard<'_, P
                     continue;
                 }
             }
-            shared.doorbells[s].wait(epoch);
+            shared.doorbells[s].wait(epoch, PARK_TIMEOUT);
         }
     }
 }
@@ -1230,6 +1244,49 @@ mod tests {
         // A run that never makes any progress fires off the initial arming.
         let mut cold = Watchdog::new(t0, window);
         assert!(cold.probe(0, t0 + window, window));
+    }
+
+    /// A ring that lands while its waiter is between reading the epoch and
+    /// parking must still wake it. 2 000 park/ring races across two
+    /// threads with a 60 s park timeout: each wait must end woken and
+    /// promptly, since a lost wake-up would sleep out the full timeout.
+    #[test]
+    fn doorbell_never_loses_a_wakeup() {
+        const PAIRS: u64 = 2_000;
+        /// Releases the ringer if the waiting side fails, so the scope
+        /// can join it and report the failure instead of hanging.
+        struct Release<'a>(&'a AtomicU64);
+        impl Drop for Release<'_> {
+            fn drop(&mut self) {
+                self.0.store(u64::MAX, Ordering::SeqCst);
+            }
+        }
+        let bell = Doorbell::new();
+        let armed = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            let _release = Release(&armed);
+            s.spawn(|| {
+                for i in 1..=PAIRS {
+                    while armed.load(Ordering::SeqCst) < i {
+                        std::thread::yield_now();
+                    }
+                    bell.ring();
+                }
+            });
+            for i in 1..=PAIRS {
+                let seen = bell.epoch();
+                armed.store(i, Ordering::SeqCst);
+                let t0 = Instant::now();
+                assert!(
+                    bell.wait(seen, Duration::from_secs(60)),
+                    "pair {i} not woken"
+                );
+                assert!(
+                    t0.elapsed() < Duration::from_secs(30),
+                    "pair {i} slept out its timeout: lost wake-up"
+                );
+            }
+        });
     }
 
     #[test]
