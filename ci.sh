@@ -288,3 +288,19 @@ grep -q 'stability oracle: 12/12 windows' target/ci-stream/oracle-1l.txt || {
     exit 1
 }
 echo "stream gate: OK"
+
+# Benchmark gate: perfbench is a separate package that nothing above
+# builds, so a library change could break it unseen. Its tests must pass,
+# and every workload's seed-42 run must report `"correct":true` (the
+# pins, the theorem bound and digest stability).
+CARGO_TARGET_DIR=target/perfbench cargo test -q --offline --manifest-path perfbench/Cargo.toml
+for workload in alg1-churn alg1-audit alg2-chaos-event; do
+    result="$(CARGO_TARGET_DIR=target/perfbench python3 perfbench/run.py \
+        --workload "$workload" --seconds 0 | tail -1)"
+    echo "$result" | grep -q '"correct":true' || {
+        echo "perfbench gate: $workload is not correct:" >&2
+        echo "$result" >&2
+        exit 1
+    }
+done
+echo "perfbench gate: OK"

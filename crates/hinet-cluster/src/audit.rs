@@ -14,7 +14,6 @@ use crate::stability::stream::StabilityStream;
 use crate::stability::{
     is_head_set_forever_stable, max_hierarchy_stability_sliding, max_hinet_t, min_hinet_l,
 };
-use hinet_graph::csr::CsrGraph;
 use hinet_graph::graph::{Graph, NodeId};
 use hinet_graph::metrics::{snapshot_stats, trace_stats, TraceStats};
 use hinet_graph::verify::{is_always_connected, max_interval_connectivity};
@@ -194,7 +193,7 @@ impl StreamingAudit {
         self.stream.push(g, h);
 
         // Flat-network baselines.
-        self.always_connected &= CsrGraph::from(&**g).is_connected();
+        self.always_connected &= g.is_connected();
         let a = flat_bottleneck(g.n(), self.stream.edge_ages(), round);
         if a == 0 {
             self.flat_dead = true;

@@ -263,22 +263,11 @@ impl HiNetGen {
         }
         &self.windows[w]
     }
-}
 
-impl TopologyProvider for HiNetGen {
-    fn n(&self) -> usize {
-        self.cfg.n
-    }
-
-    fn graph_at(&mut self, round: usize) -> Arc<Graph> {
-        let w = round / self.cfg.t;
-        let cfg = self.cfg;
-        let base = Arc::clone(&self.window(w).base_graph);
-        if cfg.noise_edges == 0 || cfg.n < 2 {
-            return base;
-        }
+    /// Round `round`'s noise edges as a graph of their own.
+    fn noise(&self, round: usize) -> Graph {
+        let cfg = &self.cfg;
         let mut b = GraphBuilder::new(cfg.n);
-        b.add_graph(&base);
         let mut rng = stream_rng(cfg.seed, mix(0x0153, round as u64));
         for _ in 0..cfg.noise_edges {
             let u = rng.random_range(0..cfg.n);
@@ -288,7 +277,23 @@ impl TopologyProvider for HiNetGen {
             }
             b.add_edge(NodeId::from_index(u), NodeId::from_index(v));
         }
-        Arc::new(b.build())
+        b.build()
+    }
+}
+
+impl TopologyProvider for HiNetGen {
+    fn n(&self) -> usize {
+        self.cfg.n
+    }
+
+    fn graph_at(&mut self, round: usize) -> Arc<Graph> {
+        let w = round / self.cfg.t;
+        let base = Arc::clone(&self.window(w).base_graph);
+        if self.cfg.noise_edges == 0 || self.cfg.n < 2 {
+            return base;
+        }
+        // One linear merge; `union` drops noise edges the base already has.
+        Arc::new(base.union(&self.noise(round)))
     }
 }
 
@@ -441,6 +446,78 @@ mod tests {
         assert_eq!(trace.validate(), Ok(()));
         assert_eq!(trace.hierarchy(0).heads().len(), 1);
         assert!(is_always_connected(trace.topology()));
+    }
+
+    /// A random valid configuration with `T ∈ {1, 2, 5}` and up to `2n`
+    /// noise edges per round.
+    fn arb_config(c: &mut hinet_rt::check::CaseCtx) -> HiNetConfig {
+        use hinet_rt::rng::Rng;
+        let n = c.random_range(1..=48usize);
+        let l = c.random_range(1..=3usize);
+        // `h` heads need `h + (h − 1)(l − 1) = hl − l + 1` nodes.
+        let max_heads = n.div_ceil(l);
+        let num_heads = c.random_range(1..=max_heads);
+        HiNetConfig {
+            n,
+            num_heads,
+            theta: c.random_range(num_heads..=n),
+            l,
+            t: *c.pick(&[1, 2, 5]),
+            reaffil_prob: *c.pick(&[0.0, 0.2, 0.9]),
+            rotate_heads: c.random_bool(0.5),
+            noise_edges: c.random_range(0..=2 * n),
+            seed: c.random(),
+        }
+    }
+
+    #[test]
+    fn snapshot_is_the_base_plus_noise_edge_list() {
+        hinet_rt::check::check("snapshot_is_the_base_plus_noise_edge_list", 64, |c| {
+            let cfg = arb_config(c);
+            let mut g = HiNetGen::new(cfg);
+            for r in 0..12 {
+                let snapshot = g.graph_at(r);
+                // The adjacency-list builder the union replaced: every base
+                // and noise edge in both directions, sorted and deduplicated.
+                let mut adj = vec![Vec::new(); cfg.n];
+                let base = Arc::clone(&g.window(r / cfg.t).base_graph);
+                let noise = if cfg.n < 2 {
+                    Graph::empty(cfg.n)
+                } else {
+                    g.noise(r)
+                };
+                for e in base.edges().chain(noise.edges()) {
+                    adj[e.a.index()].push(e.b);
+                    adj[e.b.index()].push(e.a);
+                }
+                for (u, list) in adj.iter_mut().enumerate() {
+                    list.sort_unstable();
+                    list.dedup();
+                    assert_eq!(snapshot.neighbors(NodeId::from_index(u)), &list[..]);
+                }
+                assert_eq!(
+                    snapshot.m(),
+                    adj.iter().map(Vec::len).sum::<usize>() / 2,
+                    "round {r}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn out_of_order_queries_replay_the_in_order_trace() {
+        use hinet_graph::rng::SliceRandom;
+        hinet_rt::check::check("out_of_order_queries_replay_the_in_order_trace", 48, |c| {
+            let cfg = arb_config(c);
+            let trace = CtvgTrace::capture(&mut HiNetGen::new(cfg), 16);
+            let mut rounds: Vec<usize> = (0..16).collect();
+            rounds.shuffle(c);
+            let mut g = HiNetGen::new(cfg);
+            for r in rounds {
+                assert_eq!(*g.graph_at(r), **trace.graph(r), "round {r}");
+                assert_eq!(*g.hierarchy_at(r), **trace.hierarchy(r), "round {r}");
+            }
+        });
     }
 
     #[test]

@@ -82,11 +82,16 @@ impl Edge {
     }
 }
 
-/// An immutable undirected simple graph over nodes `0..n`.
+/// An immutable undirected simple graph over nodes `0..n`, stored as one
+/// flat compressed-sparse-row (CSR) array pair.
 ///
-/// Neighbor lists are sorted, enabling `O(log deg)` adjacency queries and
-/// linear-time sorted-merge operations (used by window-intersection graphs in
-/// the T-interval connectivity verifier).
+/// Node `u`'s neighbours are `targets[offsets[u]..offsets[u + 1]]`, sorted
+/// and deduplicated, so adjacency queries are `O(log deg)` and intersections
+/// and unions are linear sorted merges (used by window-intersection graphs
+/// in the T-interval connectivity verifier). Every layer reads this one
+/// layout: the generators build it, the simulator shares each round's
+/// snapshot behind an `Arc` without copying it, and the verifiers traverse
+/// it directly.
 ///
 /// ```
 /// use hinet_graph::graph::{Graph, NodeId};
@@ -96,30 +101,42 @@ impl Edge {
 /// assert_eq!(g.m(), 3);
 /// assert!(g.has_edge(NodeId(1), NodeId(2)));
 /// assert_eq!(g.neighbors(NodeId(1)), &[NodeId(0), NodeId(2)]);
+/// assert_eq!(g.bfs(NodeId(0)), vec![0, 1, 2, 3]);
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
-    n: usize,
-    adj: Vec<Vec<NodeId>>,
-    m: usize,
+    /// `offsets[u]..offsets[u + 1]` indexes `targets` for node `u`; the
+    /// length is `n + 1`.
+    offsets: Vec<u32>,
+    /// Concatenated sorted, deduplicated neighbour lists; each undirected
+    /// edge appears twice.
+    targets: Vec<NodeId>,
 }
 
 impl fmt::Debug for Graph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Graph")
-            .field("n", &self.n)
-            .field("m", &self.m)
+            .field("n", &self.n())
+            .field("m", &self.m())
             .finish()
     }
+}
+
+/// A CSR offset for `entries` neighbour entries.
+///
+/// # Panics
+/// Panics if `entries` does not fit the `u32` offsets.
+fn offset(entries: usize) -> u32 {
+    u32::try_from(entries)
+        .unwrap_or_else(|_| panic!("graph too large for u32 CSR offsets: {entries} entries"))
 }
 
 impl Graph {
     /// The empty graph on `n` isolated nodes.
     pub fn empty(n: usize) -> Self {
         Graph {
-            n,
-            adj: vec![Vec::new(); n],
-            m: 0,
+            offsets: vec![0; n + 1],
+            targets: Vec::new(),
         }
     }
 
@@ -177,43 +194,44 @@ impl Graph {
     /// Number of nodes.
     #[inline]
     pub fn n(&self) -> usize {
-        self.n
+        self.offsets.len() - 1
     }
 
     /// Number of undirected edges.
     #[inline]
     pub fn m(&self) -> usize {
-        self.m
+        self.targets.len() / 2
     }
 
     /// Iterator over all node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.n).map(NodeId::from_index)
+        (0..self.n()).map(NodeId::from_index)
     }
 
     /// Sorted neighbor list of `u`.
     #[inline]
     pub fn neighbors(&self, u: NodeId) -> &[NodeId] {
-        &self.adj[u.index()]
+        let lo = self.offsets[u.index()] as usize;
+        let hi = self.offsets[u.index() + 1] as usize;
+        &self.targets[lo..hi]
     }
 
     /// Degree of `u`.
     #[inline]
     pub fn degree(&self, u: NodeId) -> usize {
-        self.adj[u.index()].len()
+        (self.offsets[u.index() + 1] - self.offsets[u.index()]) as usize
     }
 
     /// Whether edge `{u, v}` is present.
     #[inline]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.adj[u.index()].binary_search(&v).is_ok()
+        self.neighbors(u).binary_search(&v).is_ok()
     }
 
     /// Iterator over all edges in canonical order.
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        (0..self.n).flat_map(move |u| {
-            let u = NodeId::from_index(u);
-            self.adj[u.index()]
+        self.nodes().flat_map(move |u| {
+            self.neighbors(u)
                 .iter()
                 .copied()
                 .filter(move |&v| u < v)
@@ -230,95 +248,123 @@ impl Graph {
     /// # Panics
     /// Panics if node counts differ.
     pub fn intersect(&self, other: &Graph) -> Graph {
-        assert_eq!(self.n, other.n, "intersecting graphs of different order");
-        let mut adj = Vec::with_capacity(self.n);
-        let mut m = 0;
-        for u in 0..self.n {
-            let (xs, ys) = (&self.adj[u], &other.adj[u]);
-            let mut merged = Vec::with_capacity(xs.len().min(ys.len()));
-            let (mut i, mut j) = (0, 0);
-            while i < xs.len() && j < ys.len() {
-                match xs[i].cmp(&ys[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        merged.push(xs[i]);
-                        i += 1;
-                        j += 1;
+        assert_eq!(
+            self.n(),
+            other.n(),
+            "intersecting graphs of different order"
+        );
+        self.merge(
+            other,
+            self.targets.len().min(other.targets.len()),
+            |xs, ys, out| {
+                let (mut i, mut j) = (0, 0);
+                while i < xs.len() && j < ys.len() {
+                    match xs[i].cmp(&ys[j]) {
+                        std::cmp::Ordering::Less => i += 1,
+                        std::cmp::Ordering::Greater => j += 1,
+                        std::cmp::Ordering::Equal => {
+                            out.push(xs[i]);
+                            i += 1;
+                            j += 1;
+                        }
                     }
                 }
-            }
-            m += merged.len();
-            adj.push(merged);
-        }
-        Graph {
-            n: self.n,
-            adj,
-            m: m / 2,
-        }
+            },
+        )
     }
 
     /// In-place [`Graph::intersect`]: keep only the edges `other` also has,
-    /// reusing `self`'s neighbor lists instead of allocating new ones. The
-    /// streaming stability verifier folds each round into its open window
-    /// this way.
+    /// compacting `self`'s arrays in one pass instead of allocating new
+    /// ones. The streaming stability verifier folds each round into its
+    /// open window this way.
     ///
     /// # Panics
     /// Panics if node counts differ.
     pub fn intersect_in_place(&mut self, other: &Graph) {
-        assert_eq!(self.n, other.n, "intersecting graphs of different order");
-        let mut m = 0;
-        for (xs, ys) in self.adj.iter_mut().zip(&other.adj) {
+        assert_eq!(
+            self.n(),
+            other.n(),
+            "intersecting graphs of different order"
+        );
+        // `kept` trails the read cursor, so each survivor moves left (or
+        // stays) and `offsets[u + 1]` is read before it is rewritten.
+        let (mut lo, mut kept) = (0, 0);
+        for u in 0..self.n() {
+            let hi = self.offsets[u + 1] as usize;
+            let ys = other.neighbors(NodeId::from_index(u));
             let mut j = 0;
-            xs.retain(|x| {
-                while j < ys.len() && ys[j] < *x {
+            for i in lo..hi {
+                let x = self.targets[i];
+                while j < ys.len() && ys[j] < x {
                     j += 1;
                 }
-                j < ys.len() && ys[j] == *x
-            });
-            m += xs.len();
+                if j < ys.len() && ys[j] == x {
+                    self.targets[kept] = x;
+                    kept += 1;
+                }
+            }
+            self.offsets[u + 1] = kept as u32;
+            lo = hi;
         }
-        self.m = m / 2;
+        self.targets.truncate(kept);
     }
 
     /// The edge-union of `self` and `other` (same node set).
     ///
     /// # Panics
-    /// Panics if node counts differ.
+    /// Panics if node counts differ, or if the union's neighbour entries
+    /// overflow the `u32` offsets.
     pub fn union(&self, other: &Graph) -> Graph {
-        assert_eq!(self.n, other.n, "uniting graphs of different order");
-        let mut adj = Vec::with_capacity(self.n);
-        let mut m = 0;
-        for u in 0..self.n {
-            let (xs, ys) = (&self.adj[u], &other.adj[u]);
-            let mut merged = Vec::with_capacity(xs.len() + ys.len());
-            let (mut i, mut j) = (0, 0);
-            while i < xs.len() || j < ys.len() {
-                let take_x = j >= ys.len() || (i < xs.len() && xs[i] <= ys[j]);
-                if take_x {
-                    if j < ys.len() && xs[i] == ys[j] {
-                        j += 1;
+        assert_eq!(self.n(), other.n(), "uniting graphs of different order");
+        self.merge(
+            other,
+            self.targets.len() + other.targets.len(),
+            |xs, ys, out| {
+                let (mut i, mut j) = (0, 0);
+                while i < xs.len() && j < ys.len() {
+                    match xs[i].cmp(&ys[j]) {
+                        std::cmp::Ordering::Less => {
+                            out.push(xs[i]);
+                            i += 1;
+                        }
+                        std::cmp::Ordering::Greater => {
+                            out.push(ys[j]);
+                            j += 1;
+                        }
+                        std::cmp::Ordering::Equal => {
+                            out.push(xs[i]);
+                            i += 1;
+                            j += 1;
+                        }
                     }
-                    merged.push(xs[i]);
-                    i += 1;
-                } else {
-                    merged.push(ys[j]);
-                    j += 1;
                 }
-            }
-            m += merged.len();
-            adj.push(merged);
+                out.extend_from_slice(&xs[i..]);
+                out.extend_from_slice(&ys[j..]);
+            },
+        )
+    }
+
+    /// One pass over both graphs' neighbour lists into fresh flat arrays:
+    /// `node` appends node `u`'s merged list given both of its inputs.
+    fn merge(
+        &self,
+        other: &Graph,
+        capacity: usize,
+        mut node: impl FnMut(&[NodeId], &[NodeId], &mut Vec<NodeId>),
+    ) -> Graph {
+        let mut offsets = Vec::with_capacity(self.offsets.len());
+        let mut targets = Vec::with_capacity(capacity);
+        offsets.push(0);
+        for u in self.nodes() {
+            node(self.neighbors(u), other.neighbors(u), &mut targets);
+            offsets.push(offset(targets.len()));
         }
-        Graph {
-            n: self.n,
-            adj,
-            m: m / 2,
-        }
+        Graph { offsets, targets }
     }
 
     /// Whether every edge of `sub` is also an edge of `self`.
     pub fn contains_subgraph(&self, sub: &Graph) -> bool {
-        if sub.n != self.n {
+        if sub.n() != self.n() {
             return false;
         }
         sub.edges().all(|e| self.has_edge(e.a, e.b))
@@ -328,9 +374,84 @@ impl Graph {
     ///
     /// Used by churn metrics: how much the topology changed between rounds.
     pub fn edge_distance(&self, other: &Graph) -> usize {
-        assert_eq!(self.n, other.n);
+        assert_eq!(self.n(), other.n());
         let common = self.intersect(other).m();
-        (self.m - common) + (other.m - common)
+        (self.m() - common) + (other.m() - common)
+    }
+
+    /// Single-source BFS distances; `u32::MAX` marks unreachable nodes.
+    pub fn bfs(&self, src: NodeId) -> Vec<u32> {
+        let mut dist = vec![u32::MAX; self.n()];
+        let mut queue = Vec::with_capacity(self.n());
+        self.bfs_into(&[src], &mut dist, &mut queue);
+        dist
+    }
+
+    /// The one BFS: fills `dist` (length `n`, fully overwritten) with each
+    /// node's distance from the nearest of `sources` (`u32::MAX` when
+    /// unreachable), reusing `queue` so a loop over many sources allocates
+    /// nothing per source.
+    pub(crate) fn bfs_into(&self, sources: &[NodeId], dist: &mut [u32], queue: &mut Vec<NodeId>) {
+        assert_eq!(dist.len(), self.n());
+        dist.fill(u32::MAX);
+        queue.clear();
+        for &s in sources {
+            if dist[s.index()] == u32::MAX {
+                dist[s.index()] = 0;
+                queue.push(s);
+            }
+        }
+        let mut head = 0;
+        while head < queue.len() {
+            let u = queue[head];
+            head += 1;
+            let du = dist[u.index()];
+            for &v in self.neighbors(u) {
+                if dist[v.index()] == u32::MAX {
+                    dist[v.index()] = du + 1;
+                    queue.push(v);
+                }
+            }
+        }
+    }
+
+    /// Whether the graph is connected (trivially true for `n ≤ 1`).
+    pub fn is_connected(&self) -> bool {
+        self.n() <= 1 || self.bfs(NodeId(0)).iter().all(|&d| d != u32::MAX)
+    }
+
+    /// Eccentricity of `src`: max BFS distance, or `None` if disconnected.
+    pub fn eccentricity(&self, src: NodeId) -> Option<u32> {
+        let dist = self.bfs(src);
+        let mut ecc = 0;
+        for &d in &dist {
+            if d == u32::MAX {
+                return None;
+            }
+            ecc = ecc.max(d);
+        }
+        Some(ecc)
+    }
+
+    /// Exact diameter via all-sources BFS; `None` if disconnected.
+    ///
+    /// Quadratic in `n` — intended for the moderate `n` of the paper's
+    /// experiments (tens to low thousands), not web-scale graphs.
+    pub fn diameter(&self) -> Option<u32> {
+        let n = self.n();
+        let mut dist = vec![u32::MAX; n];
+        let mut queue = Vec::with_capacity(n);
+        let mut diam = 0;
+        for u in self.nodes() {
+            self.bfs_into(&[u], &mut dist, &mut queue);
+            for &d in dist.iter() {
+                if d == u32::MAX {
+                    return None;
+                }
+                diam = diam.max(d);
+            }
+        }
+        Some(diam)
     }
 }
 
@@ -341,7 +462,7 @@ impl Graph {
 #[derive(Clone, Debug)]
 pub struct GraphBuilder {
     n: usize,
-    adj: Vec<Vec<NodeId>>,
+    edges: Vec<(NodeId, NodeId)>,
 }
 
 impl GraphBuilder {
@@ -349,7 +470,7 @@ impl GraphBuilder {
     pub fn new(n: usize) -> Self {
         GraphBuilder {
             n,
-            adj: vec![Vec::new(); n],
+            edges: Vec::new(),
         }
     }
 
@@ -369,8 +490,7 @@ impl GraphBuilder {
             "edge ({u}, {v}) out of range for n={}",
             self.n
         );
-        self.adj[u.index()].push(v);
-        self.adj[v.index()].push(u);
+        self.edges.push((u, v));
         self
     }
 
@@ -391,19 +511,47 @@ impl GraphBuilder {
         self
     }
 
-    /// Finalise: sort and deduplicate adjacency lists.
-    pub fn build(mut self) -> Graph {
-        let mut m = 0;
-        for list in &mut self.adj {
-            list.sort_unstable();
-            list.dedup();
-            m += list.len();
+    /// Finalise in linear time plus the per-node sorts: count degrees,
+    /// take prefix sums, scatter both directions of every edge, then sort
+    /// and deduplicate each node's segment, compacting in place.
+    ///
+    /// # Panics
+    /// Panics if the added edges' `2·len` neighbour entries overflow the
+    /// `u32` offsets.
+    pub fn build(self) -> Graph {
+        let GraphBuilder { n, edges } = self;
+        let entries = offset(2 * edges.len()) as usize;
+        let mut offsets = vec![0u32; n + 1];
+        for &(u, v) in &edges {
+            offsets[u.index() + 1] += 1;
+            offsets[v.index() + 1] += 1;
         }
-        Graph {
-            n: self.n,
-            adj: self.adj,
-            m: m / 2,
+        for u in 0..n {
+            offsets[u + 1] += offsets[u];
         }
+        let mut cursor = offsets[..n].to_vec();
+        let mut targets = vec![NodeId(0); entries];
+        for (u, v) in edges {
+            targets[cursor[u.index()] as usize] = v;
+            cursor[u.index()] += 1;
+            targets[cursor[v.index()] as usize] = u;
+            cursor[v.index()] += 1;
+        }
+        let (mut lo, mut kept) = (0, 0);
+        for u in 0..n {
+            let hi = offsets[u + 1] as usize;
+            targets[lo..hi].sort_unstable();
+            for i in lo..hi {
+                if i == lo || targets[i] != targets[i - 1] {
+                    targets[kept] = targets[i];
+                    kept += 1;
+                }
+            }
+            offsets[u + 1] = kept as u32;
+            lo = hi;
+        }
+        targets.truncate(kept);
+        Graph { offsets, targets }
     }
 }
 
@@ -543,6 +691,300 @@ mod tests {
         assert_eq!(edges.len(), 3);
         for e in &edges {
             assert!(e.a < e.b);
+        }
+    }
+
+    #[test]
+    fn csr_roundtrip_preserves_adjacency() {
+        let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]);
+        let c = crate::csr::CsrGraph::from(&g);
+        assert_eq!(c, g);
+        assert_eq!(c.n(), 5);
+        assert_eq!(c.m(), 5);
+        assert!(c.has_edge(nid(0), nid(4)));
+        assert!(!c.has_edge(nid(0), nid(2)));
+    }
+
+    #[test]
+    fn bfs_distances_on_path() {
+        assert_eq!(Graph::path(6).bfs(nid(0)), vec![0, 1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn bfs_marks_unreachable() {
+        let d = Graph::from_edges(4, [(0, 1)]).bfs(nid(0));
+        assert_eq!(d[1], 1);
+        assert_eq!(d[2], u32::MAX);
+        assert_eq!(d[3], u32::MAX);
+    }
+
+    #[test]
+    fn connectivity_detection() {
+        assert!(Graph::cycle(8).is_connected());
+        assert!(!Graph::from_edges(3, [(0, 1)]).is_connected());
+        assert!(Graph::empty(1).is_connected());
+        assert!(Graph::empty(0).is_connected());
+    }
+
+    #[test]
+    fn diameter_of_known_shapes() {
+        assert_eq!(Graph::path(7).diameter(), Some(6));
+        assert_eq!(Graph::cycle(8).diameter(), Some(4));
+        assert_eq!(Graph::complete(5).diameter(), Some(1));
+        assert_eq!(Graph::star(9).diameter(), Some(2));
+        assert_eq!(Graph::empty(0).diameter(), Some(0));
+        assert_eq!(Graph::from_edges(3, [(0, 1)]).diameter(), None);
+    }
+
+    #[test]
+    fn eccentricity_hub_vs_leaf() {
+        let c = Graph::star(5);
+        assert_eq!(c.eccentricity(nid(0)), Some(1));
+        assert_eq!(c.eccentricity(nid(1)), Some(2));
+    }
+
+    /// A random edge list over `n` nodes: duplicates and both orientations
+    /// of one edge are likely at these sizes.
+    fn arb_edges(c: &mut hinet_rt::check::CaseCtx, n: usize) -> Vec<(NodeId, NodeId)> {
+        use hinet_rt::rng::Rng;
+        if n < 2 {
+            return Vec::new();
+        }
+        let len = c.random_range(0..=200usize);
+        c.vec_of(len, |c| {
+            let u = c.random_range(0..n);
+            let v = (u + c.random_range(1..n)) % n;
+            (nid(u), nid(v))
+        })
+    }
+
+    fn build_both(n: usize, edges: &[(NodeId, NodeId)]) -> (Graph, reference::Graph) {
+        let (mut flat, mut nested) = (GraphBuilder::new(n), reference::GraphBuilder::new(n));
+        for &(u, v) in edges {
+            flat.add_edge(u, v);
+            nested.add_edge(u, v);
+        }
+        (flat.build(), nested.build())
+    }
+
+    fn assert_same(flat: &Graph, nested: &reference::Graph) {
+        assert_eq!(flat.n(), nested.n());
+        assert_eq!(flat.m(), nested.m());
+        for u in flat.nodes() {
+            assert_eq!(flat.neighbors(u), nested.neighbors(u), "neighbors({u})");
+            assert_eq!(flat.degree(u), nested.degree(u), "degree({u})");
+            for v in flat.nodes() {
+                assert_eq!(flat.has_edge(u, v), nested.has_edge(u, v), "{{{u}, {v}}}");
+            }
+        }
+        assert!(flat.edges().eq(nested.edges()), "edges() order");
+    }
+
+    #[test]
+    fn flat_graph_matches_the_nested_reference() {
+        hinet_rt::check::check("flat_graph_matches_the_nested_reference", 256, |c| {
+            use hinet_rt::rng::Rng;
+            let n = c.random_range(0..=64usize);
+            let lists: Vec<_> = (0..4).map(|_| arb_edges(c, n)).collect();
+            let graphs: Vec<_> = lists.iter().map(|e| build_both(n, e)).collect();
+            for (flat, nested) in &graphs {
+                assert_same(flat, nested);
+            }
+            let (a, ra) = &graphs[0];
+            let (b, rb) = &graphs[1];
+            assert_same(&a.intersect(b), &ra.intersect(rb));
+            assert_same(&a.union(b), &ra.union(rb));
+            assert_eq!(a.contains_subgraph(b), ra.contains_subgraph(rb));
+            assert!(a.union(b).contains_subgraph(a));
+            assert_eq!(a.edge_distance(b), ra.edge_distance(rb));
+            // A window fold, as `StabilityStream` runs it.
+            let (mut flat, mut nested) = (a.clone(), ra.clone());
+            for (g, rg) in &graphs[1..] {
+                flat.intersect_in_place(g);
+                nested.intersect_in_place(rg);
+                assert_same(&flat, &nested);
+            }
+            assert_eq!(
+                flat,
+                a.intersect(b)
+                    .intersect(&graphs[2].0)
+                    .intersect(&graphs[3].0)
+            );
+        });
+    }
+
+    /// The adjacency-list `Graph` and `GraphBuilder` this module's flat CSR
+    /// layout replaced, kept as the differential reference.
+    mod reference {
+        use super::super::{Edge, NodeId};
+
+        #[derive(Clone)]
+        pub(super) struct Graph {
+            n: usize,
+            adj: Vec<Vec<NodeId>>,
+            m: usize,
+        }
+
+        impl Graph {
+            pub(super) fn n(&self) -> usize {
+                self.n
+            }
+
+            pub(super) fn m(&self) -> usize {
+                self.m
+            }
+
+            pub(super) fn neighbors(&self, u: NodeId) -> &[NodeId] {
+                &self.adj[u.index()]
+            }
+
+            pub(super) fn degree(&self, u: NodeId) -> usize {
+                self.adj[u.index()].len()
+            }
+
+            pub(super) fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
+                self.adj[u.index()].binary_search(&v).is_ok()
+            }
+
+            pub(super) fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
+                (0..self.n).flat_map(move |u| {
+                    let u = NodeId::from_index(u);
+                    self.adj[u.index()]
+                        .iter()
+                        .copied()
+                        .filter(move |&v| u < v)
+                        .map(move |v| Edge { a: u, b: v })
+                })
+            }
+
+            pub(super) fn intersect(&self, other: &Graph) -> Graph {
+                assert_eq!(self.n, other.n, "intersecting graphs of different order");
+                let mut adj = Vec::with_capacity(self.n);
+                let mut m = 0;
+                for u in 0..self.n {
+                    let (xs, ys) = (&self.adj[u], &other.adj[u]);
+                    let mut merged = Vec::with_capacity(xs.len().min(ys.len()));
+                    let (mut i, mut j) = (0, 0);
+                    while i < xs.len() && j < ys.len() {
+                        match xs[i].cmp(&ys[j]) {
+                            std::cmp::Ordering::Less => i += 1,
+                            std::cmp::Ordering::Greater => j += 1,
+                            std::cmp::Ordering::Equal => {
+                                merged.push(xs[i]);
+                                i += 1;
+                                j += 1;
+                            }
+                        }
+                    }
+                    m += merged.len();
+                    adj.push(merged);
+                }
+                Graph {
+                    n: self.n,
+                    adj,
+                    m: m / 2,
+                }
+            }
+
+            pub(super) fn intersect_in_place(&mut self, other: &Graph) {
+                assert_eq!(self.n, other.n, "intersecting graphs of different order");
+                let mut m = 0;
+                for (xs, ys) in self.adj.iter_mut().zip(&other.adj) {
+                    let mut j = 0;
+                    xs.retain(|x| {
+                        while j < ys.len() && ys[j] < *x {
+                            j += 1;
+                        }
+                        j < ys.len() && ys[j] == *x
+                    });
+                    m += xs.len();
+                }
+                self.m = m / 2;
+            }
+
+            pub(super) fn union(&self, other: &Graph) -> Graph {
+                assert_eq!(self.n, other.n, "uniting graphs of different order");
+                let mut adj = Vec::with_capacity(self.n);
+                let mut m = 0;
+                for u in 0..self.n {
+                    let (xs, ys) = (&self.adj[u], &other.adj[u]);
+                    let mut merged = Vec::with_capacity(xs.len() + ys.len());
+                    let (mut i, mut j) = (0, 0);
+                    while i < xs.len() || j < ys.len() {
+                        let take_x = j >= ys.len() || (i < xs.len() && xs[i] <= ys[j]);
+                        if take_x {
+                            if j < ys.len() && xs[i] == ys[j] {
+                                j += 1;
+                            }
+                            merged.push(xs[i]);
+                            i += 1;
+                        } else {
+                            merged.push(ys[j]);
+                            j += 1;
+                        }
+                    }
+                    m += merged.len();
+                    adj.push(merged);
+                }
+                Graph {
+                    n: self.n,
+                    adj,
+                    m: m / 2,
+                }
+            }
+
+            pub(super) fn contains_subgraph(&self, sub: &Graph) -> bool {
+                if sub.n != self.n {
+                    return false;
+                }
+                sub.edges().all(|e| self.has_edge(e.a, e.b))
+            }
+
+            pub(super) fn edge_distance(&self, other: &Graph) -> usize {
+                assert_eq!(self.n, other.n);
+                let common = self.intersect(other).m();
+                (self.m - common) + (other.m - common)
+            }
+        }
+
+        pub(super) struct GraphBuilder {
+            n: usize,
+            adj: Vec<Vec<NodeId>>,
+        }
+
+        impl GraphBuilder {
+            pub(super) fn new(n: usize) -> Self {
+                GraphBuilder {
+                    n,
+                    adj: vec![Vec::new(); n],
+                }
+            }
+
+            pub(super) fn add_edge(&mut self, u: NodeId, v: NodeId) -> &mut Self {
+                assert_ne!(u, v, "self-loop at {u}");
+                assert!(
+                    u.index() < self.n && v.index() < self.n,
+                    "edge ({u}, {v}) out of range for n={}",
+                    self.n
+                );
+                self.adj[u.index()].push(v);
+                self.adj[v.index()].push(u);
+                self
+            }
+
+            pub(super) fn build(mut self) -> Graph {
+                let mut m = 0;
+                for list in &mut self.adj {
+                    list.sort_unstable();
+                    list.dedup();
+                    m += list.len();
+                }
+                Graph {
+                    n: self.n,
+                    adj: self.adj,
+                    m: m / 2,
+                }
+            }
         }
     }
 }

@@ -5,8 +5,9 @@
 //! This crate provides everything below the cluster layer:
 //!
 //! * [`Graph`] — an immutable undirected graph snapshot (one communication
-//!   round of a dynamic network), plus a compact CSR view ([`CsrGraph`]) for
-//!   traversal-heavy verification passes.
+//!   round of a dynamic network) in one flat CSR layout, which generators,
+//!   the simulator and the verifiers all share without copying
+//!   ([`CsrGraph`] is the same type under its layout's name).
 //! * [`trace::TvgTrace`] — a time-varying graph: the sequence of per-round
 //!   snapshots, i.e. the `(V, E, Γ, ρ)` part of the paper's TVG/CTVG model
 //!   (we fix the latency function `ζ ≡ 1` round, as the paper's synchronous

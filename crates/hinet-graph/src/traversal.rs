@@ -1,29 +1,13 @@
 //! Traversal primitives on [`Graph`] snapshots.
 //!
-//! These operate directly on the adjacency-list representation; the CSR view
-//! ([`crate::CsrGraph`]) has its own BFS for hot verification loops.
+//! These read the snapshot's flat CSR arrays directly. Distances and
+//! connectivity share the one BFS behind [`Graph::bfs`].
 
 use crate::graph::{Graph, NodeId};
 
 /// Single-source BFS distances; `u32::MAX` marks unreachable nodes.
 pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<u32> {
-    let mut dist = vec![u32::MAX; g.n()];
-    let mut queue = Vec::with_capacity(g.n());
-    dist[src.index()] = 0;
-    queue.push(src);
-    let mut head = 0;
-    while head < queue.len() {
-        let u = queue[head];
-        head += 1;
-        let du = dist[u.index()];
-        for &v in g.neighbors(u) {
-            if dist[v.index()] == u32::MAX {
-                dist[v.index()] = du + 1;
-                queue.push(v);
-            }
-        }
-    }
-    dist
+    g.bfs(src)
 }
 
 /// Multi-source BFS: distance from the nearest source.
@@ -33,24 +17,7 @@ pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<u32> {
 pub fn multi_source_bfs(g: &Graph, sources: &[NodeId]) -> Vec<u32> {
     let mut dist = vec![u32::MAX; g.n()];
     let mut queue = Vec::with_capacity(g.n());
-    for &s in sources {
-        if dist[s.index()] == u32::MAX {
-            dist[s.index()] = 0;
-            queue.push(s);
-        }
-    }
-    let mut head = 0;
-    while head < queue.len() {
-        let u = queue[head];
-        head += 1;
-        let du = dist[u.index()];
-        for &v in g.neighbors(u) {
-            if dist[v.index()] == u32::MAX {
-                dist[v.index()] = du + 1;
-                queue.push(v);
-            }
-        }
-    }
+    g.bfs_into(sources, &mut dist, &mut queue);
     dist
 }
 
@@ -141,10 +108,7 @@ pub fn component_count(g: &Graph) -> usize {
 
 /// Whether the graph is connected (trivially true for `n ≤ 1`).
 pub fn is_connected(g: &Graph) -> bool {
-    if g.n() <= 1 {
-        return true;
-    }
-    bfs_distances(g, NodeId(0)).iter().all(|&d| d != u32::MAX)
+    g.is_connected()
 }
 
 /// Whether `sub`'s edges form a connected spanning subgraph of the node set

@@ -5,7 +5,6 @@
 //! generator test in this workspace runs its output through the matching
 //! verifier, so a generator bug cannot silently invalidate an experiment.
 
-use crate::csr::CsrGraph;
 use crate::graph::Graph;
 use crate::trace::TvgTrace;
 
@@ -13,9 +12,7 @@ use crate::trace::TvgTrace;
 /// connectivity, the weakest model in which dissemination is solvable —
 /// O'Dell & Wattenhofer).
 pub fn is_always_connected(trace: &TvgTrace) -> bool {
-    trace
-        .iter()
-        .all(|g| CsrGraph::from(g.as_ref()).is_connected())
+    trace.iter().all(|g| g.is_connected())
 }
 
 /// Whether the trace is T-interval connected (Kuhn–Lynch–Oshman): for every
@@ -36,7 +33,7 @@ pub fn is_t_interval_connected(trace: &TvgTrace, t: usize) -> bool {
     assert!(t <= trace.len(), "window longer than trace");
     for start in 0..=(trace.len() - t) {
         let inter = trace.window_intersection(start, t);
-        if !CsrGraph::from(&inter).is_connected() {
+        if !inter.is_connected() {
             return false;
         }
     }
@@ -83,7 +80,7 @@ pub fn connectivity_report(trace: &TvgTrace) -> ConnectivityReport {
     for (r, g) in trace.iter().enumerate() {
         min_edges = min_edges.min(g.m());
         max_edges = max_edges.max(g.m());
-        if !CsrGraph::from(g.as_ref()).is_connected() {
+        if !g.is_connected() {
             disconnected_rounds.push(r);
         }
     }

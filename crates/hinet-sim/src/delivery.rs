@@ -412,7 +412,7 @@ impl<'a> Plane<'a> {
             if let Some(w) = link.window.as_mut() {
                 for rt in w.due(r) {
                     let v = NodeId::from_index(rt.to);
-                    if !ctx.csr.has_edge(me, v) {
+                    if !ctx.graph.has_edge(me, v) {
                         continue;
                     }
                     let (payload, directed) = rt.item;
@@ -439,7 +439,7 @@ impl<'a> Plane<'a> {
             // the enclosing check, their sender is up).
             if !link.held.is_empty() {
                 for h in std::mem::take(&mut link.held) {
-                    if h.release > r || !ctx.csr.has_edge(me, h.to) {
+                    if h.release > r || !ctx.graph.has_edge(me, h.to) {
                         link.held.push(h);
                         continue;
                     }
@@ -452,7 +452,7 @@ impl<'a> Plane<'a> {
                 }
             }
         }
-        let neighbors = ctx.csr.neighbors(me);
+        let neighbors = ctx.graph.neighbors(me);
         let mut seq = 0u32;
         for out in outs {
             if out.payload.is_empty() {
@@ -500,7 +500,7 @@ impl<'a> Plane<'a> {
             };
             // A unicast reaches its target only across a current edge;
             // otherwise it is dropped but still paid for.
-            let delivered = !directed || ctx.csr.has_edge(me, targets[0]);
+            let delivered = !directed || ctx.graph.has_edge(me, targets[0]);
             if !delivered {
                 tally.dropped_unicasts += 1;
             }

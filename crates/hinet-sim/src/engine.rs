@@ -19,12 +19,12 @@
 //! # Scale
 //!
 //! Per-node engine state lives in flat vectors indexed by node id,
-//! neighborhoods are iterated through a cached
-//! [`hinet_graph::csr::CsrGraph`] view, and the send/receive phases fan
-//! out over [`hinet_rt::pool::map_mut`] when the network is large. Event
-//! emission and fault accounting stay on a single sequential pass in
-//! node-id order, so traced and faulted runs are **byte-identical
-//! regardless of thread count**.
+//! neighborhoods are slices of the round's [`hinet_graph::Graph`] — the
+//! flat CSR snapshot, shared from the provider's `Arc` without a copy —
+//! and the send/receive phases fan out over [`hinet_rt::pool::map_mut`]
+//! when the network is large. Event emission and fault accounting stay on
+//! a single sequential pass in node-id order, so traced and faulted runs
+//! are **byte-identical regardless of thread count**.
 
 use crate::delivery::{end_trace, record_message, replay, Link, Plane, Tally};
 use crate::fault::FaultPlan;

@@ -820,7 +820,7 @@ fn run_shard<P: Protocol>(shared: &Shared<'_>, s: usize, shard: &mut Shard<'_, P
                         st.buffer.push(env);
                     }
                 }
-                let quorum = ctx.csr.neighbors(NodeId::from_index(i)).len();
+                let quorum = ctx.graph.neighbors(NodeId::from_index(i)).len();
                 if !st.buffer.ready(r, quorum) {
                     if !st.stalled {
                         st.stalled = true;
@@ -885,7 +885,7 @@ fn record_stall<P: Protocol>(shared: &Shared<'_>, shard: &Shard<'_, P>) {
         let me = NodeId::from_index(shard.base + j);
         let r = st.round;
         let ctx = shared.ctx(r);
-        let missing = st.buffer.missing_markers(r, ctx.csr.neighbors(me));
+        let missing = st.buffer.missing_markers(r, ctx.graph.neighbors(me));
         let oldest_unacked = st
             .link
             .oldest_unacked()

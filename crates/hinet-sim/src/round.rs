@@ -13,7 +13,6 @@ use crate::protocol::LocalView;
 use hinet_cluster::clustering::{re_elect, GatewayPolicy};
 use hinet_cluster::ctvg::HierarchyProvider;
 use hinet_cluster::hierarchy::Hierarchy;
-use hinet_graph::csr::CsrGraph;
 use hinet_graph::graph::NodeId;
 use hinet_graph::Graph;
 use std::collections::BTreeMap;
@@ -21,7 +20,8 @@ use std::sync::Arc;
 
 /// One round's global context.
 pub(crate) struct RoundCtx {
-    pub(crate) csr: Arc<CsrGraph>,
+    /// The provider's snapshot for this round, shared, not copied.
+    pub(crate) graph: Arc<Graph>,
     pub(crate) hierarchy: Arc<Hierarchy>,
     /// `down[i]`: node `i` is silent this round (inside a crash window).
     pub(crate) down: Box<[bool]>,
@@ -40,7 +40,7 @@ impl RoundCtx {
             cluster: self.hierarchy.cluster_of(me),
             head: self.hierarchy.head_of(me),
             parent: self.hierarchy.parent_of(me),
-            neighbors: self.csr.neighbors(me),
+            neighbors: self.graph.neighbors(me),
         }
     }
 }
@@ -70,7 +70,6 @@ pub(crate) struct Builder<'p> {
     down_until: Vec<usize>,
     was_down: Vec<bool>,
     prev_heads: Vec<Option<NodeId>>,
-    graph_cache: Option<(Arc<Graph>, Arc<CsrGraph>)>,
     /// Built contexts not yet taken or pruned, by round.
     pub(crate) ctxs: BTreeMap<usize, Arc<RoundCtx>>,
     /// One log per built round.
@@ -96,7 +95,6 @@ impl<'p> Builder<'p> {
             down_until: vec![0; n],
             was_down: vec![false; n],
             prev_heads: Vec::new(),
-            graph_cache: None,
             ctxs: BTreeMap::new(),
             logs: Vec::new(),
         }
@@ -114,16 +112,6 @@ impl<'p> Builder<'p> {
                 .validate(&graph)
                 .unwrap_or_else(|e| panic!("round {round}: invalid hierarchy: {e}"));
         }
-        // Rebuild the CSR view only when the provider hands out a different
-        // graph (static providers share one `Arc` across rounds).
-        let rebuild = self
-            .graph_cache
-            .as_ref()
-            .is_none_or(|(src, _)| !Arc::ptr_eq(src, &graph));
-        if rebuild {
-            self.graph_cache = Some((Arc::clone(&graph), Arc::new(CsrGraph::from(&*graph))));
-        }
-        let csr = Arc::clone(&self.graph_cache.as_ref().expect("csr cache primed").1);
 
         let mut log = RoundLog::default();
         let mut crashed = vec![false; n].into_boxed_slice();
@@ -181,7 +169,7 @@ impl<'p> Builder<'p> {
         self.ctxs.insert(
             round,
             Arc::new(RoundCtx {
-                csr,
+                graph: Arc::clone(&graph),
                 hierarchy,
                 down,
                 crashed,
