@@ -168,6 +168,31 @@ event_matches_lockstep() {
 event_matches_lockstep clean --algorithm alg2 --n 32 --k 4 --seed 5
 event_matches_lockstep chaos --algorithm alg2 --n 48 --k 6 --seed 5 --loss 0.05 --delay 0.03 \
     --max-delay 3 --dup 0.02 --reorder --reliable --fault-seed 9
+# Oracle case: the in-engine (T, L) stability oracle runs in both modes
+# on the rounds each closes, so a crash run's trace (stability_window
+# verdicts included) matches lock-step beyond the mode stamp, and so do
+# its outcome and oracle summary. (`hinet trace` above verifies post hoc
+# and never reaches the engine oracle.)
+for mode in lockstep event; do
+    ./target/release/hinet run --algorithm alg2 --n 48 --k 6 --seed 5 --crash-at 2:0 \
+        --down-rounds 99 --stability-stream --mode "$mode" --trace \
+        --trace-out "target/ci-event/oracle-$mode.jsonl" >"target/ci-event/oracle-$mode.txt"
+done
+sed '1s/,"mode":"event"//' target/ci-event/oracle-event.jsonl |
+    cmp -s - target/ci-event/oracle-lockstep.jsonl || {
+    echo "event smoke: oracle event-mode run diverged from lock-step beyond the mode stamp" >&2
+    exit 1
+}
+for key in 'outcome:' 'stability oracle:'; do
+    lock_line="$(grep "^$key" target/ci-event/oracle-lockstep.txt)" || {
+        echo "event smoke: oracle lock-step run printed no '$key' line" >&2
+        exit 1
+    }
+    if [[ "$(grep "^$key" target/ci-event/oracle-event.txt)" != "$lock_line" ]]; then
+        echo "event smoke: oracle event-mode '$key' line differs from lock-step" >&2
+        exit 1
+    fi
+done
 ./target/release/hinet run --algorithm klo-flood --n 32 --k 4 --seed 5 \
     --mode event >target/ci-event/klo.txt
 grep -q 'completed: true' target/ci-event/klo.txt || {

@@ -22,7 +22,7 @@
 //! round's edges by its end-of-round marker, applied at the round's
 //! receive step by senders that are up.
 
-use crate::engine::{note_fault, obs_role, role_slot, CostWeights, MessageRecord, Metrics};
+use crate::engine::{obs_role, role_slot, CostWeights, MessageRecord, Metrics};
 use crate::fault::FaultPlan;
 use crate::protocol::{Destination, Incoming, Outgoing, Payload};
 use crate::reliable::{ReceiverLedger, ReliableConfig, SenderWindow};
@@ -32,7 +32,8 @@ use hinet_graph::graph::NodeId;
 use hinet_rt::obs::{self, FaultKind, Tracer};
 
 /// One node's delivery-plane counters for one round. Both drivers sum
-/// these per round and fold the sum into [`Metrics`] with [`Tally::fold`].
+/// these per round and close the round with the sum
+/// ([`crate::round::Fold::close`]).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Tally {
     tokens: u64,
@@ -78,15 +79,9 @@ impl Tally {
         self.rt_timeouts += o.rt_timeouts;
     }
 
-    /// Fold round `r`'s summed tally into the run metrics, widening the
-    /// fault window and flagging backbone faults (partitions).
-    pub(crate) fn fold(
-        &self,
-        r: usize,
-        m: &mut Metrics,
-        fault_window: &mut Option<(u64, u64)>,
-        backbone: &mut bool,
-    ) {
+    /// Fold a round's summed tally into the run metrics. Returns whether
+    /// the fault plane dropped a delivery, and whether a partition did.
+    pub(crate) fn fold(&self, m: &mut Metrics) -> (bool, bool) {
         m.tokens_sent += self.tokens;
         m.packets_sent += self.packets;
         for s in 0..3 {
@@ -100,10 +95,7 @@ impl Tally {
         m.duplicates_injected += self.dups_injected;
         m.dups_discarded += self.dups_discarded;
         m.retransmit_timeouts += self.rt_timeouts;
-        if self.faults > 0 {
-            note_fault(fault_window, r as u64);
-        }
-        *backbone |= self.partition;
+        (self.faults > 0, self.partition)
     }
 }
 
@@ -170,13 +162,6 @@ pub(crate) fn replay(tracer: &mut Tracer, r: u64, node: u64, e: &BufEvt) {
             tracer.retransmit_timeout(r, node, to, attempt)
         }
     }
-}
-
-/// Close a run's trace: the run-end event, then the receive plane's
-/// duplicate-discard gauge — written here, once, for both drivers.
-pub(crate) fn end_trace(tracer: &mut Tracer, rounds: usize, completed: bool, dups: u64) {
-    tracer.run_end(rounds as u64, completed);
-    tracer.note_dedup(dups);
 }
 
 /// Append to the message log, stopping with a loud warning at the cap.

@@ -26,14 +26,15 @@
 //! a single sequential pass in node-id order, so traced and faulted runs
 //! are **byte-identical regardless of thread count**.
 
-use crate::delivery::{end_trace, record_message, replay, Link, Plane, Tally};
+use crate::delivery::{record_message, replay, Link, Plane, Tally};
 use crate::fault::FaultPlan;
 use crate::protocol::{Incoming, Outgoing, Protocol};
-use crate::round::{Builder, RoundCtx};
+use crate::round::{Builder, Fold, RoundCtx};
 use crate::token::{TokenId, TokenSet};
 use crate::transport::{Envelope, EnvelopeKind, RoundBuffer};
 use hinet_cluster::ctvg::HierarchyProvider;
 use hinet_cluster::hierarchy::Role;
+use hinet_cluster::stability::stream::{StreamReport, WindowVerdict};
 use hinet_graph::graph::NodeId;
 use hinet_rt::obs::{self, Tracer};
 use hinet_rt::pool;
@@ -224,8 +225,9 @@ pub struct RunConfig<'t> {
     /// [`Outcome::AssumptionViolated`] with the paper definition that
     /// broke and the exact round it broke (instead of the coarse
     /// fault-window heuristic), and the stream summary lands in
-    /// [`RunReport::stability`]. Lock-step only: [`ExecMode::Event`] runs
-    /// ignore it (callers gate the combination — see `Scenario`).
+    /// [`RunReport::stability`]. Both [`ExecMode`]s feed it exactly the
+    /// rounds they execute, in round order, so they emit the same verdicts
+    /// and report the same outcome.
     pub stability_oracle: Option<(usize, usize)>,
 }
 
@@ -537,7 +539,8 @@ pub enum Outcome {
     },
     /// The run ended incomplete with no fault ever injected: the protocol
     /// itself stalled (quiesced with tokens undelivered) or ran out of
-    /// round budget.
+    /// round budget. Also how an event-mode watchdog halt ends, faults or
+    /// not ([`RunReport::stall`] carries the fault window).
     Stalled {
         /// Distinct tokens still unknown to at least one node.
         missing_tokens: usize,
@@ -550,15 +553,15 @@ pub enum Outcome {
     /// assumptions — the failure is attributable to injected faults, not
     /// to the protocol.
     AssumptionViolated {
-        /// `(first, last)` round in which a fault fired — or, when the
-        /// runtime oracle attributed the failure
-        /// ([`RunConfig::stability_oracle`]), the violating window's first
-        /// round and the exact round the definition broke.
+        /// `(first, last)` executed round in which a fault fired — or,
+        /// when the runtime oracle ([`RunConfig::stability_oracle`], in
+        /// either [`ExecMode`]) observed a violation, the violating
+        /// window's first round and the exact round the definition broke.
         window: (u64, u64),
-        /// Which assumption broke. Without the oracle this is the coarse
-        /// fault-class heuristic: `1` = per-round delivery (message loss
-        /// only), `2` = backbone stability (crashes or partitions fired).
-        /// With the oracle it is the smallest violated paper definition
+        /// Which assumption broke. Without an oracle violation this is the
+        /// coarse fault-class heuristic: `1` = per-round delivery (message
+        /// loss only), `2` = backbone stability (crashes or partitions
+        /// fired). With one it is the smallest violated paper definition
         /// (2 = head set, 4 = hierarchy structure, 5 = head connectivity,
         /// 6 = L-hop bound).
         def: u8,
@@ -737,313 +740,319 @@ impl<'t> Engine<'t> {
         assignment: &[Vec<TokenId>],
     ) -> RunReport {
         let mut cfg = self.cfg;
-        if cfg.mode == ExecMode::Event {
-            return crate::event::run(cfg, provider, protocols, assignment);
-        }
         let start = Instant::now();
         let mut disabled = Tracer::disabled();
         let tracer: &mut Tracer = match cfg.tracer.take() {
             Some(t) => t,
             None => &mut disabled,
         };
-        let faults = cfg.faults.clone();
 
         let n = provider.n();
         assert_eq!(protocols.len(), n, "one protocol per node");
         assert_eq!(assignment.len(), n, "one initial token list per node");
-        let threads = resolve_threads(cfg.threads, n);
-
         let universe: TokenSet = assignment.iter().flatten().copied().collect();
-        let k = universe.len();
-        let tracing = tracer.enabled();
-        if tracing {
+        if tracer.enabled() {
             // Stable stamps so two traces can be aligned (or refused) by the
             // diff engine: byte counters are only comparable under the same
             // cost weights.
             let w = cfg.cost_weights;
             tracer.meta("token_bytes", w.token_bytes.to_string());
             tracer.meta("packet_header_bytes", w.packet_header_bytes.to_string());
+            if cfg.mode == ExecMode::Event {
+                tracer.meta("mode", "event");
+            }
         }
         for (i, p) in protocols.iter_mut().enumerate() {
             p.on_start(NodeId::from_index(i), &assignment[i]);
         }
 
-        let mut metrics = Metrics::default();
-        let mut completion_round = None;
-        let mut rounds_executed = 0;
-        let mut inboxes: Vec<Vec<Incoming>> = vec![Vec::new(); n];
-        // The incremental completion oracle: whether node `i` knows the
-        // whole universe, maintained at receive/restart time so the engine
-        // never rescans all n nodes per round.
-        let mut informed: Vec<bool> = protocols
-            .iter()
-            .map(|p| universe.is_subset(p.known()))
-            .collect();
-        let mut informed_count = informed.iter().filter(|&&inf| inf).count();
-
-        // `(first, last)` round in which any fault fired, and whether a
-        // backbone-level fault (crash or partition) fired, vs message loss
-        // only — selects the violated-assumption class.
-        let mut fault_window: Option<(u64, u64)> = None;
-        let mut backbone_fault = false;
-        let mut budget_exhausted = true;
-
-        // Degenerate case: everyone informed before any round.
-        if informed_count == n {
-            end_trace(tracer, 0, true, 0);
-            return RunReport {
-                rounds_executed: 0,
-                completion_round: Some(0),
-                metrics,
-                k,
-                cost_weights: cfg.cost_weights,
-                outcome: Outcome::Completed { round: 0 },
-                wall: lockstep_wall(start, 0),
-                stability: None,
+        let mut fold = Fold::new(n, &cfg);
+        let everyone = protocols.iter().all(|p| universe.is_subset(p.known()));
+        let ran = if everyone || cfg.max_rounds == 0 {
+            // No round runs: everyone is informed before round 0, or the
+            // budget is zero.
+            fold.completion_round = everyone.then_some(0);
+            Ran {
+                fold,
+                oracle: None,
                 stall: None,
-            };
+                wall: wall_clock(start, 0),
+            }
+        } else {
+            let builder = Builder::new(provider, &cfg, tracer.enabled());
+            match cfg.mode {
+                ExecMode::Lockstep => lockstep(
+                    &cfg, tracer, builder, fold, protocols, assignment, &universe, start,
+                ),
+                ExecMode::Event => crate::event::run(
+                    &cfg, tracer, builder, fold, protocols, assignment, &universe, start,
+                ),
+            }
+        };
+        conclude(tracer, ran, &universe, protocols, cfg.cost_weights)
+    }
+}
+
+/// What a driver hands the shared epilogue ([`conclude`]).
+pub(crate) struct Ran {
+    pub(crate) fold: Fold,
+    /// The stability oracle's last verdict and summary
+    /// ([`Builder::finish`]).
+    pub(crate) oracle: Option<(Option<WindowVerdict>, StreamReport)>,
+    /// Present iff the event-mode watchdog halted the run.
+    pub(crate) stall: Option<StallDiag>,
+    pub(crate) wall: WallClock,
+}
+
+/// The run's epilogue, shared by both drivers: the oracle's last verdict
+/// and the run end close the trace, and the outcome is decided — completed;
+/// else a watchdog stall; else the oracle's violation (exact definition,
+/// exact round); else the coarse fault-window guess; else stalled.
+fn conclude<P: Protocol>(
+    tracer: &mut Tracer,
+    ran: Ran,
+    universe: &TokenSet,
+    protocols: &[P],
+    cost_weights: CostWeights,
+) -> RunReport {
+    let Ran {
+        fold,
+        oracle,
+        stall,
+        wall,
+    } = ran;
+    let stability = oracle.map(|(last, report)| {
+        if let Some(verdict) = last {
+            verdict.emit_into(tracer);
         }
-        // Runtime (T, L)-HiNet oracle: certificate mode pins violations to
-        // the exact round the assumption broke.
-        let mut oracle = cfg.stability_oracle.map(|(t, l)| {
-            hinet_cluster::stability::stream::StabilityStream::new(t, l).with_certificate()
-        });
-
-        // The delivery plane shared with the event runtime. Envelopes from
-        // a non-trivial plan pass through one `RoundBuffer` per receiver,
-        // exactly as a mailbox would deliver them. A trivial plan needs no
-        // per-node delivery state — no holds, no windows, no duplicates —
-        // so every node shares one idle link and envelopes go straight into
-        // the inboxes, already in the buffer's `(sender, seq)` order: the
-        // clean path allocates nothing extra and stays byte-identical.
-        let plane = Plane::new(
-            &faults,
-            cfg.reliable,
-            tracing,
-            cfg.record_messages,
-            cfg.cost_weights,
-            false,
-        );
-        let trivial = faults.is_trivial();
-        let mut links: Vec<Link> = if trivial {
-            vec![Link::default()]
-        } else {
-            (0..n).map(|i| plane.link(i)).collect()
-        };
-        let mut buffers: Vec<RoundBuffer> = if trivial {
-            Vec::new()
-        } else {
-            (0..n).map(|_| RoundBuffer::new()).collect()
-        };
-        let mut builder = Builder::new(provider, cfg.validate_hierarchy, tracing, &faults);
-
-        for round in 0..cfg.max_rounds {
-            let graph = builder.build_next();
-            let ctx = builder.ctxs.remove(&round).expect("context just built");
-            let ctx: &RoundCtx = &ctx;
-            let log = builder.logs.pop().expect("round log just built");
-
-            tracer.round_start(round as u64);
-            for &i in &log.recoveries {
-                metrics.recoveries += 1;
-                tracer.recover(round as u64, i as u64);
+        report
+    });
+    tracer.run_end(fold.rounds_executed as u64, fold.completion_round.is_some());
+    tracer.note_dedup(fold.metrics.dups_discarded);
+    let outcome = match fold.completion_round {
+        Some(round) => Outcome::Completed { round },
+        None => {
+            let missing_tokens = missing_tokens(universe, protocols);
+            let violation = stability.as_ref().and_then(|s| s.violation);
+            match (violation, fold.fault_window) {
+                _ if stall.is_some() => Outcome::Stalled {
+                    missing_tokens,
+                    budget_exhausted: false,
+                },
+                (Some(v), _) => Outcome::AssumptionViolated {
+                    window: (v.window_start as u64, v.round as u64),
+                    def: v.def,
+                },
+                (None, Some(window)) => Outcome::AssumptionViolated {
+                    window,
+                    def: if fold.backbone { 2 } else { 1 },
+                },
+                (None, None) => Outcome::Stalled {
+                    missing_tokens,
+                    budget_exhausted: !fold.stopped,
+                },
             }
-            for &i in &log.crashes {
-                metrics.crashes += 1;
-                backbone_fault = true;
-                note_fault(&mut fault_window, round as u64);
-                tracer.crash(round as u64, i as u64, faults.durable_tokens);
-                // Volatile protocol state dies with the node; the tokens it
-                // carries survive per the durability flag.
-                let retained: Vec<TokenId> = if faults.durable_tokens {
-                    protocols[i].known().iter().collect()
-                } else {
-                    assignment[i].clone()
-                };
-                protocols[i].on_restart(NodeId::from_index(i), &retained);
-                // A volatile restart can forget tokens: re-derive the node's
-                // completion-oracle flag.
-                let inf = universe.is_subset(protocols[i].known());
-                if inf != informed[i] {
-                    informed[i] = inf;
-                    if inf {
-                        informed_count += 1;
-                    } else {
-                        informed_count -= 1;
-                    }
-                }
-            }
-            for &(node, old, new) in &log.reaffs {
-                tracer.reaffiliation(round as u64, node, old, new);
-            }
+        }
+    };
+    RunReport {
+        rounds_executed: fold.rounds_executed,
+        completion_round: fold.completion_round,
+        metrics: fold.metrics,
+        k: universe.len(),
+        cost_weights,
+        outcome,
+        wall,
+        stability,
+        stall,
+    }
+}
 
-            // The oracle sees the round exactly as the protocols do: the
-            // effective hierarchy, after any crash re-election.
-            if let Some(stream) = oracle.as_mut() {
-                if let Some(verdict) = stream.push(&graph, &ctx.hierarchy) {
-                    verdict.emit_into(tracer);
-                }
-            }
+/// The lock-step driver: each round's sends, deliveries and receives run
+/// behind one global barrier, and the round is closed as it ends.
+#[allow(clippy::too_many_arguments)]
+fn lockstep<P: Protocol + Send>(
+    cfg: &RunConfig<'_>,
+    tracer: &mut Tracer,
+    mut builder: Builder<'_>,
+    mut fold: Fold,
+    protocols: &mut [P],
+    assignment: &[Vec<TokenId>],
+    universe: &TokenSet,
+    start: Instant,
+) -> Ran {
+    let faults = &cfg.faults;
+    let n = protocols.len();
+    let threads = resolve_threads(cfg.threads, n);
+    let tracing = tracer.enabled();
+    let mut inboxes: Vec<Vec<Incoming>> = vec![Vec::new(); n];
+    // The incremental completion oracle: whether node `i` knows the
+    // whole universe, maintained at receive/restart time so the engine
+    // never rescans all n nodes per round.
+    let mut informed: Vec<bool> = protocols
+        .iter()
+        .map(|p| universe.is_subset(p.known()))
+        .collect();
+    let mut informed_count = informed.iter().filter(|&&inf| inf).count();
 
-            let informed_at_start = informed_count;
-            for inbox in inboxes.iter_mut() {
-                inbox.clear();
-            }
+    // The delivery plane shared with the event runtime. Envelopes from
+    // a non-trivial plan pass through one `RoundBuffer` per receiver,
+    // exactly as a mailbox would deliver them. A trivial plan needs no
+    // per-node delivery state — no holds, no windows, no duplicates —
+    // so every node shares one idle link and envelopes go straight into
+    // the inboxes, already in the buffer's `(sender, seq)` order: the
+    // clean path allocates nothing extra and stays byte-identical.
+    let plane = Plane::new(
+        faults,
+        cfg.reliable,
+        tracing,
+        cfg.record_messages,
+        cfg.cost_weights,
+        false,
+    );
+    let trivial = faults.is_trivial();
+    let mut links: Vec<Link> = if trivial {
+        vec![Link::default()]
+    } else {
+        (0..n).map(|i| plane.link(i)).collect()
+    };
+    let mut buffers: Vec<RoundBuffer> = if trivial {
+        Vec::new()
+    } else {
+        (0..n).map(|_| RoundBuffer::new()).collect()
+    };
 
-            // Send phase: every live node computes its messages against its
-            // own view — node-independent, so it fans out over the pool.
-            let outs: Vec<Vec<Outgoing>> = pool::map_mut(protocols, threads, |i, p| {
-                if ctx.down[i] || p.finished() {
-                    return Vec::new();
-                }
-                p.send(&ctx.view(NodeId::from_index(i), round))
-            });
-
-            // Delivery: a trivial plan's envelopes go straight into the
-            // inboxes; a non-trivial plan's through one `RoundBuffer` per
-            // receiver and the receiver step, as a mailbox would deliver
-            // them.
-            let mut tally = Tally::default();
-            if trivial {
-                let emit = |env: Envelope| {
-                    if let EnvelopeKind::Payload {
-                        payload, directed, ..
-                    } = env.kind
-                    {
-                        inboxes[env.to.index()].push(Incoming {
-                            from: env.from,
-                            directed,
-                            payload,
-                        });
-                    }
-                };
-                send_pass(
-                    &plane,
-                    ctx,
-                    round,
-                    outs,
-                    &mut links,
-                    &mut tally,
-                    tracer,
-                    &mut metrics,
-                    &cfg,
-                    emit,
-                );
+    for round in 0..cfg.max_rounds {
+        builder.build_next();
+        builder.verify(round);
+        let ctx = builder.ctxs.remove(&round).expect("context just built");
+        let ctx: &RoundCtx = &ctx;
+        let log = builder.logs.pop().expect("round log just built");
+        log.trace(tracer, round, faults.durable_tokens);
+        for &i in &log.crashes {
+            // Volatile protocol state dies with the node; the tokens it
+            // carries survive per the durability flag.
+            let retained: Vec<TokenId> = if faults.durable_tokens {
+                protocols[i].known().iter().collect()
             } else {
-                let emit = |env: Envelope| buffers[env.to.index()].push(env);
-                send_pass(
-                    &plane,
-                    ctx,
-                    round,
-                    outs,
-                    &mut links,
-                    &mut tally,
-                    tracer,
-                    &mut metrics,
-                    &cfg,
-                    emit,
-                );
-                for (v, buffer) in buffers.iter_mut().enumerate() {
-                    let taken = buffer.take_round(round);
-                    inboxes[v] = plane.accept(ctx, round, v, &mut links[v], taken, &mut tally);
-                }
-            }
-
-            // Receive phase: node-independent again — fan out, then fold
-            // the freshly-informed flags back into the oracle counter.
-            let newly_informed: Vec<bool> = {
-                let (informed, inboxes, universe) = (&informed, &inboxes, &universe);
-                pool::map_mut(protocols, threads, |i, p| {
-                    if ctx.down[i] {
-                        return false; // deliveries to crashed nodes are lost
-                    }
-                    p.receive(&ctx.view(NodeId::from_index(i), round), &inboxes[i]);
-                    !informed[i] && !inboxes[i].is_empty() && universe.is_subset(p.known())
-                })
+                assignment[i].clone()
             };
-            for (i, fresh) in newly_informed.into_iter().enumerate() {
-                if fresh {
-                    informed[i] = true;
+            protocols[i].on_restart(NodeId::from_index(i), &retained);
+            // A volatile restart can forget tokens: re-derive the node's
+            // completion-oracle flag.
+            let inf = universe.is_subset(protocols[i].known());
+            if inf != informed[i] {
+                informed[i] = inf;
+                if inf {
                     informed_count += 1;
+                } else {
+                    informed_count -= 1;
                 }
-            }
-
-            tally.fold(round, &mut metrics, &mut fault_window, &mut backbone_fault);
-            if cfg.record_rounds {
-                metrics.rounds.push(RoundMetrics {
-                    tokens_sent: tally.tokens(),
-                    packets_sent: tally.packets(),
-                    informed_nodes: informed_at_start,
-                });
-            }
-            rounds_executed = round + 1;
-
-            if completion_round.is_none() && informed_count == n {
-                completion_round = Some(rounds_executed);
-                if cfg.stop_on_completion {
-                    budget_exhausted = false;
-                    break;
-                }
-            }
-            // All protocols locally finished and nothing further can
-            // change — unless the delivery plane still holds envelopes in
-            // flight (delayed or unacked), which can inform nodes after
-            // every protocol quiesced.
-            let in_flight: usize = links.iter().map(Link::in_flight).sum();
-            if protocols.iter().all(|p| p.finished()) && in_flight == 0 {
-                budget_exhausted = false;
-                break;
             }
         }
 
-        let stability = oracle.map(|stream| {
-            let (last, report) = stream.finish();
-            if let Some(verdict) = last {
-                verdict.emit_into(tracer);
+        let informed_at_start = informed_count;
+        for inbox in inboxes.iter_mut() {
+            inbox.clear();
+        }
+
+        // Send phase: every live node computes its messages against its
+        // own view — node-independent, so it fans out over the pool.
+        let outs: Vec<Vec<Outgoing>> = pool::map_mut(protocols, threads, |i, p| {
+            if ctx.down[i] || p.finished() {
+                return Vec::new();
             }
-            report
+            p.send(&ctx.view(NodeId::from_index(i), round))
         });
-        let outcome = match completion_round {
-            Some(round) => Outcome::Completed { round },
-            None => {
-                let missing_tokens = missing_tokens(&universe, protocols.iter());
-                // The oracle's attribution (exact definition, exact round)
-                // outranks the coarse fault-window heuristic.
-                let oracle_violation = stability.as_ref().and_then(|s| s.violation);
-                match (oracle_violation, fault_window) {
-                    (Some(v), _) => Outcome::AssumptionViolated {
-                        window: (v.window_start as u64, v.round as u64),
-                        def: v.def,
-                    },
-                    (None, Some(window)) => Outcome::AssumptionViolated {
-                        window,
-                        def: if backbone_fault { 2 } else { 1 },
-                    },
-                    (None, None) => Outcome::Stalled {
-                        missing_tokens,
-                        budget_exhausted,
-                    },
+
+        // Delivery: a trivial plan's envelopes go straight into the
+        // inboxes; a non-trivial plan's through one `RoundBuffer` per
+        // receiver and the receiver step, as a mailbox would deliver
+        // them.
+        let mut tally = Tally::default();
+        if trivial {
+            let emit = |env: Envelope| {
+                if let EnvelopeKind::Payload {
+                    payload, directed, ..
+                } = env.kind
+                {
+                    inboxes[env.to.index()].push(Incoming {
+                        from: env.from,
+                        directed,
+                        payload,
+                    });
                 }
+            };
+            send_pass(
+                &plane,
+                ctx,
+                round,
+                outs,
+                &mut links,
+                &mut tally,
+                tracer,
+                &mut fold.metrics,
+                cfg,
+                emit,
+            );
+        } else {
+            let emit = |env: Envelope| buffers[env.to.index()].push(env);
+            send_pass(
+                &plane,
+                ctx,
+                round,
+                outs,
+                &mut links,
+                &mut tally,
+                tracer,
+                &mut fold.metrics,
+                cfg,
+                emit,
+            );
+            for (v, buffer) in buffers.iter_mut().enumerate() {
+                let taken = buffer.take_round(round);
+                inboxes[v] = plane.accept(ctx, round, v, &mut links[v], taken, &mut tally);
             }
-        };
-        end_trace(
-            tracer,
-            rounds_executed,
-            completion_round.is_some(),
-            metrics.dups_discarded,
-        );
-        let wall = lockstep_wall(start, metrics.tokens_sent);
-        RunReport {
-            rounds_executed,
-            completion_round,
-            metrics,
-            k,
-            cost_weights: cfg.cost_weights,
-            outcome,
-            wall,
-            stability,
-            stall: None,
         }
+
+        // Receive phase: node-independent again — fan out, then fold
+        // the freshly-informed flags back into the oracle counter.
+        let newly_informed: Vec<bool> = {
+            let (informed, inboxes) = (&informed, &inboxes);
+            pool::map_mut(protocols, threads, |i, p| {
+                if ctx.down[i] {
+                    return false; // deliveries to crashed nodes are lost
+                }
+                p.receive(&ctx.view(NodeId::from_index(i), round), &inboxes[i]);
+                !informed[i] && !inboxes[i].is_empty() && universe.is_subset(p.known())
+            })
+        };
+        for (i, fresh) in newly_informed.into_iter().enumerate() {
+            if fresh {
+                informed[i] = true;
+                informed_count += 1;
+            }
+        }
+
+        let in_flight: usize = links.iter().map(Link::in_flight).sum();
+        let quiescent = in_flight == 0 && protocols.iter().all(|p| p.finished());
+        if fold.close(
+            round,
+            &log,
+            &tally,
+            informed_at_start,
+            informed_count,
+            quiescent,
+        ) {
+            break;
+        }
+    }
+
+    let wall = wall_clock(start, fold.metrics.tokens_sent);
+    Ran {
+        fold,
+        oracle: builder.finish(),
+        stall: None,
+        wall,
     }
 }
 
@@ -1086,10 +1095,7 @@ fn send_pass(
 
 /// Tokens of `universe` still unknown to at least one node: the universe
 /// minus the intersection of all known sets.
-pub(crate) fn missing_tokens<'p, P: Protocol + 'p>(
-    universe: &TokenSet,
-    protocols: impl Iterator<Item = &'p P>,
-) -> usize {
+fn missing_tokens<P: Protocol>(universe: &TokenSet, protocols: &[P]) -> usize {
     let mut everywhere = universe.clone();
     for p in protocols {
         if everywhere.is_empty() {
@@ -1101,10 +1107,11 @@ pub(crate) fn missing_tokens<'p, P: Protocol + 'p>(
     universe.len() - everywhere.len()
 }
 
-/// Wall-clock summary for a lock-step run: elapsed time and throughput
-/// only. Per-token latency tracking is an event-mode feature — keeping it
-/// off the lock-step path leaves the million-node hot loop untouched.
-fn lockstep_wall(start: Instant, tokens_sent: u64) -> WallClock {
+/// Elapsed time since `start` and throughput — all a lock-step run
+/// reports. Per-token latency tracking is an event-mode feature (the event
+/// driver fills it in) — keeping it off the lock-step path leaves the
+/// million-node hot loop untouched.
+pub(crate) fn wall_clock(start: Instant, tokens_sent: u64) -> WallClock {
     let elapsed_ns = start.elapsed().as_nanos() as u64;
     let secs = elapsed_ns as f64 / 1e9;
     WallClock {
@@ -1114,9 +1121,7 @@ fn lockstep_wall(start: Instant, tokens_sent: u64) -> WallClock {
         } else {
             0.0
         },
-        latency: None,
-        reassembly_stalls: 0,
-        mailbox_depth_max: 0,
+        ..WallClock::default()
     }
 }
 
@@ -1143,14 +1148,6 @@ fn resolve_threads(threads: usize, n: usize) -> usize {
     } else {
         1
     }
-}
-
-/// Widen the `(first, last)` fault window to include `round`.
-pub(crate) fn note_fault(window: &mut Option<(u64, u64)>, round: u64) {
-    *window = Some(match *window {
-        None => (round, round),
-        Some((first, _)) => (first, round),
-    });
 }
 
 #[cfg(test)]

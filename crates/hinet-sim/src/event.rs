@@ -1,5 +1,5 @@
-//! Event-driven execution mode: mailboxes, round reassembly and a
-//! conservative completion oracle on top of the [`crate::transport`] plane.
+//! Event-driven execution mode: mailboxes, round reassembly and in-order
+//! round closing on top of the [`crate::transport`] plane.
 //!
 //! The driver replaces the lock-step engine's global round barrier with
 //! per-node progress: each node advances through its own round sequence as
@@ -20,29 +20,33 @@
 //! every envelope crosses the same delivery plane
 //! ([`crate::delivery::Plane`]) — so they too match lock-step bit for bit.
 //!
-//! Stopping is detected by an oracle that folds per-node round reports in
-//! round order; nodes past the eventually-final stop round ("overshoot")
-//! can only be nodes that already know the whole universe, so their extra
-//! sends and receives never change any final token set. The one exception
-//! — a fault-plane crash injected in an overshoot round, which would
-//! forget tokens lock-step never forgot — is repaired after the run by
-//! restarting the affected node with the full universe (exactly what it
-//! knew when it entered overshoot). Metrics and trace events are buffered
-//! per `(node, round)` and merged/replayed in lock-step order for rounds
-//! below the final stop, so reports and trace bytes match the lock-step
-//! engine exactly (the trace differs only in its `mode` meta stamp).
+//! Per-node round reports are summed until a round's n reports are in;
+//! then the round is closed by the same [`crate::round::Fold`] the
+//! lock-step engine uses, strictly in round order — metrics, crash and
+//! recovery counts, the fault window, the stop decision — and closing it
+//! feeds it to the (T, L) stability oracle, so rounds are verified in
+//! order too. Nodes past the eventually-final stop round ("overshoot") can
+//! only be nodes that already know the whole universe, so their extra
+//! sends and receives never change any final token set; an overshoot round
+//! is never closed, so it is never verified either. The one exception — a
+//! fault-plane crash injected in an overshoot round, which would forget
+//! tokens lock-step never forgot — is repaired after the run by restarting
+//! the affected node with the full universe (exactly what it knew when it
+//! entered overshoot). Metrics and trace events are buffered per
+//! `(node, round)` and merged/replayed in lock-step order for rounds below
+//! the final stop, so reports and trace bytes match the lock-step engine
+//! exactly (the trace differs only in its `mode` meta stamp).
 
-use crate::delivery::{end_trace, record_message, replay, BufEvt, Link, Plane, Tally};
+use crate::delivery::{record_message, replay, BufEvt, Link, Plane, Tally};
 use crate::engine::{
-    missing_tokens, note_fault, resolve_event_threads, MessageRecord, Metrics, NodeStall, Outcome,
-    RoundMetrics, RunConfig, RunReport, StallDiag, TokenLatency, WallClock,
+    resolve_event_threads, wall_clock, MessageRecord, NodeStall, Ran, RunConfig, StallDiag,
+    TokenLatency,
 };
 use crate::fault::FaultPlan;
 use crate::protocol::Protocol;
-use crate::round::{Builder, RoundCtx};
+use crate::round::{Builder, Fold, RoundCtx};
 use crate::token::{TokenId, TokenSet};
 use crate::transport::{ChannelTransport, Envelope, RoundBuffer, Transport};
-use hinet_cluster::ctvg::HierarchyProvider;
 use hinet_graph::graph::NodeId;
 use hinet_rt::obs::Tracer;
 use hinet_rt::pool;
@@ -60,7 +64,7 @@ const PARK_TIMEOUT: Duration = Duration::from_millis(10);
 const CTX_CACHE_SOFT_CAP: usize = 64;
 
 /// One node's contribution to a round, accumulated across its send and
-/// receive steps and reported to the oracle once the round is done.
+/// receive steps and reported once the round is done.
 #[derive(Default)]
 struct NodeReport {
     tally: Tally,
@@ -69,47 +73,45 @@ struct NodeReport {
     finished: i64,
     /// Net change in this node's delivery-plane in-flight count (held
     /// delayed envelopes + unacked reliability-window entries) over the
-    /// round — the oracle must not declare all-finished while envelopes
+    /// round — the run must not stop as all-finished while envelopes
     /// that could still inform someone are in the air.
     inflight: i64,
 }
 
-/// Oracle bookkeeping for one not-yet-decided round.
+/// The summed reports of one not-yet-closed round.
 #[derive(Default)]
 struct PendingRound {
     reports: usize,
     agg: NodeReport,
 }
 
-/// The completion oracle: folds per-node round reports in strict round
-/// order, reproducing the lock-step engine's end-of-round checks (global
-/// completion, then all-finished) and its aggregate metrics.
-struct Oracle {
-    n: usize,
+/// Per-node round reports, summed per round and handed to the shared
+/// [`Fold`] in strict round order once a round's n reports are in.
+struct Reports {
+    /// The next round to close.
     next: usize,
+    pending: BTreeMap<usize, PendingRound>,
+    /// Running informed/finished counts, folded from the per-round deltas.
     informed: usize,
     finished: usize,
-    stopped: bool,
-    early_stop: bool,
-    rounds_executed: usize,
-    completion_round: Option<usize>,
-    metrics: Metrics,
-    fault_window: Option<(u64, u64)>,
-    backbone: bool,
-    pending: BTreeMap<usize, PendingRound>,
-    record_rounds: bool,
-    stop_on_completion: bool,
     /// Running total of delivery-plane in-flight envelopes (held delayed
-    /// envelopes + unacked reliability-window entries) across all nodes,
-    /// folded from the per-round deltas. All-finished does not stop the
-    /// run while this is non-zero.
+    /// envelopes + unacked reliability-window entries) across all nodes.
     inflight: i64,
+    fold: Fold,
 }
 
-impl Oracle {
-    /// Fold `rep` for round `round`; returns `Some(stop_round)` when this
-    /// report decided that the run stops (completion or all-finished).
-    fn report(&mut self, round: usize, rep: NodeReport) -> Option<usize> {
+impl Reports {
+    /// Add node report `rep` for `round`, then close every round whose
+    /// reports are all in. Closing takes the builder lock while this one
+    /// is held (never the other way round) to feed the stability oracle
+    /// and read the round's log. Returns `Some(stop_round)` when a closed
+    /// round stopped the run.
+    fn report(
+        &mut self,
+        round: usize,
+        rep: NodeReport,
+        builder: &Mutex<Builder<'_>>,
+    ) -> Option<usize> {
         let pr = self.pending.entry(round).or_default();
         pr.reports += 1;
         pr.agg.tally.add(&rep.tally);
@@ -118,53 +120,37 @@ impl Oracle {
         pr.agg.finished += rep.finished;
         pr.agg.inflight += rep.inflight;
 
-        let mut stop = None;
-        while !self.stopped {
+        while !self.fold.stopped {
             let ready = self
                 .pending
                 .get(&self.next)
-                .is_some_and(|pr| pr.reports == self.n);
+                .is_some_and(|pr| pr.reports == self.fold.n);
             if !ready {
                 break;
             }
-            let pr = self.pending.remove(&self.next).expect("pending round");
+            let a = self.pending.remove(&self.next).expect("pending round").agg;
             let r = self.next;
-            let a = pr.agg;
+            self.next = r + 1;
             self.informed = (self.informed as i64 + a.informed_start) as usize;
             let informed_at_start = self.informed;
             self.informed = (self.informed as i64 + a.informed_end) as usize;
             self.finished = (self.finished as i64 + a.finished) as usize;
             self.inflight += a.inflight;
-            a.tally.fold(
+            let mut b = builder.lock().expect("context server lock");
+            b.verify(r);
+            let quiescent = self.finished == self.fold.n && self.inflight == 0;
+            if self.fold.close(
                 r,
-                &mut self.metrics,
-                &mut self.fault_window,
-                &mut self.backbone,
-            );
-            if self.record_rounds {
-                self.metrics.rounds.push(RoundMetrics {
-                    tokens_sent: a.tally.tokens(),
-                    packets_sent: a.tally.packets(),
-                    informed_nodes: informed_at_start,
-                });
+                &b.logs[r],
+                &a.tally,
+                informed_at_start,
+                self.informed,
+                quiescent,
+            ) {
+                return Some(r);
             }
-            self.rounds_executed = r + 1;
-            if self.completion_round.is_none() && self.informed == self.n {
-                self.completion_round = Some(r + 1);
-                if self.stop_on_completion {
-                    self.stopped = true;
-                    self.early_stop = true;
-                    stop = Some(r);
-                }
-            }
-            if !self.stopped && self.finished == self.n && self.inflight == 0 {
-                self.stopped = true;
-                self.early_stop = true;
-                stop = Some(r);
-            }
-            self.next = r + 1;
         }
-        stop
+        None
     }
 }
 
@@ -241,7 +227,7 @@ struct NodeState {
     /// Delivery-plane state: held envelopes, reliability window, ledger.
     link: Link,
     /// In-flight count at the end of the last receive step, so each round
-    /// reports a delta to the oracle.
+    /// reports a delta.
     last_inflight: i64,
     /// Buffered trace events, `(round, events)` ascending.
     evts: Vec<(usize, Vec<BufEvt>)>,
@@ -282,7 +268,7 @@ struct Shard<'a, P> {
 /// Everything the workers share.
 struct Shared<'a> {
     server: Mutex<Builder<'a>>,
-    oracle: Mutex<Oracle>,
+    reports: Mutex<Reports>,
     transport: ChannelTransport,
     doorbells: Arc<Vec<Doorbell>>,
     stop_after: AtomicUsize,
@@ -341,7 +327,8 @@ impl Watchdog {
 
 impl Shared<'_> {
     /// Fetch (building as needed) the context for `round`, pruning cached
-    /// contexts every node has already passed.
+    /// contexts every node has already passed and the stability oracle
+    /// has been fed.
     fn ctx(&self, round: usize) -> Arc<RoundCtx> {
         let mut b = self.server.lock().expect("context server lock");
         while b.next <= round {
@@ -354,7 +341,8 @@ impl Shared<'_> {
                 .map(|r| r.load(Ordering::Relaxed))
                 .min()
                 .unwrap_or(0);
-            b.ctxs.retain(|&r, _| r >= min);
+            let keep = min.min(b.verified);
+            b.ctxs.retain(|&r, _| r >= keep);
         }
         Arc::clone(b.ctxs.get(&round).expect("context just built"))
     }
@@ -382,41 +370,25 @@ impl Drop for AbortGuard<'_, '_> {
     }
 }
 
-/// Run the event-driven mode. Semantics and reports are identical to the
-/// lock-step engine on the same config (see the module docs for the
-/// argument); the returned [`RunReport`] additionally carries wall-clock
-/// throughput and per-token latency in [`RunReport::wall`].
-pub(crate) fn run<P: Protocol + Send>(
-    mut cfg: RunConfig<'_>,
-    provider: &mut (dyn HierarchyProvider + Send),
+/// Run the event-driven mode on the frame [`crate::engine::Engine::run`]
+/// set up (at least one round to run, not everyone informed). Semantics
+/// and reports are identical to the lock-step engine on the same config
+/// (see the module docs for the argument); the wall clock additionally
+/// carries per-token latency and the mailbox/reassembly counters.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run<'a, P: Protocol + Send>(
+    cfg: &'a RunConfig<'_>,
+    tracer: &mut Tracer,
+    builder: Builder<'a>,
+    fold: Fold,
     protocols: &mut [P],
-    assignment: &[Vec<TokenId>],
-) -> RunReport {
-    let start = Instant::now();
-    let mut disabled = Tracer::disabled();
-    let tracer: &mut Tracer = match cfg.tracer.take() {
-        Some(t) => t,
-        None => &mut disabled,
-    };
-    let faults = cfg.faults.clone();
-
-    let n = provider.n();
-    assert_eq!(protocols.len(), n, "one protocol per node");
-    assert_eq!(assignment.len(), n, "one initial token list per node");
+    assignment: &'a [Vec<TokenId>],
+    universe: &'a TokenSet,
+    start: Instant,
+) -> Ran {
+    let faults = &cfg.faults;
+    let n = protocols.len();
     let threads = resolve_event_threads(cfg.threads, n);
-
-    let universe: TokenSet = assignment.iter().flatten().copied().collect();
-    let k = universe.len();
-    if tracer.enabled() {
-        let w = cfg.cost_weights;
-        tracer.meta("token_bytes", w.token_bytes.to_string());
-        tracer.meta("packet_header_bytes", w.packet_header_bytes.to_string());
-        tracer.meta("mode", "event");
-    }
-    for (i, p) in protocols.iter_mut().enumerate() {
-        p.on_start(NodeId::from_index(i), &assignment[i]);
-    }
-
     let tracing = tracer.enabled();
 
     // Initial census: informed/finished counts plus the latency cover
@@ -433,49 +405,6 @@ pub(crate) fn run<P: Protocol + Send>(
         }
     }
 
-    let wall_degenerate = || WallClock {
-        elapsed_ns: start.elapsed().as_nanos() as u64,
-        tokens_per_sec: 0.0,
-        latency: None,
-        reassembly_stalls: 0,
-        mailbox_depth_max: 0,
-    };
-
-    // Degenerate cases the lock-step loop never enters: everyone informed
-    // before any round, or a zero round budget.
-    if informed0 == n {
-        tracer.run_end(0, true);
-        return RunReport {
-            rounds_executed: 0,
-            completion_round: Some(0),
-            metrics: Metrics::default(),
-            k,
-            cost_weights: cfg.cost_weights,
-            outcome: Outcome::Completed { round: 0 },
-            wall: wall_degenerate(),
-            stability: None,
-            stall: None,
-        };
-    }
-    if cfg.max_rounds == 0 {
-        tracer.run_end(0, false);
-        let missing = missing_tokens(&universe, protocols.iter());
-        return RunReport {
-            rounds_executed: 0,
-            completion_round: None,
-            metrics: Metrics::default(),
-            k,
-            cost_weights: cfg.cost_weights,
-            outcome: Outcome::Stalled {
-                missing_tokens: missing,
-                budget_exhausted: true,
-            },
-            wall: wall_degenerate(),
-            stability: None,
-            stall: None,
-        };
-    }
-
     let shard_size = n.div_ceil(threads);
     let doorbells: Arc<Vec<Doorbell>> = Arc::new(
         (0..n.div_ceil(shard_size))
@@ -489,28 +418,14 @@ pub(crate) fn run<P: Protocol + Send>(
     }
 
     let shared = Shared {
-        server: Mutex::new(Builder::new(
-            provider,
-            cfg.validate_hierarchy,
-            tracing,
-            &faults,
-        )),
-        oracle: Mutex::new(Oracle {
-            n,
+        server: Mutex::new(builder),
+        reports: Mutex::new(Reports {
             next: 0,
+            pending: BTreeMap::new(),
             informed: informed0,
             finished: finished0,
-            stopped: false,
-            early_stop: false,
-            rounds_executed: 0,
-            completion_round: None,
-            metrics: Metrics::default(),
-            fault_window: None,
-            backbone: false,
-            pending: BTreeMap::new(),
-            record_rounds: cfg.record_rounds,
-            stop_on_completion: cfg.stop_on_completion,
             inflight: 0,
+            fold,
         }),
         transport,
         doorbells: Arc::clone(&doorbells),
@@ -522,11 +437,11 @@ pub(crate) fn run<P: Protocol + Send>(
         covered_at: (0..id_space).map(|_| AtomicU64::new(u64::MAX)).collect(),
         start,
         n,
-        universe: &universe,
+        universe,
         assignment,
-        faults: &faults,
+        faults,
         plane: Plane::new(
-            &faults,
+            faults,
             cfg.reliable,
             tracing,
             cfg.record_messages,
@@ -543,7 +458,7 @@ pub(crate) fn run<P: Protocol + Send>(
         stall_info: Mutex::new(Vec::new()),
     };
     // Tokens fully known at the start are covered at t = 0.
-    for t in &universe {
+    for t in universe {
         if shared.cover[t.0 as usize].load(Ordering::Relaxed) == n {
             shared.covered_at[t.0 as usize].store(0, Ordering::Relaxed);
         }
@@ -583,29 +498,14 @@ pub(crate) fn run<P: Protocol + Send>(
         run_shard(&shared, s, shard);
     });
 
-    let elapsed_ns = start.elapsed().as_nanos() as u64;
-
-    // Harvest the oracle: merged metrics for rounds below the stop, the
-    // completion verdict, and the loss/partition fault window.
-    let oracle = shared.oracle.into_inner().expect("oracle lock");
-    let mut metrics = oracle.metrics;
-    let rounds_executed = oracle.rounds_executed;
-    let completion_round = oracle.completion_round;
-    let budget_exhausted = !oracle.early_stop;
-    let mut fault_window = oracle.fault_window;
-    let mut backbone = oracle.backbone;
-
-    // Crash/recovery counts and the crash side of the fault window come
-    // from the builder's per-round logs, clipped to the executed rounds.
-    let server = shared.server.into_inner().expect("context server lock");
-    for (r, log) in server.logs.iter().enumerate().take(rounds_executed) {
-        metrics.crashes += log.crashes.len() as u64;
-        metrics.recoveries += log.recoveries.len() as u64;
-        if !log.crashes.is_empty() {
-            backbone = true;
-            note_fault(&mut fault_window, r as u64);
-        }
-    }
+    // The fold closed every round below the stop, in order: merged
+    // metrics, crash and recovery counts, the completion verdict and the
+    // fault window. The clock stops here: the merges and the trace replay
+    // below are not the message plane's work.
+    let mut fold = shared.reports.into_inner().expect("reports lock").fold;
+    let mut wall = wall_clock(start, fold.metrics.tokens_sent);
+    let rounds_executed = fold.rounds_executed;
+    let builder = shared.server.into_inner().expect("context server lock");
 
     // Stall-watchdog diagnostics: when the watchdog halted the run short
     // of completion, the workers' per-node snapshots become the report's
@@ -614,16 +514,16 @@ pub(crate) fn run<P: Protocol + Send>(
     let halted = shared.halted.load(Ordering::SeqCst);
     let mut stall_nodes = shared.stall_info.into_inner().expect("stall info lock");
     stall_nodes.sort_by_key(|s| s.node.index());
-    let stall =
-        (halted && completion_round.is_none() && !stall_nodes.is_empty()).then(|| StallDiag {
-            nodes: stall_nodes,
-            fault_window,
-        });
+    let halted = halted && fold.completion_round.is_none() && !stall_nodes.is_empty();
+    let stall = halted.then_some(StallDiag {
+        nodes: stall_nodes,
+        fault_window: fold.fault_window,
+    });
 
     // Overshoot-crash repair: a node restarted by a crash in a round the
     // run turned out not to include had (provably) already learned the
     // whole universe when it entered that round — put it back there.
-    if completion_round.is_some() {
+    if fold.completion_round.is_some() {
         let universe_tokens: Vec<TokenId> = universe.iter().collect();
         for shard in &mut shards {
             for (j, st) in shard.nodes.iter().enumerate() {
@@ -644,7 +544,8 @@ pub(crate) fn run<P: Protocol + Send>(
                 for (j, st) in shard.nodes.iter().enumerate() {
                     let c = &mut cursors[shard.base + j];
                     while *c < st.msgs.len() && st.msgs[*c].round == r {
-                        record_message(&mut metrics, cfg.message_log_cap, st.msgs[*c].clone());
+                        let record = st.msgs[*c].clone();
+                        record_message(&mut fold.metrics, cfg.message_log_cap, record);
                         *c += 1;
                     }
                 }
@@ -655,20 +556,9 @@ pub(crate) fn run<P: Protocol + Send>(
     // Trace replay: emit the buffered events through the real tracer in
     // exact lock-step order, so event-mode trace bytes match lock-step.
     if tracing {
-        let durable = faults.durable_tokens;
         let mut cursors = vec![0usize; n];
         for r in 0..rounds_executed {
-            tracer.round_start(r as u64);
-            let log = &server.logs[r];
-            for &i in &log.recoveries {
-                tracer.recover(r as u64, i as u64);
-            }
-            for &i in &log.crashes {
-                tracer.crash(r as u64, i as u64, durable);
-            }
-            for &(node, old, new) in &log.reaffs {
-                tracer.reaffiliation(r as u64, node, old, new);
-            }
+            builder.logs[r].trace(tracer, r, faults.durable_tokens);
             for shard in &shards {
                 for (j, st) in shard.nodes.iter().enumerate() {
                     let i = shard.base + j;
@@ -682,23 +572,14 @@ pub(crate) fn run<P: Protocol + Send>(
                 }
             }
         }
-    }
-    if tracing {
         if let Some(d) = &stall {
             for ns in &d.nodes {
                 tracer.stall_probe(ns.frontier as u64, ns.node.0 as u64);
             }
         }
     }
-    end_trace(
-        tracer,
-        rounds_executed,
-        completion_round.is_some(),
-        metrics.dups_discarded,
-    );
 
-    // Wall-clock metrics: throughput over the whole execution, per-token
-    // cover latency from the stamped completion instants.
+    // Per-token cover latency from the stamped completion instants.
     let mut lat: Vec<u64> = universe
         .iter()
         .filter_map(|t| {
@@ -707,67 +588,20 @@ pub(crate) fn run<P: Protocol + Send>(
         })
         .collect();
     lat.sort_unstable();
-    let latency = (!lat.is_empty()).then(|| TokenLatency {
+    wall.latency = (!lat.is_empty()).then(|| TokenLatency {
         covered: lat.len(),
-        total: k,
+        total: universe.len(),
         p50_ns: lat[lat.len() / 2],
         p95_ns: lat[(lat.len() * 95 / 100).min(lat.len() - 1)],
         max_ns: *lat.last().expect("non-empty"),
     });
-    let secs = elapsed_ns as f64 / 1e9;
-    let wall = WallClock {
-        elapsed_ns,
-        tokens_per_sec: if secs > 0.0 {
-            metrics.tokens_sent as f64 / secs
-        } else {
-            0.0
-        },
-        latency,
-        reassembly_stalls: shared.stalls.load(Ordering::Relaxed),
-        mailbox_depth_max: shared.transport.max_depth() as u64,
-    };
-
-    let outcome = match completion_round {
-        Some(round) => Outcome::Completed { round },
-        None => {
-            let missing = {
-                missing_tokens(
-                    &universe,
-                    shards.iter().flat_map(|shard| shard.protocols.iter()),
-                )
-            };
-            if stall.is_some() {
-                // The watchdog halted the run: report the stall with its
-                // structured diagnosis regardless of injected faults (the
-                // diagnosis carries the fault window for attribution).
-                Outcome::Stalled {
-                    missing_tokens: missing,
-                    budget_exhausted: false,
-                }
-            } else {
-                match fault_window {
-                    Some(window) => Outcome::AssumptionViolated {
-                        window,
-                        def: if backbone { 2 } else { 1 },
-                    },
-                    None => Outcome::Stalled {
-                        missing_tokens: missing,
-                        budget_exhausted,
-                    },
-                }
-            }
-        }
-    };
-    RunReport {
-        rounds_executed,
-        completion_round,
-        metrics,
-        k,
-        cost_weights: cfg.cost_weights,
-        outcome,
-        wall,
-        stability: None,
+    wall.reassembly_stalls = shared.stalls.load(Ordering::Relaxed);
+    wall.mailbox_depth_max = shared.transport.max_depth() as u64;
+    Ran {
+        fold,
+        oracle: builder.finish(),
         stall,
+        wall,
     }
 }
 
@@ -949,7 +783,7 @@ fn step_send<P: Protocol>(
 /// A node's round-`r` receive step: release the reassembled inbox through
 /// the delivery plane, run the protocol's receive (unless the node is
 /// down — its inbox is lost), track informed/finished transitions and the
-/// per-token latency cover, and submit the round report to the oracle.
+/// per-token latency cover, and submit the round report.
 fn step_recv<P: Protocol>(
     shared: &Shared<'_>,
     i: usize,
@@ -997,10 +831,11 @@ fn step_recv<P: Protocol>(
     st.last_inflight = inflight_now;
 
     let rep = std::mem::take(&mut st.rep);
-    let stop = {
-        let mut oracle = shared.oracle.lock().expect("oracle lock");
-        oracle.report(r, rep)
-    };
+    let stop = shared
+        .reports
+        .lock()
+        .expect("reports lock")
+        .report(r, rep, &shared.server);
     if let Some(stop_round) = stop {
         shared.stop_after.fetch_min(stop_round, Ordering::SeqCst);
         shared.ring_all();
@@ -1013,7 +848,8 @@ fn step_recv<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, ExecMode, RunConfig};
+    use crate::engine::{Engine, ExecMode, Outcome, RunConfig};
+    use crate::fault::Partition;
     use crate::protocol::{Incoming, LocalView, Outgoing};
     use crate::token::round_robin_assignment;
     use hinet_cluster::ctvg::{CtvgTrace, CtvgTraceProvider};
@@ -1198,6 +1034,8 @@ mod tests {
     struct NappingFlood {
         inner: Flood,
         nap: Duration,
+        /// First round whose send naps.
+        from_round: usize,
     }
 
     impl NappingFlood {
@@ -1205,6 +1043,7 @@ mod tests {
             NappingFlood {
                 inner: Flood::new(),
                 nap,
+                from_round: 0,
             }
         }
     }
@@ -1214,7 +1053,7 @@ mod tests {
             self.inner.on_start(me, initial);
         }
         fn send(&mut self, view: &LocalView<'_>) -> Vec<Outgoing> {
-            if !self.nap.is_zero() {
+            if !self.nap.is_zero() && view.round >= self.from_round {
                 std::thread::sleep(self.nap);
             }
             self.inner.send(view)
@@ -1341,6 +1180,81 @@ mod tests {
             diag.nodes
         );
         assert_eq!(diag.fault_window, None, "no faults were injected");
+    }
+
+    #[test]
+    fn watchdog_fault_window_runs_forward_from_an_early_crash() {
+        // The hub crashes in round 1 and is back in round 2, when a
+        // partition cuts it off from both leaves: a crash round before the
+        // first delivery-fault round.
+        let n = 3;
+        let assignment = round_robin_assignment(n, n);
+        let faults = FaultPlan::new(0)
+            .with_crash_at(1, 0)
+            .with_down_rounds(1)
+            .with_partition(Partition {
+                start: 2,
+                end: 3,
+                cut: 1,
+            });
+        let mut protocols: Vec<Flood> = (0..n).map(|_| Flood::new()).collect();
+        let lock = Engine::new(RunConfig::new().max_rounds(3).faults(faults.clone())).run(
+            &mut star_provider(n, 8),
+            &mut protocols,
+            &assignment,
+        );
+        let window = (1, 2);
+        assert_eq!(lock.outcome, Outcome::AssumptionViolated { window, def: 2 });
+
+        // Leaf 1 wedges in its round-3 send, so the watchdog halts the
+        // event run with rounds 0..=2 closed: its diagnosis must carry the
+        // same window.
+        let mut protocols = vec![
+            NappingFlood::new(Duration::ZERO),
+            NappingFlood {
+                from_round: 3,
+                ..NappingFlood::new(Duration::from_secs(1))
+            },
+            NappingFlood::new(Duration::ZERO),
+        ];
+        let event = Engine::new(
+            RunConfig::new()
+                .max_rounds(32)
+                .faults(faults)
+                .threads(n)
+                .mode(ExecMode::Event)
+                .stall_rounds(20),
+        )
+        .run(&mut star_provider(n, 8), &mut protocols, &assignment);
+        assert_eq!(event.rounds_executed, 3);
+        let diag = event.stall.expect("the watchdog halted the run");
+        assert_eq!(diag.fault_window, Some(window));
+    }
+
+    #[test]
+    fn zero_round_budget_reports_match_across_modes() {
+        let n = 4;
+        let assignment = round_robin_assignment(n, n);
+        for mode in [ExecMode::Lockstep, ExecMode::Event] {
+            let mut protocols: Vec<Flood> = (0..n).map(|_| Flood::new()).collect();
+            let report = Engine::new(
+                RunConfig::new()
+                    .max_rounds(0)
+                    .mode(mode)
+                    .stability_oracle(Some((2, 1))),
+            )
+            .run(&mut star_provider(n, 4), &mut protocols, &assignment);
+            assert_eq!(report.rounds_executed, 0, "{mode}");
+            assert_eq!(
+                report.outcome,
+                Outcome::Stalled {
+                    missing_tokens: n,
+                    budget_exhausted: true
+                },
+                "{mode}"
+            );
+            assert_eq!(report.stability, None, "{mode}: no round was verified");
+        }
     }
 
     #[test]

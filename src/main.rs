@@ -89,7 +89,7 @@ const RUN_FLAGS: &[FlagSpec] = &[
     flag(
         "stability-stream",
         false,
-        "run the in-engine (T, L)-HiNet oracle (lockstep only)",
+        "run the in-engine (T, L)-HiNet oracle",
     ),
     flag("trace", false, "record a hinet-trace/v1 JSONL artifact"),
     flag(

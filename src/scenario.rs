@@ -561,22 +561,12 @@ impl Scenario {
     /// [`hinet_cluster::stability::stream::StabilityStream`] at the
     /// scenario's own `(T, L)`, emitting `stability_window` events and
     /// attributing incomplete runs to the exact violated definition and
-    /// round. The oracle is lock-step only: it is rejected for
-    /// `--mode event` (whose rounds are reassembled post-hoc, not observed
-    /// live).
+    /// round.
     pub fn run_traced_with_oracle(
         &self,
         tracer: &mut Tracer,
         oracle: bool,
     ) -> Result<RunReport, String> {
-        if oracle && self.mode == ExecMode::Event {
-            return Err(
-                "--stability-stream requires lock-step execution; --mode event reassembles \
-                 rounds post-hoc, so verify the trace with `hinet trace --stability-stream` \
-                 instead"
-                    .into(),
-            );
-        }
         self.stamp_meta(tracer);
         let assignment = round_robin_assignment(self.n, self.k);
         let kind = self.kind()?;

@@ -2,7 +2,7 @@
 //! `hinet_rt::check` harness (replay any failure with
 //! `HINET_CHECK_SEED=<seed printed on failure>`).
 //!
-//! Five contracts: (a) an event-mode run of any engine scenario produces
+//! Six contracts: (a) an event-mode run of any engine scenario produces
 //! the same dissemination result (completion round, outcome, paper
 //! metrics) as the lock-step engine, across worker counts; (b) the trace
 //! is byte-identical between the modes — events and header counters; only
@@ -13,14 +13,16 @@
 //! while its neighbours' round messages are already queued), delay,
 //! duplication, reorder and the reliability layer — for every algorithm,
 //! RLNC included; (e) a `RoundBuffer` fed any arrival permutation releases
-//! the inbox in lock-step `(sender, seq)` order.
+//! the inbox in lock-step `(sender, seq)` order; (f) the runtime (T, L)
+//! stability oracle verifies the same rounds in both modes — same
+//! verdicts, same stream summary, same outcome.
 
 use hinet::rt::check::check;
 use hinet::rt::obs::{ObsConfig, ParsedTrace, Tracer};
 use hinet::scenario::Scenario;
 use hinet_graph::graph::NodeId;
 use hinet_sim::transport::{Envelope, EnvelopeKind, RoundBuffer};
-use hinet_sim::ExecMode;
+use hinet_sim::{ExecMode, Outcome, Partition};
 
 fn scenario(algorithm: &str, dynamics: &str, n: usize, k: usize, seed: u64) -> Scenario {
     let (alpha, l) = (2, 2);
@@ -56,9 +58,29 @@ fn scenario(algorithm: &str, dynamics: &str, n: usize, k: usize, seed: u64) -> S
 
 /// Record a scenario's trace artifact and engine report.
 fn record(sc: &Scenario) -> (hinet_sim::RunReport, String) {
+    record_with_oracle(sc, false)
+}
+
+/// [`record`], with the runtime stability oracle toggled.
+fn record_with_oracle(sc: &Scenario, oracle: bool) -> (hinet_sim::RunReport, String) {
     let mut tracer = Tracer::new(ObsConfig::full());
-    let report = sc.run_traced(&mut tracer).expect("scenario must run");
+    let report = sc
+        .run_traced_with_oracle(&mut tracer, oracle)
+        .expect("scenario must run");
     (report, tracer.to_jsonl())
+}
+
+/// One partition cutting the nodes in half from round `start` to the end
+/// of a `budget`-round run, if `start` is given.
+fn half_cut(start: Option<usize>, n: usize, budget: usize) -> Vec<Partition> {
+    start
+        .map(|start| Partition {
+            start,
+            end: budget,
+            cut: n / 2,
+        })
+        .into_iter()
+        .collect()
 }
 
 /// Assert two reports describe the same dissemination (everything except
@@ -185,8 +207,13 @@ fn event_mode_matches_lockstep_under_faults() {
         let &dup_ppm = ctx.pick(&[0u32, 50_000]);
         let &reorder = ctx.pick(&[false, true]);
         let reliable = (loss_ppm > 0 || delay_ppm > 0) && *ctx.pick(&[false, true]);
+        // Drawn last so the earlier draws replay: a cut that can start
+        // after a round-1 crash.
+        let &partition = ctx.pick(&[None, Some(2usize), Some(3)]);
         let base = scenario(algorithm, dynamics, 14, 3, seed);
+        let budget = 2 * base.budget;
         let sc = Scenario {
+            partitions: half_cut(partition, base.n, budget),
             loss_ppm,
             crash_at: crash.into_iter().collect(),
             durable_tokens: durable && crash.is_some(),
@@ -197,7 +224,7 @@ fn event_mode_matches_lockstep_under_faults() {
             reorder,
             reliable,
             fault_seed: seed.wrapping_mul(3) + 1,
-            budget: 2 * base.budget,
+            budget,
             ..base
         };
         let (lock, lock_trace) = record(&sc);
@@ -284,6 +311,78 @@ fn round_buffer_releases_lockstep_order_under_any_arrival_permutation() {
             assert_eq!(tok, expected, "per-sender seq order");
             assert_eq!(msg.directed, i % 2 == 1);
         }
+    });
+}
+
+/// A crash in the round before a partition starts: both modes report the
+/// same fault window, running forward from the crash round. Folding the
+/// delivery faults of every round before the crash rounds would report
+/// this run's window as `3..=1`.
+#[test]
+fn fault_window_matches_lockstep_when_a_crash_precedes_a_partition() {
+    let n = 40;
+    let sc = Scenario {
+        n,
+        k: 4,
+        theta: n / 3,
+        crash_at: vec![(1, 0)],
+        down_rounds: 99,
+        partitions: vec![Partition {
+            start: 3,
+            end: 200,
+            cut: 20,
+        }],
+        budget: 30,
+        ..Scenario::defaults()
+    };
+    let (lock, _) = record(&sc);
+    let (event, _) = record(&Scenario {
+        mode: ExecMode::Event,
+        ..sc
+    });
+    assert_eq!(
+        lock.outcome,
+        Outcome::AssumptionViolated {
+            window: (1, 29),
+            def: 2
+        }
+    );
+    assert_same_result(&lock, &event);
+}
+
+/// (f) The stability oracle runs in both modes and sees the same rounds:
+/// under crashes (long ones included), loss and partitions, the outcome,
+/// the stream summary and every `stability_window` line match lock-step.
+#[test]
+fn event_mode_matches_lockstep_with_the_stability_oracle() {
+    check("event_matches_lockstep_oracle", 12, |ctx| {
+        let &algorithm = ctx.pick(&["alg1", "alg2", "klo-flood"]);
+        let &seed = ctx.pick(&[1u64, 7, 19]);
+        let &crash = ctx.pick(&[(1usize, 0usize), (2, 0), (1, 5)]);
+        let &down_rounds = ctx.pick(&[2usize, 99]);
+        let &loss_ppm = ctx.pick(&[0u32, 50_000]);
+        let &partition = ctx.pick(&[None, Some(2usize), Some(3)]);
+        let base = scenario(algorithm, "hinet", 14, 3, seed);
+        let sc = Scenario {
+            crash_at: vec![crash],
+            down_rounds,
+            loss_ppm,
+            partitions: half_cut(partition, base.n, base.budget),
+            fault_seed: seed + 1,
+            ..base
+        };
+        let (lock, lock_trace) = record_with_oracle(&sc, true);
+        let (event, event_trace) = record_with_oracle(
+            &Scenario {
+                mode: ExecMode::Event,
+                ..sc
+            },
+            true,
+        );
+        assert!(lock.stability.is_some(), "the oracle was configured");
+        assert_eq!(event.stability, lock.stability);
+        assert_same_result(&lock, &event);
+        assert_same_trace(&lock_trace, &event_trace);
     });
 }
 
