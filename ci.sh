@@ -314,6 +314,34 @@ grep -q 'stability oracle: 12/12 windows' target/ci-stream/oracle-1l.txt || {
 }
 echo "stream gate: OK"
 
+# Event-mode memory smoke: round reassembly must stay O(envelopes in
+# flight + nodes). A chaotic reliable event-mode run at n = 20 000 must
+# complete in 15 rounds and peak within 10% of 158 140 KB (ru_maxrss),
+# the most that run reached in four runs with per-node round maps on a
+# 2-core VM (two event workers); the per-shard reassembly peaks near
+# 147 000 KB there.
+rm -rf target/ci-memory
+mkdir -p target/ci-memory
+event_rss=$(python3 - target/ci-memory/event.txt ./target/release/hinet run \
+    --algorithm alg2 --n 20000 --k 64 --seed 3 --mode event --loss 0.05 --delay 0.03 \
+    --max-delay 3 --dup 0.02 --reorder --reliable --fault-seed 3 --budget 40 <<'PY'
+import resource, subprocess, sys
+with open(sys.argv[1], "w") as out:
+    subprocess.run(sys.argv[2:], check=True, stdout=out)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+PY
+)
+grep -q 'completed in 15 rounds' target/ci-memory/event.txt || {
+    echo "memory smoke: the event-mode run did not complete in 15 rounds:" >&2
+    cat target/ci-memory/event.txt >&2
+    exit 1
+}
+if [ "$event_rss" -gt $((158140 * 11 / 10)) ]; then
+    echo "memory smoke: event-mode peak RSS $event_rss KB exceeds 110% of 158140 KB" >&2
+    exit 1
+fi
+echo "memory smoke: OK ($event_rss KB)"
+
 # Benchmark gate: perfbench is a separate package that nothing above
 # builds, so a library change could break it unseen. Its tests must pass,
 # and every workload's seed-42 run must report `"correct":true` (the

@@ -37,8 +37,7 @@ where
     if inputs.is_empty() {
         return Vec::new();
     }
-    let hw = std::thread::available_parallelism().map_or(4, |p| p.get());
-    let threads = if threads == 0 { hw } else { threads }.min(inputs.len());
+    let threads = resolve(threads).min(inputs.len());
     if threads <= 1 {
         return inputs.iter().map(&f).collect();
     }
@@ -109,8 +108,7 @@ where
     F: Fn(usize, &mut T) -> O + Sync,
 {
     let n = items.len();
-    let hw = std::thread::available_parallelism().map_or(4, |p| p.get());
-    let threads = if threads == 0 { hw } else { threads }.min(n);
+    let threads = resolve(threads).min(n);
     if threads <= 1 {
         return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
     }
@@ -159,6 +157,17 @@ where
         }
     }
     out.into_iter().flatten().collect()
+}
+
+/// A requested thread count, with 0 meaning the available parallelism.
+/// Only then is the machine asked: on Linux the answer reads cgroup files,
+/// which costs tens of microseconds per call.
+fn resolve(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism().map_or(4, |p| p.get())
+    } else {
+        threads
+    }
 }
 
 /// Extract the human-readable message from a panic payload, when it has one

@@ -15,7 +15,8 @@
 //!   flush and its seq numbering, and the end-of-round markers that carry
 //!   acks;
 //! * **the receiver step** ([`Plane::accept`]) — ack application, rid
-//!   dedup and the reorder permutation over the round's reassembled inbox.
+//!   dedup and the reorder permutation over the round's reassembled inbox,
+//!   in place in the caller's release buffer.
 //!
 //! Acks therefore take effect identically in both modes: a receiver's
 //! ledger value from before the round's deliveries, carried along the
@@ -24,10 +25,10 @@
 
 use crate::engine::{obs_role, role_slot, CostWeights, MessageRecord, Metrics};
 use crate::fault::FaultPlan;
-use crate::protocol::{Destination, Incoming, Outgoing, Payload};
-use crate::reliable::{ReceiverLedger, ReliableConfig, SenderWindow};
+use crate::protocol::{Destination, Outgoing, Payload};
+use crate::reliable::{ReceiverLedger, ReliableConfig, Retransmit, SenderWindow};
 use crate::round::RoundCtx;
-use crate::transport::{Envelope, EnvelopeKind, TakenRound};
+use crate::transport::{Envelope, EnvelopeKind, Released};
 use hinet_graph::graph::NodeId;
 use hinet_rt::obs::{self, FaultKind, Tracer};
 
@@ -190,6 +191,10 @@ struct Held {
     directed: bool,
 }
 
+/// A reusable buffer for the timer retransmits of one sender step
+/// ([`SenderWindow::due_into`]): one per driver or worker, not per node.
+pub(crate) type DueBuf = Vec<Retransmit<(Payload, bool)>>;
+
 /// One node's delivery-plane state: its held envelopes and reliability
 /// window (sender side) and its ledger (receiver side).
 #[derive(Default)]
@@ -351,7 +356,8 @@ impl<'a> Plane<'a> {
     /// Node `i`'s round-`r` sender step. `outs` is what its protocol sent
     /// this round (empty when it is down or finished); every envelope that
     /// leaves the node goes to `emit`. Counters land in `tally`, trace
-    /// events in `evts`, message records in `msgs`.
+    /// events in `evts`, message records in `msgs`; `due` is scratch for
+    /// the timer retransmits.
     ///
     /// Order: reliability-timer retransmits, then matured held envelopes,
     /// then the fresh sends, then one end-of-round marker per neighbour.
@@ -369,6 +375,7 @@ impl<'a> Plane<'a> {
         tally: &mut Tally,
         evts: &mut Vec<BufEvt>,
         msgs: &mut Vec<MessageRecord>,
+        due: &mut DueBuf,
         emit: &mut impl FnMut(Envelope),
     ) {
         if outs.is_empty() && !self.markers && link.in_flight() == 0 {
@@ -395,7 +402,9 @@ impl<'a> Plane<'a> {
             // (receiver ledgers dedup). A link absent from this round's
             // topology leaves the entry pending: the timer re-fires later.
             if let Some(w) = link.window.as_mut() {
-                for rt in w.due(r) {
+                due.clear();
+                w.due_into(r, due);
+                for rt in due.drain(..) {
                     let v = NodeId::from_index(rt.to);
                     if !ctx.graph.has_edge(me, v) {
                         continue;
@@ -422,20 +431,23 @@ impl<'a> Plane<'a> {
             }
             // Matured held envelopes wait until their edge exists (and, by
             // the enclosing check, their sender is up).
-            if !link.held.is_empty() {
-                for h in std::mem::take(&mut link.held) {
-                    if h.release > r || !ctx.graph.has_edge(me, h.to) {
-                        link.held.push(h);
-                        continue;
-                    }
-                    if let Fate::Deliver { .. } =
-                        self.fate(ctx, r, me, h.to, Leg::Matured, tally, evts)
-                    {
-                        emit(payload_env(h.to, flush_seq, h.payload, h.directed, h.rid));
-                        flush_seq -= 1;
-                    }
+            link.held.retain(|h| {
+                if h.release > r || !ctx.graph.has_edge(me, h.to) {
+                    return true;
                 }
-            }
+                if let Fate::Deliver { .. } = self.fate(ctx, r, me, h.to, Leg::Matured, tally, evts)
+                {
+                    emit(payload_env(
+                        h.to,
+                        flush_seq,
+                        h.payload.clone(),
+                        h.directed,
+                        h.rid,
+                    ));
+                    flush_seq -= 1;
+                }
+                false
+            });
         }
         let neighbors = ctx.graph.neighbors(me);
         let mut seq = 0u32;
@@ -557,45 +569,49 @@ impl<'a> Plane<'a> {
         }
     }
 
-    /// Node `i`'s round-`r` receiver step over its reassembled round:
-    /// count the buffer's duplicate discards and, unless the node is down
-    /// (its inbox is lost), apply the acks its neighbours' markers carried,
-    /// drop retransmit duplicates by reliable id, and apply the reorder
-    /// permutation. Returns the inbox its protocol receives.
+    /// Node `i`'s round-`r` receiver step over the round just released
+    /// into `rel` (its inbox is `rel.inbox[from..]`): count the
+    /// reassembly's duplicate discards and, unless the node is down (its
+    /// inbox is lost, so it is truncated away), apply the acks its
+    /// neighbours' markers carried, drop retransmit duplicates by reliable
+    /// id and apply the reorder permutation, all in place. What is left in
+    /// `rel.inbox[from..]` is the inbox its protocol receives.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn accept(
         &self,
         ctx: &RoundCtx,
         r: usize,
         i: usize,
         link: &mut Link,
-        taken: TakenRound,
+        rel: &mut Released,
+        from: usize,
         tally: &mut Tally,
-    ) -> Vec<Incoming> {
-        tally.dups_discarded += taken.dups_discarded;
-        let mut inbox = taken.inbox;
+    ) {
+        tally.dups_discarded += rel.dups_discarded;
         if ctx.down[i] {
-            return Vec::new();
+            rel.inbox.truncate(from);
+            return;
         }
         if self.reliable {
             if let Some(w) = link.window.as_mut() {
-                w.ack(&taken.acks);
+                w.ack(&rel.acks);
             }
-            // The buffer's `(from, seq)` dedup cannot see a timer
+            // The reassembly's `(from, seq)` dedup cannot see a timer
             // retransmit of an envelope that also arrived late; the ledger
-            // can.
-            let mut keep = Vec::with_capacity(inbox.len());
-            for (msg, rid) in inbox.into_iter().zip(taken.rids) {
-                if link.ledger.accept(msg.from.index(), rid) {
-                    keep.push(msg);
+            // can. Kept messages move down in order (a stable compaction).
+            let mut kept = from;
+            for (k, &rid) in (from..rel.inbox.len()).zip(&rel.rids) {
+                if link.ledger.accept(rel.inbox[k].from.index(), rid) {
+                    rel.inbox.swap(kept, k);
+                    kept += 1;
                 } else {
                     tally.dups_discarded += 1;
                 }
             }
-            inbox = keep;
+            rel.inbox.truncate(kept);
         }
         if self.faults.reorder {
-            self.faults.shuffle(r, i, &mut inbox);
+            self.faults.shuffle(r, i, &mut rel.inbox[from..]);
         }
-        inbox
     }
 }

@@ -26,12 +26,12 @@
 //! a single sequential pass in node-id order, so traced and faulted runs
 //! are **byte-identical regardless of thread count**.
 
-use crate::delivery::{record_message, replay, Link, Plane, Tally};
+use crate::delivery::{record_message, replay, DueBuf, Link, Plane, Tally};
 use crate::fault::FaultPlan;
 use crate::protocol::{Incoming, Outgoing, Protocol};
 use crate::round::{Builder, Fold, RoundCtx};
 use crate::token::{TokenId, TokenSet};
-use crate::transport::{Envelope, EnvelopeKind, RoundBuffer};
+use crate::transport::{Envelope, EnvelopeKind, Reassembly, Released};
 use hinet_cluster::ctvg::HierarchyProvider;
 use hinet_cluster::hierarchy::Role;
 use hinet_cluster::stability::stream::{StreamReport, WindowVerdict};
@@ -55,11 +55,12 @@ const PARALLEL_NODE_THRESHOLD: usize = 4096;
 ///
 /// * [`ExecMode::Lockstep`] — the synchronous reference loop: a global
 ///   barrier between every round's send and receive phases.
-/// * [`ExecMode::Event`] — the event-driven message plane: per-node
-///   mailboxes behind a [`crate::transport::Transport`], rounds
-///   reassembled by [`crate::transport::RoundBuffer`] quorums, nodes
-///   progressing independently on concurrent workers. Adds wall-clock
-///   throughput and per-token latency to [`RunReport::wall`].
+/// * [`ExecMode::Event`] — the event-driven message plane: rounds
+///   reassembled by per-shard [`crate::transport::Reassembly`] quorums,
+///   cross-shard envelopes through per-node mailboxes behind a
+///   [`crate::transport::Transport`], nodes progressing independently on
+///   concurrent workers. Adds wall-clock throughput and per-token latency
+///   to [`RunReport::wall`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecMode {
     /// Synchronous round barrier (the paper's model, and the default).
@@ -884,7 +885,8 @@ fn lockstep<P: Protocol + Send>(
     let n = protocols.len();
     let threads = resolve_threads(cfg.threads, n);
     let tracing = tracer.enabled();
-    let mut inboxes: Vec<Vec<Incoming>> = vec![Vec::new(); n];
+    let trivial = faults.is_trivial();
+    let mut inboxes: Vec<Vec<Incoming>> = vec![Vec::new(); if trivial { n } else { 0 }];
     // The incremental completion oracle: whether node `i` knows the
     // whole universe, maintained at receive/restart time so the engine
     // never rescans all n nodes per round.
@@ -895,12 +897,14 @@ fn lockstep<P: Protocol + Send>(
     let mut informed_count = informed.iter().filter(|&&inf| inf).count();
 
     // The delivery plane shared with the event runtime. Envelopes from
-    // a non-trivial plan pass through one `RoundBuffer` per receiver,
-    // exactly as a mailbox would deliver them. A trivial plan needs no
-    // per-node delivery state — no holds, no windows, no duplicates —
-    // so every node shares one idle link and envelopes go straight into
-    // the inboxes, already in the buffer's `(sender, seq)` order: the
-    // clean path allocates nothing extra and stays byte-identical.
+    // a non-trivial plan pass through one `Reassembly` for all nodes (the
+    // event runtime's shard structure, as one shard), exactly as a mailbox
+    // would deliver them, and each round is released into one flat inbox
+    // buffer, node after node. A trivial plan needs no per-node delivery
+    // state — no holds, no windows, no duplicates — so every node shares
+    // one idle link and envelopes go straight into the inboxes, already
+    // in the reassembly's `(sender, seq)` order: the clean path allocates
+    // nothing extra and stays byte-identical.
     let plane = Plane::new(
         faults,
         cfg.reliable,
@@ -909,17 +913,16 @@ fn lockstep<P: Protocol + Send>(
         cfg.cost_weights,
         false,
     );
-    let trivial = faults.is_trivial();
     let mut links: Vec<Link> = if trivial {
         vec![Link::default()]
     } else {
         (0..n).map(|i| plane.link(i)).collect()
     };
-    let mut buffers: Vec<RoundBuffer> = if trivial {
-        Vec::new()
-    } else {
-        (0..n).map(|_| RoundBuffer::new()).collect()
-    };
+    let mut reasm = Reassembly::new(if trivial { 0 } else { n });
+    // `released.inbox[offsets[v]..offsets[v + 1]]` is node `v`'s inbox.
+    let mut released = Released::default();
+    let mut offsets: Vec<usize> = Vec::new();
+    let mut due = DueBuf::new();
 
     for round in 0..cfg.max_rounds {
         builder.build_next();
@@ -965,9 +968,8 @@ fn lockstep<P: Protocol + Send>(
         });
 
         // Delivery: a trivial plan's envelopes go straight into the
-        // inboxes; a non-trivial plan's through one `RoundBuffer` per
-        // receiver and the receiver step, as a mailbox would deliver
-        // them.
+        // inboxes; a non-trivial plan's through the reassembly and the
+        // receiver step, as a mailbox would deliver them.
         let mut tally = Tally::default();
         if trivial {
             let emit = |env: Envelope| {
@@ -992,10 +994,11 @@ fn lockstep<P: Protocol + Send>(
                 tracer,
                 &mut fold.metrics,
                 cfg,
+                &mut due,
                 emit,
             );
         } else {
-            let emit = |env: Envelope| buffers[env.to.index()].push(env);
+            let emit = |env: Envelope| reasm.file(env.to.index(), env);
             send_pass(
                 &plane,
                 ctx,
@@ -1006,24 +1009,38 @@ fn lockstep<P: Protocol + Send>(
                 tracer,
                 &mut fold.metrics,
                 cfg,
+                &mut due,
                 emit,
             );
-            for (v, buffer) in buffers.iter_mut().enumerate() {
-                let taken = buffer.take_round(round);
-                inboxes[v] = plane.accept(ctx, round, v, &mut links[v], taken, &mut tally);
+            released.inbox.clear();
+            offsets.clear();
+            for (v, link) in links.iter_mut().enumerate() {
+                let from = released.inbox.len();
+                offsets.push(from);
+                reasm.take(v, round, &mut released);
+                plane.accept(ctx, round, v, link, &mut released, from, &mut tally);
             }
+            offsets.push(released.inbox.len());
         }
 
         // Receive phase: node-independent again — fan out, then fold
         // the freshly-informed flags back into the oracle counter.
         let newly_informed: Vec<bool> = {
-            let (informed, inboxes) = (&informed, &inboxes);
+            let informed = &informed;
+            let inbox_of = |i: usize| -> &[Incoming] {
+                if trivial {
+                    &inboxes[i]
+                } else {
+                    &released.inbox[offsets[i]..offsets[i + 1]]
+                }
+            };
             pool::map_mut(protocols, threads, |i, p| {
                 if ctx.down[i] {
                     return false; // deliveries to crashed nodes are lost
                 }
-                p.receive(&ctx.view(NodeId::from_index(i), round), &inboxes[i]);
-                !informed[i] && !inboxes[i].is_empty() && universe.is_subset(p.known())
+                let inbox = inbox_of(i);
+                p.receive(&ctx.view(NodeId::from_index(i), round), inbox);
+                !informed[i] && !inbox.is_empty() && universe.is_subset(p.known())
             })
         };
         for (i, fresh) in newly_informed.into_iter().enumerate() {
@@ -1060,7 +1077,8 @@ fn lockstep<P: Protocol + Send>(
 /// replaying its trace events and keeping its message records as it
 /// finishes, so metrics, trace events and inbox order are identical
 /// whatever the send phase's thread count was. A trivial plan passes one
-/// idle link that every node shares.
+/// idle link that every node shares. `due` is the timer-retransmit
+/// scratch every sender step reuses.
 #[allow(clippy::too_many_arguments)]
 fn send_pass(
     plane: &Plane<'_>,
@@ -1072,13 +1090,14 @@ fn send_pass(
     tracer: &mut Tracer,
     metrics: &mut Metrics,
     cfg: &RunConfig<'_>,
+    due: &mut DueBuf,
     mut emit: impl FnMut(Envelope),
 ) {
     let (mut evts, mut msgs) = (Vec::new(), Vec::new());
     for (i, node_outs) in outs.into_iter().enumerate() {
         let link = &mut links[if links.len() == 1 { 0 } else { i }];
         plane.send(
-            ctx, round, i, link, node_outs, tally, &mut evts, &mut msgs, &mut emit,
+            ctx, round, i, link, node_outs, tally, &mut evts, &mut msgs, due, &mut emit,
         );
         if tracer.enabled() {
             for e in evts.drain(..) {

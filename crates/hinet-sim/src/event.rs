@@ -3,9 +3,24 @@
 //!
 //! The driver replaces the lock-step engine's global round barrier with
 //! per-node progress: each node advances through its own round sequence as
-//! soon as its [`crate::transport::RoundBuffer`] quorum for the round is
-//! met, so different nodes can be in different rounds at the same wall
-//! instant and workers run truly concurrently on the [`hinet_rt::pool`].
+//! soon as its quorum for the round is met in its shard's
+//! [`crate::transport::Reassembly`], so different nodes can be in different
+//! rounds at the same wall instant and workers run truly concurrently on
+//! the [`hinet_rt::pool`].
+//!
+//! # Shards
+//!
+//! Each worker owns a contiguous node range (a shard) and everything its
+//! nodes' steps touch: their protocol instances, one reassembly for all of
+//! them, and reusable buffers for the outgoing envelopes of a send step,
+//! drained cross-shard mail, the released round and timer retransmits. A
+//! send step's envelopes for nodes of the same shard are filed straight
+//! into its reassembly, with no lock and no wake-up; only cross-shard
+//! envelopes go through the [`ChannelTransport`] and ring the receiving
+//! shard's doorbell. So in steady state a step allocates nothing beyond
+//! what its protocol allocates, and at one worker no envelope touches a
+//! mailbox. Per-token latency cover is counted per shard too: a shared
+//! atomic moves only when the last node of a shard learns the token.
 //!
 //! # Equivalence with lock-step
 //!
@@ -37,7 +52,7 @@
 //! the final stop, so reports and trace bytes match the lock-step engine
 //! exactly (the trace differs only in its `mode` meta stamp).
 
-use crate::delivery::{record_message, replay, BufEvt, Link, Plane, Tally};
+use crate::delivery::{record_message, replay, BufEvt, DueBuf, Link, Plane, Tally};
 use crate::engine::{
     resolve_event_threads, wall_clock, MessageRecord, NodeStall, Ran, RunConfig, StallDiag,
     TokenLatency,
@@ -46,7 +61,7 @@ use crate::fault::FaultPlan;
 use crate::protocol::Protocol;
 use crate::round::{Builder, Fold, RoundCtx};
 use crate::token::{TokenId, TokenSet};
-use crate::transport::{ChannelTransport, Envelope, RoundBuffer, Transport};
+use crate::transport::{ChannelTransport, Envelope, Reassembly, Released, Transport};
 use hinet_graph::graph::NodeId;
 use hinet_rt::obs::Tracer;
 use hinet_rt::pool;
@@ -216,8 +231,6 @@ struct NodeState {
     done: bool,
     informed: bool,
     finished: bool,
-    buffer: RoundBuffer,
-    scratch: Vec<Envelope>,
     /// Ever-learned token superset (never shrinks across crashes) — the
     /// per-token latency cover contribution guard.
     learned: TokenSet,
@@ -244,8 +257,6 @@ impl NodeState {
             done: false,
             informed: false,
             finished: false,
-            buffer: RoundBuffer::new(),
-            scratch: Vec::new(),
             learned: TokenSet::new(),
             rep: NodeReport::default(),
             crashed_at: None,
@@ -263,6 +274,18 @@ struct Shard<'a, P> {
     base: usize,
     protocols: &'a mut [P],
     nodes: Vec<NodeState>,
+    /// Round reassembly for every node of the shard.
+    reasm: Reassembly,
+    /// The envelopes of the send step in progress.
+    outbox: Vec<Envelope>,
+    /// Cross-shard mail drained from a node's mailbox.
+    mail: Vec<Envelope>,
+    /// The round a receive step released.
+    released: Released,
+    /// Timer retransmits of the send step in progress.
+    due: DueBuf,
+    /// Per token id: how many of the shard's nodes have ever learned it.
+    cover: Vec<u32>,
 }
 
 /// Everything the workers share.
@@ -275,10 +298,11 @@ struct Shared<'a> {
     abort: AtomicBool,
     node_round: Vec<AtomicUsize>,
     stalls: AtomicU64,
+    /// Per token id: how many shards have every node knowing it.
     cover: Vec<AtomicUsize>,
+    nshards: usize,
     covered_at: Vec<AtomicU64>,
     start: Instant,
-    n: usize,
     universe: &'a TokenSet,
     assignment: &'a [Vec<TokenId>],
     faults: &'a FaultPlan,
@@ -391,26 +415,18 @@ pub(crate) fn run<'a, P: Protocol + Send>(
     let threads = resolve_event_threads(cfg.threads, n);
     let tracing = tracer.enabled();
 
-    // Initial census: informed/finished counts plus the latency cover
-    // (how many nodes have ever learned each token).
+    // Initial census: informed/finished counts.
     let id_space = universe.max().map_or(0, |t| t.0 as usize + 1);
-    let mut cover0 = vec![0usize; id_space];
     let mut informed0 = 0usize;
     let mut finished0 = 0usize;
     for p in protocols.iter() {
         informed0 += usize::from(universe.is_subset(p.known()));
         finished0 += usize::from(p.finished());
-        for t in p.known() {
-            cover0[t.0 as usize] += 1;
-        }
     }
 
     let shard_size = n.div_ceil(threads);
-    let doorbells: Arc<Vec<Doorbell>> = Arc::new(
-        (0..n.div_ceil(shard_size))
-            .map(|_| Doorbell::new())
-            .collect(),
-    );
+    let nshards = n.div_ceil(shard_size);
+    let doorbells: Arc<Vec<Doorbell>> = Arc::new((0..nshards).map(|_| Doorbell::new()).collect());
     let transport = ChannelTransport::new(n);
     {
         let doorbells = Arc::clone(&doorbells);
@@ -433,10 +449,10 @@ pub(crate) fn run<'a, P: Protocol + Send>(
         abort: AtomicBool::new(false),
         node_round: (0..n).map(|_| AtomicUsize::new(0)).collect(),
         stalls: AtomicU64::new(0),
-        cover: cover0.into_iter().map(AtomicUsize::new).collect(),
+        cover: (0..id_space).map(|_| AtomicUsize::new(0)).collect(),
+        nshards,
         covered_at: (0..id_space).map(|_| AtomicU64::new(u64::MAX)).collect(),
         start,
-        n,
         universe,
         assignment,
         faults,
@@ -457,16 +473,10 @@ pub(crate) fn run<'a, P: Protocol + Send>(
         halted: AtomicBool::new(false),
         stall_info: Mutex::new(Vec::new()),
     };
-    // Tokens fully known at the start are covered at t = 0.
-    for t in universe {
-        if shared.cover[t.0 as usize].load(Ordering::Relaxed) == n {
-            shared.covered_at[t.0 as usize].store(0, Ordering::Relaxed);
-        }
-    }
-
     // Build shards: contiguous node ranges, one worker thread each. Each
     // node carries its per-protocol learned set (seeded from its initial
-    // known tokens) into the latency cover diffing.
+    // known tokens) into the latency cover diffing, and each shard counts
+    // how many of its nodes know each token.
     let mut shards: Vec<Shard<'_, P>> = Vec::new();
     {
         let mut rest = &mut protocols[..];
@@ -475,24 +485,44 @@ pub(crate) fn run<'a, P: Protocol + Send>(
             let take = shard_size.min(rest.len());
             let (chunk, tail) = rest.split_at_mut(take);
             let mut nodes = Vec::with_capacity(take);
+            let mut cover = vec![0u32; id_space];
             for (j, p) in chunk.iter().enumerate() {
                 let mut st = NodeState::new(shared.plane.link(base + j));
                 st.learned = p.known().clone();
                 st.informed = universe.is_subset(p.known());
                 st.finished = p.finished();
                 nodes.push(st);
+                for t in p.known() {
+                    cover[t.0 as usize] += 1;
+                }
+            }
+            for (t, &c) in cover.iter().enumerate() {
+                if c as usize == take {
+                    shared.cover[t].fetch_add(1, Ordering::Relaxed);
+                }
             }
             shards.push(Shard {
                 base,
                 protocols: chunk,
                 nodes,
+                reasm: Reassembly::new(take),
+                outbox: Vec::new(),
+                mail: Vec::new(),
+                released: Released::default(),
+                due: DueBuf::new(),
+                cover,
             });
             base += take;
             rest = tail;
         }
     }
+    // Tokens fully known at the start are covered at t = 0.
+    for t in universe {
+        if shared.cover[t.0 as usize].load(Ordering::Relaxed) == nshards {
+            shared.covered_at[t.0 as usize].store(0, Ordering::Relaxed);
+        }
+    }
 
-    let nshards = shards.len();
     pool::map_mut(&mut shards, nshards, |s, shard| {
         let _guard = AbortGuard { shared: &shared };
         run_shard(&shared, s, shard);
@@ -631,45 +661,34 @@ fn run_shard<P: Protocol>(shared: &Shared<'_>, s: usize, shard: &mut Shard<'_, P
                 }
                 let r = shard.nodes[j].round;
                 if r > shared.stop_after.load(Ordering::SeqCst) {
+                    // Past the stop: nothing more is taken, so whatever
+                    // is buffered or still arrives for the node is dropped.
                     shard.nodes[j].done = true;
+                    shard.reasm.close_node(j);
                     progressed = true;
                     break;
                 }
                 let ctx = shared.ctx(r);
                 if !shard.nodes[j].sent {
-                    step_send(
-                        shared,
-                        i,
-                        r,
-                        &ctx,
-                        &mut shard.protocols[j],
-                        &mut shard.nodes[j],
-                    );
+                    step_send(shared, shard, j, r, &ctx);
                     shard.nodes[j].sent = true;
                     progressed = true;
                 }
-                let st = &mut shard.nodes[j];
-                if shared.transport.drain(i, &mut st.scratch) > 0 {
-                    for env in st.scratch.drain(..) {
-                        st.buffer.push(env);
+                if shared.transport.drain(i, &mut shard.mail) > 0 {
+                    for env in shard.mail.drain(..) {
+                        shard.reasm.file(j, env);
                     }
                 }
                 let quorum = ctx.graph.neighbors(NodeId::from_index(i)).len();
-                if !st.buffer.ready(r, quorum) {
+                if !shard.reasm.ready(j, r, quorum) {
+                    let st = &mut shard.nodes[j];
                     if !st.stalled {
                         st.stalled = true;
                         shared.stalls.fetch_add(1, Ordering::Relaxed);
                     }
                     break;
                 }
-                step_recv(
-                    shared,
-                    i,
-                    r,
-                    &ctx,
-                    &mut shard.protocols[j],
-                    &mut shard.nodes[j],
-                );
+                step_recv(shared, shard, j, r, &ctx);
                 let st = &mut shard.nodes[j];
                 st.round = r + 1;
                 st.sent = false;
@@ -719,7 +738,7 @@ fn record_stall<P: Protocol>(shared: &Shared<'_>, shard: &Shard<'_, P>) {
         let me = NodeId::from_index(shard.base + j);
         let r = st.round;
         let ctx = shared.ctx(r);
-        let missing = st.buffer.missing_markers(r, ctx.graph.neighbors(me));
+        let missing = shard.reasm.missing_markers(j, r, ctx.graph.neighbors(me));
         let oldest_unacked = st
             .link
             .oldest_unacked()
@@ -733,19 +752,22 @@ fn record_stall<P: Protocol>(shared: &Shared<'_>, shard: &Shard<'_, P>) {
     }
 }
 
-/// A node's round-`r` send step: apply this round's crash (if any), run the
-/// protocol's send against the round view, and hand everything to the
-/// shared delivery plane, which gates each delivery, enqueues payload
-/// envelopes and flushes one end-of-round marker per neighbour.
+/// Shard node `j`'s round-`r` send step: apply this round's crash (if
+/// any), run the protocol's send against the round view, and hand
+/// everything to the shared delivery plane, which gates each delivery and
+/// flushes one end-of-round marker per neighbour into the shard's outbox.
+/// Envelopes for the shard's own nodes are then filed directly; the rest
+/// go through the transport.
 fn step_send<P: Protocol>(
     shared: &Shared<'_>,
-    i: usize,
+    shard: &mut Shard<'_, P>,
+    j: usize,
     r: usize,
     ctx: &RoundCtx,
-    p: &mut P,
-    st: &mut NodeState,
 ) {
+    let i = shard.base + j;
     let me = NodeId::from_index(i);
+    let (p, st) = (&mut shard.protocols[j], &mut shard.nodes[j]);
     if ctx.crashed[i] {
         let retained: Vec<TokenId> = if shared.faults.durable_tokens {
             p.known().iter().collect()
@@ -764,6 +786,7 @@ fn step_send<P: Protocol>(
         Vec::new()
     };
     let mut evts: Vec<BufEvt> = Vec::new();
+    let outbox = &mut shard.outbox;
     shared.plane.send(
         ctx,
         r,
@@ -773,40 +796,56 @@ fn step_send<P: Protocol>(
         &mut st.rep.tally,
         &mut evts,
         &mut st.msgs,
-        &mut |env: Envelope| shared.transport.send(env),
+        &mut shard.due,
+        &mut |env: Envelope| outbox.push(env),
     );
     if !evts.is_empty() {
         st.evts.push((r, evts));
     }
+    let local = shard.base..shard.base + shard.nodes.len();
+    for env in shard.outbox.drain(..) {
+        let to = env.to.index();
+        if local.contains(&to) {
+            shard.reasm.file(to - local.start, env);
+        } else {
+            shared.transport.send(env);
+        }
+    }
 }
 
-/// A node's round-`r` receive step: release the reassembled inbox through
-/// the delivery plane, run the protocol's receive (unless the node is
-/// down — its inbox is lost), track informed/finished transitions and the
-/// per-token latency cover, and submit the round report.
+/// Shard node `j`'s round-`r` receive step: release the reassembled inbox
+/// through the delivery plane, run the protocol's receive (unless the
+/// node is down — its inbox is lost), track informed/finished transitions
+/// and the per-token latency cover, and submit the round report.
 fn step_recv<P: Protocol>(
     shared: &Shared<'_>,
-    i: usize,
+    shard: &mut Shard<'_, P>,
+    j: usize,
     r: usize,
     ctx: &RoundCtx,
-    p: &mut P,
-    st: &mut NodeState,
 ) {
+    let i = shard.base + j;
     let me = NodeId::from_index(i);
-    let taken = st.buffer.take_round(r);
-    let inbox = shared
+    let size = shard.nodes.len();
+    let (p, st) = (&mut shard.protocols[j], &mut shard.nodes[j]);
+    // The shard's release buffer is empty between receive steps.
+    let rel = &mut shard.released;
+    shard.reasm.take(j, r, rel);
+    shared
         .plane
-        .accept(ctx, r, i, &mut st.link, taken, &mut st.rep.tally);
+        .accept(ctx, r, i, &mut st.link, rel, 0, &mut st.rep.tally);
+    let inbox = &rel.inbox;
     if !ctx.down[i] {
-        p.receive(&ctx.view(me, r), &inbox);
+        p.receive(&ctx.view(me, r), inbox);
         if !st.informed && !inbox.is_empty() && shared.universe.is_subset(p.known()) {
             st.informed = true;
             st.rep.informed_end += 1;
         }
         // Latency cover: word-diff the protocol's known set against the
-        // node's ever-learned set; each genuinely new token contributes
-        // one node to its cover, stamping its completion instant when the
-        // cover reaches n.
+        // node's ever-learned set. Each genuinely new token counts one more
+        // node of the shard; when that completes the shard, it counts one
+        // more shard, and the last shard to complete stamps the token's
+        // completion instant.
         let known_words = p.known().words();
         for (w, &kw) in known_words.iter().enumerate() {
             let mut fresh = kw & !st.learned.words().get(w).copied().unwrap_or(0);
@@ -815,14 +854,19 @@ fn step_recv<P: Protocol>(
                 fresh &= fresh - 1;
                 let t = TokenId((w * 64) as u64 + u64::from(b));
                 st.learned.insert(t);
-                let c = shared.cover[t.0 as usize].fetch_add(1, Ordering::SeqCst) + 1;
-                if c == shared.n {
+                let c = &mut shard.cover[t.0 as usize];
+                *c += 1;
+                if *c as usize == size
+                    && shared.cover[t.0 as usize].fetch_add(1, Ordering::Relaxed) + 1
+                        == shared.nshards
+                {
                     shared.covered_at[t.0 as usize]
                         .store(shared.start.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 }
             }
         }
     }
+    rel.inbox.clear();
     let fin = p.finished();
     st.rep.finished += i64::from(fin) - i64::from(st.finished);
     st.finished = fin;

@@ -3,9 +3,9 @@
 //! Round-based message-passing simulator with two execution modes:
 //! deterministic lock-step (the default) and an event-driven mailbox
 //! runtime ([`engine::ExecMode::Event`]) that runs the same protocols over
-//! a [`transport::Transport`] with per-node mailboxes and round
-//! reassembly, reporting wall-clock throughput and latency alongside the
-//! round counts.
+//! per-shard round reassembly ([`transport::Reassembly`]) and a
+//! [`transport::Transport`] with per-node mailboxes for cross-shard mail,
+//! reporting wall-clock throughput and latency alongside the round counts.
 //!
 //! The paper's execution model (inherited from Kuhn–Lynch–Oshman) is the
 //! synchronous dynamic-network model: time is divided into rounds; in round

@@ -10,11 +10,13 @@
 //! * **Sender side** ([`SenderWindow`]): every payload handed to a link is
 //!   registered under a per-link monotone *reliable id* (`rid`). A pending
 //!   entry carries a retransmit timer; when the timer expires before the
-//!   entry is acked, [`SenderWindow::due`] hands the payload back for
+//!   entry is acked, [`SenderWindow::due_into`] hands the payload back for
 //!   re-sending and re-arms the timer with exponential backoff
 //!   (`rto << attempt`, capped) plus deterministic jitter. The in-flight
 //!   set per link is bounded by [`ReliableConfig::window`]; overflow drops
-//!   the link's oldest (most-retried) entry.
+//!   the link's oldest (most-retried) entry. Acks and overflow only ever
+//!   retire a prefix of a link's rids, so both are a per-link watermark
+//!   bump, O(1) whatever the window holds.
 //! * **Receiver side** ([`ReceiverLedger`]): accepts each `(sender, rid)`
 //!   at most once (retransmit duplicates are discarded and counted by the
 //!   caller) and maintains the *cumulative ack* — the smallest rid not yet
@@ -77,7 +79,8 @@ fn timeout(seed: u64, cfg: ReliableConfig, rid: u64, attempt: u32) -> usize {
 /// One unacked envelope awaiting its ack or retransmit timer.
 #[derive(Clone, Debug)]
 struct Pending<T> {
-    to: usize,
+    /// Index of the entry's link in [`SenderWindow::links`].
+    link: u32,
     rid: u64,
     item: T,
     attempt: u32,
@@ -85,16 +88,23 @@ struct Pending<T> {
     next_retry: usize,
 }
 
-/// Sender-side per-link counters: the next rid and how many of the
-/// window's pending entries belong to the link.
+/// Sender-side per-link counters. The link's live (unacked, tracked) rids
+/// are always the contiguous range `low..next_rid`: acks and window
+/// overflow both retire a prefix.
 #[derive(Clone, Copy, Debug)]
 struct LinkSender {
     to: usize,
     next_rid: u64,
-    pending: usize,
+    low: u64,
 }
 
-/// A retransmission handed back by [`SenderWindow::due`].
+impl LinkSender {
+    fn live(&self) -> usize {
+        (self.next_rid - self.low) as usize
+    }
+}
+
+/// A retransmission handed back by [`SenderWindow::due_into`].
 #[derive(Clone, Debug)]
 pub struct Retransmit<T> {
     /// Destination node index.
@@ -110,19 +120,34 @@ pub struct Retransmit<T> {
 /// One sender's reliability window over all of its links.
 ///
 /// The state is flat: one vector of pending entries in registration order
-/// (so each link's entries sit in ascending rid order) and one vector of
-/// per-link counters sorted by destination. `in_flight` is its length, and
-/// a `next_due` watermark lets [`SenderWindow::due`] return at once in
-/// rounds where no timer can fire.
+/// (so each link's entries sit in ascending rid order), one vector of
+/// per-link counters in the order links first appear (each entry names
+/// its link by index), and a by-destination index into it. An ack or an
+/// overflow only raises its link's `low` watermark, so it costs O(1) per
+/// link whatever the window holds; the entries it retires stay in the
+/// vector, dead, until [`SenderWindow::due_into`]'s scan drops them or
+/// they outnumber the live ones. A `next_due` watermark lets `due_into`
+/// return at once in rounds where no timer can fire.
 #[derive(Debug)]
 pub struct SenderWindow<T> {
     seed: u64,
     cfg: ReliableConfig,
     links: Vec<LinkSender>,
+    /// `(destination, index into links)`, sorted by destination.
+    by_to: Vec<(usize, u32)>,
     pending: Vec<Pending<T>>,
-    /// No timer fires before this round: a lower bound on every entry's
-    /// `next_retry`, exact right after [`SenderWindow::due`] scans.
+    /// Live entries across all links (`pending` minus the dead ones).
+    live: usize,
+    /// No timer fires before this round: a lower bound on every live
+    /// entry's `next_retry`, exact right after [`SenderWindow::due_into`]
+    /// scans.
     next_due: usize,
+}
+
+/// Whether a pending entry is still tracked: its rid is at or above its
+/// link's watermark.
+fn is_live<T>(links: &[LinkSender], p: &Pending<T>) -> bool {
+    p.rid >= links[p.link as usize].low
 }
 
 impl<T: Clone> SenderWindow<T> {
@@ -133,91 +158,108 @@ impl<T: Clone> SenderWindow<T> {
             seed,
             cfg,
             links: Vec::new(),
+            by_to: Vec::new(),
             pending: Vec::new(),
+            live: 0,
             next_due: usize::MAX,
         }
+    }
+
+    /// Index of `to`'s counters in `links`.
+    fn link_of(&self, to: usize) -> Option<usize> {
+        let at = self.by_to.binary_search_by_key(&to, |&(t, _)| t).ok()?;
+        Some(self.by_to[at].1 as usize)
     }
 
     /// Register a payload sent to `to` in `round`; returns the reliable id
     /// the envelope must carry. The entry stays pending until
     /// [`SenderWindow::ack`] covers it. A full link drops its oldest entry.
     pub fn register(&mut self, to: usize, item: T, round: usize) -> u64 {
-        let at = match self.links.binary_search_by_key(&to, |l| l.to) {
-            Ok(at) => at,
+        let l = match self.by_to.binary_search_by_key(&to, |&(t, _)| t) {
+            Ok(at) => self.by_to[at].1 as usize,
             Err(at) => {
-                let fresh = LinkSender {
+                self.by_to.insert(at, (to, self.links.len() as u32));
+                self.links.push(LinkSender {
                     to,
                     next_rid: 0,
-                    pending: 0,
-                };
-                self.links.insert(at, fresh);
-                at
+                    low: 0,
+                });
+                self.links.len() - 1
             }
         };
-        let link = &mut self.links[at];
+        let link = &mut self.links[l];
         let rid = link.next_rid;
-        link.next_rid += 1;
-        if link.pending >= self.cfg.window {
-            let oldest = self
-                .pending
-                .iter()
-                .position(|p| p.to == to)
-                .expect("a full link has pending entries");
-            self.pending.remove(oldest);
+        if link.live() >= self.cfg.window {
+            link.low += 1;
         } else {
-            link.pending += 1;
+            self.live += 1;
         }
+        link.next_rid += 1;
         let next_retry = round + timeout(self.seed, self.cfg, rid, 1);
         self.next_due = self.next_due.min(next_retry);
         self.pending.push(Pending {
-            to,
+            link: l as u32,
             rid,
             item,
             attempt: 1,
             registered: round,
             next_retry,
         });
+        self.compact_if_sparse();
         rid
     }
 
     /// Apply one round's cumulative acks, `(from, cum)` sorted by sender
     /// with at most one per sender: every rid `< cum` on the link to
-    /// `from` is delivered, so its pending entry is cleared.
+    /// `from` is delivered, so its pending entry is retired.
     pub fn ack(&mut self, acks: &[(NodeId, u64)]) {
         debug_assert!(acks.windows(2).all(|w| w[0].0 < w[1].0));
-        if acks.is_empty() || self.pending.is_empty() {
+        if self.live == 0 {
             return;
         }
-        let links = &mut self.links;
-        self.pending.retain(|p| {
-            let Ok(a) = acks.binary_search_by_key(&p.to, |&(from, _)| from.index()) else {
-                return true;
+        for &(from, cum) in acks {
+            let Some(l) = self.link_of(from.index()) else {
+                continue;
             };
-            if p.rid >= acks[a].1 {
-                return true;
+            let link = &mut self.links[l];
+            let low = cum.min(link.next_rid);
+            if low > link.low {
+                self.live -= (low - link.low) as usize;
+                link.low = low;
             }
-            let l = links
-                .binary_search_by_key(&p.to, |l| l.to)
-                .expect("every pending entry has a link");
-            links[l].pending -= 1;
-            false
-        });
+        }
+        self.compact_if_sparse();
     }
 
-    /// Hand back every pending entry whose timer expired by `round`, in
-    /// `(link, rid)` order: each is returned for re-sending and re-armed
-    /// in place with the next backoff step.
-    pub fn due(&mut self, round: usize) -> Vec<Retransmit<T>> {
-        let mut out = Vec::new();
-        if round < self.next_due {
-            return out;
+    /// Drop the dead entries once they outnumber the live ones, so the
+    /// vector stays within twice the live count however rarely
+    /// [`SenderWindow::due_into`] scans.
+    fn compact_if_sparse(&mut self) {
+        if self.pending.len() - self.live > self.live {
+            let links = &self.links;
+            self.pending.retain(|p| is_live(links, p));
         }
+    }
+
+    /// Append to `out` every live entry whose timer expired by `round`, in
+    /// `(link, rid)` order: each is handed back for re-sending and re-armed
+    /// in place with the next backoff step. The scan also drops the dead
+    /// entries it passes.
+    pub fn due_into(&mut self, round: usize, out: &mut Vec<Retransmit<T>>) {
+        if round < self.next_due {
+            return;
+        }
+        let start = out.len();
         let (seed, cfg) = (self.seed, self.cfg);
         let mut next_due = usize::MAX;
-        for p in &mut self.pending {
+        let links = &self.links;
+        self.pending.retain_mut(|p| {
+            if !is_live(links, p) {
+                return false;
+            }
             if p.next_retry <= round {
                 out.push(Retransmit {
-                    to: p.to,
+                    to: links[p.link as usize].to,
                     rid: p.rid,
                     item: p.item.clone(),
                     attempt: p.attempt,
@@ -226,24 +268,34 @@ impl<T: Clone> SenderWindow<T> {
                 p.next_retry = round + timeout(seed, cfg, p.rid, p.attempt);
             }
             next_due = next_due.min(p.next_retry);
-        }
+            true
+        });
         self.next_due = next_due;
-        // Registration order is rid order within a link, so a stable sort
-        // by destination yields `(link, rid)` order.
-        out.sort_by_key(|r| r.to);
+        // `(to, rid)` is unique, so the unstable sort is deterministic.
+        out[start..].sort_unstable_by_key(|r| (r.to, r.rid));
+    }
+
+    /// [`SenderWindow::due_into`] into a fresh vector.
+    pub fn due(&mut self, round: usize) -> Vec<Retransmit<T>> {
+        let mut out = Vec::new();
+        self.due_into(round, &mut out);
         out
     }
 
     /// Total unacked envelopes across all links.
     pub fn in_flight(&self) -> usize {
-        self.pending.len()
+        self.live
     }
 
     /// Round in which the oldest still-unacked envelope was first sent —
     /// `None` when nothing is pending. Feeds the stall watchdog's
     /// "oldest unacked envelope age" diagnostic.
     pub fn oldest_unacked(&self) -> Option<usize> {
-        self.pending.iter().map(|p| p.registered).min()
+        self.pending
+            .iter()
+            .filter(|p| is_live(&self.links, p))
+            .map(|p| p.registered)
+            .min()
     }
 }
 

@@ -12,7 +12,7 @@
 //! crashes (including the crash-mid-round edge case where a node restarts
 //! while its neighbours' round messages are already queued), delay,
 //! duplication, reorder and the reliability layer — for every algorithm,
-//! RLNC included; (e) a `RoundBuffer` fed any arrival permutation releases
+//! RLNC included; (e) a `Reassembly` fed any arrival permutation releases
 //! the inbox in lock-step `(sender, seq)` order; (f) the runtime (T, L)
 //! stability oracle verifies the same rounds in both modes — same
 //! verdicts, same stream summary, same outcome.
@@ -21,7 +21,7 @@ use hinet::rt::check::check;
 use hinet::rt::obs::{ObsConfig, ParsedTrace, Tracer};
 use hinet::scenario::Scenario;
 use hinet_graph::graph::NodeId;
-use hinet_sim::transport::{Envelope, EnvelopeKind, RoundBuffer};
+use hinet_sim::transport::{Envelope, EnvelopeKind, Reassembly, Released};
 use hinet_sim::{ExecMode, Outcome, Partition};
 
 fn scenario(algorithm: &str, dynamics: &str, n: usize, k: usize, seed: u64) -> Scenario {
@@ -291,18 +291,20 @@ fn round_buffer_releases_lockstep_order_under_any_arrival_permutation() {
             let j = *ctx.pick(&(0..=i).collect::<Vec<_>>());
             envelopes.swap(i, j);
         }
-        let mut buf = RoundBuffer::new();
+        let mut reasm = Reassembly::new(1);
         let mut markers = 0usize;
         for env in &envelopes {
             // Quorum gating depends only on end-of-round markers received.
-            assert_eq!(buf.ready(round, senders), markers == senders);
+            assert_eq!(reasm.ready(0, round, senders), markers == senders);
             if matches!(env.kind, EnvelopeKind::RoundDone { .. }) {
                 markers += 1;
             }
-            buf.push(env.clone());
+            reasm.file(0, env.clone());
         }
-        assert!(buf.ready(round, senders));
-        let inbox = buf.take(round);
+        assert!(reasm.ready(0, round, senders));
+        let mut released = Released::default();
+        reasm.take(0, round, &mut released);
+        let inbox = released.inbox;
         assert_eq!(inbox.len(), 2 * senders);
         for (i, msg) in inbox.iter().enumerate() {
             assert_eq!(msg.from, NodeId::from_index(i / 2), "sender-major order");
