@@ -19,6 +19,60 @@ if [[ "${1:-}" == "--update-golden" ]]; then
 fi
 
 cargo fmt --check
+
+# Orphan-API gate: every `pub fn` in crates/*/src (outside `#[cfg(test)]`
+# items) must be named in some other .rs file under crates/, src/,
+# examples/, tests/ or perfbench/ — otherwise it is public surface
+# nothing uses. Give it a caller that earns it, make it private, or
+# delete it; an intended exception goes in ALLOW with its reason.
+python3 - <<'PY'
+import pathlib, re, sys
+
+ALLOW = {
+    # Algorithm 2's round counts under Theorems 3 and 4. The ROADMAP item
+    # "Check Theorems 3 and 4 against real runs" gives them their callers
+    # (a completion property and `fuzz::analytic_bound`).
+    "alg2_rounds_theorem3": "Theorem 3 bound, awaiting the Theorems 3/4 ROADMAP item",
+    "alg2_rounds_theorem4": "Theorem 4 bound, awaiting the Theorems 3/4 ROADMAP item",
+}
+
+def non_test_lines(text):
+    """Lines outside `#[cfg(test)]` items (brace-matched)."""
+    out, depth, skipping, opened = [], 0, False, False
+    for line in text.splitlines():
+        if skipping:
+            depth += line.count("{") - line.count("}")
+            opened = opened or "{" in line
+            if (opened and depth <= 0) or (not opened and line.rstrip().endswith(";")):
+                skipping = False
+            continue
+        if line.strip().startswith("#[cfg(test)]"):
+            skipping, depth, opened = True, 0, False
+            continue
+        out.append(line)
+    return out
+
+files = [p for d in ("crates", "src", "examples", "tests", "perfbench")
+         for p in pathlib.Path(d).rglob("*.rs")]
+texts = {p: p.read_text() for p in files}
+orphans = []
+for p in files:
+    if p.parts[0] != "crates" or "src" not in p.parts:
+        continue
+    for line in non_test_lines(texts[p]):
+        m = re.match(r"\s*pub fn (\w+)", line)
+        if not m or m.group(1) in ALLOW:
+            continue
+        name = re.compile(r"\b%s\b" % m.group(1))
+        if not any(name.search(t) for q, t in texts.items() if q != p):
+            orphans.append(f"{p}: pub fn {m.group(1)}")
+if orphans:
+    print("orphan-API gate: public functions nothing else names:", file=sys.stderr)
+    print("\n".join(sorted(orphans)), file=sys.stderr)
+    sys.exit(1)
+PY
+echo "orphan-API gate: OK"
+
 cargo build --release --offline --workspace
 # Every crate's tests gate, not only the root package's.
 cargo test -q --offline --workspace

@@ -43,7 +43,7 @@ pub struct WrittenArtifacts {
 
 /// Write `result` under `dir` (created if missing): `<id>.md` plus
 /// `<id>-<table-slug>.csv` per table.
-pub fn write_experiment(dir: &Path, result: &ExperimentResult) -> io::Result<WrittenArtifacts> {
+fn write_experiment(dir: &Path, result: &ExperimentResult) -> io::Result<WrittenArtifacts> {
     fs::create_dir_all(dir)?;
     let md_path = dir.join(format!("{}.md", result.id));
     fs::write(&md_path, result.to_markdown())?;

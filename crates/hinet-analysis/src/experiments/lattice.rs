@@ -2,13 +2,10 @@
 
 use super::ExperimentResult;
 use crate::report::Table;
-use hinet_cluster::ctvg::CtvgTrace;
+use hinet_cluster::ctvg::HierarchyProvider;
 use hinet_cluster::generators::{HiNetConfig, HiNetGen};
-use hinet_cluster::hierarchy::ClusterId;
-use hinet_cluster::stability::{
-    cluster_stable_in_window, has_t_interval_l_hop_connectivity, head_connectivity_in_window,
-    is_head_set_t_stable, is_hierarchy_t_stable, is_t_l_hinet, l_hop_in_window,
-};
+use hinet_cluster::stability::stream::{StabilityStream, WindowVerdict};
+use hinet_graph::trace::TopologyProvider;
 
 /// One implication `antecedent ⇒ consequent` checked over many traces.
 struct Implication {
@@ -84,21 +81,26 @@ pub(crate) fn e4_definition_lattice() -> ExperimentResult {
             seed,
         };
         let mut gen = HiNetGen::new(cfg);
-        let trace = CtvgTrace::capture(&mut gen, 3 * t);
+        let mut stream = StabilityStream::new(t, l);
+        let mut verdicts = Vec::new();
+        for round in 0..3 * t {
+            verdicts.extend(stream.push(&gen.graph_at(round), &gen.hierarchy_at(round)));
+        }
+        verdicts.extend(stream.finish().0);
         traces_checked += 1;
 
-        let def8 = is_t_l_hinet(&trace, t, l);
-        let def4 = is_hierarchy_t_stable(&trace, t);
-        let def7 = has_t_interval_l_hop_connectivity(&trace, t, l);
-        let def2 = is_head_set_t_stable(&trace, t);
-        let def3_all = trace
-            .hierarchy(0)
-            .heads()
-            .iter()
-            .all(|&h| cluster_stable_in_window(&trace, ClusterId(h), 0, t.min(trace.len())));
-        let win = t.min(trace.len());
-        let def5 = head_connectivity_in_window(&trace, 0, win);
-        let def6 = l_hop_in_window(&trace, 0, win, l);
+        // Antecedents are trace-wide (every aligned window); consequents
+        // are read on the first window. Where a whole-trace Def 4 or Def 7
+        // holds, so does the first window's, so Def 3 (all of `I`
+        // unchanged, or each head's `M_k` unchanged) and Defs 5, 6 there
+        // hold under either reading; a false antecedent scores vacuous.
+        let all = |def: fn(&WindowVerdict) -> bool| verdicts.iter().all(def);
+        let def8 = all(|v| v.def8);
+        let def4 = all(|v| v.def4);
+        let def7 = all(|v| v.def7);
+        let def2 = all(|v| v.def2);
+        let first = &verdicts[0];
+        let (def3_all, def5, def6) = (first.def3, first.def5, first.def6);
 
         let mut score = |idx: usize, ante: bool, cons: bool| {
             if !ante {

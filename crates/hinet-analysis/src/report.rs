@@ -61,11 +61,6 @@ impl Table {
         self
     }
 
-    /// Append a row of displayable values.
-    pub fn push_display_row<D: std::fmt::Display>(&mut self, cells: &[D]) -> &mut Self {
-        self.push_row(cells.iter().map(|c| c.to_string()).collect())
-    }
-
     /// Access the raw rows.
     pub fn rows(&self) -> &[Vec<String>] {
         &self.rows
@@ -240,12 +235,5 @@ mod tests {
         assert_eq!(fmt_f64(3.0), "3");
         assert_eq!(fmt_f64(1.23456), "1.23");
         assert_eq!(fmt_pct(0.4621), "46.2%");
-    }
-
-    #[test]
-    fn display_row_helper() {
-        let mut t = Table::new("n", &["x", "y"]);
-        t.push_display_row(&[1, 2]);
-        assert_eq!(t.cell(0, 1), "2");
     }
 }

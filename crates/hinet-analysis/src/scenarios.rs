@@ -59,7 +59,7 @@ fn heads_for_members(p: &ModelParams) -> usize {
 
 /// Window-boundary re-affiliation probability that yields approximately
 /// `n_r` re-affiliations per member over `windows` windows.
-pub fn reaffil_prob_for(p: &ModelParams, windows: usize) -> f64 {
+fn reaffil_prob_for(p: &ModelParams, windows: usize) -> f64 {
     if windows <= 1 {
         return 0.0;
     }

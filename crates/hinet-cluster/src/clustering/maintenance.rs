@@ -225,9 +225,9 @@ impl<P: hinet_graph::trace::TopologyProvider> crate::ctvg::HierarchyProvider for
 mod tests {
     use super::super::{cluster, ClusteringKind};
     use super::*;
+    use crate::audit::audit_trace;
     use crate::ctvg::CtvgTrace;
     use crate::generators::ClusteredMobilityGen;
-    use crate::reaffiliation::churn_stats;
     use hinet_graph::generators::{RandomWaypointGen, WaypointConfig};
 
     #[test]
@@ -303,7 +303,7 @@ mod tests {
         let tf = CtvgTrace::capture(&mut fresh, 40);
         let tl = CtvgTrace::capture(&mut lcc, 40);
         assert_eq!(tl.validate(), Ok(()));
-        let (sf, sl) = (churn_stats(&tf), churn_stats(&tl));
+        let (sf, sl) = (audit_trace(&tf).churn, audit_trace(&tl).churn);
         assert!(
             sl.head_set_changes <= sf.head_set_changes,
             "LCC {} vs fresh {}",

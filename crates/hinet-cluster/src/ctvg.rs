@@ -2,8 +2,9 @@
 //!
 //! A CTVG couples the topology trace (`V, E, Γ, ρ`) with the per-round
 //! hierarchy functions (`C`, `I`). [`HierarchyProvider`] is the streaming
-//! form consumed by the simulator; [`CtvgTrace`] the materialised form
-//! consumed by the stability verifiers.
+//! form consumed by the simulator and the stability verifier; [`CtvgTrace`]
+//! the materialised form, for experiments and tests that want every round
+//! at once.
 
 use crate::hierarchy::Hierarchy;
 use hinet_graph::trace::{TopologyProvider, TvgTrace};

@@ -307,9 +307,9 @@ impl HierarchyProvider for HiNetGen {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::audit_trace;
     use crate::ctvg::CtvgTrace;
-    use crate::reaffiliation::churn_stats;
-    use crate::stability::{is_head_set_forever_stable, is_t_l_hinet, min_hinet_l};
+    use crate::stability::stream::stream_trace;
     use hinet_graph::verify::is_always_connected;
 
     fn cfg() -> HiNetConfig {
@@ -338,7 +338,8 @@ mod tests {
     fn trace_is_t_l_hinet_by_construction() {
         let mut g = HiNetGen::new(cfg());
         let trace = CtvgTrace::capture(&mut g, 24);
-        assert!(is_t_l_hinet(&trace, 4, 3));
+        let (_, r) = stream_trace(&trace, 4, 3);
+        assert_eq!(r.hinet_windows, r.windows);
     }
 
     #[test]
@@ -348,7 +349,7 @@ mod tests {
         c.reaffil_prob = 0.0;
         let mut g = HiNetGen::new(c);
         let trace = CtvgTrace::capture(&mut g, 8);
-        assert_eq!(min_hinet_l(&trace, 4), Some(3));
+        assert_eq!(stream_trace(&trace, 4, 3).1.min_hinet_l, Some(3));
     }
 
     #[test]
@@ -357,8 +358,9 @@ mod tests {
         c.rotate_heads = false;
         let mut g = HiNetGen::new(c);
         let trace = CtvgTrace::capture(&mut g, 20);
-        assert!(is_head_set_forever_stable(&trace));
-        let s = churn_stats(&trace);
+        let r = audit_trace(&trace);
+        assert!(r.heads_forever_stable);
+        let s = r.churn;
         assert_eq!(s.distinct_heads, 5);
         assert_eq!(s.head_set_changes, 0);
     }
@@ -367,7 +369,7 @@ mod tests {
     fn rotation_changes_heads_across_windows() {
         let mut g = HiNetGen::new(cfg());
         let trace = CtvgTrace::capture(&mut g, 24);
-        let s = churn_stats(&trace);
+        let s = audit_trace(&trace).churn;
         assert!(
             s.distinct_heads > 5,
             "rotation should use more than one window's heads, got {}",
@@ -386,7 +388,7 @@ mod tests {
         busy.rotate_heads = false;
         let tq = CtvgTrace::capture(&mut HiNetGen::new(quiet), 20);
         let tb = CtvgTrace::capture(&mut HiNetGen::new(busy), 20);
-        let (sq, sb) = (churn_stats(&tq), churn_stats(&tb));
+        let (sq, sb) = (audit_trace(&tq).churn, audit_trace(&tb).churn);
         assert_eq!(sq.total_reaffiliations, 0);
         assert!(sb.total_reaffiliations > 0);
     }
@@ -398,7 +400,8 @@ mod tests {
         let mut g = HiNetGen::new(c);
         let trace = CtvgTrace::capture(&mut g, 10);
         assert_eq!(trace.validate(), Ok(()));
-        assert!(is_t_l_hinet(&trace, 1, 3));
+        let (_, r) = stream_trace(&trace, 1, 3);
+        assert_eq!(r.hinet_windows, r.windows);
         assert!(is_always_connected(trace.topology()));
     }
 
@@ -424,7 +427,7 @@ mod tests {
         let mut g = HiNetGen::new(c);
         let trace = CtvgTrace::capture(&mut g, 4);
         assert_eq!(trace.validate(), Ok(()));
-        assert_eq!(min_hinet_l(&trace, 4), Some(1));
+        assert_eq!(stream_trace(&trace, 4, 1).1.min_hinet_l, Some(1));
         assert_eq!(trace.hierarchy(0).gateway_count(), 0);
     }
 

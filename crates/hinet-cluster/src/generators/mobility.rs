@@ -102,8 +102,8 @@ impl<P: TopologyProvider> HierarchyProvider for ClusteredMobilityGen<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::audit_trace;
     use crate::ctvg::CtvgTrace;
-    use crate::reaffiliation::churn_stats;
     use hinet_graph::generators::{RandomWaypointGen, WaypointConfig};
     use hinet_graph::trace::StaticProvider;
 
@@ -132,7 +132,7 @@ mod tests {
         let inner = StaticProvider::new(hinet_graph::Graph::cycle(9));
         let mut g = ClusteredMobilityGen::new(inner, ClusteringKind::LowestId, false);
         let trace = CtvgTrace::capture(&mut g, 5);
-        let s = churn_stats(&trace);
+        let s = audit_trace(&trace).churn;
         assert_eq!(s.total_reaffiliations, 0);
         assert_eq!(s.head_set_changes, 0);
     }
@@ -145,7 +145,7 @@ mod tests {
             ClusteredMobilityGen::new(slow_field(), ClusteringKind::HighestDegree, true);
         let tf = CtvgTrace::capture(&mut fresh, 40);
         let ts = CtvgTrace::capture(&mut sticky, 40);
-        let (sf, ss) = (churn_stats(&tf), churn_stats(&ts));
+        let (sf, ss) = (audit_trace(&tf).churn, audit_trace(&ts).churn);
         assert!(
             ss.head_set_changes <= sf.head_set_changes,
             "sticky {} vs fresh {}",

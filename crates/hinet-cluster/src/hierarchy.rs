@@ -213,11 +213,6 @@ impl Hierarchy {
         h
     }
 
-    /// Whether this hierarchy has multi-hop clusters.
-    pub fn is_multi_hop(&self) -> bool {
-        self.multi_hop
-    }
-
     /// `u`'s next hop toward its head: the explicit parent if one was set,
     /// otherwise the head itself (1-hop case). `None` for heads and
     /// unclustered nodes.
@@ -663,7 +658,7 @@ mod tests {
     #[test]
     fn multi_hop_hierarchy_validates() {
         let (g, h) = two_hop_fixture();
-        assert!(h.is_multi_hop());
+        assert!(h.multi_hop);
         assert_eq!(h.validate(&g), Ok(()));
         assert_eq!(h.parent_of(nid(1)), Some(nid(0)));
         assert_eq!(h.parent_of(nid(2)), Some(nid(1)));
@@ -676,7 +671,7 @@ mod tests {
     #[test]
     fn one_hop_parent_defaults_to_head() {
         let h = single_cluster(4, nid(0));
-        assert!(!h.is_multi_hop());
+        assert!(!h.multi_hop);
         assert_eq!(h.parent_of(nid(3)), Some(nid(0)));
         assert_eq!(h.depth_of(nid(3)), Some(1));
     }

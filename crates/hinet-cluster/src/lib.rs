@@ -13,16 +13,17 @@
 //! * [`clustering`] — concrete clustering algorithms (lowest-ID,
 //!   highest-degree, greedy dominating-set backbone) that derive a hierarchy
 //!   from a plain snapshot, for emergent-stability scenarios.
-//! * [`stability`] — verifiers for the paper's Definitions 2–8: stable head
-//!   set, stable clusters, stable hierarchy, T-interval head connectivity,
-//!   L-hop head connectivity, and the full (T, L)-HiNet predicate.
+//! * [`stability`] — the one-pass verifier for the paper's Definitions 2–8:
+//!   stable head set, stable clusters, stable hierarchy, T-interval head
+//!   connectivity, L-hop head connectivity, and the full (T, L)-HiNet
+//!   predicate.
 //! * [`generators`] — trace generators that construct hierarchies satisfying
 //!   each stability class *by construction* ((T, L)-HiNet, (1, L)-HiNet,
 //!   ∞-stable head set), plus a clustered-mobility generator where stability
 //!   is emergent.
-//! * [`reaffiliation`] — churn statistics (`n_m`, `n_r`, `θ`) extracted from
-//!   traces, feeding the paper's analytical cost model.
-//! * [`audit`] — one-call stability report combining all of the above.
+//! * [`reaffiliation`] — the churn statistics (`n_m`, `n_r`, `θ`) that feed
+//!   the paper's analytical cost model.
+//! * [`audit`] — one-pass stability report combining all of the above.
 //!
 //! # Example
 //!

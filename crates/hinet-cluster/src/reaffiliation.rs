@@ -1,14 +1,12 @@
-//! Churn statistics over CTVG traces.
+//! Churn statistics of CTVG dynamics.
 //!
 //! The paper's cost model is parameterised by measured quantities: `θ` (the
 //! number of nodes that can be cluster head), `n_m` (average members per
-//! round) and `n_r` (average re-affiliations per member). This module
-//! extracts all three from a concrete trace so measured simulator costs can
-//! be compared against the analytic formulas *with the trace's own
-//! parameters*, not just the paper's example numbers.
-
-use crate::ctvg::CtvgTrace;
-use hinet_graph::graph::NodeId;
+//! round) and `n_r` (average re-affiliations per member).
+//! [`StreamingAudit`](crate::audit::StreamingAudit) measures all three in
+//! its one pass, so simulator costs can be compared against the analytic
+//! formulas *with the trace's own parameters*, not just the paper's
+//! example numbers.
 
 /// Summary churn statistics of a trace.
 #[derive(Clone, Debug, PartialEq)]
@@ -27,121 +25,4 @@ pub struct ChurnStats {
     pub total_reaffiliations: usize,
     /// Rounds in which the head set changed relative to the previous round.
     pub head_set_changes: usize,
-}
-
-/// Compute churn statistics for a trace.
-pub fn churn_stats(trace: &CtvgTrace) -> ChurnStats {
-    let n = trace.n();
-    let rounds = trace.len();
-    let mut ever_head = vec![false; n];
-    let mut max_concurrent_heads = 0;
-    let mut member_rounds = 0usize;
-    let mut reaff = vec![0usize; n];
-    let mut head_set_changes = 0;
-    for r in 0..rounds {
-        let h = trace.hierarchy(r);
-        max_concurrent_heads = max_concurrent_heads.max(h.heads().len());
-        for &u in h.heads() {
-            ever_head[u.index()] = true;
-        }
-        member_rounds += h.member_count();
-        if r > 0 {
-            let prev = trace.hierarchy(r - 1);
-            if prev.heads() != h.heads() {
-                head_set_changes += 1;
-            }
-            for i in 0..n {
-                let u = NodeId::from_index(i);
-                // A re-affiliation is a *non-head* node changing cluster.
-                if !h.is_head(u) && prev.cluster_of(u) != h.cluster_of(u) {
-                    reaff[i] += 1;
-                }
-            }
-        }
-    }
-    let distinct_heads = ever_head.iter().filter(|&&b| b).count();
-    let non_heads = n - distinct_heads;
-    let total_reaffiliations: usize = reaff.iter().sum();
-    ChurnStats {
-        distinct_heads,
-        max_concurrent_heads,
-        mean_members: member_rounds as f64 / rounds as f64,
-        mean_reaffiliations: if non_heads == 0 {
-            0.0
-        } else {
-            total_reaffiliations as f64 / non_heads as f64
-        },
-        total_reaffiliations,
-        head_set_changes,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ctvg::CtvgTrace;
-    use crate::hierarchy::{ClusterId, Hierarchy, Role};
-    use hinet_graph::trace::TvgTrace;
-    use hinet_graph::Graph;
-    use std::sync::Arc;
-
-    fn nid(i: usize) -> NodeId {
-        NodeId::from_index(i)
-    }
-
-    fn hier(assign: &[usize], heads: &[usize]) -> Arc<Hierarchy> {
-        let n = assign.len();
-        let mut roles = vec![Role::Member; n];
-        for &h in heads {
-            roles[h] = Role::Head;
-        }
-        let cluster_of = assign.iter().map(|&a| Some(ClusterId(nid(a)))).collect();
-        Arc::new(Hierarchy::new(roles, cluster_of))
-    }
-
-    #[test]
-    fn static_trace_zero_churn() {
-        let g = Arc::new(Graph::complete(4));
-        let h = hier(&[0, 0, 0, 0], &[0]);
-        let t = TvgTrace::new(vec![Arc::clone(&g), Arc::clone(&g), g]);
-        let trace = CtvgTrace::new(t, vec![Arc::clone(&h), Arc::clone(&h), h]);
-        let s = churn_stats(&trace);
-        assert_eq!(s.distinct_heads, 1);
-        assert_eq!(s.max_concurrent_heads, 1);
-        assert_eq!(s.mean_members, 3.0);
-        assert_eq!(s.total_reaffiliations, 0);
-        assert_eq!(s.mean_reaffiliations, 0.0);
-        assert_eq!(s.head_set_changes, 0);
-    }
-
-    #[test]
-    fn reaffiliation_counted_once_per_move() {
-        let g = Arc::new(Graph::complete(4));
-        // Node 2 moves from cluster 0 to cluster 1 between rounds.
-        let h0 = hier(&[0, 1, 0, 1], &[0, 1]);
-        let h1 = hier(&[0, 1, 1, 1], &[0, 1]);
-        let t = TvgTrace::new(vec![Arc::clone(&g), g]);
-        let trace = CtvgTrace::new(t, vec![h0, h1]);
-        let s = churn_stats(&trace);
-        assert_eq!(s.total_reaffiliations, 1);
-        assert_eq!(s.distinct_heads, 2);
-        assert_eq!(s.mean_reaffiliations, 0.5, "1 move / 2 never-head nodes");
-        assert_eq!(s.head_set_changes, 0);
-    }
-
-    #[test]
-    fn head_rotation_counted() {
-        let g = Arc::new(Graph::complete(3));
-        let h0 = hier(&[0, 0, 0], &[0]);
-        let h1 = hier(&[1, 1, 1], &[1]);
-        let t = TvgTrace::new(vec![Arc::clone(&g), g]);
-        let trace = CtvgTrace::new(t, vec![h0, h1]);
-        let s = churn_stats(&trace);
-        assert_eq!(s.distinct_heads, 2);
-        assert_eq!(s.max_concurrent_heads, 1);
-        assert_eq!(s.head_set_changes, 1);
-        // In round 1 node 1 is head (exempt); nodes 0 and 2 both moved from
-        // cluster 0 to cluster 1 and are non-heads, so both count.
-        assert_eq!(s.total_reaffiliations, 2);
-    }
 }

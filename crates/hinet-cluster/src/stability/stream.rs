@@ -1,8 +1,7 @@
 //! One-pass streaming verification of the stability definitions.
 //!
-//! The batch verifiers in [`crate::stability`] recompute every aligned
-//! window from a fully materialised [`crate::ctvg::CtvgTrace`]; at
-//! million-node × long-horizon scale the trace no longer fits in memory.
+//! At million-node × long-horizon scale a materialised trace no longer
+//! fits in memory, so
 //! [`StabilityStream`](crate::stability::stream::StabilityStream) consumes
 //! a dynamics trace **one round at a time** and
 //! maintains Definitions 2–8 online:
@@ -14,21 +13,23 @@
 //!   every change round).
 //! * **Defs 5/6/7** (stable head-connecting subgraph, L-hop bound) — the
 //!   open window's edge-intersection, with each round folded in **in
-//!   place** ([`Graph::intersect_in_place`]: no per-round graph
-//!   allocation; the same "carry the stable subgraph forward" idiom as the
-//!   LCC maintenance in
+//!   place**
+//!   ([`Graph::intersect_in_place`](hinet_graph::Graph::intersect_in_place):
+//!   no per-round graph allocation; the same "carry the stable subgraph
+//!   forward" idiom as the LCC maintenance in
 //!   [`LccMaintainer`](crate::clustering::LccMaintainer)). It is evaluated
-//!   with the window's first-round head set, as the batch verifiers do, by
+//!   with the window's first-round head set by
 //!   one [`Hierarchy::l_hop_connectivity`] call — one multi-source BFS
 //!   plus a sort of the boundary edges — which answers Def 6 and, by
 //!   whether a value exists, Def 5.
 //! * **Def 8** — the conjunction, per aligned window.
 //!
-//! Verdicts are *pointwise identical* to the batch verifiers — per window,
-//! per definition, including the trailing partial window (see the
-//! windowing contract on [`crate::stability`]) — which the differential
-//! property plane (`tests/prop_stream.rs`) pins across generated, fuzzed
-//! and fault-perturbed traces, under arbitrary chunk boundaries.
+//! Verdicts follow the windowing contract on [`crate::stability`] — per
+//! window, per definition, including the trailing partial window. The
+//! differential property plane (`tests/prop_stream.rs`) pins them to a
+//! batch restatement of each definition over a materialised trace, across
+//! generated, fuzzed and fault-perturbed traces, under arbitrary chunk
+//! boundaries.
 //!
 //! # Memory model
 //!
@@ -53,15 +54,13 @@ use hinet_rt::obs::Tracer;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Verdict for one aligned window, mirroring one iteration of
-/// [`crate::stability::trace_stability_windows`].
+/// Verdict for one aligned window (see the windowing contract on
+/// [`crate::stability`]).
 ///
 /// `def3` is the whole-mapping membership verdict (every cluster's member
-/// set unchanged), which the batch side expresses per cluster via
-/// [`crate::stability::cluster_stable_in_window`]; it is carried here so
-/// the implication lattice (Def 4 ⇒ Def 2 ∧ Def 3) is checkable on the
-/// streaming path, but like the batch tracer it is not emitted as an
-/// event.
+/// set unchanged); it is carried so the implication lattice (Def 4 ⇒
+/// Def 2 ∧ Def 3) is checkable, but it is per-cluster rather than
+/// per-window in the paper and is not emitted as an event.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WindowVerdict {
     /// First round of the window.
@@ -89,11 +88,9 @@ pub struct WindowVerdict {
 }
 
 impl WindowVerdict {
-    /// Emit this verdict as paired `stability_window` open/close events,
-    /// byte-compatible with the batch
-    /// [`crate::stability::trace_stability_windows`] (defs 2, 4, 5, 6, 7, 8;
-    /// open at the window's first round, close at its last, both carrying
-    /// the verdict).
+    /// Emit this verdict as paired `stability_window` open/close events
+    /// (defs 2, 4, 5, 6, 7, 8; open at the window's first round, close at
+    /// its last, both carrying the verdict).
     pub fn emit_into(&self, tracer: &mut Tracer) {
         let last = (self.start + self.len - 1) as u64;
         for (def, held) in [
@@ -137,9 +134,8 @@ pub struct SpectrumReport {
 
 impl SpectrumReport {
     /// Largest `t ≤ len` such that the streamed trace was a (t, l)-HiNet
-    /// over aligned windows, or `None` if not even (1, l) — the streaming
-    /// answer to [`crate::stability::max_hinet_t`].
-    pub fn max_t_for(&self, l: usize) -> Option<usize> {
+    /// over aligned windows, or `None` if not even (1, l).
+    fn max_t_for(&self, l: usize) -> Option<usize> {
         (1..=self.len).rev().find(|&t| {
             (self.change_gcd == 0 || self.change_gcd % t as u64 == 0)
                 && matches!(self.worst.get(t - 1), Some(Some(w)) if *w as usize <= l)
@@ -154,14 +150,15 @@ pub struct StreamReport {
     pub rounds: usize,
     /// Aligned windows closed (including a trailing partial window).
     pub windows: usize,
-    /// Windows in which Definition 8 held — the batch
-    /// [`crate::stability::trace_stability_windows`] return value.
+    /// Windows in which Definition 8 held; the trace is a (t, l)-HiNet iff
+    /// this equals `windows`.
     pub hinet_windows: usize,
-    /// Smallest `l` making the trace a (t, l)-HiNet for the configured `t`
-    /// — the streaming answer to [`crate::stability::min_hinet_l`].
+    /// Smallest `l` making the trace a (t, l)-HiNet connectivity-wise for
+    /// the configured `t` (the worst window's L-hop head connectivity), or
+    /// `None` if some window's intersection splits the heads.
     pub min_hinet_l: Option<usize>,
-    /// Largest sliding-window hierarchy stability — the streaming answer
-    /// to [`crate::stability::max_hierarchy_stability_sliding`].
+    /// Largest sliding-window hierarchy stability: the largest `t` such
+    /// that every `t` consecutive rounds share one hierarchy structure.
     pub max_sliding_hierarchy_t: usize,
     /// Whether the head set never changed (Remark 1's precondition).
     pub heads_forever_stable: bool,
@@ -198,9 +195,8 @@ struct WindowState {
 /// Incremental one-pass verifier for Definitions 2–8 over aligned windows.
 ///
 /// Feed rounds with [`push`](Self::push) (or [`push_chunk`](Self::push_chunk)
-/// — chunk boundaries never change verdicts); each window close returns a
-/// [`WindowVerdict`] equal to the batch verifiers' answer for that window,
-/// and [`finish`](Self::finish) closes the trailing partial window and
+/// — chunk boundaries never change verdicts); each window close returns
+/// that window's [`WindowVerdict`], and [`finish`](Self::finish) closes the trailing partial window and
 /// returns the [`StreamReport`].
 ///
 /// ```
@@ -483,8 +479,7 @@ impl StabilityStream {
     }
 
     /// Close the open window: evaluate Defs 5/6 on its edge-intersection
-    /// exactly as the batch verifiers do and fold the verdict into the
-    /// stream summaries.
+    /// and fold the verdict into the stream summaries.
     fn close_window(&mut self) -> WindowVerdict {
         let win = self.win.take().expect("no window open");
         let len = self.round - win.start;
@@ -658,16 +653,26 @@ fn divisors(x: usize) -> Vec<usize> {
     small
 }
 
+/// Stream a materialised trace at `(t, l)` in spectrum mode: every window
+/// verdict, the trailing partial one included, and the report.
+#[cfg(test)]
+pub(crate) fn stream_trace(
+    trace: &crate::ctvg::CtvgTrace,
+    t: usize,
+    l: usize,
+) -> (Vec<WindowVerdict>, StreamReport) {
+    let mut s = StabilityStream::new(t, l).with_spectrum();
+    let mut v = s.push_chunk(trace.iter());
+    let (last, report) = s.finish();
+    v.extend(last);
+    (v, report)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ctvg::CtvgTrace;
     use crate::hierarchy::{single_cluster, ClusterId, Role};
-    use crate::stability::{
-        cluster_stable_in_window, head_connectivity_in_window, head_set_stable_in_window,
-        hierarchy_stable_in_window, l_hop_in_window, max_hierarchy_stability_sliding, max_hinet_t,
-        min_hinet_l, trace_stability_windows,
-    };
     use hinet_graph::trace::TvgTrace;
 
     fn nid(i: usize) -> NodeId {
@@ -697,112 +702,6 @@ mod tests {
         let h = Arc::new(fixture_hierarchy());
         let t = TvgTrace::new((0..len).map(|_| Arc::clone(&g)).collect());
         CtvgTrace::new(t, (0..len).map(|_| Arc::clone(&h)).collect())
-    }
-
-    fn churny_trace() -> CtvgTrace {
-        let h = Arc::new(fixture_hierarchy());
-        let g0 = Graph::from_edges(6, [(0, 1), (0, 2), (2, 3), (3, 4), (3, 5)]);
-        let g1 = Graph::from_edges(6, [(0, 1), (0, 2), (1, 3), (3, 4), (3, 5)]);
-        let t = TvgTrace::new(vec![Arc::new(g0), Arc::new(g1)]);
-        CtvgTrace::new(t, vec![Arc::clone(&h), h])
-    }
-
-    fn stream_verdicts(
-        trace: &CtvgTrace,
-        t: usize,
-        l: usize,
-    ) -> (Vec<WindowVerdict>, StreamReport) {
-        let mut s = StabilityStream::new(t, l).with_spectrum();
-        let mut v = s.push_chunk(trace.iter());
-        let (last, report) = s.finish();
-        v.extend(last);
-        (v, report)
-    }
-
-    /// Streaming verdicts equal the batch per-window answers — every
-    /// definition, every window, including the trailing partial one.
-    fn assert_matches_batch(trace: &CtvgTrace, t: usize, l: usize) {
-        let (verdicts, report) = stream_verdicts(trace, t, l);
-        let mut expected_windows = 0;
-        for (i, v) in verdicts.iter().enumerate() {
-            let (s, len) = (i * t, t.min(trace.len() - i * t));
-            assert_eq!((v.start, v.len), (s, len));
-            assert_eq!(
-                v.def2,
-                head_set_stable_in_window(trace, s, len),
-                "def2 @{s}"
-            );
-            let def3 =
-                (0..trace.n()).all(|k| cluster_stable_in_window(trace, ClusterId(nid(k)), s, len));
-            assert_eq!(v.def3, def3, "def3 @{s}");
-            assert_eq!(
-                v.def4,
-                hierarchy_stable_in_window(trace, s, len),
-                "def4 @{s}"
-            );
-            assert_eq!(
-                v.def5,
-                head_connectivity_in_window(trace, s, len),
-                "def5 @{s}"
-            );
-            assert_eq!(v.def6, l_hop_in_window(trace, s, len, l), "def6 @{s}");
-            assert_eq!(v.def7, v.def5 && v.def6);
-            assert_eq!(v.def8, v.def4 && v.def7);
-            expected_windows += 1;
-        }
-        assert_eq!(verdicts.len(), trace.len().div_ceil(t));
-        assert_eq!(report.windows, expected_windows);
-        assert_eq!(report.min_hinet_l, min_hinet_l(trace, t), "min_hinet_l");
-        assert_eq!(
-            report.max_sliding_hierarchy_t,
-            max_hierarchy_stability_sliding(trace)
-        );
-        for probe_l in 0..4 {
-            assert_eq!(
-                report.max_hinet_t(probe_l),
-                max_hinet_t(trace, probe_l),
-                "max_hinet_t @ l={probe_l}"
-            );
-        }
-    }
-
-    #[test]
-    fn constant_trace_matches_batch_for_all_t() {
-        let trace = constant_trace(6);
-        for t in 1..=7 {
-            assert_matches_batch(&trace, t, 2);
-        }
-    }
-
-    #[test]
-    fn partial_window_matches_batch() {
-        // Length 5, t = 2: windows [0,2) [2,4) [4,5) — the trailing
-        // partial window is verified, not dropped (regression for the
-        // windowing contract).
-        let trace = constant_trace(5);
-        assert_matches_batch(&trace, 2, 2);
-        let (verdicts, report) = stream_verdicts(&trace, 2, 2);
-        assert_eq!(verdicts.len(), 3);
-        assert_eq!(verdicts[2].len, 1);
-        assert_eq!(report.hinet_windows, 3);
-    }
-
-    #[test]
-    fn churny_backbone_matches_batch_and_reports_violation() {
-        let trace = churny_trace();
-        assert_matches_batch(&trace, 2, 3);
-        let (verdicts, report) = stream_verdicts(&trace, 2, 3);
-        assert!(verdicts[0].def2 && verdicts[0].def4);
-        assert!(!verdicts[0].def5 && !verdicts[0].def7 && !verdicts[0].def8);
-        // Without the certificate the violation is pinned to the close.
-        assert_eq!(
-            report.violation,
-            Some(Violation {
-                def: 5,
-                window_start: 0,
-                round: 1
-            })
-        );
     }
 
     #[test]
@@ -887,20 +786,6 @@ mod tests {
     }
 
     #[test]
-    fn spectrum_matches_batch_on_hierarchy_churn() {
-        // Hierarchy changes at round 2 of 4: only t ∈ {1, 2} can be
-        // Def-4 stable (gcd = 2), and connectivity decides among them.
-        let g = Arc::new(Graph::complete(4));
-        let h1 = Arc::new(single_cluster(4, nid(0)));
-        let h2 = Arc::new(single_cluster(4, nid(1)));
-        let t = TvgTrace::new((0..4).map(|_| Arc::clone(&g)).collect());
-        let trace = CtvgTrace::new(t, vec![Arc::clone(&h1), h1, Arc::clone(&h2), h2]);
-        for t in 1..=4 {
-            assert_matches_batch(&trace, t, 1);
-        }
-    }
-
-    #[test]
     fn empty_stream_summarises_like_batch() {
         let s = StabilityStream::new(3, 1).with_spectrum();
         let (last, report) = s.finish();
@@ -928,23 +813,6 @@ mod tests {
         vb.extend(lb);
         assert_eq!(va, vb);
         assert_eq!(ra, rb);
-    }
-
-    #[test]
-    fn emitted_events_match_batch_tracer() {
-        use hinet_rt::obs::{ObsConfig, Tracer};
-        let trace = churny_trace();
-        let mut batch = Tracer::new(ObsConfig::full());
-        let held = trace_stability_windows(&trace, 2, 3, &mut batch);
-        let mut streamed = Tracer::new(ObsConfig::full());
-        let (verdicts, report) = stream_verdicts(&trace, 2, 3);
-        for v in &verdicts {
-            v.emit_into(&mut streamed);
-        }
-        assert_eq!(report.hinet_windows, held);
-        let a: Vec<String> = batch.events().map(|e| format!("{e:?}")).collect();
-        let b: Vec<String> = streamed.events().map(|e| format!("{e:?}")).collect();
-        assert_eq!(a, b);
     }
 
     #[test]

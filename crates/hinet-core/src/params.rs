@@ -20,24 +20,9 @@ impl PhasePlan {
         self.rounds_per_phase * self.phases
     }
 
-    /// Phase index of a round.
-    pub fn phase_of(&self, round: usize) -> usize {
-        round / self.rounds_per_phase
-    }
-
-    /// Offset of a round within its phase.
-    pub fn offset_of(&self, round: usize) -> usize {
-        round % self.rounds_per_phase
-    }
-
     /// Whether `round` is the first round of its phase.
     pub fn is_phase_start(&self, round: usize) -> bool {
-        self.offset_of(round) == 0
-    }
-
-    /// Whether `round` is the last round of its phase.
-    pub fn is_phase_end(&self, round: usize) -> bool {
-        self.offset_of(round) == self.rounds_per_phase - 1
+        round.is_multiple_of(self.rounds_per_phase)
     }
 
     /// Whether the plan is exhausted at `round` (round past the last phase).
@@ -52,7 +37,7 @@ pub fn required_phase_length(k: usize, alpha: usize, l: usize) -> usize {
 }
 
 /// Theorem 1's phase count for Algorithm 1: `M = ⌈θ/α⌉ + 1`.
-pub fn alg1_phases(theta: usize, alpha: usize) -> usize {
+fn alg1_phases(theta: usize, alpha: usize) -> usize {
     assert!(alpha > 0, "α must be a positive integer");
     theta.div_ceil(alpha) + 1
 }
@@ -66,7 +51,7 @@ pub fn remark1_phases(actual_heads: usize, alpha: usize) -> usize {
 
 /// Phase count the paper's Table 2 charges the flat KLO baseline in the
 /// `(k+αL)`-interval connected model: `⌈n₀/(αL)⌉` phases.
-pub fn klo_phases(n0: usize, alpha: usize, l: usize) -> usize {
+fn klo_phases(n0: usize, alpha: usize, l: usize) -> usize {
     assert!(alpha > 0 && l > 0);
     n0.div_ceil(alpha * l)
 }
@@ -119,15 +104,9 @@ mod tests {
             phases: 3,
         };
         assert_eq!(p.total_rounds(), 15);
-        assert_eq!(p.phase_of(0), 0);
-        assert_eq!(p.phase_of(4), 0);
-        assert_eq!(p.phase_of(5), 1);
         assert!(p.is_phase_start(0));
         assert!(p.is_phase_start(10));
         assert!(!p.is_phase_start(11));
-        assert!(p.is_phase_end(4));
-        assert!(p.is_phase_end(14));
-        assert!(!p.is_phase_end(13));
         assert!(!p.exhausted(14));
         assert!(p.exhausted(15));
     }

@@ -70,7 +70,7 @@ impl TopologyProvider for OneIntervalGen {
 mod tests {
     use super::*;
     use crate::trace::TvgTrace;
-    use crate::verify::{is_always_connected, max_interval_connectivity};
+    use crate::verify::{is_always_connected, is_t_interval_connected};
 
     #[test]
     fn always_connected() {
@@ -85,7 +85,8 @@ mod tests {
         // intersection of consecutive rounds is almost surely disconnected.
         let mut g = OneIntervalGen::new(40, true, 0, 21);
         let trace = TvgTrace::capture(&mut g, 20);
-        assert_eq!(max_interval_connectivity(&trace), Some(1));
+        assert!(is_t_interval_connected(&trace, 1));
+        assert!(!is_t_interval_connected(&trace, 2));
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::graph::{Graph, GraphBuilder, NodeId};
 use crate::rng::{stream_rng, Rng};
-use crate::spanning::bfs_spanning_edges;
 use crate::trace::TopologyProvider;
 use std::sync::Arc;
 
@@ -68,16 +67,6 @@ impl EdgeMarkovianGen {
         }
     }
 
-    /// Stationary edge density `p / (p + q)` of the per-edge chain (`None`
-    /// when `p + q = 0`, i.e. the frozen chain).
-    pub fn stationary_density(&self) -> Option<f64> {
-        if self.p + self.q == 0.0 {
-            None
-        } else {
-            Some(self.p / (self.p + self.q))
-        }
-    }
-
     #[inline]
     fn pair_index(n: usize, u: usize, v: usize) -> usize {
         debug_assert!(u < v && v < n);
@@ -121,21 +110,6 @@ impl EdgeMarkovianGen {
                 }
             }
         }
-    }
-
-    /// The spanning-forest completion edges that would connect `g`'s
-    /// components; exposed for tests.
-    pub fn completion_edges(g: &Graph) -> usize {
-        bfs_spanning_edges(g).map_or_else(
-            || {
-                let labels = crate::traversal::components(g);
-                let mut reps = labels.clone();
-                reps.sort_unstable();
-                reps.dedup();
-                reps.len() - 1
-            },
-            |_| 0,
-        )
     }
 }
 
@@ -185,7 +159,6 @@ mod tests {
         let g0 = g.graph_at(0);
         let g5 = g.graph_at(5);
         assert_eq!(*g0, *g5);
-        assert!(g.stationary_density().is_none());
     }
 
     #[test]
@@ -205,7 +178,7 @@ mod tests {
     #[test]
     fn density_approaches_stationary() {
         let mut g = EdgeMarkovianGen::new(40, 0.2, 0.2, 0.0, false, 9);
-        let target = g.stationary_density().unwrap();
+        let target = 0.2 / (0.2 + 0.2);
         let max_m = (40 * 39 / 2) as f64;
         // After enough rounds the density should hover near p/(p+q) = 0.5.
         let late = g.graph_at(60);

@@ -420,19 +420,6 @@ impl Graph {
         self.n() <= 1 || self.bfs(NodeId(0)).iter().all(|&d| d != u32::MAX)
     }
 
-    /// Eccentricity of `src`: max BFS distance, or `None` if disconnected.
-    pub fn eccentricity(&self, src: NodeId) -> Option<u32> {
-        let dist = self.bfs(src);
-        let mut ecc = 0;
-        for &d in &dist {
-            if d == u32::MAX {
-                return None;
-            }
-            ecc = ecc.max(d);
-        }
-        Some(ecc)
-    }
-
     /// Exact diameter via all-sources BFS; `None` if disconnected.
     ///
     /// Quadratic in `n` — intended for the moderate `n` of the paper's
@@ -498,14 +485,6 @@ impl GraphBuilder {
     pub fn add_graph(&mut self, g: &Graph) -> &mut Self {
         assert_eq!(g.n(), self.n);
         for e in g.edges() {
-            self.add_edge(e.a, e.b);
-        }
-        self
-    }
-
-    /// Add every edge in the iterator.
-    pub fn add_edges(&mut self, edges: impl IntoIterator<Item = Edge>) -> &mut Self {
-        for e in edges {
             self.add_edge(e.a, e.b);
         }
         self
@@ -734,13 +713,6 @@ mod tests {
         assert_eq!(Graph::star(9).diameter(), Some(2));
         assert_eq!(Graph::empty(0).diameter(), Some(0));
         assert_eq!(Graph::from_edges(3, [(0, 1)]).diameter(), None);
-    }
-
-    #[test]
-    fn eccentricity_hub_vs_leaf() {
-        let c = Graph::star(5);
-        assert_eq!(c.eccentricity(nid(0)), Some(1));
-        assert_eq!(c.eccentricity(nid(1)), Some(2));
     }
 
     /// A random edge list over `n` nodes: duplicates and both orientations

@@ -2,11 +2,12 @@
 //!
 //! The stability audits and experiment reports want to characterise *how
 //! dynamic* and *how dense* a scenario is beyond the binary model
-//! predicates — these are the standard graph statistics, computed without
-//! allocation churn on trace-scale inputs.
+//! predicates — these are the standard graph statistics. [`snapshot_stats`]
+//! measures one round; the one-pass audit
+//! (`hinet_cluster::audit::StreamingAudit`) folds those into
+//! [`TraceStats`].
 
 use crate::graph::Graph;
-use crate::trace::TvgTrace;
 
 /// Degree and density statistics of one snapshot.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -104,55 +105,9 @@ pub struct TraceStats {
     pub edge_persistence: f64,
 }
 
-/// Compute [`TraceStats`] over a trace.
-pub fn trace_stats(trace: &TvgTrace) -> TraceStats {
-    let rounds = trace.len();
-    let mut sum_edges = 0.0;
-    let mut sum_density = 0.0;
-    let mut sum_clustering = 0.0;
-    for g in trace.iter() {
-        let s = snapshot_stats(g);
-        sum_edges += s.m as f64;
-        sum_density += s.density;
-        sum_clustering += s.clustering_coefficient;
-    }
-    let mean_edges = sum_edges / rounds as f64;
-    let mean_churn = trace.mean_churn();
-    let mut persistence_sum = 0.0;
-    let mut persistence_count = 0usize;
-    for w in 0..rounds.saturating_sub(1) {
-        let cur = trace.graph(w);
-        if cur.m() == 0 {
-            continue;
-        }
-        let kept = cur.intersect(trace.graph(w + 1)).m();
-        persistence_sum += kept as f64 / cur.m() as f64;
-        persistence_count += 1;
-    }
-    TraceStats {
-        rounds,
-        mean_edges,
-        mean_density: sum_density / rounds as f64,
-        mean_clustering: sum_clustering / rounds as f64,
-        mean_churn,
-        relative_churn: if mean_edges == 0.0 {
-            0.0
-        } else {
-            mean_churn / mean_edges
-        },
-        edge_persistence: if persistence_count == 0 {
-            1.0
-        } else {
-            persistence_sum / persistence_count as f64
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TvgTrace;
-    use std::sync::Arc;
 
     #[test]
     fn snapshot_stats_complete_graph() {
@@ -193,62 +148,5 @@ mod tests {
         let z = snapshot_stats(&Graph::empty(0));
         assert_eq!(z.mean_degree, 0.0);
         assert_eq!(z.min_degree, 0);
-    }
-
-    #[test]
-    fn trace_stats_static_trace() {
-        let g = Arc::new(Graph::cycle(6));
-        let t = TvgTrace::new(vec![Arc::clone(&g), Arc::clone(&g), g]);
-        let s = trace_stats(&t);
-        assert_eq!(s.rounds, 3);
-        assert!((s.mean_edges - 6.0).abs() < 1e-12);
-        assert_eq!(s.mean_churn, 0.0);
-        assert_eq!(s.relative_churn, 0.0);
-        assert!((s.edge_persistence - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn trace_stats_total_rewire() {
-        // Two edge-disjoint spanning structures: persistence 0, churn high.
-        let g1 = Arc::new(Graph::from_edges(4, [(0, 1), (2, 3)]));
-        let g2 = Arc::new(Graph::from_edges(4, [(0, 2), (1, 3)]));
-        let t = TvgTrace::new(vec![g1, g2]);
-        let s = trace_stats(&t);
-        assert_eq!(s.edge_persistence, 0.0);
-        assert!((s.mean_churn - 4.0).abs() < 1e-12);
-        assert!((s.relative_churn - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn generator_sanity_slow_waypoint_is_persistent() {
-        use crate::generators::{RandomWaypointGen, WaypointConfig};
-        use crate::trace::TvgTrace;
-        let mut slow = RandomWaypointGen::new(
-            30,
-            WaypointConfig {
-                radius: 0.3,
-                min_speed: 0.001,
-                max_speed: 0.005,
-                ensure_connected: true,
-            },
-            3,
-        );
-        let t = TvgTrace::capture(&mut slow, 20);
-        let s = trace_stats(&t);
-        assert!(
-            s.edge_persistence > 0.9,
-            "slow motion keeps links: {}",
-            s.edge_persistence
-        );
-
-        use crate::generators::OneIntervalGen;
-        let mut churny = OneIntervalGen::new(30, true, 0, 3);
-        let t = TvgTrace::capture(&mut churny, 20);
-        let s = trace_stats(&t);
-        assert!(
-            s.edge_persistence < 0.3,
-            "fresh paths each round: {}",
-            s.edge_persistence
-        );
     }
 }

@@ -6,9 +6,9 @@
 //! of the window. The generators in this crate realise that property by
 //! explicitly constructing a spanning backbone per window and holding it
 //! fixed; this module provides the backbone constructions and the extraction
-//! of spanning trees used by the verifier.
+//! of a BFS spanning tree.
 
-use crate::graph::{Edge, Graph, GraphBuilder, NodeId};
+use crate::graph::{Graph, GraphBuilder, NodeId};
 use crate::rng::{Rng, SliceRandom};
 
 /// A uniform-ish random spanning tree over nodes `0..n` via a random
@@ -73,12 +73,6 @@ pub fn bfs_spanning_tree(g: &Graph) -> Option<Graph> {
     }
 }
 
-/// Collect the tree edges of a BFS spanning tree as an edge list (for cheap
-/// re-insertion into builders), or `None` if disconnected.
-pub fn bfs_spanning_edges(g: &Graph) -> Option<Vec<Edge>> {
-    bfs_spanning_tree(g).map(|t| t.edges().collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,7 +114,6 @@ mod tests {
     fn bfs_tree_none_when_disconnected() {
         let g = Graph::from_edges(4, [(0, 1), (2, 3)]);
         assert!(bfs_spanning_tree(&g).is_none());
-        assert!(bfs_spanning_edges(&g).is_none());
     }
 
     #[test]

@@ -103,20 +103,6 @@ impl TvgTrace {
         }
         acc
     }
-
-    /// Mean number of edges changed (symmetric difference) between
-    /// consecutive rounds — a churn statistic for experiment reports.
-    pub fn mean_churn(&self) -> f64 {
-        if self.rounds.len() < 2 {
-            return 0.0;
-        }
-        let total: usize = self
-            .rounds
-            .windows(2)
-            .map(|w| w[0].edge_distance(&w[1]))
-            .sum();
-        total as f64 / (self.rounds.len() - 1) as f64
-    }
 }
 
 /// Adapter: replay a materialised trace as a provider.
@@ -242,14 +228,5 @@ mod tests {
         let t = TvgTrace::capture(&mut p, 5);
         assert_eq!(t.len(), 5);
         assert!(t.iter().all(|g| g.m() == 4));
-        assert_eq!(t.mean_churn(), 0.0);
-    }
-
-    #[test]
-    fn mean_churn_counts_changes() {
-        let g0 = Graph::from_edges(3, [(0, 1)]);
-        let g1 = Graph::from_edges(3, [(1, 2)]);
-        let t = TvgTrace::new(vec![arc(g0), arc(g1)]);
-        assert_eq!(t.mean_churn(), 2.0);
     }
 }

@@ -10,17 +10,6 @@ pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<u32> {
     g.bfs(src)
 }
 
-/// Multi-source BFS: distance from the nearest source.
-///
-/// Used for gateway assignment (which head is this node closest to?) and for
-/// checking how far tokens can have travelled from a set of informed nodes.
-pub fn multi_source_bfs(g: &Graph, sources: &[NodeId]) -> Vec<u32> {
-    let mut dist = vec![u32::MAX; g.n()];
-    let mut queue = Vec::with_capacity(g.n());
-    g.bfs_into(sources, &mut dist, &mut queue);
-    dist
-}
-
 /// Shortest path from `src` to `dst` as a node sequence (inclusive), or
 /// `None` if `dst` is unreachable.
 ///
@@ -97,15 +86,6 @@ pub fn components(g: &Graph) -> Vec<NodeId> {
         .collect()
 }
 
-/// Number of connected components.
-pub fn component_count(g: &Graph) -> usize {
-    let labels = components(g);
-    let mut distinct: Vec<NodeId> = labels;
-    distinct.sort_unstable();
-    distinct.dedup();
-    distinct.len()
-}
-
 /// Whether the graph is connected (trivially true for `n ≤ 1`).
 pub fn is_connected(g: &Graph) -> bool {
     g.is_connected()
@@ -137,14 +117,16 @@ mod tests {
     #[test]
     fn multi_source_takes_nearest() {
         let g = Graph::path(7);
-        let d = multi_source_bfs(&g, &[NodeId(0), NodeId(6)]);
+        let (mut d, mut queue) = (vec![u32::MAX; 7], Vec::new());
+        g.bfs_into(&[NodeId(0), NodeId(6)], &mut d, &mut queue);
         assert_eq!(d, vec![0, 1, 2, 3, 2, 1, 0]);
     }
 
     #[test]
     fn multi_source_empty_sources() {
         let g = Graph::path(3);
-        let d = multi_source_bfs(&g, &[]);
+        let (mut d, mut queue) = (vec![u32::MAX; 3], Vec::new());
+        g.bfs_into(&[], &mut d, &mut queue);
         assert!(d.iter().all(|&x| x == u32::MAX));
     }
 
@@ -185,7 +167,6 @@ mod tests {
         assert_eq!(labels[3], NodeId(3));
         assert_eq!(labels[4], NodeId(4));
         assert_eq!(labels[5], NodeId(4));
-        assert_eq!(component_count(&g), 3);
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! generator test in this workspace runs its output through the matching
 //! verifier, so a generator bug cannot silently invalidate an experiment.
 
-use crate::graph::Graph;
 use crate::trace::TvgTrace;
 
 /// Whether every snapshot of the trace is connected (1-interval
@@ -40,108 +39,6 @@ pub fn is_t_interval_connected(trace: &TvgTrace, t: usize) -> bool {
     true
 }
 
-/// The largest `t` for which the trace is T-interval connected, or `None`
-/// if not even 1-interval connected.
-///
-/// Uses the fact that T-interval connectivity is downward closed in `t`
-/// (a window's intersection only loses edges as the window grows), so a
-/// linear scan upward terminates at the first failure.
-pub fn max_interval_connectivity(trace: &TvgTrace) -> Option<usize> {
-    if !is_t_interval_connected(trace, 1) {
-        return None;
-    }
-    let mut best = 1;
-    for t in 2..=trace.len() {
-        if is_t_interval_connected(trace, t) {
-            best = t;
-        } else {
-            break;
-        }
-    }
-    Some(best)
-}
-
-/// Per-round connectivity report.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ConnectivityReport {
-    /// Rounds whose snapshot is disconnected.
-    pub disconnected_rounds: Vec<usize>,
-    /// Minimum per-round edge count.
-    pub min_edges: usize,
-    /// Maximum per-round edge count.
-    pub max_edges: usize,
-}
-
-/// Scan a trace for per-round connectivity and edge-count extremes.
-pub fn connectivity_report(trace: &TvgTrace) -> ConnectivityReport {
-    let mut disconnected_rounds = Vec::new();
-    let mut min_edges = usize::MAX;
-    let mut max_edges = 0;
-    for (r, g) in trace.iter().enumerate() {
-        min_edges = min_edges.min(g.m());
-        max_edges = max_edges.max(g.m());
-        if !g.is_connected() {
-            disconnected_rounds.push(r);
-        }
-    }
-    ConnectivityReport {
-        disconnected_rounds,
-        min_edges,
-        max_edges,
-    }
-}
-
-/// Dynamic diameter of the trace starting at round `start`: the number of
-/// rounds needed until every node has been causally influenced by every
-/// other node (Kuhn & Oshman's notion), computed by propagating per-source
-/// reachability one round at a time.
-///
-/// Returns `None` if the trace ends before full mutual influence.
-///
-/// Cost is `O(rounds · n · m)` bits of work with a bitset frontier; fine for
-/// experiment-scale traces.
-pub fn dynamic_diameter(trace: &TvgTrace, start: usize) -> Option<usize> {
-    let n = trace.n();
-    if n <= 1 {
-        return Some(0);
-    }
-    // influenced[s] = bitset of nodes that have heard from source s.
-    let words = n.div_ceil(64);
-    let mut influenced = vec![vec![0u64; words]; n];
-    for (s, row) in influenced.iter_mut().enumerate() {
-        row[s / 64] |= 1 << (s % 64);
-    }
-    let full = |row: &[u64]| -> bool {
-        let mut count = 0;
-        for &w in row {
-            count += w.count_ones() as usize;
-        }
-        count == n
-    };
-    for r in start..trace.len() {
-        let g: &Graph = trace.graph(r);
-        // One synchronous round: every node shares its influence sets with
-        // neighbors. Compute next state from current (simultaneous update).
-        let mut next = influenced.clone();
-        for s in 0..n {
-            let cur = &influenced[s];
-            // For each edge (u,v): if u influenced by s, then v becomes so.
-            for u in g.nodes() {
-                if cur[u.index() / 64] & (1 << (u.index() % 64)) != 0 {
-                    for &v in g.neighbors(u) {
-                        next[s][v.index() / 64] |= 1 << (v.index() % 64);
-                    }
-                }
-            }
-        }
-        influenced = next;
-        if influenced.iter().all(|row| full(row)) {
-            return Some(r - start + 1);
-        }
-    }
-    None
-}
-
 /// Foremost arrival times from `src` starting at round `start`: the
 /// earliest round (1-based offset from `start`) by which information
 /// originating at `src` *can* reach each node, assuming every informed
@@ -151,8 +48,8 @@ pub fn dynamic_diameter(trace: &TvgTrace, start: usize) -> Option<usize> {
 /// This is a per-source lower bound for any dissemination algorithm and is
 /// *achieved* by full flooding — the integration suite checks that
 /// `KloFlood` with a single source completes exactly at
-/// `max(foremost_arrival)`.
-pub fn foremost_arrival(trace: &TvgTrace, src: crate::graph::NodeId, start: usize) -> Vec<u32> {
+/// [`flooding_makespan`].
+fn foremost_arrival(trace: &TvgTrace, src: crate::graph::NodeId, start: usize) -> Vec<u32> {
     let n = trace.n();
     let mut arrival = vec![u32::MAX; n];
     arrival[src.index()] = 0;
@@ -208,6 +105,7 @@ pub fn flooding_makespan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Graph;
     use std::sync::Arc;
 
     fn arc(g: Graph) -> Arc<Graph> {
@@ -224,7 +122,6 @@ mod tests {
         let t = static_trace(Graph::cycle(6), 5);
         assert!(is_always_connected(&t));
         assert!(is_t_interval_connected(&t, 5));
-        assert_eq!(max_interval_connectivity(&t), Some(5));
     }
 
     #[test]
@@ -237,7 +134,6 @@ mod tests {
         assert!(is_always_connected(&trace));
         assert!(is_t_interval_connected(&trace, 1));
         assert!(!is_t_interval_connected(&trace, 2));
-        assert_eq!(max_interval_connectivity(&trace), Some(1));
     }
 
     #[test]
@@ -246,11 +142,7 @@ mod tests {
         let bad = Graph::from_edges(4, [(0, 1), (2, 3)]);
         let trace = TvgTrace::new(vec![arc(good.clone()), arc(bad), arc(good)]);
         assert!(!is_always_connected(&trace));
-        assert_eq!(max_interval_connectivity(&trace), None);
-        let rep = connectivity_report(&trace);
-        assert_eq!(rep.disconnected_rounds, vec![1]);
-        assert_eq!(rep.min_edges, 2);
-        assert_eq!(rep.max_edges, 4);
+        assert!(!is_t_interval_connected(&trace, 1));
     }
 
     #[test]
@@ -272,31 +164,6 @@ mod tests {
         }
         let trace = TvgTrace::new(rounds);
         assert!(is_t_interval_connected(&trace, 6));
-    }
-
-    #[test]
-    fn dynamic_diameter_static_path() {
-        // On a static path of 5 nodes information needs 4 rounds end-to-end.
-        let t = static_trace(Graph::path(5), 10);
-        assert_eq!(dynamic_diameter(&t, 0), Some(4));
-    }
-
-    #[test]
-    fn dynamic_diameter_complete_graph_one_round() {
-        let t = static_trace(Graph::complete(6), 3);
-        assert_eq!(dynamic_diameter(&t, 0), Some(1));
-    }
-
-    #[test]
-    fn dynamic_diameter_none_if_trace_too_short() {
-        let t = static_trace(Graph::path(8), 3);
-        assert_eq!(dynamic_diameter(&t, 0), None);
-    }
-
-    #[test]
-    fn dynamic_diameter_trivial_n() {
-        let t = static_trace(Graph::empty(1), 2);
-        assert_eq!(dynamic_diameter(&t, 0), Some(0));
     }
 
     #[test]

@@ -39,9 +39,8 @@ pub struct CaseCtx {
 }
 
 impl CaseCtx {
-    /// Context for one case of `seed`. Public so a failing case can also be
-    /// replayed programmatically (e.g. from a unit test or a debugger).
-    pub fn from_seed(seed: u64) -> Self {
+    /// Context for one case of `seed`.
+    fn from_seed(seed: u64) -> Self {
         CaseCtx {
             seed,
             rng: Xoshiro256StarStar::seed_from_u64(seed),
@@ -85,7 +84,7 @@ fn fnv1a(name: &str) -> u64 {
 }
 
 /// Seed of case `i` of property `name`.
-pub fn case_seed(name: &str, i: usize) -> u64 {
+fn case_seed(name: &str, i: usize) -> u64 {
     mix(fnv1a(name), i as u64)
 }
 

@@ -11,8 +11,8 @@
 //!   run end), stamped with their round into [`TraceEvent`]s.
 //! * [`Tracer`] — the recording handle: a fixed-capacity ring-buffer event
 //!   sink (overflow evicts the oldest events and is *counted*, never
-//!   silent), monotonic [`Counters`], a rounds-per-phase [`Histogram`], and
-//!   span-style phase scoping ([`Tracer::phase_span`]).
+//!   silent), monotonic [`Counters`], and a rounds-per-phase [`Histogram`]
+//!   fed by automatic phase scoping ([`Tracer::set_phase_len`]).
 //! * [`ObsConfig`] / [`ObsMode`] — off (near-zero cost: one branch per
 //!   instrumentation site), sampled (structural events always recorded,
 //!   high-volume data events one-in-N), or full.
@@ -285,7 +285,7 @@ impl Event {
 
     /// Whether this event is high-volume data (eligible for sampling)
     /// rather than structural.
-    pub fn is_data(&self) -> bool {
+    fn is_data(&self) -> bool {
         matches!(
             self,
             Event::TokenPush { .. }
@@ -334,7 +334,7 @@ impl ObsMode {
     }
 
     /// Inverse of [`ObsMode::wire`].
-    pub fn parse_wire(s: &str) -> Option<ObsMode> {
+    fn parse_wire(s: &str) -> Option<ObsMode> {
         match s {
             "off" => Some(ObsMode::Off),
             "full" => Some(ObsMode::Full),
@@ -446,7 +446,6 @@ pub struct Counters {
 /// }
 /// assert_eq!(h.count(), 4);
 /// assert_eq!(h.max(), 18);
-/// assert_eq!(h.bucket_counts()[1], 2); // the two 3s land in [2, 4)
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
@@ -491,11 +490,6 @@ impl Histogram {
     /// Largest recorded value (0 when empty).
     pub fn max(&self) -> u64 {
         self.max
-    }
-
-    /// The raw bucket counts.
-    pub fn bucket_counts(&self) -> &[u64; 64] {
-        &self.buckets
     }
 }
 
@@ -571,43 +565,6 @@ impl Ring {
     }
 }
 
-/// Span-style phase scope: emits [`Event::PhaseAdvance`] when opened and
-/// records the phase's round span into the rounds-per-phase histogram when
-/// dropped. For engine-driven runs prefer [`Tracer::set_phase_len`], which
-/// scopes phases automatically from the phase plan.
-///
-/// ```
-/// use hinet_rt::obs::{ObsConfig, Tracer};
-///
-/// let mut tracer = Tracer::new(ObsConfig::full());
-/// {
-///     let mut span = tracer.phase_span(0, 0);
-///     for round in 0..3 {
-///         span.tracer().round_start(round);
-///     }
-/// } // drop records 3 rounds for phase 0
-/// assert_eq!(tracer.rounds_per_phase().count(), 1);
-/// assert_eq!(tracer.rounds_per_phase().max(), 3);
-/// ```
-pub struct PhaseSpan<'a> {
-    tracer: &'a mut Tracer,
-    start_round: u64,
-}
-
-impl PhaseSpan<'_> {
-    /// The underlying tracer, for emitting events inside the span.
-    pub fn tracer(&mut self) -> &mut Tracer {
-        self.tracer
-    }
-}
-
-impl Drop for PhaseSpan<'_> {
-    fn drop(&mut self) {
-        let spanned = self.tracer.current_round.saturating_sub(self.start_round) + 1;
-        self.tracer.rounds_per_phase.record(spanned);
-    }
-}
-
 /// The recording handle threaded through the engine, the runner and the
 /// stability verifiers.
 ///
@@ -621,7 +578,6 @@ pub struct Tracer {
     counters: Counters,
     rounds_per_phase: Histogram,
     meta: Vec<(String, String)>,
-    current_round: u64,
     /// Auto-phase state (see [`Tracer::set_phase_len`]).
     phase_len: Option<u64>,
     next_auto_phase: u64,
@@ -674,7 +630,6 @@ impl Tracer {
             counters: Counters::default(),
             rounds_per_phase: Histogram::new(),
             meta: Vec::new(),
-            current_round: 0,
             phase_len: None,
             next_auto_phase: 0,
             rounds_in_phase: 0,
@@ -718,7 +673,6 @@ impl Tracer {
         if !self.enabled() {
             return;
         }
-        self.current_round = round;
         match &event {
             Event::RoundStart => {
                 self.counters.rounds += 1;
@@ -920,16 +874,6 @@ impl Tracer {
             rounds.saturating_sub(1),
             Event::RunEnd { rounds, completed },
         );
-    }
-
-    /// Open a manual phase span (see [`PhaseSpan`]).
-    pub fn phase_span(&mut self, phase: u64, round: u64) -> PhaseSpan<'_> {
-        self.emit(round, Event::PhaseAdvance { phase });
-        self.current_round = round;
-        PhaseSpan {
-            start_round: round,
-            tracer: self,
-        }
     }
 
     /// The exact counters accumulated so far.
@@ -1755,19 +1699,6 @@ mod tests {
     }
 
     #[test]
-    fn manual_phase_span_records_on_drop() {
-        let mut t = Tracer::new(ObsConfig::full());
-        {
-            let mut span = t.phase_span(0, 10);
-            span.tracer().round_start(10);
-            span.tracer().round_start(11);
-        }
-        assert_eq!(t.rounds_per_phase().count(), 1);
-        assert_eq!(t.rounds_per_phase().max(), 2);
-        assert_eq!(t.counters().phases, 1);
-    }
-
-    #[test]
     fn jsonl_round_trips_through_the_bench_parser() {
         let mut t = Tracer::new(ObsConfig::full());
         t.meta("algorithm", "alg1");
@@ -1841,10 +1772,10 @@ mod tests {
         }
         assert_eq!(h.count(), 6);
         assert_eq!(h.max(), 1000);
-        assert_eq!(h.bucket_counts()[0], 2); // 0 and 1
-        assert_eq!(h.bucket_counts()[1], 2); // 2 and 3
-        assert_eq!(h.bucket_counts()[2], 1); // 4
-        assert_eq!(h.bucket_counts()[9], 1); // 1000 in [512, 1024)
+        assert_eq!(h.buckets[0], 2); // 0 and 1
+        assert_eq!(h.buckets[1], 2); // 2 and 3
+        assert_eq!(h.buckets[2], 1); // 4
+        assert_eq!(h.buckets[9], 1); // 1000 in [512, 1024)
     }
 
     #[test]

@@ -58,7 +58,7 @@ const PARALLEL_NODE_THRESHOLD: usize = 4096;
 /// * [`ExecMode::Event`] — the event-driven message plane: rounds
 ///   reassembled by per-shard [`crate::transport::Reassembly`] quorums,
 ///   cross-shard envelopes through per-node mailboxes behind a
-///   [`crate::transport::Transport`], nodes progressing independently on
+///   [`crate::transport::ChannelTransport`], nodes progressing independently on
 ///   concurrent workers. Adds wall-clock throughput and per-token latency
 ///   to [`RunReport::wall`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

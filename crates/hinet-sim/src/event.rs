@@ -61,7 +61,7 @@ use crate::fault::FaultPlan;
 use crate::protocol::Protocol;
 use crate::round::{Builder, Fold, RoundCtx};
 use crate::token::{TokenId, TokenSet};
-use crate::transport::{ChannelTransport, Envelope, Reassembly, Released, Transport};
+use crate::transport::{ChannelTransport, Envelope, Reassembly, Released};
 use hinet_graph::graph::NodeId;
 use hinet_rt::obs::Tracer;
 use hinet_rt::pool;

@@ -4,7 +4,7 @@
 //! deterministic lock-step (the default) and an event-driven mailbox
 //! runtime ([`engine::ExecMode::Event`]) that runs the same protocols over
 //! per-shard round reassembly ([`transport::Reassembly`]) and a
-//! [`transport::Transport`] with per-node mailboxes for cross-shard mail,
+//! [`transport::ChannelTransport`] with per-node mailboxes for cross-shard mail,
 //! reporting wall-clock throughput and latency alongside the round counts.
 //!
 //! The paper's execution model (inherited from Kuhn–Lynch–Oshman) is the

@@ -9,8 +9,8 @@
 //! any order — back into complete synchronous rounds. Each worker shard
 //! owns one [`Reassembly`] for its nodes: an envelope for a node of the
 //! sender's own shard is filed there directly, and only cross-shard
-//! envelopes travel through the [`Transport`] and are filed when their
-//! receiver's mailbox is drained.
+//! envelopes travel through the [`ChannelTransport`] and are filed when
+//! their receiver's mailbox is drained.
 //!
 //! A node's step for round `r` is released only once its *neighbourhood
 //! quorum* for `r` is met: every round-`r` neighbour has delivered its
@@ -20,10 +20,11 @@
 //! node's round-`r` degree is a complete quorum test; payloads filed for
 //! future rounds simply wait in the [`Reassembly`].
 //!
-//! The only backend in-tree is [`ChannelTransport`] — lock-protected
-//! in-process mailboxes with a wakeup hook, which is what the engine's
-//! worker pool runs on. A socket relay backend can implement the same
-//! trait later without touching the engine (see `docs/RUNTIME.md`).
+//! The one backend is [`ChannelTransport`] — lock-protected in-process
+//! mailboxes with a wakeup hook, which is what the engine's worker pool
+//! runs on. It is a concrete type: a transport trait (the seam for a
+//! socket relay) returns together with a second backend (see
+//! `docs/RUNTIME.md`).
 
 use crate::protocol::{Incoming, Payload};
 use hinet_graph::graph::NodeId;
@@ -85,16 +86,25 @@ pub struct Envelope {
 /// Wakeup hook invoked by a transport after mail lands for a node.
 pub type Notifier = Arc<dyn Fn(usize) + Send + Sync>;
 
-/// Delivery abstraction for the event-driven runtime's cross-shard mail.
+/// One node's mailbox: the queue plus its length, readable without the
+/// lock so an empty mailbox drains for free.
+struct Mailbox {
+    queue: Mutex<Vec<Envelope>>,
+    len: AtomicUsize,
+}
+
+/// The event-driven runtime's cross-shard mail: one lock-protected mailbox
+/// per node plus a wakeup hook, in process — what the engine's worker pool
+/// runs on.
 ///
 /// The runtime files an envelope whose receiver belongs to the sender's
 /// own worker shard straight into that shard's [`Reassembly`]; such
 /// envelopes never reach the transport. The contract (documented in full
 /// in `docs/RUNTIME.md`):
 ///
-/// * [`Transport::send`] may be called concurrently from any worker and
-///   must make the envelope eventually visible to a
-///   [`Transport::drain`] of its destination node;
+/// * [`send`](Self::send) may be called concurrently from any worker and
+///   makes the envelope visible to the next [`drain`](Self::drain) of its
+///   destination node;
 /// * envelopes from one sender to one receiver are delivered in send
 ///   order (per-link FIFO) — reordering *across* senders is expected and
 ///   is what the [`Reassembly`] undoes;
@@ -106,35 +116,7 @@ pub type Notifier = Arc<dyn Fn(usize) + Send + Sync>;
 ///   held at the sender and re-sent later, duplicated ones are sent twice),
 ///   so fault semantics are identical in both execution modes and the
 ///   receive plane ([`Reassembly`]) defensively deduplicates whatever a
-///   real backend might replay.
-pub trait Transport: Send + Sync {
-    /// Queue `env` for its destination node.
-    fn send(&self, env: Envelope);
-
-    /// Move every envelope currently queued for `node` into `into`
-    /// (appending, preserving arrival order) and return how many moved.
-    fn drain(&self, node: usize, into: &mut Vec<Envelope>) -> usize;
-
-    /// Register the wakeup hook invoked after new mail lands for a node.
-    fn set_notifier(&self, notify: Notifier);
-
-    /// High-water mark of any single mailbox's queued-envelope count
-    /// (the `mailbox_depth_max` observability counter). Backends that do
-    /// not track depth may return 0.
-    fn max_depth(&self) -> usize {
-        0
-    }
-}
-
-/// One node's mailbox: the queue plus its length, readable without the
-/// lock so an empty mailbox drains for free.
-struct Mailbox {
-    queue: Mutex<Vec<Envelope>>,
-    len: AtomicUsize,
-}
-
-/// In-process channel backend: one lock-protected mailbox per node plus a
-/// wakeup hook — the [`Transport`] the engine's worker pool runs on.
+///   replaying backend might deliver.
 pub struct ChannelTransport {
     boxes: Vec<Mailbox>,
     notify: RwLock<Option<Notifier>>,
@@ -155,10 +137,9 @@ impl ChannelTransport {
             depth_max: AtomicUsize::new(0),
         }
     }
-}
 
-impl Transport for ChannelTransport {
-    fn send(&self, env: Envelope) {
+    /// Queue `env` for its destination node.
+    pub fn send(&self, env: Envelope) {
         let to = env.to.index();
         let mailbox = &self.boxes[to];
         let depth = {
@@ -173,10 +154,13 @@ impl Transport for ChannelTransport {
         }
     }
 
+    /// Move every envelope currently queued for `node` into `into`
+    /// (appending, preserving arrival order) and return how many moved.
+    ///
     /// Returns at once, without the lock, when the mailbox is empty. A
     /// racing `send` stores the new length before it invokes the notifier,
     /// so a drain that misses it is followed by a wake-up that does not.
-    fn drain(&self, node: usize, into: &mut Vec<Envelope>) -> usize {
+    pub fn drain(&self, node: usize, into: &mut Vec<Envelope>) -> usize {
         let mailbox = &self.boxes[node];
         if mailbox.len.load(Ordering::SeqCst) == 0 {
             return 0;
@@ -188,11 +172,14 @@ impl Transport for ChannelTransport {
         moved
     }
 
-    fn set_notifier(&self, notify: Notifier) {
+    /// Register the wakeup hook invoked after new mail lands for a node.
+    pub fn set_notifier(&self, notify: Notifier) {
         *self.notify.write().expect("notifier lock") = Some(notify);
     }
 
-    fn max_depth(&self) -> usize {
+    /// High-water mark of any single mailbox's queued-envelope count (the
+    /// `mailbox_depth_max` observability counter).
+    pub fn max_depth(&self) -> usize {
         self.depth_max.load(Ordering::Relaxed)
     }
 }

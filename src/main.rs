@@ -53,7 +53,7 @@ const USAGE: &str = "hinet — (T, L)-HiNet dissemination reproduction
 
 USAGE:
   hinet tables [--analytic-only]    reproduce Tables 2 & 3 (+ simulated E3)
-  hinet experiments [E3 E13 ...]    run experiments (default: all 16)
+  hinet experiments [E3 E13 ...]    run experiments (default: all)
   hinet export [DIR]                write experiment tables as md/csv
   hinet run [scenario flags] [--stability-stream] [--trace]
             [--trace-out FILE]
@@ -791,8 +791,8 @@ fn cmd_audit(flags: &FlagSet) -> ExitCode {
     };
     println!("stability audit: dynamics={dynamics} n={n} rounds={rounds} seed={seed}\n");
     // One pass over the provider, never materialising the trace: the
-    // report equals the reference `audit` of the captured trace (see the
-    // audit.rs and tests/prop_stream.rs differential tests).
+    // report equals the batch reference audit of the captured trace (the
+    // tests/prop_stream.rs differential tests).
     let mut streaming = StreamingAudit::new();
     for round in 0..rounds {
         let g = provider.graph_at(round);

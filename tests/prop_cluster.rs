@@ -1,19 +1,23 @@
 //! Property-based tests for the cluster substrate: clustering validity,
 //! HiNet generator guarantees, the Fig. 2 lattice, churn accounting, and
-//! exact revisits on the forward-only mobility providers.
+//! exact revisits on the forward-only mobility providers. The stability
+//! predicates and churn statistics come from the batch references in
+//! tests/common/.
 //!
 //! Ported to the in-tree [`hinet::rt::check`] harness; re-run a failing case
 //! with the `HINET_CHECK_SEED=…` command the failure message prints.
 
+mod common;
+
+use common::{
+    churn_stats, cluster_stable_in_window, has_t_interval_l_hop_connectivity,
+    head_connectivity_in_window, is_head_set_t_stable, is_hierarchy_t_stable, is_t_l_hinet,
+    l_hop_in_window, min_hinet_l,
+};
 use hinet::cluster::clustering::{cluster, ClusteringKind, GatewayPolicy, LccMobilityGen};
 use hinet::cluster::ctvg::{CtvgTrace, FlatProvider, HierarchyProvider};
 use hinet::cluster::generators::{ClusteredMobilityGen, HiNetConfig, HiNetGen};
 use hinet::cluster::hierarchy::ClusterId;
-use hinet::cluster::reaffiliation::churn_stats;
-use hinet::cluster::stability::{
-    cluster_stable_in_window, has_t_interval_l_hop_connectivity, head_connectivity_in_window,
-    is_head_set_t_stable, is_hierarchy_t_stable, is_t_l_hinet, l_hop_in_window, min_hinet_l,
-};
 use hinet::graph::generators::{
     EdgeMarkovianGen, ManhattanConfig, ManhattanGen, RandomWaypointGen, WaypointConfig,
 };

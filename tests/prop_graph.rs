@@ -4,11 +4,14 @@
 //! fixed number of seeded random cases; a failure prints the case seed and a
 //! `HINET_CHECK_SEED=…` command line that replays exactly that case.
 
+mod common;
+
+use common::max_interval_connectivity;
 use hinet::graph::graph::{Graph, GraphBuilder, NodeId};
 use hinet::graph::spanning::{bfs_spanning_tree, random_attachment_tree};
 use hinet::graph::trace::TvgTrace;
 use hinet::graph::traversal::{bfs_distances, components, is_connected, shortest_path};
-use hinet::graph::verify::{is_t_interval_connected, max_interval_connectivity};
+use hinet::graph::verify::is_t_interval_connected;
 use hinet::graph::CsrGraph;
 use hinet::rt::check::{check, CaseCtx};
 use hinet::rt::rng::{Rng, Xoshiro256StarStar};

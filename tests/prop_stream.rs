@@ -4,32 +4,35 @@
 //! failure>`).
 //!
 //! The contract under test: a `StabilityStream` consuming a trace one
-//! round at a time must agree with the batch Defs 2–8 verifiers pointwise
-//! — per aligned window, per definition — and its end-of-stream
-//! `max_hinet_t`/`min_hinet_l` answers must equal the batch functions,
-//! across seeded CTVG generators, archived fuzz-corpus scenarios, and
-//! fault-perturbed traces, under arbitrary chunk boundaries of the
-//! stream. The CLI's one-pass paths are pinned to the batch references
-//! end to end: `StreamingAudit` to `audit` on every dynamics family, and
-//! the streamed `stability_window` events to `trace_stability_windows`'s
-//! on every corpus scenario.
+//! round at a time must agree with the batch Defs 2–8 reference verifiers
+//! (tests/common/) pointwise — per aligned window, per definition — and
+//! its end-of-stream `max_hinet_t`/`min_hinet_l` answers must equal the
+//! reference functions, across seeded CTVG generators, archived
+//! fuzz-corpus scenarios, and fault-perturbed traces, under arbitrary
+//! chunk boundaries of the stream. The CLI's one-pass paths are pinned to
+//! the references end to end: `StreamingAudit` to `audit` on every
+//! dynamics family, and the streamed `stability_window` events to
+//! `trace_stability_windows`'s on every corpus scenario.
 //!
-//! Both verifier families share `Hierarchy::l_hop_connectivity` (one
-//! multi-source BFS), so it has its own differential property against an
-//! all-pairs reference kept here.
+//! Both sides share `Hierarchy::l_hop_connectivity` (one multi-source
+//! BFS), so it has its own differential property against an all-pairs
+//! reference kept here.
 
-use hinet::cluster::audit::{audit, StreamingAudit};
+mod common;
+
+use common::{
+    audit, cluster_stable_in_window, head_connectivity_in_window, head_set_stable_in_window,
+    hierarchy_stable_in_window, is_head_set_forever_stable, l_hop_in_window,
+    max_hierarchy_stability_sliding, max_hinet_t, min_hinet_l, trace_stability_windows,
+};
+use hinet::cluster::audit::StreamingAudit;
 use hinet::cluster::clustering::{re_elect, ClusteringKind, GatewayPolicy};
 use hinet::cluster::ctvg::{CtvgTrace, FlatProvider, HierarchyProvider};
 use hinet::cluster::generators::{ClusteredMobilityGen, HiNetConfig, HiNetGen};
-use hinet::cluster::hierarchy::{ClusterId, Hierarchy, Role};
-use hinet::cluster::stability::stream::{StabilityStream, StreamReport, WindowVerdict};
-use hinet::cluster::stability::{
-    head_connectivity_in_window, head_set_stable_in_window, hierarchy_stable_in_window,
-    is_head_set_forever_stable, l_hop_in_window, max_hierarchy_stability_sliding, max_hinet_t,
-    min_hinet_l, trace_stability_windows,
-};
+use hinet::cluster::hierarchy::{single_cluster, ClusterId, Hierarchy, Role};
+use hinet::cluster::stability::stream::{StabilityStream, StreamReport, Violation, WindowVerdict};
 use hinet::graph::graph::{Graph, GraphBuilder, NodeId};
+use hinet::graph::trace::TvgTrace;
 use hinet::graph::CsrGraph;
 use hinet::rt::check::{check, CaseCtx};
 use hinet::rt::obs::{ObsConfig, Tracer};
@@ -583,4 +586,191 @@ fn one_bfs_l_hop_equals_all_pairs_reference() {
             g.m()
         );
     });
+}
+
+// Fixed traces: hand-built hierarchies that put each definition's boundary
+// case (a trailing partial window, a churning backbone, a hierarchy change
+// on an aligned boundary) in front of both sides.
+
+fn nid(i: usize) -> NodeId {
+    NodeId::from_index(i)
+}
+
+/// Two-cluster fixture on 6 nodes: heads 0 and 3 joined through gateway
+/// 2, members 1 and 4, 5.
+fn fixture_hierarchy() -> Hierarchy {
+    let roles = vec![
+        Role::Head,
+        Role::Member,
+        Role::Gateway,
+        Role::Head,
+        Role::Member,
+        Role::Member,
+    ];
+    let c0 = Some(ClusterId(nid(0)));
+    let c3 = Some(ClusterId(nid(3)));
+    Hierarchy::new(roles, vec![c0, c0, c0, c3, c3, c3])
+}
+
+fn constant_trace(len: usize) -> CtvgTrace {
+    let g = Arc::new(Graph::from_edges(
+        6,
+        [(0, 1), (0, 2), (2, 3), (3, 4), (3, 5)],
+    ));
+    let h = Arc::new(fixture_hierarchy());
+    let t = TvgTrace::new((0..len).map(|_| Arc::clone(&g)).collect());
+    CtvgTrace::new(t, (0..len).map(|_| Arc::clone(&h)).collect())
+}
+
+/// Round 0 joins the heads through node 2, round 1 through node 1: each
+/// round is connected, but no subgraph connecting them is stable.
+fn churny_trace() -> CtvgTrace {
+    let h = Arc::new(fixture_hierarchy());
+    let g0 = Graph::from_edges(6, [(0, 1), (0, 2), (2, 3), (3, 4), (3, 5)]);
+    let g1 = Graph::from_edges(6, [(0, 1), (0, 2), (1, 3), (3, 4), (3, 5)]);
+    let t = TvgTrace::new(vec![Arc::new(g0), Arc::new(g1)]);
+    CtvgTrace::new(t, vec![Arc::clone(&h), h])
+}
+
+/// [`assert_stream_matches_batch`] plus Def 3 against every cluster's
+/// reference verdict and the spectrum's `max_hinet_t` for `l < 4`.
+fn assert_fixture_matches_batch(trace: &CtvgTrace, t: usize, l: usize) {
+    assert_stream_matches_batch(trace, t, l);
+    let (verdicts, report) = stream_trace(trace, t, l, true);
+    for (i, v) in verdicts.iter().enumerate() {
+        let (s, len) = (i * t, t.min(trace.len() - i * t));
+        let def3 =
+            (0..trace.n()).all(|k| cluster_stable_in_window(trace, ClusterId(nid(k)), s, len));
+        assert_eq!(v.def3, def3, "def3 @{s}");
+    }
+    for probe_l in 0..4 {
+        assert_eq!(
+            report.max_hinet_t(probe_l),
+            max_hinet_t(trace, probe_l),
+            "max_hinet_t @ l={probe_l}"
+        );
+    }
+}
+
+#[test]
+fn constant_trace_matches_batch_for_all_t() {
+    let trace = constant_trace(6);
+    for t in 1..=7 {
+        assert_fixture_matches_batch(&trace, t, 2);
+    }
+}
+
+#[test]
+fn partial_window_matches_batch() {
+    // Length 5, t = 2: windows [0,2) [2,4) [4,5) — the trailing partial
+    // window is verified, not dropped (the windowing contract).
+    let trace = constant_trace(5);
+    assert_fixture_matches_batch(&trace, 2, 2);
+    let (verdicts, report) = stream_trace(&trace, 2, 2, true);
+    assert_eq!(verdicts.len(), 3);
+    assert_eq!(verdicts[2].len, 1);
+    assert_eq!(report.hinet_windows, 3);
+}
+
+#[test]
+fn churny_backbone_matches_batch_and_reports_violation() {
+    let trace = churny_trace();
+    assert_fixture_matches_batch(&trace, 2, 3);
+    let (verdicts, report) = stream_trace(&trace, 2, 3, true);
+    assert!(verdicts[0].def2 && verdicts[0].def4);
+    assert!(!verdicts[0].def5 && !verdicts[0].def7 && !verdicts[0].def8);
+    // Without the certificate the violation is pinned to the close.
+    assert_eq!(
+        report.violation,
+        Some(Violation {
+            def: 5,
+            window_start: 0,
+            round: 1
+        })
+    );
+}
+
+#[test]
+fn spectrum_matches_batch_on_hierarchy_churn() {
+    // Hierarchy changes at round 2 of 4: only t ∈ {1, 2} can be Def-4
+    // stable (gcd = 2), and connectivity decides among them.
+    let g = Arc::new(Graph::complete(4));
+    let h1 = Arc::new(single_cluster(4, nid(0)));
+    let h2 = Arc::new(single_cluster(4, nid(1)));
+    let t = TvgTrace::new((0..4).map(|_| Arc::clone(&g)).collect());
+    let trace = CtvgTrace::new(t, vec![Arc::clone(&h1), h1, Arc::clone(&h2), h2]);
+    for t in 1..=4 {
+        assert_fixture_matches_batch(&trace, t, 1);
+    }
+}
+
+#[test]
+fn emitted_events_match_batch_tracer() {
+    let trace = churny_trace();
+    let mut batch = Tracer::new(ObsConfig::full());
+    let held = trace_stability_windows(&trace, 2, 3, &mut batch);
+    let mut streamed = Tracer::new(ObsConfig::full());
+    let (verdicts, report) = stream_trace(&trace, 2, 3, true);
+    for v in &verdicts {
+        v.emit_into(&mut streamed);
+    }
+    assert_eq!(report.hinet_windows, held);
+    let a: Vec<String> = batch.events().map(|e| format!("{e:?}")).collect();
+    let b: Vec<String> = streamed.events().map(|e| format!("{e:?}")).collect();
+    assert_eq!(a, b);
+}
+
+fn constructed(t: usize, rotate: bool, seed: u64) -> CtvgTrace {
+    let mut gen = HiNetGen::new(HiNetConfig {
+        n: 30,
+        num_heads: 4,
+        theta: 8,
+        l: 2,
+        t,
+        reaffil_prob: 0.1,
+        rotate_heads: rotate,
+        noise_edges: 5,
+        seed,
+    });
+    CtvgTrace::capture(&mut gen, 3 * t.max(2))
+}
+
+#[test]
+fn streaming_audit_matches_batch_exactly() {
+    // Same report, field for field (floats included — both sides
+    // accumulate in the same order), across rotation and stability regimes
+    // and horizon lengths that are not multiples of t.
+    for (t, rotate, seed) in [(4, true, 1), (3, false, 2), (2, true, 3), (5, true, 7)] {
+        let trace = constructed(t, rotate, seed);
+        let batch = audit(&trace);
+        let mut sa = StreamingAudit::new();
+        for (g, h) in trace.iter() {
+            sa.push(g, h);
+        }
+        assert!(sa.peak_state_bytes() > 0);
+        assert_eq!(sa.rounds(), trace.len());
+        assert_eq!(sa.finish(), batch, "t={t} rotate={rotate} seed={seed}");
+    }
+}
+
+#[test]
+fn streaming_audit_matches_batch_on_disconnected_rounds() {
+    // Two valid clusters that lose their interconnection in the middle
+    // round: max_flat_t and min_l must be None on both sides.
+    let c0 = Some(ClusterId(NodeId(0)));
+    let c2 = Some(ClusterId(NodeId(2)));
+    let h = Arc::new(Hierarchy::new(
+        vec![Role::Head, Role::Member, Role::Head, Role::Member],
+        vec![c0, c0, c2, c2],
+    ));
+    let good = Arc::new(Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]));
+    let split = Arc::new(Graph::from_edges(4, [(0, 1), (2, 3)]));
+    let t = TvgTrace::new(vec![Arc::clone(&good), split, good]);
+    let trace = CtvgTrace::new(t, vec![Arc::clone(&h), Arc::clone(&h), h]);
+    let batch = audit(&trace);
+    let mut sa = StreamingAudit::new();
+    for (g, hh) in trace.iter() {
+        sa.push(g, hh);
+    }
+    assert_eq!(sa.finish(), batch);
 }
