@@ -315,17 +315,19 @@ for sc in tests/corpus/*.scenario; do
 done
 # Provider constant-memory smoke: the mobility providers keep one round, so
 # the audit's peak RSS on waypoint dynamics must not grow with the horizon:
-# at 400 rounds it must stay within 1.25x of the 100-round peak. Each run
-# is measured by its own python3 process (ru_maxrss of its one child, KB).
-peak_rss_kb() {
+# at 400 rounds it must stay within 1.25x of the 100-round peak.
+# `peak_rss_to FILE CMD...` runs CMD with its stdout in FILE under its own
+# python3 process and prints its peak RSS (ru_maxrss of that one child, KB).
+peak_rss_to() {
     python3 - "$@" <<'PY'
 import resource, subprocess, sys
-subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+with open(sys.argv[1], "w") as out:
+    subprocess.run(sys.argv[2:], check=True, stdout=out)
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 PY
 }
-rss100=$(peak_rss_kb ./target/release/hinet audit --dynamics waypoint --n 300 --rounds 100)
-rss400=$(peak_rss_kb ./target/release/hinet audit --dynamics waypoint --n 300 --rounds 400)
+rss100=$(peak_rss_to /dev/null ./target/release/hinet audit --dynamics waypoint --n 300 --rounds 100)
+rss400=$(peak_rss_to /dev/null ./target/release/hinet audit --dynamics waypoint --n 300 --rounds 400)
 if [ $((rss400 * 4)) -gt $((rss100 * 5)) ]; then
     echo "stream gate: audit peak RSS grew with the horizon ($rss100 -> $rss400 KB)" >&2
     exit 1
@@ -376,15 +378,9 @@ echo "stream gate: OK"
 # 147 000 KB there.
 rm -rf target/ci-memory
 mkdir -p target/ci-memory
-event_rss=$(python3 - target/ci-memory/event.txt ./target/release/hinet run \
+event_rss=$(peak_rss_to target/ci-memory/event.txt ./target/release/hinet run \
     --algorithm alg2 --n 20000 --k 64 --seed 3 --mode event --loss 0.05 --delay 0.03 \
-    --max-delay 3 --dup 0.02 --reorder --reliable --fault-seed 3 --budget 40 <<'PY'
-import resource, subprocess, sys
-with open(sys.argv[1], "w") as out:
-    subprocess.run(sys.argv[2:], check=True, stdout=out)
-print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
-PY
-)
+    --max-delay 3 --dup 0.02 --reorder --reliable --fault-seed 3 --budget 40)
 grep -q 'completed in 15 rounds' target/ci-memory/event.txt || {
     echo "memory smoke: the event-mode run did not complete in 15 rounds:" >&2
     cat target/ci-memory/event.txt >&2
@@ -395,6 +391,24 @@ if [ "$event_rss" -gt $((158140 * 11 / 10)) ]; then
     exit 1
 fi
 echo "memory smoke: OK ($event_rss KB)"
+# Clean lock-step memory smoke: a trivial plan keeps no per-node message
+# buffers (one flat outbox per round; each receiver gathers its inbox into
+# a per-worker scratch buffer), so an n = 20 000 Algorithm 1 run must
+# complete in 214 rounds and peak within 10% of 14 100 KB (ru_maxrss), the
+# most that run reached in four runs on a 2-core VM at the default thread
+# count; with per-node inboxes it peaked near 17 000 KB.
+clean_rss=$(peak_rss_to target/ci-memory/clean.txt ./target/release/hinet run \
+    --algorithm alg1 --n 20000 --k 64 --seed 3)
+grep -q 'completed in 214 rounds' target/ci-memory/clean.txt || {
+    echo "memory smoke: the clean lock-step run did not complete in 214 rounds:" >&2
+    cat target/ci-memory/clean.txt >&2
+    exit 1
+}
+if [ "$clean_rss" -gt $((14100 * 11 / 10)) ]; then
+    echo "memory smoke: clean lock-step peak RSS $clean_rss KB exceeds 110% of 14100 KB" >&2
+    exit 1
+fi
+echo "memory smoke: OK ($clean_rss KB clean lock-step)"
 
 # Benchmark gate: perfbench is a separate package that nothing above
 # builds, so a library change could break it unseen. Its tests must pass,

@@ -10,6 +10,9 @@
 //! Worker panics are caught per-cell and re-raised on the calling thread
 //! with the failing input's index and the original panic payload — a sweep
 //! failure names the cell that died instead of a bare "worker panicked".
+//!
+//! The simulation engine's per-node phases split their nodes into static
+//! contiguous chunks instead ([`map_mut`], [`for_chunks_mut`]).
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -159,6 +162,54 @@ where
     out.into_iter().flatten().collect()
 }
 
+/// Run `f(start, chunk, &mut workers[w])` over `items` split into
+/// `workers.len()` contiguous chunks, where `start` is the index of the
+/// chunk's first element — the engine's per-node round phases, whose
+/// workers keep reusable scratch buffers from one round to the next.
+///
+/// Chunk sizes differ by at most one, as in [`map_mut`]. The last chunk
+/// runs on the calling thread and every other one on its own scoped
+/// thread, so one worker runs inline, spawning and allocating nothing.
+///
+/// # Panics
+/// Panics if `workers` is empty. If `f` panics on some chunk, that panic
+/// is re-raised here with its original payload once every chunk is done.
+pub fn for_chunks_mut<T, W, F>(items: &mut [T], workers: &mut [W], f: F)
+where
+    T: Send,
+    W: Send,
+    F: Fn(usize, &mut [T], &mut W) + Sync,
+{
+    let (n, threads) = (items.len(), workers.len());
+    let (last, spawned) = workers.split_last_mut().expect("at least one worker");
+    if spawned.is_empty() {
+        return f(0, items, last);
+    }
+    std::thread::scope(|scope| {
+        let f = &f;
+        let mut rest = items;
+        let mut start = 0usize;
+        let mut handles = Vec::with_capacity(spawned.len());
+        for (w, worker) in spawned.iter_mut().enumerate() {
+            let size = (n - start) / (threads - w);
+            let (chunk, tail) = rest.split_at_mut(size);
+            rest = tail;
+            handles.push(scope.spawn(move || f(start, chunk, worker)));
+            start += size;
+        }
+        let inline = catch_unwind(AssertUnwindSafe(|| f(start, rest, last)));
+        let mut failure = None;
+        for h in handles {
+            if let Err(payload) = h.join() {
+                failure.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = failure.or(inline.err()) {
+            resume_unwind(payload);
+        }
+    });
+}
+
 /// A requested thread count, with 0 meaning the available parallelism.
 /// Only then is the machine asked: on Linux the answer reads cgroup files,
 /// which costs tens of microseconds per call.
@@ -305,6 +356,40 @@ mod tests {
         let msg = panic_message(err.as_ref()).expect("string payload");
         assert!(msg.contains("element 13"), "missing index: {msg}");
         assert!(msg.contains("boom at element 13"), "missing payload: {msg}");
+    }
+
+    #[test]
+    fn for_chunks_mut_covers_every_element_once_in_contiguous_chunks() {
+        for workers in [1usize, 2, 3, 8] {
+            let mut items: Vec<usize> = (0..21).collect();
+            let mut seen: Vec<Vec<usize>> = vec![Vec::new(); workers];
+            for_chunks_mut(&mut items, &mut seen, |start, chunk, seen| {
+                for (j, x) in chunk.iter_mut().enumerate() {
+                    assert_eq!(*x, start + j, "start indexes the chunk");
+                    seen.push(*x);
+                    *x += 100;
+                }
+            });
+            assert_eq!(items, (100..121).collect::<Vec<_>>());
+            let sizes: Vec<usize> = seen.iter().map(Vec::len).collect();
+            assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
+            assert_eq!(seen.concat(), (0..21).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn for_chunks_mut_reraises_a_chunk_panic_verbatim() {
+        let mut items: Vec<usize> = (0..32).collect();
+        let mut workers = [(); 4];
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            for_chunks_mut(&mut items, &mut workers, |start, _, _| {
+                if start == 8 {
+                    panic!("boom at chunk {start}");
+                }
+            })
+        }))
+        .expect_err("for_chunks_mut must propagate the worker panic");
+        assert_eq!(panic_message(err.as_ref()), Some("boom at chunk 8"));
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! between a protocol's `send` and the receiver's `receive`.
 //!
 //! The lock-step engine and the event runtime differ only in how envelopes
-//! travel (straight into per-receiver buffers within one round, or through
-//! per-node mailboxes) and in when a node's steps run. Everything that
-//! decides *what* is delivered lives here, once:
+//! travel (through one reassembly within one round, or through per-node
+//! mailboxes) and in when a node's steps run. Everything that decides
+//! *what* is delivered lives here, once:
 //!
 //! * **the gate** ([`Plane::fate`]) — the one function that decides a
 //!   delivery's fate, in the order down receiver → partition → loss →
@@ -14,6 +14,10 @@
 //!   once their edge exists and their sender is up, the reliability timer
 //!   flush and its seq numbering, and the end-of-round markers that carry
 //!   acks;
+//! * **the gather rule** ([`Outbox::gather`]) — a clean lock-step round
+//!   builds no envelopes: each receiver gathers its inbox from its
+//!   neighbours' sends, in the order the sender step's emission would
+//!   have delivered them;
 //! * **the receiver step** ([`Plane::accept`]) — ack application, rid
 //!   dedup and the reorder permutation over the round's reassembled inbox,
 //!   in place in the caller's release buffer.
@@ -25,11 +29,12 @@
 
 use crate::engine::{obs_role, role_slot, CostWeights, MessageRecord, Metrics};
 use crate::fault::FaultPlan;
-use crate::protocol::{Destination, Outgoing, Payload};
+use crate::protocol::{Destination, Incoming, Outgoing, Payload};
 use crate::reliable::{ReceiverLedger, ReliableConfig, Retransmit, SenderWindow};
 use crate::round::RoundCtx;
 use crate::transport::{Envelope, EnvelopeKind, Released};
 use hinet_graph::graph::NodeId;
+use hinet_graph::Graph;
 use hinet_rt::obs::{self, FaultKind, Tracer};
 
 /// One node's delivery-plane counters for one round. Both drivers sum
@@ -250,6 +255,10 @@ pub(crate) struct Plane<'a> {
     /// Send end-of-round markers. The event runtime always needs them to
     /// close round quorums; lock-step only for the acks they carry.
     markers: bool,
+    /// Receivers gather their inboxes from the round's [`Outbox`] (a
+    /// trivial plan in lock-step), so the sender step accounts and traces
+    /// but emits nothing.
+    gather: bool,
 }
 
 impl<'a> Plane<'a> {
@@ -271,6 +280,7 @@ impl<'a> Plane<'a> {
             record_messages,
             weights,
             markers: event_mode || reliable,
+            gather: trivial && !event_mode,
         }
     }
 
@@ -355,9 +365,10 @@ impl<'a> Plane<'a> {
 
     /// Node `i`'s round-`r` sender step. `outs` is what its protocol sent
     /// this round (empty when it is down or finished); every envelope that
-    /// leaves the node goes to `emit`. Counters land in `tally`, trace
-    /// events in `evts`, message records in `msgs`; `due` is scratch for
-    /// the timer retransmits.
+    /// leaves the node goes to `emit` — none on a gathering plane, whose
+    /// receivers read `outs` themselves ([`Outbox::gather`]). Counters
+    /// land in `tally`, trace events in `evts`, message records in `msgs`;
+    /// `due` is scratch for the timer retransmits.
     ///
     /// Order: reliability-timer retransmits, then matured held envelopes,
     /// then the fresh sends, then one end-of-round marker per neighbour.
@@ -371,7 +382,7 @@ impl<'a> Plane<'a> {
         r: usize,
         i: usize,
         link: &mut Link,
-        outs: Vec<Outgoing>,
+        outs: &[Outgoing],
         tally: &mut Tally,
         evts: &mut Vec<BufEvt>,
         msgs: &mut Vec<MessageRecord>,
@@ -510,11 +521,11 @@ impl<'a> Plane<'a> {
                     tokens: out.payload.to_vec(),
                 });
             }
-            if delivered {
+            if delivered && !self.gather {
                 for &v in targets {
                     if self.trivial {
-                        // No plan, no gate, no window: the hot path of
-                        // every clean run goes straight to delivery.
+                        // No plan, no gate, no window: straight to
+                        // delivery.
                         emit(payload_env(v, seq, out.payload.clone(), directed, 0));
                         continue;
                     }
@@ -613,5 +624,216 @@ impl<'a> Plane<'a> {
         if self.faults.reorder {
             self.faults.shuffle(r, i, &mut rel.inbox[from..]);
         }
+    }
+}
+
+/// One lock-step round's sends, flat: node `u`'s, in send order, are
+/// `msgs[offsets[u]..offsets[u + 1]]`. Both buffers are reused round after
+/// round.
+#[derive(Default)]
+pub(crate) struct Outbox {
+    msgs: Vec<Outgoing>,
+    offsets: Vec<usize>,
+}
+
+impl Outbox {
+    /// Start a round with no sends.
+    pub(crate) fn clear(&mut self) {
+        self.msgs.clear();
+        self.offsets.clear();
+        self.offsets.push(0);
+    }
+
+    /// Append the sends of the next nodes in id order: `msgs`, of which
+    /// the `j`-th node's end at `ends[j]`. `msgs` is left empty.
+    pub(crate) fn append(&mut self, msgs: &mut Vec<Outgoing>, ends: &[usize]) {
+        let base = self.msgs.len();
+        self.offsets.extend(ends.iter().map(|&e| base + e));
+        if base == 0 {
+            // Trade buffers instead of copying: both keep their capacity.
+            std::mem::swap(&mut self.msgs, msgs);
+        } else {
+            self.msgs.append(msgs);
+        }
+    }
+
+    /// Node `u`'s sends this round.
+    pub(crate) fn sent(&self, u: usize) -> &[Outgoing] {
+        &self.msgs[self.offsets[u]..self.offsets[u + 1]]
+    }
+
+    /// The gather rule: node `v`'s inbox on a trivial plan, written into
+    /// `inbox` (cleared first). Every neighbour's broadcasts and the
+    /// unicasts it addressed to `v` are delivered; empty payloads are not.
+    /// `graph`'s neighbour lists are sorted, so the inbox comes in
+    /// `(sender, seq)` order — exactly what [`Plane::send`]'s emission
+    /// delivers to `v`.
+    pub(crate) fn gather(&self, graph: &Graph, v: usize, inbox: &mut Vec<Incoming>) {
+        inbox.clear();
+        let me = NodeId::from_index(v);
+        for &from in graph.neighbors(me) {
+            for out in self.sent(from.index()) {
+                let directed = match out.dest {
+                    Destination::Broadcast => false,
+                    Destination::Unicast(to) if to == me => true,
+                    Destination::Unicast(_) => continue,
+                };
+                if !out.payload.is_empty() {
+                    inbox.push(Incoming {
+                        from,
+                        directed,
+                        payload: out.payload.clone(),
+                    });
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::CostWeights;
+    use crate::token::{TokenId, TokenSet};
+    use hinet_cluster::hierarchy::single_cluster;
+    use hinet_rt::check::{check, CaseCtx};
+    use hinet_rt::rng::Rng;
+    use std::sync::Arc;
+
+    /// A random send: a broadcast, a unicast to a neighbour or to a
+    /// non-neighbour (`me` itself included), with a `One` payload or a
+    /// `Set` one that may be empty.
+    fn arb_send(c: &mut CaseCtx, g: &Graph, me: NodeId) -> Outgoing {
+        let n = g.n();
+        let payload = if c.random_bool(0.5) {
+            Payload::One(TokenId(c.random_range(0..16u64)))
+        } else {
+            let len = *c.pick(&[0usize, 1, 3]);
+            let set: TokenSet = (0..len)
+                .map(|_| TokenId(c.random_range(0..16u64)))
+                .collect();
+            Payload::Set(Arc::new(set))
+        };
+        let neighbors = g.neighbors(me);
+        let dest = match c.random_range(0..3u32) {
+            0 => Destination::Broadcast,
+            1 if !neighbors.is_empty() => Destination::Unicast(*c.pick(neighbors)),
+            _ => {
+                let strangers: Vec<NodeId> = (0..n)
+                    .map(NodeId::from_index)
+                    .filter(|&v| !g.has_edge(me, v))
+                    .collect();
+                Destination::Unicast(*c.pick(&strangers))
+            }
+        };
+        Outgoing {
+            dest,
+            payload,
+            retransmit: c.random_bool(0.1),
+        }
+    }
+
+    /// The gather rule delivers what the sender step's own clean-plan
+    /// emission delivers — the emission event mode still runs — to every
+    /// receiver, message for message and in order: random graphs with
+    /// isolated nodes, random outboxes appended in random worker chunks.
+    /// The gathering plane emits nothing and accounts the same round.
+    #[test]
+    fn gather_matches_the_sender_steps_emission() {
+        check("gather_matches_the_sender_steps_emission", 128, |c| {
+            let n = c.random_range(1..=64usize);
+            let density = *c.pick(&[0.02, 0.1, 0.4]);
+            let isolated: Vec<bool> = c.vec_of(n, |c| c.random_bool(0.15));
+            let mut edges = Vec::new();
+            for u in 0..n {
+                for v in u + 1..n {
+                    if !isolated[u] && !isolated[v] && c.random_bool(density) {
+                        edges.push((u as u32, v as u32));
+                    }
+                }
+            }
+            let ctx = RoundCtx {
+                graph: Arc::new(Graph::from_edges(n, edges)),
+                hierarchy: Arc::new(single_cluster(n, NodeId(0))),
+                down: vec![false; n].into(),
+                crashed: vec![false; n].into(),
+            };
+            let sends: Vec<Vec<Outgoing>> = (0..n)
+                .map(|i| {
+                    let count = c.random_range(0..=4usize);
+                    c.vec_of(count, |c| arb_send(c, &ctx.graph, NodeId::from_index(i)))
+                })
+                .collect();
+            let mut outbox = Outbox::default();
+            outbox.clear();
+            let mut first = 0;
+            while first < n {
+                let last = c.random_range(first + 1..=n);
+                let mut msgs = Vec::new();
+                let mut ends = Vec::new();
+                for node_sends in &sends[first..last] {
+                    msgs.extend(node_sends.iter().cloned());
+                    ends.push(msgs.len());
+                }
+                outbox.append(&mut msgs, &ends);
+                first = last;
+            }
+
+            let faults = FaultPlan::none();
+            let weights = CostWeights::default();
+            let emitting = Plane::new(&faults, false, false, true, weights, true);
+            let gathering = Plane::new(&faults, false, false, true, weights, false);
+            let mut want: Vec<Vec<Incoming>> = vec![Vec::new(); n];
+            let (mut t_emit, mut t_gather) = (Tally::default(), Tally::default());
+            let (mut evts, mut msgs, mut due) = (Vec::new(), Vec::new(), DueBuf::new());
+            let (mut m_emit, mut m_gather) = (Vec::new(), Vec::new());
+            for (i, node_sends) in sends.iter().enumerate() {
+                assert_eq!(outbox.sent(i), &node_sends[..], "node {i}'s outbox slice");
+                emitting.send(
+                    &ctx,
+                    3,
+                    i,
+                    &mut Link::default(),
+                    node_sends,
+                    &mut t_emit,
+                    &mut evts,
+                    &mut msgs,
+                    &mut due,
+                    &mut |env: Envelope| {
+                        if let EnvelopeKind::Payload {
+                            payload, directed, ..
+                        } = env.kind
+                        {
+                            want[env.to.index()].push(Incoming {
+                                from: env.from,
+                                directed,
+                                payload,
+                            });
+                        }
+                    },
+                );
+                m_emit.append(&mut msgs);
+                gathering.send(
+                    &ctx,
+                    3,
+                    i,
+                    &mut Link::default(),
+                    outbox.sent(i),
+                    &mut t_gather,
+                    &mut evts,
+                    &mut msgs,
+                    &mut due,
+                    &mut |env: Envelope| panic!("a gathering plane emitted {env:?}"),
+                );
+                m_gather.append(&mut msgs);
+            }
+            assert_eq!(format!("{t_emit:?}"), format!("{t_gather:?}"), "tallies");
+            assert_eq!(m_emit, m_gather, "message records");
+            let mut inbox = Vec::new();
+            for (v, want) in want.iter().enumerate() {
+                outbox.gather(&ctx.graph, v, &mut inbox);
+                assert_eq!(&inbox, want, "node {v}'s inbox");
+            }
+        });
     }
 }

@@ -21,17 +21,23 @@
 //! Per-node engine state lives in flat vectors indexed by node id,
 //! neighborhoods are slices of the round's [`hinet_graph::Graph`] — the
 //! flat CSR snapshot, shared from the provider's `Arc` without a copy —
-//! and the send/receive phases fan out over [`hinet_rt::pool::map_mut`]
-//! when the network is large. Event emission and fault accounting stay on
-//! a single sequential pass in node-id order, so traced and faulted runs
-//! are **byte-identical regardless of thread count**.
+//! and the send/receive phases fan out over
+//! [`hinet_rt::pool::for_chunks_mut`] workers when the network is large.
+//! A lock-step round's sends land in one flat outbox, each sender's a
+//! slice of one reused buffer. On a trivial plan no envelope is built:
+//! each receiver gathers its inbox from its neighbours' slices into its
+//! worker's reused scratch buffer, so a clean round keeps no per-node
+//! message buffer. A node with an empty inbox is not received at all.
+//! Event emission and fault accounting stay on a single sequential pass in
+//! node-id order, so traced and faulted runs are **byte-identical
+//! regardless of thread count**.
 
-use crate::delivery::{record_message, replay, DueBuf, Link, Plane, Tally};
+use crate::delivery::{record_message, replay, DueBuf, Link, Outbox, Plane, Tally};
 use crate::fault::FaultPlan;
 use crate::protocol::{Incoming, Outgoing, Protocol};
 use crate::round::{Builder, Fold, RoundCtx};
 use crate::token::{TokenId, TokenSet};
-use crate::transport::{Envelope, EnvelopeKind, Reassembly, Released};
+use crate::transport::{Envelope, Reassembly, Released};
 use hinet_cluster::ctvg::HierarchyProvider;
 use hinet_cluster::hierarchy::Role;
 use hinet_cluster::stability::stream::{StreamReport, WindowVerdict};
@@ -677,7 +683,7 @@ impl RunReport {
 /// 1. every node's `send` runs against the round's [`LocalView`](crate::protocol::LocalView);
 /// 2. broadcasts deliver to all current neighbors, unicasts to the target
 ///    iff it is a current neighbor (otherwise dropped but still paid for);
-/// 3. every node's `receive` runs;
+/// 3. every node that was delivered something runs `receive`;
 /// 4. the oracle checks global completion.
 ///
 /// Observable behaviour (metrics, trace bytes, protocol evolution) is
@@ -883,10 +889,11 @@ fn lockstep<P: Protocol + Send>(
 ) -> Ran {
     let faults = &cfg.faults;
     let n = protocols.len();
-    let threads = resolve_threads(cfg.threads, n);
     let tracing = tracer.enabled();
     let trivial = faults.is_trivial();
-    let mut inboxes: Vec<Vec<Incoming>> = vec![Vec::new(); if trivial { n } else { 0 }];
+    let mut workers: Vec<Worker> = (0..resolve_threads(cfg.threads, n).min(n))
+        .map(|_| Worker::default())
+        .collect();
     // The incremental completion oracle: whether node `i` knows the
     // whole universe, maintained at receive/restart time so the engine
     // never rescans all n nodes per round.
@@ -902,9 +909,9 @@ fn lockstep<P: Protocol + Send>(
     // would deliver them, and each round is released into one flat inbox
     // buffer, node after node. A trivial plan needs no per-node delivery
     // state — no holds, no windows, no duplicates — so every node shares
-    // one idle link and envelopes go straight into the inboxes, already
-    // in the reassembly's `(sender, seq)` order: the clean path allocates
-    // nothing extra and stays byte-identical.
+    // one idle link, no envelope is built, and each receiver gathers its
+    // inbox from its neighbours' sends in the round's flat `outbox`,
+    // already in the reassembly's `(sender, seq)` order.
     let plane = Plane::new(
         faults,
         cfg.reliable,
@@ -919,6 +926,7 @@ fn lockstep<P: Protocol + Send>(
         (0..n).map(|i| plane.link(i)).collect()
     };
     let mut reasm = Reassembly::new(if trivial { 0 } else { n });
+    let mut outbox = Outbox::default();
     // `released.inbox[offsets[v]..offsets[v + 1]]` is node `v`'s inbox.
     let mut released = Released::default();
     let mut offsets: Vec<usize> = Vec::new();
@@ -954,64 +962,46 @@ fn lockstep<P: Protocol + Send>(
         }
 
         let informed_at_start = informed_count;
-        for inbox in inboxes.iter_mut() {
-            inbox.clear();
-        }
 
         // Send phase: every live node computes its messages against its
-        // own view — node-independent, so it fans out over the pool.
-        let outs: Vec<Vec<Outgoing>> = pool::map_mut(protocols, threads, |i, p| {
-            if ctx.down[i] || p.finished() {
-                return Vec::new();
-            }
-            p.send(&ctx.view(NodeId::from_index(i), round))
-        });
-
-        // Delivery: a trivial plan's envelopes go straight into the
-        // inboxes; a non-trivial plan's through the reassembly and the
-        // receiver step, as a mailbox would deliver them.
-        let mut tally = Tally::default();
-        if trivial {
-            let emit = |env: Envelope| {
-                if let EnvelopeKind::Payload {
-                    payload, directed, ..
-                } = env.kind
-                {
-                    inboxes[env.to.index()].push(Incoming {
-                        from: env.from,
-                        directed,
-                        payload,
-                    });
+        // own view — node-independent, so it fans out over the workers,
+        // whose chunks then line up in one flat outbox.
+        pool::for_chunks_mut(protocols, &mut workers, |start, chunk, w| {
+            w.sent.clear();
+            w.ends.clear();
+            for (j, p) in chunk.iter_mut().enumerate() {
+                let i = start + j;
+                if !ctx.down[i] && !p.finished() {
+                    w.sent
+                        .extend(p.send(&ctx.view(NodeId::from_index(i), round)));
                 }
-            };
-            send_pass(
-                &plane,
-                ctx,
-                round,
-                outs,
-                &mut links,
-                &mut tally,
-                tracer,
-                &mut fold.metrics,
-                cfg,
-                &mut due,
-                emit,
-            );
-        } else {
-            let emit = |env: Envelope| reasm.file(env.to.index(), env);
-            send_pass(
-                &plane,
-                ctx,
-                round,
-                outs,
-                &mut links,
-                &mut tally,
-                tracer,
-                &mut fold.metrics,
-                cfg,
-                &mut due,
-                emit,
-            );
+                w.ends.push(w.sent.len());
+            }
+        });
+        outbox.clear();
+        for w in &mut workers {
+            outbox.append(&mut w.sent, &w.ends);
+        }
+
+        // Delivery: the sender pass accounts and traces every send; a
+        // non-trivial plan's envelopes then go through the reassembly and
+        // the receiver step, as a mailbox would deliver them. A trivial
+        // plan emits none: its receivers gather in the receive phase.
+        let mut tally = Tally::default();
+        send_pass(
+            &plane,
+            ctx,
+            round,
+            &outbox,
+            &mut links,
+            &mut tally,
+            tracer,
+            &mut fold.metrics,
+            cfg,
+            &mut due,
+            |env| reasm.file(env.to.index(), env),
+        );
+        if !trivial {
             released.inbox.clear();
             offsets.clear();
             for (v, link) in links.iter_mut().enumerate() {
@@ -1023,31 +1013,35 @@ fn lockstep<P: Protocol + Send>(
             offsets.push(released.inbox.len());
         }
 
-        // Receive phase: node-independent again — fan out, then fold
-        // the freshly-informed flags back into the oracle counter.
-        let newly_informed: Vec<bool> = {
-            let informed = &informed;
-            let inbox_of = |i: usize| -> &[Incoming] {
-                if trivial {
-                    &inboxes[i]
+        // Receive phase: node-independent again — fan out, then fold the
+        // freshly-informed nodes back into the oracle counter. A node
+        // with nothing delivered is not called.
+        pool::for_chunks_mut(protocols, &mut workers, |start, chunk, w| {
+            w.fresh.clear();
+            for (j, p) in chunk.iter_mut().enumerate() {
+                let i = start + j;
+                if ctx.down[i] {
+                    continue; // deliveries to crashed nodes are lost
+                }
+                let inbox: &[Incoming] = if trivial {
+                    outbox.gather(&ctx.graph, i, &mut w.inbox);
+                    &w.inbox
                 } else {
                     &released.inbox[offsets[i]..offsets[i + 1]]
+                };
+                if inbox.is_empty() {
+                    continue;
                 }
-            };
-            pool::map_mut(protocols, threads, |i, p| {
-                if ctx.down[i] {
-                    return false; // deliveries to crashed nodes are lost
-                }
-                let inbox = inbox_of(i);
                 p.receive(&ctx.view(NodeId::from_index(i), round), inbox);
-                !informed[i] && !inbox.is_empty() && universe.is_subset(p.known())
-            })
-        };
-        for (i, fresh) in newly_informed.into_iter().enumerate() {
-            if fresh {
-                informed[i] = true;
-                informed_count += 1;
+                if !informed[i] && universe.is_subset(p.known()) {
+                    w.fresh.push(i);
+                }
             }
+            w.inbox.clear(); // hold no payload past the round
+        });
+        for &i in workers.iter().flat_map(|w| &w.fresh) {
+            informed[i] = true;
+            informed_count += 1;
         }
 
         let in_flight: usize = links.iter().map(Link::in_flight).sum();
@@ -1073,6 +1067,19 @@ fn lockstep<P: Protocol + Send>(
     }
 }
 
+/// One lock-step worker's scratch, reused round after round.
+#[derive(Default)]
+struct Worker {
+    /// Its chunk's sends this round, node after node.
+    sent: Vec<Outgoing>,
+    /// `ends[j]`: where the chunk's `j`-th node's sends end in `sent`.
+    ends: Vec<usize>,
+    /// The inbox being gathered (trivial plan).
+    inbox: Vec<Incoming>,
+    /// Chunk nodes this round's receive informed.
+    fresh: Vec<usize>,
+}
+
 /// The lock-step sender pass: every node's sender step in node-id order,
 /// replaying its trace events and keeping its message records as it
 /// finishes, so metrics, trace events and inbox order are identical
@@ -1084,7 +1091,7 @@ fn send_pass(
     plane: &Plane<'_>,
     ctx: &RoundCtx,
     round: usize,
-    outs: Vec<Vec<Outgoing>>,
+    outbox: &Outbox,
     links: &mut [Link],
     tally: &mut Tally,
     tracer: &mut Tracer,
@@ -1094,10 +1101,19 @@ fn send_pass(
     mut emit: impl FnMut(Envelope),
 ) {
     let (mut evts, mut msgs) = (Vec::new(), Vec::new());
-    for (i, node_outs) in outs.into_iter().enumerate() {
+    for i in 0..ctx.down.len() {
         let link = &mut links[if links.len() == 1 { 0 } else { i }];
         plane.send(
-            ctx, round, i, link, node_outs, tally, &mut evts, &mut msgs, due, &mut emit,
+            ctx,
+            round,
+            i,
+            link,
+            outbox.sent(i),
+            tally,
+            &mut evts,
+            &mut msgs,
+            due,
+            &mut emit,
         );
         if tracer.enabled() {
             for e in evts.drain(..) {
@@ -1450,6 +1466,58 @@ mod tests {
         let single = jsonl(1);
         assert_eq!(single, jsonl(4), "4 threads must not perturb the trace");
         assert_eq!(single, jsonl(3), "odd splits must not perturb the trace");
+    }
+
+    /// Flooding that panics if it is handed an empty inbox.
+    struct NoEmptyReceive(Flood);
+
+    impl Protocol for NoEmptyReceive {
+        fn on_start(&mut self, me: NodeId, initial: &[TokenId]) {
+            self.0.on_start(me, initial)
+        }
+        fn send(&mut self, view: &LocalView<'_>) -> Vec<Outgoing> {
+            self.0.send(view)
+        }
+        fn receive(&mut self, view: &LocalView<'_>, inbox: &[Incoming]) {
+            assert!(
+                !inbox.is_empty(),
+                "node {} received an empty inbox",
+                view.me
+            );
+            self.0.receive(view, inbox)
+        }
+        fn known(&self) -> &TokenSet {
+            self.0.known()
+        }
+    }
+
+    /// Neither driver calls `receive` with an empty inbox, on a clean plan
+    /// at one or four workers or on a lossy reliable one. The hub starts
+    /// with no token and only leaves 3 and 7 send in round 0, so every
+    /// leaf's round-0 inbox is empty; the hub's later broadcasts fill them.
+    #[test]
+    fn no_driver_receives_an_empty_inbox() {
+        use crate::fault::FaultPlan;
+
+        let runs = [
+            RunConfig::new().threads(1),
+            RunConfig::new().threads(4),
+            RunConfig::new()
+                .faults(FaultPlan::new(7).with_loss_ppm(300_000))
+                .reliable(true),
+            RunConfig::new().mode(ExecMode::Event),
+        ];
+        for cfg in runs {
+            let label = format!("{:?}", (cfg.threads, cfg.mode, cfg.reliable));
+            let mut provider = star_provider(9, 60);
+            let mut protocols: Vec<NoEmptyReceive> =
+                (0..9).map(|_| NoEmptyReceive(Flood::new())).collect();
+            let mut assignment = vec![Vec::new(); 9];
+            assignment[3] = vec![TokenId(0)];
+            assignment[7] = vec![TokenId(1)];
+            let report = Engine::new(cfg).run(&mut provider, &mut protocols, &assignment);
+            assert!(report.completed(), "{label}: {:?}", report.outcome);
+        }
     }
 
     #[test]

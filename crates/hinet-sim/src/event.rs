@@ -792,7 +792,7 @@ fn step_send<P: Protocol>(
         r,
         i,
         &mut st.link,
-        outs,
+        &outs,
         &mut st.rep.tally,
         &mut evts,
         &mut st.msgs,
@@ -815,8 +815,9 @@ fn step_send<P: Protocol>(
 
 /// Shard node `j`'s round-`r` receive step: release the reassembled inbox
 /// through the delivery plane, run the protocol's receive (unless the
-/// node is down — its inbox is lost), track informed/finished transitions
-/// and the per-token latency cover, and submit the round report.
+/// node is down — its inbox is lost — or the inbox is empty), track
+/// informed/finished transitions and the per-token latency cover, and
+/// submit the round report.
 fn step_recv<P: Protocol>(
     shared: &Shared<'_>,
     shard: &mut Shard<'_, P>,
@@ -835,9 +836,11 @@ fn step_recv<P: Protocol>(
         .plane
         .accept(ctx, r, i, &mut st.link, rel, 0, &mut st.rep.tally);
     let inbox = &rel.inbox;
-    if !ctx.down[i] {
+    // A down node's inbox is lost; an empty one is not received, and
+    // without a receive the node learns nothing.
+    if !ctx.down[i] && !inbox.is_empty() {
         p.receive(&ctx.view(me, r), inbox);
-        if !st.informed && !inbox.is_empty() && shared.universe.is_subset(p.known()) {
+        if !st.informed && shared.universe.is_subset(p.known()) {
             st.informed = true;
             st.rep.informed_end += 1;
         }

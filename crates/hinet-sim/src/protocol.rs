@@ -251,9 +251,10 @@ impl Incoming {
 /// A per-node dissemination protocol.
 ///
 /// The engine drives each node's instance through `on_start` once, then
-/// `send`/`receive` once per round, in that order, for every node
+/// `send` and `receive` once per round, in that order, for every node
 /// simultaneously (messages sent in round `r` arrive within round `r`,
-/// matching the synchronous model).
+/// matching the synchronous model) — `receive` only in rounds that deliver
+/// the node something.
 pub trait Protocol {
     /// Called once before round 0 with the node's initial tokens.
     fn on_start(&mut self, me: NodeId, initial: &[TokenId]);
@@ -262,6 +263,12 @@ pub trait Protocol {
     fn send(&mut self, view: &LocalView<'_>) -> Vec<Outgoing>;
 
     /// Consume this round's delivered messages.
+    ///
+    /// Neither execution mode calls it with an empty inbox: a round that
+    /// delivers a node nothing skips its `receive`, so per-round work
+    /// belongs in [`Protocol::send`]. Every protocol in `hinet-core` only
+    /// folds the messages it is handed, so it is a no-op on an empty
+    /// inbox and the skip changes nothing it does.
     fn receive(&mut self, view: &LocalView<'_>, inbox: &[Incoming]);
 
     /// The tokens this node has collected so far (`TA`) — read by the

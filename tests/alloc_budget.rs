@@ -1,14 +1,16 @@
-//! Allocation budget of the faulted message plane.
+//! Allocation budget of the message plane.
 //!
 //! Once a run is warmed up, a round of Algorithm 2 under loss, delay,
 //! duplication, reorder and the reliability layer must cost the engine
 //! only a small constant number of heap allocations on top of what the
 //! protocols allocate themselves, in event mode and in lock-step alike:
 //! reassembly storage, inboxes and retransmit lists are reused, so no
-//! per-node or per-envelope allocation recurs round after round.
+//! per-node or per-envelope allocation recurs round after round. The same
+//! holds for a clean lock-step round, whose flat outbox and gathered
+//! inboxes are reused too.
 //!
 //! A counting global allocator (this test binary only) counts the
-//! allocations and reallocations of the calling thread. Both runs use one
+//! allocations and reallocations of the calling thread. Every run uses one
 //! worker, so the whole run happens on that thread. The protocols are
 //! wrapped so the allocations inside their own calls are counted
 //! separately, and the dynamics are captured before counting starts, so
@@ -117,9 +119,10 @@ const ROUNDS: usize = 60;
 /// far below one per node.
 const BUDGET_PER_ROUND: u64 = 16;
 
-/// The engine's allocations in a faulted, reliable Algorithm 2 run of
-/// `rounds` rounds in `mode`, and the run's packet count.
-fn engine_allocs(mode: ExecMode, rounds: usize) -> (u64, u64) {
+/// The engine's allocations in an Algorithm 2 run of `rounds` rounds in
+/// `mode` — faulted and reliable, or on a trivial plan — and the run's
+/// packet count.
+fn engine_allocs(mode: ExecMode, faulted: bool, rounds: usize) -> (u64, u64) {
     let trace = CtvgTrace::capture(
         &mut HiNetGen::new(HiNetConfig {
             n: N,
@@ -150,43 +153,53 @@ fn engine_allocs(mode: ExecMode, rounds: usize) -> (u64, u64) {
         .stop_on_completion(false)
         .threads(1)
         .mode(mode)
-        .faults(faults)
-        .reliable(true);
+        .faults(if faulted { faults } else { FaultPlan::none() })
+        .reliable(faulted);
     PROTOCOL.with(|c| c.set(0));
     let before = allocs();
     let report = Engine::new(cfg).run(&mut provider, &mut protocols, &assignment);
     let total = allocs() - before;
     assert_eq!(report.rounds_executed, rounds);
-    assert!(report.metrics.retransmit_timeouts > 0, "the timers fired");
+    assert_eq!(
+        report.metrics.retransmit_timeouts > 0,
+        faulted,
+        "the timers fire iff the plan is faulted"
+    );
     (
         total - PROTOCOL.with(Cell::get),
         report.metrics.packets_sent,
     )
 }
 
-fn assert_within_budget(mode: ExecMode) {
-    let (warm, warm_packets) = engine_allocs(mode, WARM_UP);
-    let (full, full_packets) = engine_allocs(mode, ROUNDS);
+fn assert_within_budget(mode: ExecMode, faulted: bool) {
+    let (warm, warm_packets) = engine_allocs(mode, faulted, WARM_UP);
+    let (full, full_packets) = engine_allocs(mode, faulted, ROUNDS);
     let per_round = (full - warm).div_ceil((ROUNDS - WARM_UP) as u64);
+    let plan = if faulted { "faulted" } else { "clean" };
     eprintln!(
-        "{mode}: {} engine allocations in rounds {WARM_UP}..{ROUNDS} ({per_round} per round, \
-         {} packets)",
+        "{plan} {mode}: {} engine allocations in rounds {WARM_UP}..{ROUNDS} ({per_round} per \
+         round, {} packets)",
         full - warm,
         full_packets - warm_packets
     );
     assert!(
         per_round <= BUDGET_PER_ROUND,
-        "{mode}: the engine made {per_round} allocations per round after the warm-up \
+        "{plan} {mode}: the engine made {per_round} allocations per round after the warm-up \
          (budget {BUDGET_PER_ROUND} for {N} nodes)"
     );
 }
 
 #[test]
 fn event_mode_rounds_allocate_a_constant() {
-    assert_within_budget(ExecMode::Event);
+    assert_within_budget(ExecMode::Event, true);
 }
 
 #[test]
 fn faulted_lockstep_rounds_allocate_a_constant() {
-    assert_within_budget(ExecMode::Lockstep);
+    assert_within_budget(ExecMode::Lockstep, true);
+}
+
+#[test]
+fn clean_lockstep_rounds_allocate_a_constant() {
+    assert_within_budget(ExecMode::Lockstep, false);
 }

@@ -7,8 +7,9 @@
 //! length, ascending iteration order, min/max, subset, union, and the
 //! word-parallel selections `max_not_in`/`min_not_in`/`max_not_in_either`
 //! the algorithms run every round — at token universes up to the scale
-//! target k = 10^4. A final test fingerprints the parallel round loop:
-//! the engine must emit byte-identical traces regardless of thread count.
+//! target k = 10^4. The final tests fingerprint the parallel round loop on
+//! Algorithms 1 and 2 and RLNC: the engine must emit byte-identical traces
+//! and the same metrics regardless of thread count.
 
 use hinet::rt::check::{check, CaseCtx};
 use hinet::rt::rng::Rng;
@@ -159,20 +160,66 @@ fn equality_ignores_capacity() {
 /// runs single-threaded or split across workers.
 #[test]
 fn parallel_round_loop_trace_bytes_are_thread_count_invariant() {
+    use hinet::core::runner::AlgorithmKind;
+
+    let n = 120;
+    assert_thread_count_invariant(
+        &AlgorithmKind::HiNetFullExchange { rounds: n - 1 },
+        n,
+        12,
+        1,
+    );
+}
+
+/// Algorithm 1 on its (T, L)-HiNet dynamics, T = k + αL — the benchmark's
+/// clean lock-step path, where each receiver gathers its inbox from its
+/// neighbours' sends.
+#[test]
+fn algorithm_1_is_thread_count_invariant() {
+    use hinet::core::params::alg1_plan;
+    use hinet::core::runner::AlgorithmKind;
+
+    let (n, k, alpha, l) = (150, 10, 2, 2);
+    let plan = alg1_plan(k, alpha, l, THETA);
+    let kind = AlgorithmKind::HiNetPhased(plan);
+    assert_thread_count_invariant(&kind, n, k, plan.rounds_per_phase);
+}
+
+/// RLNC: a node's GF(2) basis, and so every coded packet it sends next,
+/// depends on the order of its inbox.
+#[test]
+fn rlnc_is_thread_count_invariant() {
+    use hinet::core::runner::AlgorithmKind;
+
+    let k = 12;
+    assert_thread_count_invariant(&AlgorithmKind::Rlnc { k, seed: 5 }, 120, k, 1);
+}
+
+/// The cluster-count bound θ of the invariance tests' dynamics.
+const THETA: usize = 20;
+
+/// Run `kind` on seeded HiNet dynamics with stability window `t` at 1, 2,
+/// 3 and 8 engine threads: the trace bytes and the report's metrics must
+/// not depend on the thread count.
+fn assert_thread_count_invariant(
+    kind: &hinet::core::runner::AlgorithmKind,
+    n: usize,
+    k: usize,
+    t: usize,
+) {
     use hinet::cluster::generators::{HiNetConfig, HiNetGen};
-    use hinet::core::runner::{run_algorithm, AlgorithmKind};
+    use hinet::core::runner::run_algorithm;
     use hinet::rt::obs::{ObsConfig, Tracer};
     use hinet::sim::engine::RunConfig;
     use hinet::sim::token::round_robin_assignment;
 
-    let (n, k) = (120, 12);
     let run = |threads: usize| {
         let mut provider = HiNetGen::new(HiNetConfig {
             n,
             num_heads: 8,
-            theta: 20,
+            theta: THETA,
             l: 2,
-            t: 1,
+            t,
             reaffil_prob: 0.2,
             rotate_heads: true,
             noise_edges: n / 5,
@@ -180,20 +227,27 @@ fn parallel_round_loop_trace_bytes_are_thread_count_invariant() {
         });
         let mut tracer = Tracer::new(ObsConfig::full());
         let assignment = round_robin_assignment(n, k);
-        run_algorithm(
-            &AlgorithmKind::HiNetFullExchange { rounds: n - 1 },
+        let report = run_algorithm(
+            kind,
             &mut provider,
             &assignment,
             RunConfig::new().threads(threads).tracer(&mut tracer),
         );
-        tracer.to_jsonl()
-    };
-    let single = run(1);
-    for threads in [2, 3, 8] {
-        assert_eq!(
-            single,
-            run(threads),
-            "trace bytes diverge at {threads} threads"
+        assert!(report.completed(), "{}: {:?}", kind.label(), report.outcome);
+        let metrics = format!(
+            "{:?} {:?} {} {:?}",
+            report.outcome, report.completion_round, report.rounds_executed, report.metrics
         );
+        (tracer.to_jsonl(), metrics)
+    };
+    let (trace, metrics) = run(1);
+    for threads in [2, 3, 8] {
+        let (t, m) = run(threads);
+        assert!(
+            t == trace,
+            "{}: trace bytes diverge at {threads} threads",
+            kind.label()
+        );
+        assert_eq!(m, metrics, "{}: metrics at {threads} threads", kind.label());
     }
 }
