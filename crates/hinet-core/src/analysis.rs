@@ -6,8 +6,6 @@
 //! exactly, with the one arithmetic erratum in the paper documented at
 //! [`table3`].
 
-use crate::params;
-
 /// Parameters of the analytical model — the notation of Table 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ModelParams {
@@ -167,19 +165,6 @@ pub fn table3() -> Vec<CostRow> {
     table2(&p, &p_1l)
 }
 
-/// Consistency check: the analytic time of Algorithm 1 equals the phase
-/// plan's round count the simulator uses (keeps the analysis and the
-/// executable parameterisation in lock-step).
-pub fn alg1_time_matches_plan(p: &ModelParams) -> bool {
-    let plan = params::alg1_plan(
-        p.k as usize,
-        p.alpha as usize,
-        p.l as usize,
-        p.theta as usize,
-    );
-    plan.total_rounds() as u64 == hinet_tl_time(p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,21 +206,6 @@ mod tests {
         let rows = table3();
         let red_tl = 1.0 - rows[1].comm_tokens as f64 / rows[0].comm_tokens as f64;
         assert!(red_tl > 0.4 && red_tl < 0.5, "got {red_tl}");
-    }
-
-    #[test]
-    fn analysis_consistent_with_phase_plan() {
-        assert!(alg1_time_matches_plan(&ModelParams::table3()));
-        let other = ModelParams {
-            n0: 250,
-            theta: 60,
-            n_m: 100,
-            n_r: 5,
-            k: 16,
-            alpha: 3,
-            l: 4,
-        };
-        assert!(alg1_time_matches_plan(&other));
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! there must exist a connected subgraph on all of `V` present in every round
 //! of the window. The generators in this crate realise that property by
 //! explicitly constructing a spanning backbone per window and holding it
-//! fixed; this module provides the backbone constructions and the extraction
-//! of a BFS spanning tree.
+//! fixed; this module provides the backbone constructions.
 
 use crate::graph::{Graph, GraphBuilder, NodeId};
 use crate::rng::{Rng, SliceRandom};
@@ -40,39 +39,6 @@ pub fn random_path_backbone(n: usize, rng: &mut impl Rng) -> Graph {
     b.build()
 }
 
-/// Extract *some* spanning tree of `g` (BFS tree from node 0), or `None` if
-/// `g` is disconnected.
-pub fn bfs_spanning_tree(g: &Graph) -> Option<Graph> {
-    let n = g.n();
-    if n == 0 {
-        return Some(Graph::empty(0));
-    }
-    let mut b = GraphBuilder::new(n);
-    let mut seen = vec![false; n];
-    let mut queue = Vec::with_capacity(n);
-    seen[0] = true;
-    queue.push(NodeId(0));
-    let mut head = 0;
-    let mut reached = 1;
-    while head < queue.len() {
-        let u = queue[head];
-        head += 1;
-        for &v in g.neighbors(u) {
-            if !seen[v.index()] {
-                seen[v.index()] = true;
-                reached += 1;
-                b.add_edge(u, v);
-                queue.push(v);
-            }
-        }
-    }
-    if reached == n {
-        Some(b.build())
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,27 +65,6 @@ mod tests {
         let deg1 = p.nodes().filter(|&u| p.degree(u) == 1).count();
         assert_eq!(deg1, 2, "a path has exactly two endpoints");
         assert!(p.nodes().all(|u| p.degree(u) <= 2));
-    }
-
-    #[test]
-    fn bfs_tree_spans_connected_graph() {
-        let g = Graph::complete(9);
-        let t = bfs_spanning_tree(&g).unwrap();
-        assert_eq!(t.m(), 8);
-        assert!(is_connected(&t));
-        assert!(g.contains_subgraph(&t));
-    }
-
-    #[test]
-    fn bfs_tree_none_when_disconnected() {
-        let g = Graph::from_edges(4, [(0, 1), (2, 3)]);
-        assert!(bfs_spanning_tree(&g).is_none());
-    }
-
-    #[test]
-    fn bfs_tree_trivial_cases() {
-        assert!(bfs_spanning_tree(&Graph::empty(1)).is_some());
-        assert!(bfs_spanning_tree(&Graph::empty(0)).is_some());
     }
 
     #[test]

@@ -1295,44 +1295,6 @@ impl ParsedTrace {
     pub fn is_complete(&self) -> bool {
         self.dropped == 0 && self.mode == ObsMode::Full
     }
-
-    /// Recompute the counters from the recorded event stream.
-    ///
-    /// `bytes_sent` and the dedup gauge (`dups_discarded`) are copied from
-    /// the header — events carry neither byte costs nor receive-plane
-    /// state, so they cannot be recounted. For a
-    /// complete trace ([`ParsedTrace::is_complete`]) every other field must
-    /// equal the header's counters; a mismatch means the artifact was
-    /// truncated or hand-edited (the golden-corpus hygiene gate).
-    pub fn recount_events(&self) -> Counters {
-        let mut c = Counters {
-            bytes_sent: self.counters.bytes_sent,
-            dups_discarded: self.counters.dups_discarded,
-            ..Counters::default()
-        };
-        for te in &self.events {
-            match &te.event {
-                Event::RoundStart => c.rounds += 1,
-                Event::TokenPush { count, role, .. } | Event::HeadBroadcast { count, role, .. } => {
-                    c.tokens_sent += count;
-                    c.packets_sent += 1;
-                    c.tokens_by_role[role.slot()] += count;
-                }
-                Event::PhaseAdvance { .. } => c.phases += 1,
-                Event::Reaffiliation { .. } => c.reaffiliations += 1,
-                Event::FaultInjected { .. } => c.faults_injected += 1,
-                Event::Crash { .. } => c.crashes += 1,
-                Event::Recover { .. } => c.recoveries += 1,
-                Event::Retransmit { .. } => c.retransmits += 1,
-                Event::Delayed { .. } => c.delays_injected += 1,
-                Event::Duplicated { .. } => c.duplicates_injected += 1,
-                Event::RetransmitTimeout { .. } => c.retransmit_timeouts += 1,
-                Event::StallProbe { .. } => c.stall_probes += 1,
-                Event::StabilityWindow { .. } | Event::RunEnd { .. } => {}
-            }
-        }
-        c
-    }
 }
 
 fn parse_event(v: &Json) -> Result<TraceEvent, String> {
@@ -1813,8 +1775,6 @@ mod tests {
                 kind: FaultKind::Loss
             }
         );
-        // Recount from events must agree with the header for a full trace.
-        assert_eq!(parsed.recount_events(), parsed.counters);
         let summary = TraceSummary::from_trace(&parsed);
         assert!(summary.to_text().contains("faults: 2 dropped deliveries"));
     }

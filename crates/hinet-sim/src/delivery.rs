@@ -27,7 +27,7 @@
 //! round's edges by its end-of-round marker, applied at the round's
 //! receive step by senders that are up.
 
-use crate::engine::{obs_role, role_slot, CostWeights, MessageRecord, Metrics};
+use crate::engine::{obs_role, role_slot, CostWeights, Metrics};
 use crate::fault::FaultPlan;
 use crate::protocol::{Destination, Incoming, Outgoing, Payload};
 use crate::reliable::{ReceiverLedger, ReliableConfig, Retransmit, SenderWindow};
@@ -170,22 +170,6 @@ pub(crate) fn replay(tracer: &mut Tracer, r: u64, node: u64, e: &BufEvt) {
     }
 }
 
-/// Append to the message log, stopping with a loud warning at the cap.
-pub(crate) fn record_message(m: &mut Metrics, cap: usize, record: MessageRecord) {
-    if m.log.len() >= cap {
-        if !m.log_truncated {
-            eprintln!(
-                "hinet-sim: message log reached RunConfig::message_log_cap ({cap}); \
-                 further MessageRecords are dropped — raise the cap or disable \
-                 record_messages for large runs"
-            );
-        }
-        m.log_truncated = true;
-        return;
-    }
-    m.log.push(record);
-}
-
 /// An outgoing envelope the delay knob held back: kept at the sender and
 /// flushed, with its original `rid`, once it has matured.
 struct Held {
@@ -250,7 +234,6 @@ pub(crate) struct Plane<'a> {
     /// The reliability layer is on (only alongside a non-trivial plan).
     pub(crate) reliable: bool,
     tracing: bool,
-    record_messages: bool,
     weights: CostWeights,
     /// Send end-of-round markers. The event runtime always needs them to
     /// close round quorums; lock-step only for the acks they carry.
@@ -266,7 +249,6 @@ impl<'a> Plane<'a> {
         faults: &'a FaultPlan,
         reliable: bool,
         tracing: bool,
-        record_messages: bool,
         weights: CostWeights,
         event_mode: bool,
     ) -> Plane<'a> {
@@ -277,7 +259,6 @@ impl<'a> Plane<'a> {
             trivial,
             reliable,
             tracing,
-            record_messages,
             weights,
             markers: event_mode || reliable,
             gather: trivial && !event_mode,
@@ -367,8 +348,8 @@ impl<'a> Plane<'a> {
     /// this round (empty when it is down or finished); every envelope that
     /// leaves the node goes to `emit` — none on a gathering plane, whose
     /// receivers read `outs` themselves ([`Outbox::gather`]). Counters
-    /// land in `tally`, trace events in `evts`, message records in `msgs`;
-    /// `due` is scratch for the timer retransmits.
+    /// land in `tally`, trace events in `evts`; `due` is scratch for the
+    /// timer retransmits.
     ///
     /// Order: reliability-timer retransmits, then matured held envelopes,
     /// then the fresh sends, then one end-of-round marker per neighbour.
@@ -385,7 +366,6 @@ impl<'a> Plane<'a> {
         outs: &[Outgoing],
         tally: &mut Tally,
         evts: &mut Vec<BufEvt>,
-        msgs: &mut Vec<MessageRecord>,
         due: &mut DueBuf,
         emit: &mut impl FnMut(Envelope),
     ) {
@@ -511,15 +491,6 @@ impl<'a> Plane<'a> {
             let delivered = !directed || ctx.graph.has_edge(me, targets[0]);
             if !delivered {
                 tally.dropped_unicasts += 1;
-            }
-            if self.record_messages {
-                msgs.push(MessageRecord {
-                    round: r,
-                    from: me,
-                    to: directed.then(|| targets[0]),
-                    delivered,
-                    tokens: out.payload.to_vec(),
-                });
             }
             if delivered && !self.gather {
                 for &v in targets {
@@ -781,12 +752,11 @@ mod tests {
 
             let faults = FaultPlan::none();
             let weights = CostWeights::default();
-            let emitting = Plane::new(&faults, false, false, true, weights, true);
-            let gathering = Plane::new(&faults, false, false, true, weights, false);
+            let emitting = Plane::new(&faults, false, false, weights, true);
+            let gathering = Plane::new(&faults, false, false, weights, false);
             let mut want: Vec<Vec<Incoming>> = vec![Vec::new(); n];
             let (mut t_emit, mut t_gather) = (Tally::default(), Tally::default());
-            let (mut evts, mut msgs, mut due) = (Vec::new(), Vec::new(), DueBuf::new());
-            let (mut m_emit, mut m_gather) = (Vec::new(), Vec::new());
+            let (mut evts, mut due) = (Vec::new(), DueBuf::new());
             for (i, node_sends) in sends.iter().enumerate() {
                 assert_eq!(outbox.sent(i), &node_sends[..], "node {i}'s outbox slice");
                 emitting.send(
@@ -797,7 +767,6 @@ mod tests {
                     node_sends,
                     &mut t_emit,
                     &mut evts,
-                    &mut msgs,
                     &mut due,
                     &mut |env: Envelope| {
                         if let EnvelopeKind::Payload {
@@ -812,7 +781,6 @@ mod tests {
                         }
                     },
                 );
-                m_emit.append(&mut msgs);
                 gathering.send(
                     &ctx,
                     3,
@@ -821,14 +789,11 @@ mod tests {
                     outbox.sent(i),
                     &mut t_gather,
                     &mut evts,
-                    &mut msgs,
                     &mut due,
                     &mut |env: Envelope| panic!("a gathering plane emitted {env:?}"),
                 );
-                m_gather.append(&mut msgs);
             }
             assert_eq!(format!("{t_emit:?}"), format!("{t_gather:?}"), "tallies");
-            assert_eq!(m_emit, m_gather, "message records");
             let mut inbox = Vec::new();
             for (v, want) in want.iter().enumerate() {
                 outbox.gather(&ctx.graph, v, &mut inbox);

@@ -35,31 +35,32 @@
 //! every envelope crosses the same delivery plane
 //! ([`crate::delivery::Plane`]) — so they too match lock-step bit for bit.
 //!
-//! Per-node round reports are summed until a round's n reports are in;
-//! then the round is closed by the same [`crate::round::Fold`] the
-//! lock-step engine uses, strictly in round order — metrics, crash and
-//! recovery counts, the fault window, the stop decision — and closing it
-//! feeds it to the (T, L) stability oracle, so rounds are verified in
-//! order too. Nodes past the eventually-final stop round ("overshoot") can
+//! Each node's round is the [`crate::node::NodeStep`] the lock-step
+//! engine runs too: the crash restart, the send and the receive, with the
+//! node's informed and finished flags following them. Per-node round
+//! reports are summed until a round's n reports are in; then the round is
+//! closed by the same [`crate::round::Fold`] the lock-step engine uses,
+//! strictly in round order — metrics, crash and recovery counts, the
+//! fault window, the stop decision — and closing it feeds it to the
+//! (T, L) stability oracle, so rounds are verified in order too. Nodes past the eventually-final stop round ("overshoot") can
 //! only be nodes that already know the whole universe, so their extra
 //! sends and receives never change any final token set; an overshoot round
 //! is never closed, so it is never verified either. The one exception — a
 //! fault-plane crash injected in an overshoot round, which would forget
 //! tokens lock-step never forgot — is repaired after the run by restarting
 //! the affected node with the full universe (exactly what it knew when it
-//! entered overshoot). Metrics and trace events are buffered per
-//! `(node, round)` and merged/replayed in lock-step order for rounds below
-//! the final stop, so reports and trace bytes match the lock-step engine
-//! exactly (the trace differs only in its `mode` meta stamp).
+//! entered overshoot). Trace events are buffered per `(node, round)` and
+//! replayed in lock-step order for rounds below the final stop, so trace
+//! bytes match the lock-step engine exactly (the trace differs only in its
+//! `mode` meta stamp).
 
-use crate::delivery::{record_message, replay, BufEvt, DueBuf, Link, Plane, Tally};
+use crate::delivery::{replay, BufEvt, DueBuf, Link, Plane, Tally};
 use crate::engine::{
-    resolve_event_threads, wall_clock, MessageRecord, NodeStall, Ran, RunConfig, StallDiag,
-    TokenLatency,
+    resolve_threads, wall_clock, NodeStall, Ran, RunConfig, StallDiag, TokenLatency,
 };
-use crate::fault::FaultPlan;
+use crate::node::{delta, Census, Counts, Flags, NodeStep};
 use crate::protocol::Protocol;
-use crate::round::{Builder, Fold, RoundCtx};
+use crate::round::{Builder, Fold, RoundCtx, Stepped};
 use crate::token::{TokenId, TokenSet};
 use crate::transport::{ChannelTransport, Envelope, Reassembly, Released};
 use hinet_graph::graph::NodeId;
@@ -107,8 +108,7 @@ struct Reports {
     next: usize,
     pending: BTreeMap<usize, PendingRound>,
     /// Running informed/finished counts, folded from the per-round deltas.
-    informed: usize,
-    finished: usize,
+    counts: Counts,
     /// Running total of delivery-plane in-flight envelopes (held delayed
     /// envelopes + unacked reliability-window entries) across all nodes.
     inflight: i64,
@@ -146,22 +146,20 @@ impl Reports {
             let a = self.pending.remove(&self.next).expect("pending round").agg;
             let r = self.next;
             self.next = r + 1;
-            self.informed = (self.informed as i64 + a.informed_start) as usize;
-            let informed_at_start = self.informed;
-            self.informed = (self.informed as i64 + a.informed_end) as usize;
-            self.finished = (self.finished as i64 + a.finished) as usize;
+            let c = &mut self.counts;
+            c.shift((a.informed_start, 0));
+            let informed_start = c.informed;
+            c.shift((a.informed_end, a.finished));
             self.inflight += a.inflight;
             let mut b = builder.lock().expect("context server lock");
             b.verify(r);
-            let quiescent = self.finished == self.fold.n && self.inflight == 0;
-            if self.fold.close(
-                r,
-                &b.logs[r],
-                &a.tally,
-                informed_at_start,
-                self.informed,
-                quiescent,
-            ) {
+            let stepped = Stepped {
+                tally: a.tally,
+                informed_start,
+                informed_end: c.informed,
+                quiescent: c.finished == self.fold.n && self.inflight == 0,
+            };
+            if self.fold.close(r, &b.logs[r], stepped) {
                 return Some(r);
             }
         }
@@ -229,8 +227,7 @@ struct NodeState {
     sent: bool,
     stalled: bool,
     done: bool,
-    informed: bool,
-    finished: bool,
+    flags: Flags,
     /// Ever-learned token superset (never shrinks across crashes) — the
     /// per-token latency cover contribution guard.
     learned: TokenSet,
@@ -244,26 +241,22 @@ struct NodeState {
     last_inflight: i64,
     /// Buffered trace events, `(round, events)` ascending.
     evts: Vec<(usize, Vec<BufEvt>)>,
-    /// Buffered message records (rounds ascending).
-    msgs: Vec<MessageRecord>,
 }
 
 impl NodeState {
-    fn new(link: Link) -> NodeState {
+    fn new(link: Link, flags: Flags, learned: TokenSet) -> NodeState {
         NodeState {
             round: 0,
             sent: false,
             stalled: false,
             done: false,
-            informed: false,
-            finished: false,
-            learned: TokenSet::new(),
+            flags,
+            learned,
             rep: NodeReport::default(),
             crashed_at: None,
             link,
             last_inflight: 0,
             evts: Vec::new(),
-            msgs: Vec::new(),
         }
     }
 }
@@ -303,9 +296,7 @@ struct Shared<'a> {
     nshards: usize,
     covered_at: Vec<AtomicU64>,
     start: Instant,
-    universe: &'a TokenSet,
-    assignment: &'a [Vec<TokenId>],
-    faults: &'a FaultPlan,
+    step: NodeStep<'a>,
     plane: Plane<'a>,
     /// Stall watchdog — `Some` when `RunConfig::stall_rounds > 0`.
     watchdog: Option<Mutex<Watchdog>>,
@@ -395,10 +386,11 @@ impl Drop for AbortGuard<'_, '_> {
 }
 
 /// Run the event-driven mode on the frame [`crate::engine::Engine::run`]
-/// set up (at least one round to run, not everyone informed). Semantics
-/// and reports are identical to the lock-step engine on the same config
-/// (see the module docs for the argument); the wall clock additionally
-/// carries per-token latency and the mailbox/reassembly counters.
+/// set up (at least one round to run, not everyone informed, the census
+/// taken). Semantics and reports are identical to the lock-step engine on
+/// the same config (see the module docs for the argument); the wall clock
+/// additionally carries per-token latency and the mailbox/reassembly
+/// counters.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run<'a, P: Protocol + Send>(
     cfg: &'a RunConfig<'_>,
@@ -406,23 +398,18 @@ pub(crate) fn run<'a, P: Protocol + Send>(
     builder: Builder<'a>,
     fold: Fold,
     protocols: &mut [P],
-    assignment: &'a [Vec<TokenId>],
-    universe: &'a TokenSet,
+    step: NodeStep<'a>,
+    census: Census,
+    universe: &TokenSet,
     start: Instant,
 ) -> Ran {
     let faults = &cfg.faults;
     let n = protocols.len();
-    let threads = resolve_event_threads(cfg.threads, n);
+    // Event mode exists to exercise true concurrency, so it goes wide even
+    // on small scenarios.
+    let threads = resolve_threads(cfg.threads, n, 0);
     let tracing = tracer.enabled();
-
-    // Initial census: informed/finished counts.
     let id_space = universe.max().map_or(0, |t| t.0 as usize + 1);
-    let mut informed0 = 0usize;
-    let mut finished0 = 0usize;
-    for p in protocols.iter() {
-        informed0 += usize::from(universe.is_subset(p.known()));
-        finished0 += usize::from(p.finished());
-    }
 
     let shard_size = n.div_ceil(threads);
     let nshards = n.div_ceil(shard_size);
@@ -438,8 +425,7 @@ pub(crate) fn run<'a, P: Protocol + Send>(
         reports: Mutex::new(Reports {
             next: 0,
             pending: BTreeMap::new(),
-            informed: informed0,
-            finished: finished0,
+            counts: census.counts,
             inflight: 0,
             fold,
         }),
@@ -453,17 +439,8 @@ pub(crate) fn run<'a, P: Protocol + Send>(
         nshards,
         covered_at: (0..id_space).map(|_| AtomicU64::new(u64::MAX)).collect(),
         start,
-        universe,
-        assignment,
-        faults,
-        plane: Plane::new(
-            faults,
-            cfg.reliable,
-            tracing,
-            cfg.record_messages,
-            cfg.cost_weights,
-            true,
-        ),
+        step,
+        plane: Plane::new(faults, cfg.reliable, tracing, cfg.cost_weights, true),
         watchdog: (cfg.stall_rounds > 0).then(|| {
             let window = PARK_TIMEOUT * cfg.stall_rounds as u32;
             Mutex::new(Watchdog::new(Instant::now(), window))
@@ -474,9 +451,9 @@ pub(crate) fn run<'a, P: Protocol + Send>(
         stall_info: Mutex::new(Vec::new()),
     };
     // Build shards: contiguous node ranges, one worker thread each. Each
-    // node carries its per-protocol learned set (seeded from its initial
-    // known tokens) into the latency cover diffing, and each shard counts
-    // how many of its nodes know each token.
+    // node carries its census flags, and its per-protocol learned set
+    // (seeded from its initial known tokens) into the latency cover
+    // diffing; each shard counts how many of its nodes know each token.
     let mut shards: Vec<Shard<'_, P>> = Vec::new();
     {
         let mut rest = &mut protocols[..];
@@ -487,11 +464,9 @@ pub(crate) fn run<'a, P: Protocol + Send>(
             let mut nodes = Vec::with_capacity(take);
             let mut cover = vec![0u32; id_space];
             for (j, p) in chunk.iter().enumerate() {
-                let mut st = NodeState::new(shared.plane.link(base + j));
-                st.learned = p.known().clone();
-                st.informed = universe.is_subset(p.known());
-                st.finished = p.finished();
-                nodes.push(st);
+                let i = base + j;
+                let link = shared.plane.link(i);
+                nodes.push(NodeState::new(link, census.flags[i], p.known().clone()));
                 for t in p.known() {
                     cover[t.0 as usize] += 1;
                 }
@@ -530,9 +505,9 @@ pub(crate) fn run<'a, P: Protocol + Send>(
 
     // The fold closed every round below the stop, in order: merged
     // metrics, crash and recovery counts, the completion verdict and the
-    // fault window. The clock stops here: the merges and the trace replay
-    // below are not the message plane's work.
-    let mut fold = shared.reports.into_inner().expect("reports lock").fold;
+    // fault window. The clock stops here: the trace replay below is not
+    // the message plane's work.
+    let fold = shared.reports.into_inner().expect("reports lock").fold;
     let mut wall = wall_clock(start, fold.metrics.tokens_sent);
     let rounds_executed = fold.rounds_executed;
     let builder = shared.server.into_inner().expect("context server lock");
@@ -560,24 +535,6 @@ pub(crate) fn run<'a, P: Protocol + Send>(
                 if st.crashed_at.is_some_and(|r| r >= rounds_executed) {
                     let me = NodeId::from_index(shard.base + j);
                     shard.protocols[j].on_restart(me, &universe_tokens);
-                }
-            }
-        }
-    }
-
-    // Message-log merge in lock-step order (ascending round, then node),
-    // honouring the cap exactly like the lock-step recorder.
-    if cfg.record_messages {
-        let mut cursors = vec![0usize; n];
-        for r in 0..rounds_executed {
-            for shard in &shards {
-                for (j, st) in shard.nodes.iter().enumerate() {
-                    let c = &mut cursors[shard.base + j];
-                    while *c < st.msgs.len() && st.msgs[*c].round == r {
-                        let record = st.msgs[*c].clone();
-                        record_message(&mut fold.metrics, cfg.message_log_cap, record);
-                        *c += 1;
-                    }
                 }
             }
         }
@@ -752,12 +709,11 @@ fn record_stall<P: Protocol>(shared: &Shared<'_>, shard: &Shard<'_, P>) {
     }
 }
 
-/// Shard node `j`'s round-`r` send step: apply this round's crash (if
-/// any), run the protocol's send against the round view, and hand
-/// everything to the shared delivery plane, which gates each delivery and
-/// flushes one end-of-round marker per neighbour into the shard's outbox.
-/// Envelopes for the shard's own nodes are then filed directly; the rest
-/// go through the transport.
+/// Shard node `j`'s round-`r` send step: the node step's restart (if this
+/// round crashed the node) and send, then everything goes to the shared
+/// delivery plane, which gates each delivery and flushes one end-of-round
+/// marker per neighbour into the shard's outbox. Envelopes for the shard's
+/// own nodes are then filed directly; the rest go through the transport.
 fn step_send<P: Protocol>(
     shared: &Shared<'_>,
     shard: &mut Shard<'_, P>,
@@ -766,25 +722,14 @@ fn step_send<P: Protocol>(
     ctx: &RoundCtx,
 ) {
     let i = shard.base + j;
-    let me = NodeId::from_index(i);
     let (p, st) = (&mut shard.protocols[j], &mut shard.nodes[j]);
     if ctx.crashed[i] {
-        let retained: Vec<TokenId> = if shared.faults.durable_tokens {
-            p.known().iter().collect()
-        } else {
-            shared.assignment[i].clone()
-        };
-        p.on_restart(me, &retained);
+        let old = st.flags;
+        shared.step.restart(p, i, &mut st.flags);
+        st.rep.informed_start += delta(old, st.flags).0;
         st.crashed_at = Some(r);
-        let inf = shared.universe.is_subset(p.known());
-        st.rep.informed_start += i64::from(inf) - i64::from(st.informed);
-        st.informed = inf;
     }
-    let outs = if !ctx.down[i] && !p.finished() {
-        p.send(&ctx.view(me, r))
-    } else {
-        Vec::new()
-    };
+    let outs = shared.step.send(p, ctx, i, r);
     let mut evts: Vec<BufEvt> = Vec::new();
     let outbox = &mut shard.outbox;
     shared.plane.send(
@@ -795,7 +740,6 @@ fn step_send<P: Protocol>(
         &outs,
         &mut st.rep.tally,
         &mut evts,
-        &mut st.msgs,
         &mut shard.due,
         &mut |env: Envelope| outbox.push(env),
     );
@@ -814,10 +758,9 @@ fn step_send<P: Protocol>(
 }
 
 /// Shard node `j`'s round-`r` receive step: release the reassembled inbox
-/// through the delivery plane, run the protocol's receive (unless the
-/// node is down — its inbox is lost — or the inbox is empty), track
-/// informed/finished transitions and the per-token latency cover, and
-/// submit the round report.
+/// through the delivery plane, run the node step's receive, track the
+/// per-token latency cover if the protocol received, and submit the round
+/// report.
 fn step_recv<P: Protocol>(
     shared: &Shared<'_>,
     shard: &mut Shard<'_, P>,
@@ -826,7 +769,6 @@ fn step_recv<P: Protocol>(
     ctx: &RoundCtx,
 ) {
     let i = shard.base + j;
-    let me = NodeId::from_index(i);
     let size = shard.nodes.len();
     let (p, st) = (&mut shard.protocols[j], &mut shard.nodes[j]);
     // The shard's release buffer is empty between receive steps.
@@ -835,15 +777,12 @@ fn step_recv<P: Protocol>(
     shared
         .plane
         .accept(ctx, r, i, &mut st.link, rel, 0, &mut st.rep.tally);
-    let inbox = &rel.inbox;
-    // A down node's inbox is lost; an empty one is not received, and
-    // without a receive the node learns nothing.
-    if !ctx.down[i] && !inbox.is_empty() {
-        p.receive(&ctx.view(me, r), inbox);
-        if !st.informed && shared.universe.is_subset(p.known()) {
-            st.informed = true;
-            st.rep.informed_end += 1;
-        }
+    let old = st.flags;
+    let heard = shared.step.receive(p, ctx, i, r, &rel.inbox, &mut st.flags);
+    let (informed, finished) = delta(old, st.flags);
+    st.rep.informed_end += informed;
+    st.rep.finished += finished;
+    if heard {
         // Latency cover: word-diff the protocol's known set against the
         // node's ever-learned set. Each genuinely new token counts one more
         // node of the shard; when that completes the shard, it counts one
@@ -870,9 +809,6 @@ fn step_recv<P: Protocol>(
         }
     }
     rel.inbox.clear();
-    let fin = p.finished();
-    st.rep.finished += i64::from(fin) - i64::from(st.finished);
-    st.finished = fin;
     let inflight_now = st.link.in_flight() as i64;
     st.rep.inflight = inflight_now - st.last_inflight;
     st.last_inflight = inflight_now;
@@ -895,8 +831,8 @@ fn step_recv<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, ExecMode, Outcome, RunConfig};
-    use crate::fault::Partition;
+    use crate::engine::{Engine, ExecMode, Outcome, RunConfig, RunReport};
+    use crate::fault::{FaultPlan, Partition};
     use crate::protocol::{Incoming, LocalView, Outgoing};
     use crate::token::round_robin_assignment;
     use hinet_cluster::ctvg::{CtvgTrace, CtvgTraceProvider};
@@ -955,27 +891,23 @@ mod tests {
     }
 
     /// Run the same scenario in both modes and assert the dissemination
-    /// result (completion round, token sets) and the paper metrics match.
-    fn assert_equivalent(n: usize, faults: FaultPlan, threads: usize) {
+    /// result (completion round, token sets), the paper metrics and the
+    /// per-round series match. Returns the lock-step report.
+    fn assert_equivalent(n: usize, faults: FaultPlan, threads: usize) -> RunReport {
         let assignment = round_robin_assignment(n, n);
+        let cfg = || RunConfig::new().max_rounds(32).record_rounds(true);
         let mut lp: Vec<Flood> = (0..n).map(|_| Flood::new()).collect();
         let mut provider = star_provider(n, 64);
-        let lock = Engine::new(RunConfig::new().max_rounds(32).faults(faults.clone())).run(
-            &mut provider,
-            &mut lp,
-            &assignment,
-        );
+        let lock =
+            Engine::new(cfg().faults(faults.clone())).run(&mut provider, &mut lp, &assignment);
 
         let mut ep: Vec<Flood> = (0..n).map(|_| Flood::new()).collect();
         let mut provider = star_provider(n, 64);
-        let event = Engine::new(
-            RunConfig::new()
-                .max_rounds(32)
-                .faults(faults)
-                .threads(threads)
-                .mode(ExecMode::Event),
-        )
-        .run(&mut provider, &mut ep, &assignment);
+        let event = Engine::new(cfg().faults(faults).threads(threads).mode(ExecMode::Event)).run(
+            &mut provider,
+            &mut ep,
+            &assignment,
+        );
 
         assert_eq!(event.completion_round, lock.completion_round);
         assert_eq!(event.rounds_executed, lock.rounds_executed);
@@ -986,11 +918,17 @@ mod tests {
         assert_eq!(event.metrics.faults_injected, lock.metrics.faults_injected);
         assert_eq!(event.metrics.crashes, lock.metrics.crashes);
         assert_eq!(event.metrics.recoveries, lock.metrics.recoveries);
+        assert_eq!(
+            event.metrics.rounds, lock.metrics.rounds,
+            "per-round series"
+        );
+        assert_eq!(lock.metrics.rounds.len(), lock.rounds_executed);
         for (i, (l, e)) in lp.iter().zip(ep.iter()).enumerate() {
             let lv: Vec<_> = l.known().iter().collect();
             let ev: Vec<_> = e.known().iter().collect();
             assert_eq!(ev, lv, "node {i} final token set diverged");
         }
+        lock
     }
 
     #[test]
@@ -1012,6 +950,37 @@ mod tests {
         let plan = FaultPlan::new(11).with_crash_at(1, 2).with_down_rounds(2);
         for threads in [1, 4] {
             assert_equivalent(6, plan.clone(), threads);
+        }
+    }
+
+    /// The hub learns every token in round 0, is cut off from the leaves
+    /// in rounds 1 and 2, and crashes with volatile tokens in round 2: it
+    /// forgets what it knew, so the informed count at the start of round 2
+    /// is below round 1's. Both modes must follow it down and back up.
+    #[test]
+    fn event_matches_lockstep_when_an_informed_node_forgets() {
+        let plan = FaultPlan::new(3)
+            .with_partition(Partition {
+                start: 1,
+                end: 3,
+                cut: 1,
+            })
+            .with_crash_at(2, 0)
+            .with_down_rounds(1);
+        for threads in [1, 2, 8] {
+            let lock = assert_equivalent(6, plan.clone(), threads);
+            assert!(lock.completed(), "{:?}", lock.outcome);
+            let informed: Vec<usize> = lock
+                .metrics
+                .rounds
+                .iter()
+                .map(|m| m.informed_nodes)
+                .collect();
+            assert_eq!(
+                informed[1], 1,
+                "the hub is informed after round 0: {informed:?}"
+            );
+            assert_eq!(informed[2], 0, "the crash made it forget: {informed:?}");
         }
     }
 

@@ -53,6 +53,8 @@ pub mod engine;
 mod event;
 pub mod fault;
 pub mod gf2;
+mod lockstep;
+mod node;
 pub mod protocol;
 pub mod reliable;
 mod round;
@@ -60,8 +62,8 @@ pub mod token;
 pub mod transport;
 
 pub use engine::{
-    CostWeights, Engine, ExecMode, MessageRecord, Metrics, NodeStall, Outcome, RoundMetrics,
-    RunConfig, RunReport, StallDiag, TokenLatency, WallClock,
+    CostWeights, Engine, ExecMode, Metrics, NodeStall, Outcome, RoundMetrics, RunConfig, RunReport,
+    StallDiag, TokenLatency, WallClock,
 };
 pub use fault::{FaultPlan, Partition};
 pub use protocol::{Incoming, LocalView, Outgoing, Protocol};

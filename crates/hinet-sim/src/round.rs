@@ -34,10 +34,10 @@ pub(crate) struct RoundCtx {
     pub(crate) graph: Arc<Graph>,
     pub(crate) hierarchy: Arc<Hierarchy>,
     /// `down[i]`: node `i` is silent this round (inside a crash window).
-    pub(crate) down: Box<[bool]>,
+    pub(crate) down: Arc<[bool]>,
     /// `crashed[i]`: the fault plane crashes node `i` at the start of this
     /// round (its protocol restarts before it sends).
-    pub(crate) crashed: Box<[bool]>,
+    pub(crate) crashed: Arc<[bool]>,
 }
 
 impl RoundCtx {
@@ -98,6 +98,8 @@ pub(crate) struct Builder<'p> {
     tracing: bool,
     faults: FaultPlan,
     trivial: bool,
+    /// All false: every round's `down` and `crashed` on a trivial plan.
+    nobody: Arc<[bool]>,
     /// The next round to build.
     pub(crate) next: usize,
     down_until: Vec<usize>,
@@ -130,6 +132,7 @@ impl<'p> Builder<'p> {
             tracing,
             faults: cfg.faults.clone(),
             trivial: cfg.faults.is_trivial(),
+            nobody: vec![false; n].into(),
             next: 0,
             down_until: vec![0; n],
             was_down: vec![false; n],
@@ -177,8 +180,9 @@ impl<'p> Builder<'p> {
         }
 
         let mut log = RoundLog::default();
-        let mut crashed = vec![false; n].into_boxed_slice();
-        if !self.trivial {
+        let (down, crashed) = if self.trivial {
+            (Arc::clone(&self.nobody), Arc::clone(&self.nobody))
+        } else {
             // Recoveries first: a node whose down window just elapsed
             // rejoins this round (and is immediately re-crashable).
             for i in 0..n {
@@ -187,30 +191,34 @@ impl<'p> Builder<'p> {
                     log.recoveries.push(i);
                 }
             }
-            for i in 0..n {
-                if round < self.down_until[i] {
-                    continue; // still down; cannot crash again yet
-                }
-                let me = NodeId::from_index(i);
-                if self.faults.crashes(round, i, hierarchy.is_head(me)) {
-                    crashed[i] = true;
-                    log.crashes.push(i);
-                    self.down_until[i] = round + self.faults.down_rounds;
-                    self.was_down[i] = true;
-                }
+            let crashed: Arc<[bool]> = (0..n)
+                .map(|i| {
+                    // A node still down cannot crash again yet.
+                    let crash = round >= self.down_until[i]
+                        && self
+                            .faults
+                            .crashes(round, i, hierarchy.is_head(NodeId::from_index(i)));
+                    if crash {
+                        log.crashes.push(i);
+                        self.down_until[i] = round + self.faults.down_rounds;
+                        self.was_down[i] = true;
+                    }
+                    crash
+                })
+                .collect();
+            let down: Arc<[bool]> = (0..n).map(|i| round < self.down_until[i]).collect();
+            // While a crashed node heads a cluster, repair the round's
+            // hierarchy so live members re-home to live heads.
+            if (0..n).any(|i| down[i] && hierarchy.is_head(NodeId::from_index(i))) {
+                hierarchy = Arc::new(re_elect(
+                    &graph,
+                    &hierarchy,
+                    &down,
+                    GatewayPolicy::default(),
+                ));
             }
-        }
-        let down: Box<[bool]> = (0..n).map(|i| round < self.down_until[i]).collect();
-        // While a crashed node heads a cluster, repair the round's
-        // hierarchy so live members re-home to live heads.
-        if !self.trivial && (0..n).any(|i| down[i] && hierarchy.is_head(NodeId::from_index(i))) {
-            hierarchy = Arc::new(re_elect(
-                &graph,
-                &hierarchy,
-                &down,
-                GatewayPolicy::default(),
-            ));
-        }
+            (down, crashed)
+        };
         if self.tracing {
             let heads: Vec<Option<NodeId>> = (0..n)
                 .map(|i| hierarchy.head_of(NodeId::from_index(i)))
@@ -240,6 +248,20 @@ impl<'p> Builder<'p> {
         );
         self.next = round + 1;
     }
+}
+
+/// What a round's node steps hand [`Fold::close`].
+pub(crate) struct Stepped {
+    /// The delivery tally summed over all nodes.
+    pub(crate) tally: Tally,
+    /// Informed nodes after the round's crash restarts.
+    pub(crate) informed_start: usize,
+    /// Informed nodes after its receives.
+    pub(crate) informed_end: usize,
+    /// Every protocol is finished with nothing left in flight (a delayed
+    /// or unacked envelope can still inform a node after every protocol
+    /// quiesced).
+    pub(crate) quiescent: bool,
 }
 
 /// The fold over closed rounds, shared by both drivers: each round's
@@ -278,21 +300,15 @@ impl Fold {
         }
     }
 
-    /// Close round `r`: its builder `log`, the delivery `tally` summed over
-    /// all nodes, the informed-node counts after its crash restarts and
-    /// after its receives, and whether every protocol is finished with
-    /// nothing left in flight (a delayed or unacked envelope can still
-    /// inform a node after every protocol quiesced). Returns whether the
-    /// run stops after `r`.
-    pub(crate) fn close(
-        &mut self,
-        r: usize,
-        log: &RoundLog,
-        tally: &Tally,
-        informed_start: usize,
-        informed_end: usize,
-        quiescent: bool,
-    ) -> bool {
+    /// Close round `r` from its builder `log` and what its node steps
+    /// did. Returns whether the run stops after `r`.
+    pub(crate) fn close(&mut self, r: usize, log: &RoundLog, stepped: Stepped) -> bool {
+        let Stepped {
+            tally,
+            informed_start,
+            informed_end,
+            quiescent,
+        } = stepped;
         self.metrics.recoveries += log.recoveries.len() as u64;
         self.metrics.crashes += log.crashes.len() as u64;
         if !log.crashes.is_empty() {

@@ -14,6 +14,7 @@ use hinet::core::runner::{run_algorithm, AlgorithmKind};
 use hinet::graph::graph::NodeId;
 use hinet::graph::trace::TvgTrace;
 use hinet::graph::Graph;
+use hinet::rt::obs::{Event, ObsConfig, Tracer};
 use hinet::sim::engine::RunConfig;
 use std::sync::Arc;
 
@@ -74,14 +75,15 @@ fn main() {
     );
     let mut provider = CtvgTraceProvider::new(trace);
 
+    let mut tracer = Tracer::new(ObsConfig::full());
     let report = run_algorithm(
         &AlgorithmKind::HiNetPhased(plan),
         &mut provider,
         &assignment,
         RunConfig::new()
             .record_rounds(true)
-            .record_messages(true)
-            .validate_hierarchy(true),
+            .validate_hierarchy(true)
+            .tracer(&mut tracer),
     );
 
     println!();
@@ -108,21 +110,24 @@ fn main() {
             m.informed_nodes, m.tokens_sent
         );
     }
-    // The Fig. 3 walkthrough, reconstructed from the actual message log:
-    // every transmission that carried token 0 (node 1's token), in order.
+    // The Fig. 3 walkthrough, reconstructed from the run's trace: every
+    // transmission that carried token 0 (node 1's token), in order.
+    // Algorithm 1 sends one token per message, so a message carries token
+    // 0 exactly when the trace names it as the message's token.
     println!();
-    println!("the journey of token 0 (Fig. 3's token t), from the message log:");
-    for m in report
-        .metrics
-        .log
-        .iter()
-        .filter(|m| m.tokens.contains(&hinet::sim::TokenId(0)))
-    {
-        let how = match m.to {
-            None => "broadcast".to_string(),
-            Some(t) => format!("unicast → node {t}"),
+    println!("the journey of token 0 (Fig. 3's token t), from the trace:");
+    for e in tracer.events() {
+        let (node, how) = match e.event {
+            Event::TokenPush {
+                node,
+                token: 0,
+                dst,
+                ..
+            } => (node, format!("unicast → node {dst}")),
+            Event::HeadBroadcast { node, token: 0, .. } => (node, "broadcast".to_string()),
+            _ => continue,
         };
-        println!("  round {:>2}: node {} {how}", m.round, m.from);
+        println!("  round {:>2}: node {node} {how}", e.round);
     }
     println!();
     println!(

@@ -410,3 +410,104 @@ fn audit_rejects_invalid_trace() {
     let trace = CtvgTrace::new(TvgTrace::new(vec![g]), vec![h]);
     let _ = audit(&trace);
 }
+
+#[test]
+fn shortest_path_endpoints_and_length() {
+    let g = Graph::cycle(8);
+    let p = shortest_path(&g, NodeId(0), NodeId(3)).unwrap();
+    assert_eq!(p.first(), Some(&NodeId(0)));
+    assert_eq!(p.last(), Some(&NodeId(3)));
+    assert_eq!(p.len(), 4);
+    for w in p.windows(2) {
+        assert!(g.has_edge(w[0], w[1]));
+    }
+}
+
+#[test]
+fn shortest_path_unreachable() {
+    let g = Graph::from_edges(4, [(0, 1), (2, 3)]);
+    assert!(shortest_path(&g, NodeId(0), NodeId(3)).is_none());
+}
+
+#[test]
+fn shortest_path_to_self() {
+    let g = Graph::path(3);
+    assert_eq!(
+        shortest_path(&g, NodeId(1), NodeId(1)),
+        Some(vec![NodeId(1)])
+    );
+}
+
+#[test]
+fn connects_all_subset() {
+    let g = Graph::from_edges(5, [(0, 1), (1, 2)]);
+    assert!(connects_all(&g, &[NodeId(0), NodeId(2)]));
+    assert!(!connects_all(&g, &[NodeId(0), NodeId(4)]));
+    assert!(connects_all(&g, &[]));
+}
+
+#[test]
+fn bfs_tree_spans_connected_graph() {
+    let g = Graph::complete(9);
+    let t = bfs_spanning_tree(&g).unwrap();
+    assert_eq!(t.m(), 8);
+    assert!(t.is_connected());
+    assert!(contains_subgraph(&g, &t));
+}
+
+#[test]
+fn bfs_tree_none_when_disconnected() {
+    let g = Graph::from_edges(4, [(0, 1), (2, 3)]);
+    assert!(bfs_spanning_tree(&g).is_none());
+}
+
+#[test]
+fn bfs_tree_trivial_cases() {
+    assert!(bfs_spanning_tree(&Graph::empty(1)).is_some());
+    assert!(bfs_spanning_tree(&Graph::empty(0)).is_some());
+}
+
+#[test]
+fn contains_subgraph_checks_edges() {
+    let g = Graph::complete(4);
+    let sub = Graph::path(4);
+    assert!(contains_subgraph(&g, &sub));
+    assert!(!contains_subgraph(&sub, &g));
+    assert!(
+        !contains_subgraph(&g, &Graph::path(3)),
+        "node counts differ"
+    );
+}
+
+#[test]
+fn analysis_consistent_with_phase_plan() {
+    use hinet::core::analysis::ModelParams;
+    assert!(alg1_time_matches_plan(&ModelParams::table3()));
+    let other = ModelParams {
+        n0: 250,
+        theta: 60,
+        n_m: 100,
+        n_r: 5,
+        k: 16,
+        alpha: 3,
+        l: 4,
+    };
+    assert!(alg1_time_matches_plan(&other));
+}
+
+#[test]
+fn recount_matches_the_header_of_a_full_trace() {
+    use hinet::rt::obs::{FaultKind, ParsedTrace};
+    let mut t = Tracer::new(ObsConfig::full());
+    t.round_start(0);
+    t.fault_injected(0, 3, Some(1), FaultKind::Loss);
+    t.fault_injected(0, 4, None, FaultKind::Partition);
+    t.crash(1, 2, true);
+    t.retransmit(2, 3, 2, Some(0));
+    t.recover(3, 2);
+    t.run_end(4, false);
+    let parsed = ParsedTrace::parse_jsonl(&t.to_jsonl()).unwrap();
+    assert!(parsed.is_complete());
+    assert_eq!(recount_events(&parsed), parsed.counters);
+    assert_eq!(recount_events(&parsed).faults_injected, 2);
+}

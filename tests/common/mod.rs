@@ -13,6 +13,11 @@
 //!
 //! Aligned windows are `[wT, min((w+1)T, len))`, the trailing partial
 //! window included; sliding windows are every full `[s, s+T)`.
+//!
+//! The module ends with the other helpers only tests call: graph paths,
+//! spanning trees and containment, the analysis-to-plan consistency check
+//! and the trace-event recount. Their unit tests are in
+//! tests/batch_reference.rs too.
 
 #![allow(dead_code)] // each test binary uses its own subset
 
@@ -21,12 +26,13 @@ use hinet::cluster::ctvg::CtvgTrace;
 use hinet::cluster::hierarchy::ClusterId;
 use hinet::cluster::reaffiliation::ChurnStats;
 use hinet::cluster::stability::same_structure;
-use hinet::graph::graph::NodeId;
+use hinet::core::analysis::{hinet_tl_time, ModelParams};
+use hinet::core::params::alg1_plan;
+use hinet::graph::graph::{Graph, GraphBuilder, NodeId};
 use hinet::graph::metrics::{snapshot_stats, TraceStats};
 use hinet::graph::trace::TvgTrace;
-use hinet::graph::traversal::connects_all;
 use hinet::graph::verify::{is_always_connected, is_t_interval_connected};
-use hinet::rt::obs::Tracer;
+use hinet::rt::obs::{Counters, Event, ParsedTrace, Tracer};
 
 /// Definition 2 on one window: the head set is constant on rounds
 /// `[start, start+len)`.
@@ -320,4 +326,135 @@ pub fn audit(trace: &CtvgTrace) -> StabilityReport {
         churn: churn_stats(trace),
         topology: trace_stats(trace.topology()),
     }
+}
+
+/// Whether every node of `nodes` is reachable from every other in `sub`
+/// (true for an empty set).
+pub fn connects_all(sub: &Graph, nodes: &[NodeId]) -> bool {
+    match nodes.first() {
+        None => true,
+        Some(&first) => {
+            let dist = sub.bfs(first);
+            nodes.iter().all(|&v| dist[v.index()] != u32::MAX)
+        }
+    }
+}
+
+/// Shortest path from `src` to `dst` as a node sequence (inclusive), or
+/// `None` if `dst` is unreachable. Among equal-length paths the one
+/// preferring smaller node ids is returned.
+pub fn shortest_path(g: &Graph, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
+    if src == dst {
+        return Some(vec![src]);
+    }
+    let mut parent: Vec<Option<NodeId>> = vec![None; g.n()];
+    let mut dist = vec![u32::MAX; g.n()];
+    let mut queue = Vec::with_capacity(g.n());
+    dist[src.index()] = 0;
+    queue.push(src);
+    let mut head = 0;
+    while head < queue.len() {
+        let u = queue[head];
+        head += 1;
+        if u == dst {
+            break;
+        }
+        let du = dist[u.index()];
+        for &v in g.neighbors(u) {
+            if dist[v.index()] == u32::MAX {
+                dist[v.index()] = du + 1;
+                parent[v.index()] = Some(u);
+                queue.push(v);
+            }
+        }
+    }
+    if dist[dst.index()] == u32::MAX {
+        return None;
+    }
+    let mut path = vec![dst];
+    let mut cur = dst;
+    while let Some(p) = parent[cur.index()] {
+        path.push(p);
+        cur = p;
+    }
+    path.reverse();
+    Some(path)
+}
+
+/// Some spanning tree of `g` (the BFS tree from node 0), or `None` if `g`
+/// is disconnected.
+pub fn bfs_spanning_tree(g: &Graph) -> Option<Graph> {
+    let n = g.n();
+    if n == 0 {
+        return Some(Graph::empty(0));
+    }
+    let mut b = GraphBuilder::new(n);
+    let mut seen = vec![false; n];
+    let mut queue = Vec::with_capacity(n);
+    seen[0] = true;
+    queue.push(NodeId(0));
+    let mut head = 0;
+    while head < queue.len() {
+        let u = queue[head];
+        head += 1;
+        for &v in g.neighbors(u) {
+            if !seen[v.index()] {
+                seen[v.index()] = true;
+                b.add_edge(u, v);
+                queue.push(v);
+            }
+        }
+    }
+    (queue.len() == n).then(|| b.build())
+}
+
+/// Whether every edge of `sub` is also an edge of `g` (on the same nodes).
+pub fn contains_subgraph(g: &Graph, sub: &Graph) -> bool {
+    sub.n() == g.n() && sub.edges().all(|e| g.has_edge(e.a, e.b))
+}
+
+/// Whether the analytic time of Algorithm 1 equals the round count of the
+/// phase plan the simulator runs.
+pub fn alg1_time_matches_plan(p: &ModelParams) -> bool {
+    let plan = alg1_plan(
+        p.k as usize,
+        p.alpha as usize,
+        p.l as usize,
+        p.theta as usize,
+    );
+    plan.total_rounds() as u64 == hinet_tl_time(p)
+}
+
+/// The counters recomputed from a parsed trace's event stream. Byte costs
+/// and the dedup gauge are not carried by events, so they are copied from
+/// the header; for a complete trace every other field must equal the
+/// header's (a mismatch means the artifact was truncated or hand-edited).
+pub fn recount_events(trace: &ParsedTrace) -> Counters {
+    let mut c = Counters {
+        bytes_sent: trace.counters.bytes_sent,
+        dups_discarded: trace.counters.dups_discarded,
+        ..Counters::default()
+    };
+    for te in &trace.events {
+        match &te.event {
+            Event::RoundStart => c.rounds += 1,
+            Event::TokenPush { count, role, .. } | Event::HeadBroadcast { count, role, .. } => {
+                c.tokens_sent += count;
+                c.packets_sent += 1;
+                c.tokens_by_role[role.slot()] += count;
+            }
+            Event::PhaseAdvance { .. } => c.phases += 1,
+            Event::Reaffiliation { .. } => c.reaffiliations += 1,
+            Event::FaultInjected { .. } => c.faults_injected += 1,
+            Event::Crash { .. } => c.crashes += 1,
+            Event::Recover { .. } => c.recoveries += 1,
+            Event::Retransmit { .. } => c.retransmits += 1,
+            Event::Delayed { .. } => c.delays_injected += 1,
+            Event::Duplicated { .. } => c.duplicates_injected += 1,
+            Event::RetransmitTimeout { .. } => c.retransmit_timeouts += 1,
+            Event::StallProbe { .. } => c.stall_probes += 1,
+            Event::StabilityWindow { .. } | Event::RunEnd { .. } => {}
+        }
+    }
+    c
 }

@@ -11,6 +11,8 @@
 //! `./ci.sh --update-golden` (or per file:
 //! `hinet trace --diff tests/golden/<name>.jsonl --update-golden`).
 
+mod common;
+
 use hinet::rt::obs::diff::{diff_traces, DiffConfig};
 use hinet::rt::obs::{ObsConfig, ParsedTrace, Tracer};
 use hinet::scenario::Scenario;
@@ -87,7 +89,7 @@ fn goldens_are_complete_and_internally_consistent() {
             golden.dropped
         );
         assert_eq!(
-            golden.recount_events(),
+            common::recount_events(&golden),
             golden.counters,
             "golden {name}: header counters disagree with its own event stream"
         );

@@ -5,6 +5,8 @@
 //! Ported to the in-tree [`hinet::rt::check`] harness; re-run a failing case
 //! with the `HINET_CHECK_SEED=…` command the failure message prints.
 
+mod common;
+
 use hinet::cluster::ctvg::FlatProvider;
 use hinet::cluster::generators::{HiNetConfig, HiNetGen};
 use hinet::core::analysis::{self, ModelParams};
@@ -230,7 +232,7 @@ fn analytic_model_internal_consistency() {
         };
         // Time formulas are positive and phase-plan-consistent.
         assert!(analysis::hinet_tl_time(&p) > 0);
-        assert!(analysis::alg1_time_matches_plan(&p));
+        assert!(common::alg1_time_matches_plan(&p));
         // θ ≤ n₀ implies Algorithm 1 uses no more phases than KLO charges
         // nodes, hence less head/gateway traffic whenever n_m > 0 and
         // churn is moderate.

@@ -6,11 +6,11 @@
 
 mod common;
 
-use common::max_interval_connectivity;
+use common::{bfs_spanning_tree, contains_subgraph, max_interval_connectivity, shortest_path};
 use hinet::graph::graph::{Graph, GraphBuilder, NodeId};
-use hinet::graph::spanning::{bfs_spanning_tree, random_attachment_tree};
+use hinet::graph::spanning::random_attachment_tree;
 use hinet::graph::trace::TvgTrace;
-use hinet::graph::traversal::{bfs_distances, components, is_connected, shortest_path};
+use hinet::graph::traversal::{components, is_connected};
 use hinet::graph::verify::is_t_interval_connected;
 use hinet::graph::CsrGraph;
 use hinet::rt::check::{check, CaseCtx};
@@ -67,8 +67,8 @@ fn intersection_is_subgraph_of_both() {
         let gs = arb_graphs(c, 2);
         let (g1, g2) = (&gs[0], &gs[1]);
         let i = g1.intersect(g2);
-        assert!(g1.contains_subgraph(&i));
-        assert!(g2.contains_subgraph(&i));
+        assert!(contains_subgraph(g1, &i));
+        assert!(contains_subgraph(g2, &i));
         assert!(i.m() <= g1.m().min(g2.m()));
         let mut in_place = g1.clone();
         in_place.intersect_in_place(g2);
@@ -83,8 +83,8 @@ fn union_contains_both() {
         let gs = arb_graphs(c, 2);
         let (g1, g2) = (&gs[0], &gs[1]);
         let u = g1.union(g2);
-        assert!(u.contains_subgraph(g1));
-        assert!(u.contains_subgraph(g2));
+        assert!(contains_subgraph(&u, g1));
+        assert!(contains_subgraph(&u, g2));
         assert!(u.m() <= g1.m() + g2.m());
         assert!(u.m() >= g1.m().max(g2.m()));
     });
@@ -108,7 +108,7 @@ fn csr_bfs_agrees_with_adjacency_bfs() {
         let g = arb_graph(c);
         let csr = CsrGraph::from(&g);
         for src in 0..g.n().min(4) {
-            let a = bfs_distances(&g, NodeId::from_index(src));
+            let a = g.bfs(NodeId::from_index(src));
             let b = csr.bfs(NodeId::from_index(src));
             assert_eq!(a, b);
         }
@@ -120,7 +120,7 @@ fn bfs_distances_are_metric_on_edges() {
     check("bfs_distances_are_metric_on_edges", CASES, |c| {
         // Adjacent nodes differ by at most 1 in distance from any source.
         let g = arb_graph(c);
-        let d = bfs_distances(&g, NodeId(0));
+        let d = g.bfs(NodeId(0));
         for e in g.edges() {
             let (da, db) = (d[e.a.index()], d[e.b.index()]);
             if da != u32::MAX && db != u32::MAX {
@@ -136,7 +136,7 @@ fn bfs_distances_are_metric_on_edges() {
 fn shortest_path_length_matches_bfs() {
     check("shortest_path_length_matches_bfs", CASES, |c| {
         let g = arb_graph(c);
-        let d = bfs_distances(&g, NodeId(0));
+        let d = g.bfs(NodeId(0));
         for t in 1..g.n() {
             let target = NodeId::from_index(t);
             match shortest_path(&g, NodeId(0), target) {
@@ -157,7 +157,7 @@ fn components_partition_reachability() {
     check("components_partition_reachability", CASES, |c| {
         let g = arb_graph(c);
         let labels = components(&g);
-        let d = bfs_distances(&g, NodeId(0));
+        let d = g.bfs(NodeId(0));
         for v in 0..g.n() {
             assert_eq!(
                 labels[v] == labels[0],
@@ -177,7 +177,7 @@ fn spanning_tree_exists_iff_connected() {
         if let Some(t) = tree {
             assert_eq!(t.m(), g.n() - 1);
             assert!(is_connected(&t));
-            assert!(g.contains_subgraph(&t));
+            assert!(contains_subgraph(&g, &t));
         }
     });
 }
