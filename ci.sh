@@ -20,6 +20,11 @@ fi
 
 cargo fmt --check
 
+# Lint gate: clippy over every target of the workspace (libraries, binary,
+# tests, examples), warnings as errors. perfbench is its own workspace and
+# is not linted here.
+cargo clippy --all-targets --offline --workspace -- -D warnings
+
 # Orphan-API gate: every `pub fn` in crates/*/src (outside `#[cfg(test)]`
 # items) must be named in some other .rs file under crates/, src/,
 # examples/, tests/ or perfbench/ — otherwise it is public surface nothing

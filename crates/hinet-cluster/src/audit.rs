@@ -302,7 +302,7 @@ fn flat_bottleneck(
         .iter()
         .map(|(&(u, v), &ps)| (f - ps as usize + 1, u, v))
         .collect();
-    edges.sort_unstable_by(|a, b| b.0.cmp(&a.0));
+    edges.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
     let mut parent: Vec<u32> = (0..n as u32).collect();
     fn find(parent: &mut [u32], mut x: u32) -> u32 {
         while parent[x as usize] != x {

@@ -322,7 +322,7 @@ mod tests {
     fn re_elect_with_nobody_down_changes_nothing() {
         let g = Graph::path(9);
         let h = cluster(ClusteringKind::LowestId, &g);
-        let r = re_elect(&g, &h, &vec![false; 9], GatewayPolicy::MinimalPairwise);
+        let r = re_elect(&g, &h, &[false; 9], GatewayPolicy::MinimalPairwise);
         assert_eq!(r.heads(), h.heads());
         for u in g.nodes() {
             assert_eq!(r.head_of(u), h.head_of(u));

@@ -137,7 +137,7 @@ impl SpectrumReport {
     /// over aligned windows, or `None` if not even (1, l).
     fn max_t_for(&self, l: usize) -> Option<usize> {
         (1..=self.len).rev().find(|&t| {
-            (self.change_gcd == 0 || self.change_gcd % t as u64 == 0)
+            (self.change_gcd == 0 || self.change_gcd.is_multiple_of(t as u64))
                 && matches!(self.worst.get(t - 1), Some(Some(w)) if *w as usize <= l)
         })
     }
@@ -356,7 +356,7 @@ impl StabilityStream {
 
         // Configured-t window: open on the boundary, otherwise fold this
         // round into the running state.
-        let opened = round % self.t == 0;
+        let opened = round.is_multiple_of(self.t);
         if opened {
             debug_assert!(self.win.is_none(), "previous window left open");
             self.win = Some(WindowState {
@@ -547,7 +547,7 @@ impl StabilityStream {
         }
         self.present_since = next;
         for t in divisors(f + 1) {
-            if self.change_gcd != 0 && self.change_gcd % t as u64 != 0 {
+            if self.change_gcd != 0 && !self.change_gcd.is_multiple_of(t as u64) {
                 continue; // Def 4 already dead for this t, permanently.
             }
             let s = f + 1 - t;
@@ -584,10 +584,10 @@ impl StabilityStream {
     fn finish_spectrum(&mut self, len: usize) {
         if let Some(h) = self.prev.clone() {
             for t in 1..=len {
-                if len % t == 0 {
+                if len.is_multiple_of(t) {
                     continue; // All windows of t were full, already scored.
                 }
-                if self.change_gcd != 0 && self.change_gcd % t as u64 != 0 {
+                if self.change_gcd != 0 && !self.change_gcd.is_multiple_of(t as u64) {
                     continue;
                 }
                 let s = len - len % t;
@@ -607,7 +607,7 @@ impl StabilityStream {
     fn state_bytes(&self) -> usize {
         use std::mem::size_of;
         fn hierarchy_bytes(h: &Hierarchy) -> usize {
-            h.n() * 9 + h.heads().len() * size_of::<NodeId>()
+            h.n() * 9 + std::mem::size_of_val(h.heads())
         }
         let mut b = size_of::<Self>();
         if let Some(w) = &self.win {
@@ -641,7 +641,7 @@ fn divisors(x: usize) -> Vec<usize> {
     let mut large = Vec::new();
     let mut i = 1;
     while i * i <= x {
-        if x % i == 0 {
+        if x.is_multiple_of(i) {
             small.push(i);
             if i != x / i {
                 large.push(x / i);

@@ -389,8 +389,10 @@ impl ObsConfig {
 }
 
 /// Monotonic counters, always exact regardless of sampling or ring
-/// eviction (they are updated on *emission*, not on *recording*).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// eviction (they are updated on *emission*, not on *recording*). Each
+/// field is one row of this module's `HEADER_COUNTERS` table, which fixes
+/// how the artifact header writes, reads and diffs it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Total tokens sent (the paper's communication metric).
     pub tokens_sent: u64,
@@ -407,9 +409,6 @@ pub struct Counters {
     /// Phases started.
     pub phases: u64,
     /// Deliveries dropped by the fault plane (loss + partitions).
-    ///
-    /// The four fault counters are serialised only when nonzero, so
-    /// fault-free artifacts are byte-identical to pre-fault-plane ones.
     pub faults_injected: u64,
     /// Node crashes injected.
     pub crashes: u64,
@@ -418,9 +417,6 @@ pub struct Counters {
     /// Recovery retransmissions sent.
     pub retransmits: u64,
     /// Deliveries held back by the fault plane's delay knob.
-    ///
-    /// The adversarial-delivery counters below are serialised only when
-    /// nonzero, so chaos-free artifacts stay byte-identical to older ones.
     pub delays_injected: u64,
     /// Envelope duplications injected by the fault plane.
     pub duplicates_injected: u64,
@@ -432,6 +428,68 @@ pub struct Counters {
     /// [`Tracer::note_dedup`] — it has no event of its own).
     pub dups_discarded: u64,
 }
+
+/// When the artifact header writes a counter.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Written {
+    /// On every header; parsing requires it.
+    Always,
+    /// Only when nonzero, so artifacts of runs without faults or delivery
+    /// chaos stay byte-identical to those written before the counter
+    /// existed; parsing reads an absent key as 0.
+    Nonzero,
+}
+
+/// One header counter: a row of [`HEADER_COUNTERS`].
+struct HeaderCounter {
+    /// Wire key in the header's `counters` object (also the field name).
+    key: &'static str,
+    written: Written,
+    /// What it counts, as the trace diff names it.
+    what: &'static str,
+    /// Its values in a [`Counters`]: one, or one per role for
+    /// `tokens_by_role`. Mutable so that the parser can fill them in.
+    slots: fn(&mut Counters) -> &mut [u64],
+}
+
+/// `counter!(field, Written, "what")`: the [`HeaderCounter`] for a scalar
+/// `Counters::field`, keyed `field` on the wire.
+macro_rules! counter {
+    ($field:ident, $written:ident, $what:literal) => {
+        HeaderCounter {
+            key: stringify!($field),
+            written: Written::$written,
+            what: $what,
+            slots: |c| std::slice::from_mut(&mut c.$field),
+        }
+    };
+}
+
+/// Every header counter, in header order: the one list that the writer,
+/// [`ParsedTrace::parse_jsonl`] and the trace diff iterate.
+const HEADER_COUNTERS: [HeaderCounter; 16] = [
+    counter!(tokens_sent, Always, "tokens sent"),
+    counter!(packets_sent, Always, "packets sent"),
+    counter!(bytes_sent, Always, "bytes on air"),
+    HeaderCounter {
+        key: "tokens_by_role",
+        written: Written::Always,
+        what: "tokens sent by",
+        slots: |c| &mut c.tokens_by_role,
+    },
+    counter!(reaffiliations, Always, "re-affiliations"),
+    counter!(rounds, Always, "rounds executed"),
+    counter!(phases, Always, "phases started"),
+    counter!(faults_injected, Nonzero, "fault-dropped deliveries"),
+    counter!(crashes, Nonzero, "node crashes"),
+    counter!(recoveries, Nonzero, "node recoveries"),
+    counter!(retransmits, Nonzero, "recovery retransmissions"),
+    counter!(delays_injected, Nonzero, "delayed deliveries"),
+    counter!(duplicates_injected, Nonzero, "duplicated envelopes"),
+    counter!(retransmit_timeouts, Nonzero, "timer retransmissions"),
+    counter!(stall_probes, Nonzero, "stall probes"),
+    counter!(dups_discarded, Nonzero, "discarded duplicates"),
+];
 
 /// A power-of-two-bucket histogram (bucket `i` counts values `v` with
 /// `⌊log₂ v⌋ = i`; zero gets bucket 0). Used for rounds-per-phase
@@ -699,7 +757,7 @@ impl Tracer {
             let keep = match self.cfg.mode {
                 ObsMode::Off => false,
                 ObsMode::Full => true,
-                ObsMode::Sampled(n) => self.data_seq % n as u64 == 0,
+                ObsMode::Sampled(n) => self.data_seq.is_multiple_of(n as u64),
             };
             self.data_seq += 1;
             keep
@@ -726,7 +784,7 @@ impl Tracer {
             return;
         }
         if let Some(t) = self.phase_len {
-            if round % t == 0 {
+            if round.is_multiple_of(t) {
                 if round > 0 {
                     self.rounds_per_phase.record(self.rounds_in_phase);
                 }
@@ -907,14 +965,39 @@ impl Tracer {
         self.ring.dropped
     }
 
+    /// The artifact's header object: schema, recording mode, metadata,
+    /// the counters (written as [`HEADER_COUNTERS`] says) and the drop
+    /// count.
+    fn header(&self) -> Json {
+        let mut c = self.counters;
+        let mut counters = Vec::new();
+        for f in &HEADER_COUNTERS {
+            let json = match (f.slots)(&mut c) {
+                [0] if f.written == Written::Nonzero => continue,
+                [one] => Json::Num(*one as f64),
+                all => Json::Arr(all.iter().map(|&x| Json::Num(x as f64)).collect()),
+            };
+            counters.push((f.key.into(), json));
+        }
+        let meta = self
+            .meta
+            .iter()
+            .map(|(k, v)| (k.clone(), Json::Str(v.clone())));
+        Json::Obj(vec![
+            ("schema".into(), Json::Str(SCHEMA.into())),
+            ("mode".into(), Json::Str(self.cfg.mode.wire())),
+            ("meta".into(), Json::Obj(meta.collect())),
+            ("counters".into(), Json::Obj(counters)),
+            ("dropped".into(), Json::Num(self.dropped() as f64)),
+        ])
+    }
+
     /// Serialise to the `hinet-trace/v1` JSONL artifact: a header object on
     /// line 1 (schema, metadata, exact counters, drop count), then one
     /// event object per line, oldest first.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        out.push_str(
-            &header_json(&self.meta, &self.counters, self.dropped(), self.cfg.mode).to_string(),
-        );
+        out.push_str(&self.header().to_string());
         out.push('\n');
         for te in self.events() {
             write_event(&mut out, te);
@@ -976,11 +1059,7 @@ impl Tracer {
         part.push(".part");
         let part = std::path::PathBuf::from(part);
         let mut out = std::io::BufWriter::new(std::fs::File::create(&sink.path)?);
-        writeln!(
-            out,
-            "{}",
-            header_json(&self.meta, &self.counters, self.dropped(), self.cfg.mode)
-        )?;
+        writeln!(out, "{}", self.header())?;
         let mut spill = std::fs::File::open(&part)?;
         std::io::copy(&mut spill, &mut out)?;
         out.flush()?;
@@ -993,66 +1072,6 @@ impl Tracer {
     pub fn streamed(&self) -> Option<u64> {
         self.sink.as_ref().map(|s| s.written)
     }
-}
-
-fn counters_json(c: &Counters) -> Json {
-    let mut fields = vec![
-        ("tokens_sent".into(), Json::Num(c.tokens_sent as f64)),
-        ("packets_sent".into(), Json::Num(c.packets_sent as f64)),
-        ("bytes_sent".into(), Json::Num(c.bytes_sent as f64)),
-        (
-            "tokens_by_role".into(),
-            Json::Arr(
-                c.tokens_by_role
-                    .iter()
-                    .map(|&t| Json::Num(t as f64))
-                    .collect(),
-            ),
-        ),
-        ("reaffiliations".into(), Json::Num(c.reaffiliations as f64)),
-        ("rounds".into(), Json::Num(c.rounds as f64)),
-        ("phases".into(), Json::Num(c.phases as f64)),
-    ];
-    // Fault counters are written only when nonzero: fault-free artifacts
-    // stay byte-identical to those written before the fault plane existed.
-    for (name, v) in [
-        ("faults_injected", c.faults_injected),
-        ("crashes", c.crashes),
-        ("recoveries", c.recoveries),
-        ("retransmits", c.retransmits),
-        ("delays_injected", c.delays_injected),
-        ("duplicates_injected", c.duplicates_injected),
-        ("retransmit_timeouts", c.retransmit_timeouts),
-        ("stall_probes", c.stall_probes),
-        ("dups_discarded", c.dups_discarded),
-    ] {
-        if v > 0 {
-            fields.push((name.into(), Json::Num(v as f64)));
-        }
-    }
-    Json::Obj(fields)
-}
-
-fn header_json(
-    meta: &[(String, String)],
-    counters: &Counters,
-    dropped: u64,
-    mode: ObsMode,
-) -> Json {
-    Json::Obj(vec![
-        ("schema".into(), Json::Str(SCHEMA.into())),
-        ("mode".into(), Json::Str(mode.wire())),
-        (
-            "meta".into(),
-            Json::Obj(
-                meta.iter()
-                    .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                    .collect(),
-            ),
-        ),
-        ("counters".into(), counters_json(counters)),
-        ("dropped".into(), Json::Num(dropped as f64)),
-    ])
 }
 
 /// Append one event's JSONL object (without the newline) to `out`.
@@ -1224,44 +1243,21 @@ impl ParsedTrace {
             _ => return Err("missing 'meta'".into()),
         };
         let c = header.get("counters").ok_or("missing 'counters'")?;
-        let num = |v: &Json, key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or(format!("missing counter '{key}'"))
-        };
-        let roles = c
-            .get("tokens_by_role")
-            .and_then(Json::as_arr)
-            .ok_or("missing counter 'tokens_by_role'")?;
-        if roles.len() != 3 {
-            return Err("tokens_by_role must have 3 entries".into());
+        let mut counters = Counters::default();
+        for f in &HEADER_COUNTERS {
+            let slots = (f.slots)(&mut counters);
+            let values = match c.get(f.key) {
+                None if f.written == Written::Nonzero => continue,
+                None => None,
+                Some(v) if slots.len() == 1 => v.as_u64().map(|x| vec![x]),
+                Some(v) => v
+                    .as_arr()
+                    .filter(|a| a.len() == slots.len())
+                    .and_then(|a| a.iter().map(Json::as_u64).collect()),
+            };
+            let values = values.ok_or(format!("missing or malformed counter '{}'", f.key))?;
+            slots.copy_from_slice(&values);
         }
-        let mut tokens_by_role = [0u64; 3];
-        for (i, r) in roles.iter().enumerate() {
-            tokens_by_role[i] = r.as_u64().ok_or("non-integer tokens_by_role entry")?;
-        }
-        // Fault counters default to 0 when absent: they are only written
-        // when nonzero, and older traces predate them entirely.
-        let opt_counter =
-            |v: &Json, key: &str| -> u64 { v.get(key).and_then(Json::as_u64).unwrap_or(0) };
-        let counters = Counters {
-            tokens_sent: num(c, "tokens_sent")?,
-            packets_sent: num(c, "packets_sent")?,
-            bytes_sent: num(c, "bytes_sent")?,
-            tokens_by_role,
-            reaffiliations: num(c, "reaffiliations")?,
-            rounds: num(c, "rounds")?,
-            phases: num(c, "phases")?,
-            faults_injected: opt_counter(c, "faults_injected"),
-            crashes: opt_counter(c, "crashes"),
-            recoveries: opt_counter(c, "recoveries"),
-            retransmits: opt_counter(c, "retransmits"),
-            delays_injected: opt_counter(c, "delays_injected"),
-            duplicates_injected: opt_counter(c, "duplicates_injected"),
-            retransmit_timeouts: opt_counter(c, "retransmit_timeouts"),
-            stall_probes: opt_counter(c, "stall_probes"),
-            dups_discarded: opt_counter(c, "dups_discarded"),
-        };
         let dropped = header
             .get("dropped")
             .and_then(Json::as_u64)
@@ -1423,12 +1419,12 @@ pub struct TraceSummary {
 impl TraceSummary {
     /// Summarise a live tracer.
     pub fn from_tracer(tracer: &Tracer) -> TraceSummary {
-        Self::summarize(tracer.counters().clone(), tracer.dropped(), tracer.events())
+        Self::summarize(*tracer.counters(), tracer.dropped(), tracer.events())
     }
 
     /// Summarise a parsed artifact.
     pub fn from_trace(trace: &ParsedTrace) -> TraceSummary {
-        Self::summarize(trace.counters.clone(), trace.dropped, trace.events.iter())
+        Self::summarize(trace.counters, trace.dropped, trace.events.iter())
     }
 
     fn summarize<'a>(
@@ -1455,14 +1451,16 @@ impl TraceSummary {
                     saw_phase = true;
                     in_phase = 0;
                 }
-                Event::StabilityWindow { def, open, held } => {
-                    if !open {
-                        let slot = s.windows_held.entry(*def).or_insert((0, 0));
-                        if *held {
-                            slot.0 += 1;
-                        } else {
-                            slot.1 += 1;
-                        }
+                Event::StabilityWindow {
+                    def,
+                    open: false,
+                    held,
+                } => {
+                    let slot = s.windows_held.entry(*def).or_insert((0, 0));
+                    if *held {
+                        slot.0 += 1;
+                    } else {
+                        slot.1 += 1;
                     }
                 }
                 Event::RunEnd { completed, .. } => s.completed = Some(*completed),

@@ -10,10 +10,12 @@
 //! * **[`Severity::Meta`]** — the traces describe different scenarios
 //!   (algorithm, dynamics, `n`/`k`/`α`/`L`/`θ`, seed, cost weights). A meta
 //!   divergence usually means the comparison itself is misconfigured.
-//! * **[`Severity::Counter`]** — the exact header counters differ: rounds,
-//!   phases, tokens/packets/bytes sent, per-role token splits,
-//!   re-affiliations. Counters survive sampling and ring eviction, so this
-//!   tier is meaningful for *any* pair of traces.
+//! * **[`Severity::Counter`]** — an exact header counter differs. Every
+//!   counter the header carries is compared, one divergence per counter
+//!   (per role for the per-role token split), in header order. Counters
+//!   survive sampling and ring eviction, so this tier is meaningful for
+//!   *any* pair of traces, and it is the only evidence for counters with
+//!   no event of their own (`dups_discarded`).
 //! * **[`Severity::Event`]** — the recorded event streams differ: the first
 //!   diverging round is named with a bounded context window of surrounding
 //!   events, and the per-phase round counts, per-kind event tallies and
@@ -46,7 +48,7 @@
 //! assert!(d.divergences.iter().any(|v| v.severity == Severity::Event));
 //! ```
 
-use super::{Counters, ParsedTrace, TraceEvent, TraceSummary};
+use super::{Counters, ParsedTrace, TraceEvent, TraceSummary, HEADER_COUNTERS};
 use crate::bench::json::Json;
 
 /// Diff artifact schema identifier (the `hinet trace --diff --json` output).
@@ -286,7 +288,7 @@ pub fn diff_traces(a: &ParsedTrace, b: &ParsedTrace, cfg: &DiffConfig) -> DiffRe
         diff_meta(a, b, &mut report);
     }
     if !cfg.ignore_counters {
-        diff_counters(&a.counters, &b.counters, &mut report);
+        diff_counters(a.counters, b.counters, &mut report);
     }
     if !cfg.ignore_events {
         match event_guard(a, b) {
@@ -362,71 +364,32 @@ fn diff_meta(a: &ParsedTrace, b: &ParsedTrace, report: &mut DiffReport) {
     }
 }
 
-fn diff_counters(a: &Counters, b: &Counters, report: &mut DiffReport) {
-    let mut check = |field: &str, va: u64, vb: u64, what: &str| {
-        if va != vb {
+fn diff_counters(mut a: Counters, mut b: Counters, report: &mut DiffReport) {
+    for f in &HEADER_COUNTERS {
+        let (va, vb) = ((f.slots)(&mut a), (f.slots)(&mut b));
+        for (slot, (x, y)) in va.iter().zip(vb.iter()).enumerate() {
+            if x == y {
+                continue;
+            }
+            let (field, what) = match va.len() {
+                1 => (format!("counters.{}", f.key), f.what.to_string()),
+                _ => {
+                    let role = ["head", "gateway", "member"][slot];
+                    (
+                        format!("counters.{}.{role}", f.key),
+                        format!("{} {role}s", f.what),
+                    )
+                }
+            };
             push(
                 report,
                 Severity::Counter,
-                field,
-                va.to_string(),
-                vb.to_string(),
+                &field,
+                x.to_string(),
+                y.to_string(),
                 format!("{what} differ"),
             );
         }
-    };
-    check("counters.rounds", a.rounds, b.rounds, "rounds executed");
-    check("counters.phases", a.phases, b.phases, "phases started");
-    check(
-        "counters.tokens_sent",
-        a.tokens_sent,
-        b.tokens_sent,
-        "tokens sent",
-    );
-    check(
-        "counters.packets_sent",
-        a.packets_sent,
-        b.packets_sent,
-        "packets sent",
-    );
-    check(
-        "counters.bytes_sent",
-        a.bytes_sent,
-        b.bytes_sent,
-        "bytes on air",
-    );
-    check(
-        "counters.reaffiliations",
-        a.reaffiliations,
-        b.reaffiliations,
-        "re-affiliations",
-    );
-    check(
-        "counters.faults_injected",
-        a.faults_injected,
-        b.faults_injected,
-        "fault-dropped deliveries",
-    );
-    check("counters.crashes", a.crashes, b.crashes, "node crashes");
-    check(
-        "counters.recoveries",
-        a.recoveries,
-        b.recoveries,
-        "node recoveries",
-    );
-    check(
-        "counters.retransmits",
-        a.retransmits,
-        b.retransmits,
-        "recovery retransmissions",
-    );
-    for (slot, role) in ["head", "gateway", "member"].iter().enumerate() {
-        check(
-            &format!("counters.tokens_by_role.{role}"),
-            a.tokens_by_role[slot],
-            b.tokens_by_role[slot],
-            &format!("tokens sent by {role}s"),
-        );
     }
 }
 
@@ -609,6 +572,70 @@ mod tests {
             .divergences
             .iter()
             .any(|v| v.field == "counters.tokens_by_role.member"));
+    }
+
+    /// A header-only edit of any one counter (of any one role slot) is one
+    /// counter divergence naming it. The counters are taken from the
+    /// written header, not from the table the diff iterates.
+    #[test]
+    fn every_header_counter_is_compared() {
+        let mut t = Tracer::new(ObsConfig::full());
+        t.counters = Counters {
+            tokens_sent: 1,
+            packets_sent: 2,
+            bytes_sent: 3,
+            tokens_by_role: [4, 5, 6],
+            reaffiliations: 7,
+            rounds: 8,
+            phases: 9,
+            faults_injected: 10,
+            crashes: 11,
+            recoveries: 12,
+            retransmits: 13,
+            delays_injected: 14,
+            duplicates_injected: 15,
+            retransmit_timeouts: 16,
+            stall_probes: 17,
+            dups_discarded: 18,
+        };
+        let jsonl = t.to_jsonl();
+        let a = ParsedTrace::parse_jsonl(&jsonl).unwrap();
+        let header = Json::parse(jsonl.lines().next().unwrap()).unwrap();
+        let Some(Json::Obj(written)) = header.get("counters") else {
+            panic!("header has no counters object");
+        };
+        let mut edits = Vec::new();
+        for (i, (key, value)) in written.iter().enumerate() {
+            match value {
+                Json::Arr(slots) => {
+                    for (slot, role) in ["head", "gateway", "member"].iter().enumerate() {
+                        let mut bumped = slots.clone();
+                        bumped[slot] = Json::Num(bumped[slot].as_u64().unwrap() as f64 + 7.0);
+                        edits.push((i, Json::Arr(bumped), format!("counters.{key}.{role}")));
+                    }
+                }
+                v => edits.push((
+                    i,
+                    Json::Num(v.as_u64().unwrap() as f64 + 7.0),
+                    format!("counters.{key}"),
+                )),
+            }
+        }
+        assert_eq!(edits.len(), 18, "every counter is written when nonzero");
+        for (i, bumped, field) in edits {
+            let mut counters = written.clone();
+            counters[i].1 = bumped;
+            let mut edited = header.clone();
+            if let Json::Obj(fields) = &mut edited {
+                fields.iter_mut().find(|(k, _)| k == "counters").unwrap().1 = Json::Obj(counters);
+            }
+            let events = jsonl.split_once('\n').unwrap().1;
+            let b = ParsedTrace::parse_jsonl(&format!("{edited}\n{events}")).unwrap();
+            let d = diff_traces(&a, &b, &DiffConfig::default());
+            assert_eq!(d.count_at(Severity::Counter), 1, "{field}: {}", d.to_text());
+            assert_eq!(d.divergences.len(), 1, "{field}: {}", d.to_text());
+            assert_eq!(d.divergences[0].field, field);
+        }
     }
 
     #[test]

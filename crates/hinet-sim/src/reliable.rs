@@ -398,7 +398,7 @@ mod tests {
             assert_eq!(attempt as usize, i + 1);
             if i > 0 {
                 let gap = round - fired[i - 1].0;
-                assert!(gap >= 1 && gap <= 8 + 4, "gap {gap} outside cap+jitter");
+                assert!((1..=8 + 4).contains(&gap), "gap {gap} outside cap+jitter");
             }
         }
         // The first firing uses the base rto (2 + jitter ≤ 1); the gap to

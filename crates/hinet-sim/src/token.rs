@@ -272,7 +272,7 @@ pub fn max_not_in_either(a: &TokenSet, b: &TokenSet, c: &TokenSet) -> Option<Tok
 /// tail, O(k/64).
 pub fn universe(k: usize) -> TokenSet {
     let mut words = vec![u64::MAX; k / 64];
-    if k % 64 != 0 {
+    if !k.is_multiple_of(64) {
         words.push((1u64 << (k % 64)) - 1);
     }
     TokenSet { words, len: k }

@@ -40,7 +40,6 @@
 use hinet::analysis::experiments::all_experiments;
 use hinet::cluster::audit::StreamingAudit;
 use hinet::cluster::generators::HiNetConfig;
-use hinet::cluster::stability::stream::StabilityStream;
 use hinet::knobs::{scenario_flags, MAX_NODES, MAX_ROUNDS};
 use hinet::rt::obs::diff::{diff_traces, DiffConfig};
 use hinet::rt::obs::{ObsConfig, ParsedTrace, TraceSummary, Tracer};
@@ -113,7 +112,7 @@ const TRACE_FLAGS: &[FlagSpec] = &[
     flag(
         "stability-stream",
         false,
-        "verify Defs 2-8 per aligned window and trace the verdicts",
+        "run the in-engine (T, L)-HiNet oracle and trace its verdicts",
     ),
     flag(
         "sample",
@@ -338,7 +337,8 @@ fn cmd_export(dir: Option<&String>) -> ExitCode {
     }
 }
 
-fn print_report(sc: &Scenario, label: &str, report: &RunReport) {
+fn print_report(sc: &Scenario, report: &RunReport) -> Result<(), String> {
+    let label = sc.kind()?.label();
     println!(
         "algorithm: {label}  dynamics: {}  n={} k={} α={} L={} θ={} seed={}",
         sc.dynamics, sc.n, sc.k, sc.alpha, sc.l, sc.theta, sc.seed
@@ -401,6 +401,7 @@ fn print_report(sc: &Scenario, label: &str, report: &RunReport) {
             w.reassembly_stalls, w.mailbox_depth_max,
         );
     }
+    Ok(())
 }
 
 /// Print the stall watchdog's per-node diagnostics: each stalled node's
@@ -478,54 +479,77 @@ fn finish_trace(path: &str, tracer: &mut Tracer) -> Result<(), String> {
     }
 }
 
-fn cmd_run(flags: &FlagSet) -> ExitCode {
-    let want_trace = flags.has("trace") || flags.get("trace-out").is_some();
-    // Returns whether the stall watchdog halted the run (exit 1, so
-    // scripted chaos gates can distinguish a stall from a usage error).
-    let run = || -> Result<bool, String> {
-        let sc = Scenario::from_flags(flags)?;
-        let mut tracer = if want_trace {
-            Tracer::new(ObsConfig::full())
-        } else {
-            Tracer::disabled()
-        };
-        let out_path = flags.get("trace-out").unwrap_or("target/trace/run.jsonl");
-        if want_trace {
-            stream_trace(out_path, &mut tracer)?;
+/// The run half of `hinet run` and `hinet trace`: parse the scenario,
+/// stream the artifact to `out` (only when `stream` is set: `hinet trace
+/// --events`/`--summary` read the in-memory ring), run it with the
+/// in-engine (T, L)-HiNet oracle under `--stability-stream`, let the
+/// command `print` its report, print the watchdog's diagnostics and the
+/// oracle's line, stamp the oracle's peak state into the header, and
+/// finish the artifact.
+fn run_scenario(
+    flags: &FlagSet,
+    tracer: &mut Tracer,
+    out: Option<&str>,
+    stream: bool,
+    print: impl FnOnce(&Scenario, &RunReport, &Tracer) -> Result<(), String>,
+) -> Result<RunReport, String> {
+    let sc = Scenario::from_flags(flags)?;
+    if let Some(path) = out.filter(|_| stream) {
+        stream_trace(path, tracer)?;
+    }
+    let report = sc.run_traced_with_oracle(tracer, flags.has("stability-stream"))?;
+    print(&sc, &report, tracer)?;
+    if let Some(diag) = &report.stall {
+        print_stall_diag(diag);
+    }
+    if let Some(s) = &report.stability {
+        match s.violation {
+            Some(v) => println!(
+                "stability oracle: VIOLATED Def {} at round {} (window starting {})",
+                v.def, v.round, v.window_start
+            ),
+            None => println!(
+                "stability oracle: {}/{} windows (T, L)-HiNet  min L*={}",
+                s.hinet_windows,
+                s.windows,
+                s.min_hinet_l.map_or("-".into(), |l| l.to_string()),
+            ),
         }
-        let report = sc.run_traced_with_oracle(&mut tracer, flags.has("stability-stream"))?;
-        print_report(&sc, sc.kind()?.label(), &report);
-        let stalled = report.stall.is_some();
-        if let Some(diag) = &report.stall {
-            print_stall_diag(diag);
-        }
-        if let Some(s) = &report.stability {
-            match s.violation {
-                Some(v) => println!(
-                    "stability oracle: VIOLATED Def {} at round {} (window starting {})",
-                    v.def, v.round, v.window_start
-                ),
-                None => println!(
-                    "stability oracle: {}/{} windows (T, L)-HiNet  min L*={}",
-                    s.hinet_windows,
-                    s.windows,
-                    s.min_hinet_l.map_or("-".into(), |l| l.to_string()),
-                ),
-            }
-        }
-        if want_trace {
-            finish_trace(out_path, &mut tracer)?;
-        }
-        Ok(stalled)
-    };
-    match run() {
-        Ok(false) => ExitCode::SUCCESS,
-        Ok(true) => ExitCode::from(1),
+        tracer.meta(
+            "stability_stream_peak_bytes",
+            s.peak_state_bytes.to_string(),
+        );
+    }
+    if let Some(path) = out {
+        finish_trace(path, tracer)?;
+    }
+    Ok(report)
+}
+
+/// The exit contract `hinet run` and `hinet trace` share: 2 on a usage or
+/// I/O error, 1 when the stall watchdog halted the run (so scripted chaos
+/// gates can tell a stall from a usage error), 0 otherwise.
+fn run_exit(run: Result<RunReport, String>) -> ExitCode {
+    match run {
+        Ok(report) if report.stall.is_some() => ExitCode::from(1),
+        Ok(_) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("{e}");
             ExitCode::from(2)
         }
     }
+}
+
+fn cmd_run(flags: &FlagSet) -> ExitCode {
+    let want_trace = flags.has("trace") || flags.get("trace-out").is_some();
+    let mut tracer = if want_trace {
+        Tracer::new(ObsConfig::full())
+    } else {
+        Tracer::disabled()
+    };
+    let out = want_trace.then(|| flags.get("trace-out").unwrap_or("target/trace/run.jsonl"));
+    let print = |sc: &Scenario, report: &RunReport, _: &Tracer| print_report(sc, report);
+    run_exit(run_scenario(flags, &mut tracer, out, true, print))
 }
 
 /// Print a summary (and its consistency against a live report, if any).
@@ -591,81 +615,36 @@ fn cmd_trace(pos: &[String], flags: &FlagSet) -> ExitCode {
     }
 
     // Mode 2: run the scenario with tracing on.
-    let run = || -> Result<(Scenario, Tracer, RunReport), String> {
-        let sc = Scenario::from_flags(flags)?;
-        let mut tracer = match flags.get("sample") {
-            Some(_) => Tracer::new(ObsConfig::sampled(flags.parsed("sample", 1u32)?)),
-            None => Tracer::new(ObsConfig::full()),
-        };
-        // Pure artifact-recording runs stream events straight to disk;
-        // --events/--summary need the in-memory ring for display.
-        if let Some(path) = flags.get("out") {
-            if !events_wanted && !summary_wanted {
-                stream_trace(path, &mut tracer)?;
-            }
-        }
-        let report = sc.run_traced(&mut tracer)?;
-        if flags.has("stability-stream") {
-            // Providers are deterministic in the scenario seed, so a fresh
-            // one replays the run's dynamics, one round at a time, through
-            // the streaming verifier: memory bounded by one round.
-            let mut replay = sc.provider(&sc.kind()?)?;
-            let mut stream = StabilityStream::new(sc.t(), sc.l);
-            for round in 0..report.rounds_executed.max(1) {
-                let g = replay.graph_at(round);
-                let h = replay.hierarchy_at(round);
-                if let Some(verdict) = stream.push(&g, &h) {
-                    verdict.emit_into(&mut tracer);
+    let out = flags.get("out");
+    let mut tracer = match flags.get("sample").map(|_| flags.parsed("sample", 1u32)) {
+        Some(Ok(n)) => Tracer::new(ObsConfig::sampled(n)),
+        Some(Err(e)) => return run_exit(Err(e)),
+        None => Tracer::new(ObsConfig::full()),
+    };
+    let stream = !events_wanted && !summary_wanted;
+    let run = run_scenario(flags, &mut tracer, out, stream, |sc, report, tracer| {
+        println!(
+            "traced {} on {}: {} rounds, {} events recorded",
+            sc.algorithm,
+            sc.dynamics,
+            report.rounds_executed,
+            tracer.len().max(tracer.streamed().unwrap_or(0) as usize),
+        );
+        Ok(())
+    });
+    if let Ok(report) = &run {
+        if events_wanted {
+            for te in tracer.events() {
+                if filter.is_none_or(|f| te.event.kind().contains(f)) {
+                    println!("r={} {:?}", te.round, te.event);
                 }
             }
-            let (last, sr) = stream.finish();
-            if let Some(verdict) = last {
-                verdict.emit_into(&mut tracer);
-            }
-            tracer.meta(
-                "stability_stream_peak_bytes",
-                sr.peak_state_bytes.to_string(),
-            );
         }
-        Ok((sc, tracer, report))
-    };
-    let (sc, mut tracer, report) = match run() {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    println!(
-        "traced {} on {}: {} rounds, {} events recorded",
-        sc.algorithm,
-        sc.dynamics,
-        report.rounds_executed,
-        tracer.len().max(tracer.streamed().unwrap_or(0) as usize),
-    );
-    if let Some(path) = flags.get("out") {
-        if let Err(e) = finish_trace(path, &mut tracer) {
-            eprintln!("{e}");
-            return ExitCode::from(1);
+        if summary_wanted || (!events_wanted && out.is_none()) {
+            print_summary(&TraceSummary::from_tracer(&tracer), Some(report));
         }
     }
-    if events_wanted {
-        for te in tracer.events() {
-            if filter.is_none_or(|f| te.event.kind().contains(f)) {
-                println!("r={} {:?}", te.round, te.event);
-            }
-        }
-    }
-    if summary_wanted || (!events_wanted && flags.get("out").is_none()) {
-        print_summary(&TraceSummary::from_tracer(&tracer), Some(&report));
-    }
-    // Same exit contract as `hinet run`: a watchdog halt is exit 1.
-    if let Some(diag) = &report.stall {
-        print_stall_diag(diag);
-        return ExitCode::from(1);
-    }
-    ExitCode::SUCCESS
+    run_exit(run)
 }
 
 /// `hinet trace --diff A [B]`: compare trace `A` against trace `B`, or —

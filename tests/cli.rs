@@ -255,6 +255,111 @@ fn trace_stability_reports_windows() {
     assert!(text.contains("def8="), "{text}");
 }
 
+/// `hinet trace --stability-stream` and `hinet run --stability-stream` run
+/// the same in-engine oracle, at the T the dynamics promise (T = 1 for
+/// Algorithm 2), and write byte-identical artifacts in both execution
+/// modes; the trace summary counts only the windows `run` reports held.
+#[test]
+fn trace_and_run_share_the_stability_oracle() {
+    let dir = std::env::temp_dir().join(format!("hinet-cli-oracle-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (a, b) = (dir.join("trace.jsonl"), dir.join("run.jsonl"));
+    let scenarios: [&[&str]; 2] = [
+        &[
+            "--algorithm",
+            "alg2",
+            "--n",
+            "48",
+            "--k",
+            "6",
+            "--seed",
+            "5",
+        ],
+        &[
+            "--algorithm",
+            "alg1",
+            "--n",
+            "30",
+            "--k",
+            "4",
+            "--crash-at",
+            "2:0",
+            "--down-rounds",
+            "99",
+        ],
+    ];
+    for args in scenarios {
+        for mode in ["lockstep", "event"] {
+            let common = [args, &["--mode", mode, "--stability-stream"]].concat();
+            let traced = hinet()
+                .arg("trace")
+                .args(&common)
+                .arg("--out")
+                .arg(&a)
+                .output()
+                .unwrap();
+            assert!(traced.status.success(), "{args:?} {mode}: {traced:?}");
+            let run = hinet()
+                .arg("run")
+                .args(&common)
+                .arg("--trace-out")
+                .arg(&b)
+                .output()
+                .unwrap();
+            assert!(run.status.success(), "{args:?} {mode}: {run:?}");
+            let (ta, tb) = (std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
+            assert!(ta == tb, "{args:?} {mode}: trace and run artifacts differ");
+            let header =
+                String::from_utf8_lossy(&ta[..ta.iter().position(|&c| c == b'\n').unwrap()])
+                    .into_owned();
+            assert!(
+                header.contains("\"stability_stream_peak_bytes\":"),
+                "{header}"
+            );
+            let oracle_line = |out: &std::process::Output| {
+                String::from_utf8_lossy(&out.stdout)
+                    .lines()
+                    .find(|l| l.starts_with("stability oracle:"))
+                    .map(str::to_string)
+            };
+            assert!(
+                oracle_line(&run).is_some(),
+                "{args:?} {mode}: no oracle line"
+            );
+            assert_eq!(oracle_line(&traced), oracle_line(&run), "{args:?} {mode}");
+        }
+    }
+
+    let out = hinet()
+        .args([
+            "trace",
+            "--algorithm",
+            "alg2",
+            "--n",
+            "48",
+            "--k",
+            "6",
+            "--seed",
+            "5",
+        ])
+        .args(["--stability-stream", "--summary"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("stability oracle: 5/5 windows"), "{text}");
+    let windows = text
+        .lines()
+        .find(|l| l.starts_with("stability windows (held/broke):"))
+        .unwrap_or_else(|| panic!("no window line:\n{text}"));
+    for def in [2, 4, 5, 6, 7, 8] {
+        assert!(windows.contains(&format!("def{def}=5/0")), "{windows}");
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn trace_supports_rlnc_end_to_end() {
     let out = hinet()

@@ -16,8 +16,8 @@
 //!
 //! The module ends with the other helpers only tests call: graph paths,
 //! spanning trees and containment, the analysis-to-plan consistency check
-//! and the trace-event recount. Their unit tests are in
-//! tests/batch_reference.rs too.
+//! and the trace-event recount, whose unit tests are in
+//! tests/batch_reference.rs too; and the property suites' base scenario.
 
 #![allow(dead_code)] // each test binary uses its own subset
 
@@ -33,6 +33,7 @@ use hinet::graph::metrics::{snapshot_stats, TraceStats};
 use hinet::graph::trace::TvgTrace;
 use hinet::graph::verify::{is_always_connected, is_t_interval_connected};
 use hinet::rt::obs::{Counters, Event, ParsedTrace, Tracer};
+use hinet::scenario::Scenario;
 
 /// Definition 2 on one window: the head set is constant on rounds
 /// `[start, start+len)`.
@@ -457,4 +458,23 @@ pub fn recount_events(trace: &ParsedTrace) -> Counters {
         }
     }
     c
+}
+
+/// A clean lock-step scenario of `algorithm` on `dynamics` with α = L = 2,
+/// θ = n/3 (at least 1) and the derived `4n + 4T` budget: the base the
+/// property suites perturb.
+pub fn scenario(algorithm: &str, dynamics: &str, n: usize, k: usize, seed: u64) -> Scenario {
+    let mut sc = Scenario {
+        n,
+        k,
+        alpha: 2,
+        l: 2,
+        theta: (n / 3).max(1),
+        seed,
+        algorithm: algorithm.into(),
+        dynamics: dynamics.into(),
+        ..Scenario::defaults()
+    };
+    sc.budget = sc.derived_budget();
+    sc
 }

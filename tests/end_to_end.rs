@@ -114,7 +114,7 @@ fn klo_flood_completes_in_n_minus_1_on_worst_case_churn() {
         );
         assert!(report.completed(), "seed={seed}");
         assert!(
-            report.completion_round.unwrap() <= n - 1,
+            report.completion_round.unwrap() < n,
             "O'Dell–Wattenhofer bound"
         );
     }

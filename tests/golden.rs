@@ -100,3 +100,45 @@ fn goldens_are_complete_and_internally_consistent() {
         );
     }
 }
+
+/// The header writer's bytes: every golden re-records byte for byte, and
+/// the chaos trace ci.sh records (which carries the fault and delivery
+/// counters that clean runs omit) keeps its pinned header line.
+#[test]
+fn headers_re_render_byte_identically() {
+    for name in EXPECTED {
+        let path = golden_dir().join(format!("{name}.jsonl"));
+        let text = std::fs::read_to_string(&path).unwrap();
+        let sc = Scenario::from_meta(&load(name)).unwrap();
+        let mut tracer = Tracer::new(ObsConfig::full());
+        sc.run_traced(&mut tracer).unwrap();
+        assert!(
+            tracer.to_jsonl() == text,
+            "golden {name} re-records differently"
+        );
+    }
+
+    let mut sc = common::scenario("alg2", "hinet", 48, 6, 5);
+    (sc.alpha, sc.theta, sc.fault_seed) = (5, 16, 9);
+    (sc.loss_ppm, sc.delay_ppm, sc.max_delay, sc.dup_ppm) = (50_000, 30_000, 3, 20_000);
+    (sc.reorder, sc.reliable) = (true, true);
+    sc.budget = sc.derived_budget();
+    let mut tracer = Tracer::new(ObsConfig::full());
+    sc.run_traced(&mut tracer).unwrap();
+    let jsonl = tracer.to_jsonl();
+    assert_eq!(
+        jsonl.lines().next().unwrap(),
+        concat!(
+            r#"{"schema":"hinet-trace/v1","mode":"full","meta":{"scenario":"alg2","#,
+            r#""dynamics":"hinet","n":"48","k":"6","alpha":"5","l":"2","theta":"16","#,
+            r#""seed":"5","loss_ppm":"50000","fault_seed":"9","delay_ppm":"30000","#,
+            r#""max_delay":"3","dup_ppm":"20000","reorder":"1","reliable":"1","#,
+            r#""algorithm":"alg2-full-exchange","token_bytes":"16","#,
+            r#""packet_header_bytes":"24"},"counters":{"tokens_sent":434,"#,
+            r#""packets_sent":111,"bytes_sent":9608,"tokens_by_role":[134,134,166],"#,
+            r#""reaffiliations":109,"rounds":6,"phases":0,"faults_injected":20,"#,
+            r#""delays_injected":7,"duplicates_injected":9,"retransmit_timeouts":4,"#,
+            r#""dups_discarded":9},"dropped":0}"#,
+        )
+    );
+}

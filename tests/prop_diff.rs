@@ -8,7 +8,9 @@
 //! event, reordered round — is always detected at exactly the right
 //! severity.
 
-use hinet::core::params::required_phase_length;
+mod common;
+
+use common::scenario;
 use hinet::rt::check::check;
 use hinet::rt::obs::diff::{diff_traces, DiffConfig, Severity};
 use hinet::rt::obs::{ObsConfig, ParsedTrace, Tracer};
@@ -27,38 +29,6 @@ const ALGOS: &[(&str, &str)] = &[
     ("delta", "hinet"),
     ("rlnc", "flat-1"),
 ];
-
-fn scenario(algorithm: &str, dynamics: &str, n: usize, k: usize, seed: u64) -> Scenario {
-    let (alpha, l) = (2, 2);
-    let t = required_phase_length(k, alpha, l);
-    Scenario {
-        n,
-        k,
-        alpha,
-        l,
-        theta: (n / 3).max(1),
-        seed,
-        algorithm: algorithm.into(),
-        dynamics: dynamics.into(),
-        budget: 4 * n + 4 * t,
-        loss_ppm: 0,
-        crash_ppm: 0,
-        crash_at: vec![],
-        target_heads: false,
-        fault_seed: 0,
-        retransmit: false,
-        durable_tokens: false,
-        partitions: vec![],
-        down_rounds: 1,
-        delay_ppm: 0,
-        max_delay: 1,
-        dup_ppm: 0,
-        reorder: false,
-        reliable: false,
-        stall_rounds: 0,
-        mode: hinet_sim::ExecMode::Lockstep,
-    }
-}
 
 fn record(sc: &Scenario) -> ParsedTrace {
     let mut tracer = Tracer::new(ObsConfig::full());

@@ -97,7 +97,7 @@ fn alg2_completes_within_theorem2_bound() {
             RunConfig::default(),
         );
         assert!(report.completed(), "{p:?}");
-        assert!(report.completion_round.unwrap() <= p.n - 1, "{p:?}");
+        assert!(report.completion_round.unwrap() < p.n, "{p:?}");
     });
 }
 

@@ -17,44 +17,15 @@
 //! stability oracle verifies the same rounds in both modes — same
 //! verdicts, same stream summary, same outcome.
 
+mod common;
+
+use common::scenario;
 use hinet::rt::check::check;
 use hinet::rt::obs::{ObsConfig, ParsedTrace, Tracer};
 use hinet::scenario::Scenario;
 use hinet_graph::graph::NodeId;
 use hinet_sim::transport::{Envelope, EnvelopeKind, Reassembly, Released};
 use hinet_sim::{ExecMode, Outcome, Partition};
-
-fn scenario(algorithm: &str, dynamics: &str, n: usize, k: usize, seed: u64) -> Scenario {
-    let (alpha, l) = (2, 2);
-    let t = hinet::core::params::required_phase_length(k, alpha, l);
-    Scenario {
-        n,
-        k,
-        alpha,
-        l,
-        theta: (n / 3).max(1),
-        seed,
-        algorithm: algorithm.into(),
-        dynamics: dynamics.into(),
-        budget: 4 * n + 4 * t,
-        loss_ppm: 0,
-        crash_ppm: 0,
-        crash_at: vec![],
-        target_heads: false,
-        fault_seed: 0,
-        retransmit: false,
-        durable_tokens: false,
-        partitions: vec![],
-        down_rounds: 1,
-        delay_ppm: 0,
-        max_delay: 1,
-        dup_ppm: 0,
-        reorder: false,
-        reliable: false,
-        stall_rounds: 0,
-        mode: ExecMode::Lockstep,
-    }
-}
 
 /// Record a scenario's trace artifact and engine report.
 fn record(sc: &Scenario) -> (hinet_sim::RunReport, String) {

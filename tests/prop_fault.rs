@@ -15,6 +15,9 @@
 //! round the targeted victims are a strict, non-empty subset of the
 //! untargeted ones, and targeted runs replay byte-for-byte.
 
+mod common;
+
+use common::scenario;
 use hinet::rt::check::check;
 use hinet::rt::obs::{Event, ObsConfig, ParsedTrace, Tracer};
 use hinet::scenario::Scenario;
@@ -22,38 +25,6 @@ use hinet::sim::engine::Outcome;
 use hinet::sim::fault::Partition;
 use hinet_sim::RunReport;
 use std::collections::BTreeSet;
-
-fn scenario(algorithm: &str, dynamics: &str, n: usize, k: usize, seed: u64) -> Scenario {
-    let (alpha, l) = (2, 2);
-    let t = hinet::core::params::required_phase_length(k, alpha, l);
-    Scenario {
-        n,
-        k,
-        alpha,
-        l,
-        theta: (n / 3).max(1),
-        seed,
-        algorithm: algorithm.into(),
-        dynamics: dynamics.into(),
-        budget: 4 * n + 4 * t,
-        loss_ppm: 0,
-        crash_ppm: 0,
-        crash_at: vec![],
-        target_heads: false,
-        fault_seed: 0,
-        retransmit: false,
-        durable_tokens: false,
-        partitions: vec![],
-        down_rounds: 1,
-        delay_ppm: 0,
-        max_delay: 1,
-        dup_ppm: 0,
-        reorder: false,
-        reliable: false,
-        stall_rounds: 0,
-        mode: hinet_sim::ExecMode::Lockstep,
-    }
-}
 
 fn record(sc: &Scenario) -> (RunReport, String) {
     let mut tracer = Tracer::new(ObsConfig::full());

@@ -137,16 +137,16 @@ fn shortest_path_length_matches_bfs() {
     check("shortest_path_length_matches_bfs", CASES, |c| {
         let g = arb_graph(c);
         let d = g.bfs(NodeId(0));
-        for t in 1..g.n() {
+        for (t, &dt) in d.iter().enumerate().skip(1) {
             let target = NodeId::from_index(t);
             match shortest_path(&g, NodeId(0), target) {
                 Some(p) => {
-                    assert_eq!(p.len() as u32 - 1, d[t]);
+                    assert_eq!(p.len() as u32 - 1, dt);
                     for w in p.windows(2) {
                         assert!(g.has_edge(w[0], w[1]));
                     }
                 }
-                None => assert_eq!(d[t], u32::MAX),
+                None => assert_eq!(dt, u32::MAX),
             }
         }
     });

@@ -380,11 +380,13 @@ fn corpus_scenarios_stream_equals_batch() {
     }
 }
 
-/// What `hinet trace --scenario F --stability-stream` records: the run's
-/// dynamics replayed over the rounds it executed, one round at a time
-/// through `StabilityStream`. Its `stability_window` events must be
-/// byte-identical to the reference `trace_stability_windows` over the
-/// captured trace, for every corpus scenario.
+/// The one-pass verifier on each corpus scenario's dynamics: the
+/// provider's hierarchies over the rounds the run executed, pushed one
+/// round at a time through `StabilityStream` at the scenario's T. Its
+/// `stability_window` events must be byte-identical to the reference
+/// `trace_stability_windows` over the captured trace. (The CLI's
+/// `--stability-stream` runs the engine's oracle instead, on the
+/// effective hierarchy at the T the dynamics promise.)
 #[test]
 fn stream_verdicts_match_batch_on_corpus() {
     for (path, sc) in corpus_scenarios() {
