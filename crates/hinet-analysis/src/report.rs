@@ -30,11 +30,6 @@ impl Table {
         &self.title
     }
 
-    /// Column count.
-    pub fn width(&self) -> usize {
-        self.headers.len()
-    }
-
     /// Row count (excluding header).
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -188,7 +183,7 @@ mod tests {
     fn accessors() {
         let t = sample();
         assert_eq!(t.title(), "Demo");
-        assert_eq!(t.width(), 3);
+        assert_eq!(t.headers.len(), 3);
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
         assert_eq!(t.cell(1, 2), "4320");

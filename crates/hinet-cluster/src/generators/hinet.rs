@@ -37,21 +37,6 @@ pub struct HiNetConfig {
 }
 
 impl HiNetConfig {
-    /// A small, valid default mirroring the paper's Table 3 proportions.
-    pub fn example() -> Self {
-        HiNetConfig {
-            n: 100,
-            num_heads: 12,
-            theta: 30,
-            l: 2,
-            t: 18,
-            reaffil_prob: 0.1,
-            rotate_heads: true,
-            noise_edges: 20,
-            seed: 0,
-        }
-    }
-
     /// Check the configuration: at least one node and one head,
     /// `num_heads ≤ theta ≤ n`, `L, T ≥ 1`, `reaffil_prob ∈ [0, 1]`, and
     /// enough nodes for the heads plus the backbone's gateways. The error

@@ -194,10 +194,9 @@ struct WindowState {
 
 /// Incremental one-pass verifier for Definitions 2–8 over aligned windows.
 ///
-/// Feed rounds with [`push`](Self::push) (or [`push_chunk`](Self::push_chunk)
-/// — chunk boundaries never change verdicts); each window close returns
-/// that window's [`WindowVerdict`], and [`finish`](Self::finish) closes the trailing partial window and
-/// returns the [`StreamReport`].
+/// Feed rounds with [`push`](Self::push); each window close returns that
+/// window's [`WindowVerdict`], and [`finish`](Self::finish) closes the
+/// trailing partial window and returns the [`StreamReport`].
 ///
 /// ```
 /// use hinet_cluster::hierarchy::single_cluster;
@@ -425,20 +424,6 @@ impl StabilityStream {
         }
     }
 
-    /// Consume a chunk of rounds, returning the verdicts of all windows
-    /// closed inside it. Feeding a trace round-by-round or in arbitrary
-    /// chunks yields identical verdict sequences (chunk-boundary
-    /// invariance, pinned by `tests/prop_stream.rs`).
-    pub fn push_chunk<'a, I>(&mut self, rounds: I) -> Vec<WindowVerdict>
-    where
-        I: IntoIterator<Item = (&'a Arc<Graph>, &'a Arc<Hierarchy>)>,
-    {
-        rounds
-            .into_iter()
-            .filter_map(|(g, h)| self.push(g, h))
-            .collect()
-    }
-
     /// Close the trailing partial window (if any) and summarise.
     pub fn finish(mut self) -> (Option<WindowVerdict>, StreamReport) {
         let last = self.win.is_some().then(|| self.close_window());
@@ -662,7 +647,7 @@ pub(crate) fn stream_trace(
     l: usize,
 ) -> (Vec<WindowVerdict>, StreamReport) {
     let mut s = StabilityStream::new(t, l).with_spectrum();
-    let mut v = s.push_chunk(trace.iter());
+    let mut v: Vec<_> = trace.iter().filter_map(|(g, h)| s.push(g, h)).collect();
     let (last, report) = s.finish();
     v.extend(last);
     (v, report)
@@ -798,28 +783,12 @@ mod tests {
     }
 
     #[test]
-    fn chunked_and_per_round_feeds_agree() {
-        let trace = constant_trace(7);
-        let mut a = StabilityStream::new(3, 2).with_spectrum();
-        let mut b = StabilityStream::new(3, 2).with_spectrum();
-        let mut va = Vec::new();
-        for (g, h) in trace.iter() {
-            va.extend(a.push(g, h));
-        }
-        let mut vb = b.push_chunk(trace.iter());
-        let (la, ra) = a.finish();
-        let (lb, rb) = b.finish();
-        va.extend(la);
-        vb.extend(lb);
-        assert_eq!(va, vb);
-        assert_eq!(ra, rb);
-    }
-
-    #[test]
     fn peak_state_is_tracked() {
         let trace = constant_trace(4);
         let mut s = StabilityStream::new(2, 2);
-        s.push_chunk(trace.iter());
+        for (g, h) in trace.iter() {
+            s.push(g, h);
+        }
         assert!(s.peak_state_bytes() > 0);
         let peak = s.peak_state_bytes();
         let (_, report) = s.finish();

@@ -411,27 +411,6 @@ impl Graph {
     pub fn is_connected(&self) -> bool {
         self.n() <= 1 || self.bfs(NodeId(0)).iter().all(|&d| d != u32::MAX)
     }
-
-    /// Exact diameter via all-sources BFS; `None` if disconnected.
-    ///
-    /// Quadratic in `n` — intended for the moderate `n` of the paper's
-    /// experiments (tens to low thousands), not web-scale graphs.
-    pub fn diameter(&self) -> Option<u32> {
-        let n = self.n();
-        let mut dist = vec![u32::MAX; n];
-        let mut queue = Vec::with_capacity(n);
-        let mut diam = 0;
-        for u in self.nodes() {
-            self.bfs_into(&[u], &mut dist, &mut queue);
-            for &d in dist.iter() {
-                if d == u32::MAX {
-                    return None;
-                }
-                diam = diam.max(d);
-            }
-        }
-        Some(diam)
-    }
 }
 
 /// Incremental builder for [`Graph`].
@@ -687,16 +666,6 @@ mod tests {
         assert!(!Graph::from_edges(3, [(0, 1)]).is_connected());
         assert!(Graph::empty(1).is_connected());
         assert!(Graph::empty(0).is_connected());
-    }
-
-    #[test]
-    fn diameter_of_known_shapes() {
-        assert_eq!(Graph::path(7).diameter(), Some(6));
-        assert_eq!(Graph::cycle(8).diameter(), Some(4));
-        assert_eq!(Graph::complete(5).diameter(), Some(1));
-        assert_eq!(Graph::star(9).diameter(), Some(2));
-        assert_eq!(Graph::empty(0).diameter(), Some(0));
-        assert_eq!(Graph::from_edges(3, [(0, 1)]).diameter(), None);
     }
 
     /// A random edge list over `n` nodes: duplicates and both orientations

@@ -39,69 +39,6 @@ pub fn is_t_interval_connected(trace: &TvgTrace, t: usize) -> bool {
     true
 }
 
-/// Foremost arrival times from `src` starting at round `start`: the
-/// earliest round (1-based offset from `start`) by which information
-/// originating at `src` *can* reach each node, assuming every informed
-/// node forwards every round (a temporal BFS over the trace's foremost
-/// journeys). `u32::MAX` marks nodes unreachable within the trace.
-///
-/// This is a per-source lower bound for any dissemination algorithm and is
-/// *achieved* by full flooding — the integration suite checks that
-/// `KloFlood` with a single source completes exactly at
-/// [`flooding_makespan`].
-fn foremost_arrival(trace: &TvgTrace, src: crate::graph::NodeId, start: usize) -> Vec<u32> {
-    let n = trace.n();
-    let mut arrival = vec![u32::MAX; n];
-    arrival[src.index()] = 0;
-    let mut informed = vec![false; n];
-    informed[src.index()] = true;
-    let mut frontier_nonempty = true;
-    for r in start..trace.len() {
-        if !frontier_nonempty {
-            break;
-        }
-        let g = trace.graph(r);
-        let mut newly: Vec<crate::graph::NodeId> = Vec::new();
-        for u in g.nodes() {
-            if !informed[u.index()] {
-                continue;
-            }
-            for &v in g.neighbors(u) {
-                if !informed[v.index()] && arrival[v.index()] == u32::MAX {
-                    arrival[v.index()] = (r - start + 1) as u32;
-                    newly.push(v);
-                }
-            }
-        }
-        frontier_nonempty = !newly.is_empty() || informed.iter().any(|&i| !i);
-        for v in newly {
-            informed[v.index()] = true;
-        }
-        if informed.iter().all(|&i| i) {
-            break;
-        }
-    }
-    arrival
-}
-
-/// The flooding makespan from `src`: the number of rounds full flooding
-/// needs to inform everyone, or `None` if the trace ends first.
-pub fn flooding_makespan(
-    trace: &TvgTrace,
-    src: crate::graph::NodeId,
-    start: usize,
-) -> Option<usize> {
-    let arrival = foremost_arrival(trace, src, start);
-    let mut max = 0u32;
-    for &a in &arrival {
-        if a == u32::MAX {
-            return None;
-        }
-        max = max.max(a);
-    }
-    Some(max as usize)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,46 +101,5 @@ mod tests {
         }
         let trace = TvgTrace::new(rounds);
         assert!(is_t_interval_connected(&trace, 6));
-    }
-
-    #[test]
-    fn foremost_arrival_static_path() {
-        use crate::graph::NodeId;
-        let t = static_trace(Graph::path(5), 10);
-        let a = foremost_arrival(&t, NodeId(0), 0);
-        assert_eq!(a, vec![0, 1, 2, 3, 4]);
-        assert_eq!(flooding_makespan(&t, NodeId(0), 0), Some(4));
-        assert_eq!(flooding_makespan(&t, NodeId(2), 0), Some(2));
-    }
-
-    #[test]
-    fn foremost_arrival_uses_changing_edges() {
-        use crate::graph::NodeId;
-        // Round 0: 0-1 only; round 1: 1-2 only — node 2 reachable at time 2
-        // via the temporal journey even though no single snapshot connects
-        // 0 to 2.
-        let g0 = Graph::from_edges(3, [(0, 1)]);
-        let g1 = Graph::from_edges(3, [(1, 2)]);
-        let t = TvgTrace::new(vec![arc(g0), arc(g1)]);
-        let a = foremost_arrival(&t, NodeId(0), 0);
-        assert_eq!(a, vec![0, 1, 2]);
-        assert_eq!(flooding_makespan(&t, NodeId(0), 0), Some(2));
-        // The reverse-ordered trace cannot deliver 0 → 2.
-        let g0 = Graph::from_edges(3, [(1, 2)]);
-        let g1 = Graph::from_edges(3, [(0, 1)]);
-        let t = TvgTrace::new(vec![arc(g0), arc(g1)]);
-        let a = foremost_arrival(&t, NodeId(0), 0);
-        assert_eq!(a[2], u32::MAX, "temporal order matters");
-        assert_eq!(flooding_makespan(&t, NodeId(0), 0), None);
-    }
-
-    #[test]
-    fn foremost_arrival_unreachable_in_short_trace() {
-        use crate::graph::NodeId;
-        let t = static_trace(Graph::path(6), 2);
-        let a = foremost_arrival(&t, NodeId(0), 0);
-        assert_eq!(a[2], 2);
-        assert_eq!(a[5], u32::MAX);
-        assert_eq!(flooding_makespan(&t, NodeId(0), 0), None);
     }
 }

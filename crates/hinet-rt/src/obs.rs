@@ -995,9 +995,14 @@ impl Tracer {
     /// Serialise to the `hinet-trace/v1` JSONL artifact: a header object on
     /// line 1 (schema, metadata, exact counters, drop count), then one
     /// event object per line, oldest first.
+    ///
+    /// The buffer is reserved once, `MAX_LINE` bytes per held event, so
+    /// it never regrows; pages of the reservation that stay unwritten are
+    /// never touched.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.header().to_string());
+        let header = self.header().to_string();
+        let mut out = String::with_capacity(header.len() + 1 + self.len() * MAX_LINE);
+        out.push_str(&header);
         out.push('\n');
         for te in self.events() {
             write_event(&mut out, te);
@@ -1074,45 +1079,53 @@ impl Tracer {
     }
 }
 
+/// Longest line [`write_event`] can print, newline included: a
+/// `token_push` from a gateway with all five integers at 20 digits
+/// (`u64::MAX`). [`Tracer::to_jsonl`] reserves this much per held event.
+const MAX_LINE: usize = 175;
+
 /// Append one event's JSONL object (without the newline) to `out`.
 ///
-/// The bytes are the ones the [`Json`] tree renderer would print for the
-/// same object — keys in the same order, `None` as `null` — for every
-/// integer up to 2⁵³; above that this prints the exact integer where the
-/// tree renderer printed the nearest `f64`. String values are fixed wire
-/// names (`[a-z_]`) that need no escaping.
+/// Each key is written as one literal together with its `,"…":`
+/// punctuation, and each variant's `ev` name as one literal with the key
+/// after it; integers go through [`push_u64`], never through `fmt`. The
+/// bytes are the ones the [`Json`] tree renderer would print for the same
+/// object — keys in the same order, `None` as `null` — for every integer
+/// up to 2⁵³; above that this prints the exact integer where the tree
+/// renderer printed the nearest `f64`. String values are fixed wire names
+/// (`[a-z_]`) that need no escaping.
+///
+/// The bytes are pinned three ways in this module's tests: one literal
+/// line per variant (`event_writer_prints_one_literal_line_per_variant`),
+/// random events of every variant against the tree renderer and the
+/// parser (`event_writer_matches_the_tree_renderer_and_parser`), and
+/// `push_u64` against `to_string` at every digit-count boundary
+/// (`push_u64_matches_to_string`).
 fn write_event(out: &mut String, te: &TraceEvent) {
-    fn key(out: &mut String, k: &str) {
-        out.push_str(",\"");
-        out.push_str(k);
-        out.push_str("\":");
-    }
-    fn num(out: &mut String, k: &str, v: u64) {
-        key(out, k);
+    fn num(out: &mut String, key: &str, v: u64) {
+        out.push_str(key);
         push_u64(out, v);
     }
-    fn opt(out: &mut String, k: &str, v: Option<u64>) {
-        key(out, k);
+    fn opt(out: &mut String, key: &str, v: Option<u64>) {
+        out.push_str(key);
         match v {
             Some(x) => push_u64(out, x),
             None => out.push_str("null"),
         }
     }
-    fn text(out: &mut String, k: &str, v: &str) {
-        key(out, k);
+    fn text(out: &mut String, key: &str, v: &str) {
+        out.push_str(key);
         out.push('"');
         out.push_str(v);
         out.push('"');
     }
-    fn flag(out: &mut String, k: &str, v: bool) {
-        key(out, k);
+    fn flag(out: &mut String, key: &str, v: bool) {
+        out.push_str(key);
         out.push_str(if v { "true" } else { "false" });
     }
-    out.push_str("{\"r\":");
-    push_u64(out, te.round);
-    text(out, "ev", te.event.kind());
+    num(out, r#"{"r":"#, te.round);
     match &te.event {
-        Event::RoundStart => {}
+        Event::RoundStart => out.push_str(r#","ev":"round_start""#),
         Event::TokenPush {
             node,
             token,
@@ -1120,11 +1133,11 @@ fn write_event(out: &mut String, te: &TraceEvent) {
             role,
             dst,
         } => {
-            num(out, "node", *node);
-            num(out, "token", *token);
-            num(out, "count", *count);
-            text(out, "role", role.as_str());
-            num(out, "dst", *dst);
+            num(out, r#","ev":"token_push","node":"#, *node);
+            num(out, r#","token":"#, *token);
+            num(out, r#","count":"#, *count);
+            text(out, r#","role":"#, role.as_str());
+            num(out, r#","dst":"#, *dst);
         }
         Event::HeadBroadcast {
             node,
@@ -1132,63 +1145,93 @@ fn write_event(out: &mut String, te: &TraceEvent) {
             count,
             role,
         } => {
-            num(out, "node", *node);
-            num(out, "token", *token);
-            num(out, "count", *count);
-            text(out, "role", role.as_str());
+            num(out, r#","ev":"head_broadcast","node":"#, *node);
+            num(out, r#","token":"#, *token);
+            num(out, r#","count":"#, *count);
+            text(out, r#","role":"#, role.as_str());
         }
-        Event::PhaseAdvance { phase } => num(out, "phase", *phase),
+        Event::PhaseAdvance { phase } => num(out, r#","ev":"phase_advance","phase":"#, *phase),
         Event::Reaffiliation { node, from, to } => {
-            num(out, "node", *node);
-            opt(out, "from", *from);
-            opt(out, "to", *to);
+            num(out, r#","ev":"reaffiliation","node":"#, *node);
+            opt(out, r#","from":"#, *from);
+            opt(out, r#","to":"#, *to);
         }
         Event::StabilityWindow { def, open, held } => {
-            num(out, "def", u64::from(*def));
-            flag(out, "open", *open);
-            flag(out, "held", *held);
+            num(out, r#","ev":"stability_window","def":"#, u64::from(*def));
+            flag(out, r#","open":"#, *open);
+            flag(out, r#","held":"#, *held);
         }
         Event::FaultInjected { node, dst, kind } => {
-            num(out, "node", *node);
-            opt(out, "dst", *dst);
-            text(out, "kind", kind.as_str());
+            num(out, r#","ev":"fault_injected","node":"#, *node);
+            opt(out, r#","dst":"#, *dst);
+            text(out, r#","kind":"#, kind.as_str());
         }
         Event::Crash { node, durable } => {
-            num(out, "node", *node);
-            flag(out, "durable", *durable);
+            num(out, r#","ev":"crash","node":"#, *node);
+            flag(out, r#","durable":"#, *durable);
         }
-        Event::Recover { node } | Event::StallProbe { node } => num(out, "node", *node),
+        Event::Recover { node } => num(out, r#","ev":"recover","node":"#, *node),
         Event::Retransmit { node, count, dst } => {
-            num(out, "node", *node);
-            num(out, "count", *count);
-            opt(out, "dst", *dst);
+            num(out, r#","ev":"retransmit","node":"#, *node);
+            num(out, r#","count":"#, *count);
+            opt(out, r#","dst":"#, *dst);
         }
         Event::Delayed { node, dst, rounds } => {
-            num(out, "node", *node);
-            num(out, "dst", *dst);
-            num(out, "rounds", *rounds);
+            num(out, r#","ev":"delayed","node":"#, *node);
+            num(out, r#","dst":"#, *dst);
+            num(out, r#","rounds":"#, *rounds);
         }
         Event::Duplicated { node, dst } => {
-            num(out, "node", *node);
-            num(out, "dst", *dst);
+            num(out, r#","ev":"duplicated","node":"#, *node);
+            num(out, r#","dst":"#, *dst);
         }
         Event::RetransmitTimeout { node, dst, attempt } => {
-            num(out, "node", *node);
-            num(out, "dst", *dst);
-            num(out, "attempt", *attempt);
+            num(out, r#","ev":"retransmit_timeout","node":"#, *node);
+            num(out, r#","dst":"#, *dst);
+            num(out, r#","attempt":"#, *attempt);
         }
+        Event::StallProbe { node } => num(out, r#","ev":"stall_probe","node":"#, *node),
         Event::RunEnd { rounds, completed } => {
-            num(out, "rounds", *rounds);
-            flag(out, "completed", *completed);
+            num(out, r#","ev":"run_end","rounds":"#, *rounds);
+            flag(out, r#","completed":"#, *completed);
         }
     }
     out.push('}');
 }
 
-/// Append the decimal digits of `v`.
-fn push_u64(out: &mut String, v: u64) {
-    use std::fmt::Write;
-    write!(out, "{v}").expect("writing to a String cannot fail");
+/// The two ASCII digits of every value below 100, in order: entry `i`
+/// is bytes `2i` and `2i + 1`.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Append the decimal digits of `v`: two at a time from [`DIGIT_PAIRS`],
+/// least significant first, into a stack buffer, then onto `out`.
+fn push_u64(out: &mut String, mut v: u64) {
+    // u64::MAX has 20 digits.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + v as u8;
+    }
+    // Byte by byte: each is ASCII, so no UTF-8 check is needed.
+    for &digit in &buf[at..] {
+        out.push(char::from(digit));
+    }
 }
 
 /// A parsed `hinet-trace/v1` artifact: the header's metadata, exact
@@ -1542,6 +1585,8 @@ impl TraceSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::{check, CaseCtx};
+    use crate::rng::Rng;
 
     #[test]
     fn disabled_tracer_records_nothing() {
@@ -2051,6 +2096,166 @@ mod tests {
             write_event(&mut line, &TraceEvent { round, event });
             assert_eq!(line, expected);
         }
+    }
+
+    #[test]
+    fn push_u64_matches_to_string() {
+        let mut values = vec![0, u64::MAX];
+        let mut power = 1u64;
+        for _ in 1..=19 {
+            power *= 10;
+            values.extend([power - 1, power]);
+        }
+        // Random values of every digit count.
+        let mut rng = crate::rng::Xoshiro256StarStar::seed_from_u64(34);
+        for shift in 0..64 {
+            for _ in 0..64 {
+                values.push(rng.next_u64() >> shift);
+            }
+        }
+        for v in values {
+            let mut out = String::from("x");
+            push_u64(&mut out, v);
+            assert_eq!(out, format!("x{v}"));
+        }
+    }
+
+    /// One event of every variant, its integers drawn by `int`, its roles,
+    /// options, flags and fault kinds by `c`.
+    fn every_variant(c: &mut CaseCtx, int: fn(&mut CaseCtx) -> u64) -> Vec<Event> {
+        let role = |c: &mut CaseCtx| *c.pick(&[Role::Head, Role::Gateway, Role::Member]);
+        let opt = |c: &mut CaseCtx| c.random_bool(0.5).then(|| int(c));
+        vec![
+            Event::RoundStart,
+            Event::TokenPush {
+                node: int(c),
+                token: int(c),
+                count: int(c),
+                role: role(c),
+                dst: int(c),
+            },
+            Event::HeadBroadcast {
+                node: int(c),
+                token: int(c),
+                count: int(c),
+                role: role(c),
+            },
+            Event::PhaseAdvance { phase: int(c) },
+            Event::Reaffiliation {
+                node: int(c),
+                from: opt(c),
+                to: opt(c),
+            },
+            Event::StabilityWindow {
+                def: c.next_u64() as u8,
+                open: c.random_bool(0.5),
+                held: c.random_bool(0.5),
+            },
+            Event::FaultInjected {
+                node: int(c),
+                dst: opt(c),
+                kind: *c.pick(&[FaultKind::Loss, FaultKind::Partition]),
+            },
+            Event::Crash {
+                node: int(c),
+                durable: c.random_bool(0.5),
+            },
+            Event::Recover { node: int(c) },
+            Event::Retransmit {
+                node: int(c),
+                count: int(c),
+                dst: opt(c),
+            },
+            Event::Delayed {
+                node: int(c),
+                dst: int(c),
+                rounds: int(c),
+            },
+            Event::Duplicated {
+                node: int(c),
+                dst: int(c),
+            },
+            Event::RetransmitTimeout {
+                node: int(c),
+                dst: int(c),
+                attempt: int(c),
+            },
+            Event::StallProbe { node: int(c) },
+            Event::RunEnd {
+                rounds: int(c),
+                completed: c.random_bool(0.5),
+            },
+        ]
+    }
+
+    #[test]
+    fn event_writer_matches_the_tree_renderer_and_parser() {
+        let header = Tracer::new(ObsConfig::full()).to_jsonl();
+        check(
+            "event_writer_matches_the_tree_renderer_and_parser",
+            64,
+            |c| {
+                // Up to 2⁵³, every digit count about equally often.
+                let int = |c: &mut CaseCtx| {
+                    let shift = c.random_range(11..=64u32);
+                    c.next_u64().checked_shr(shift).unwrap_or(0)
+                };
+                let events = every_variant(c, int);
+                let mut covered = [false; 15];
+                for event in events {
+                    covered[variant_slot(&event)] = true;
+                    let te = TraceEvent {
+                        round: int(c),
+                        event,
+                    };
+                    let mut line = String::new();
+                    write_event(&mut line, &te);
+                    assert_eq!(Json::parse(&line).unwrap().to_string(), line);
+                    let parsed = ParsedTrace::parse_jsonl(&format!("{header}{line}\n")).unwrap();
+                    assert_eq!(parsed.events, vec![te], "{line}");
+                }
+                assert!(covered.iter().all(|&c| c), "a variant has no event");
+            },
+        );
+    }
+
+    #[test]
+    fn max_line_bounds_every_line_and_the_reservation() {
+        // The longest line: a gateway's token_push with 20-digit integers.
+        let mut line = String::new();
+        let worst = Event::TokenPush {
+            node: u64::MAX,
+            token: u64::MAX,
+            count: u64::MAX,
+            role: Role::Gateway,
+            dst: u64::MAX,
+        };
+        write_event(
+            &mut line,
+            &TraceEvent {
+                round: u64::MAX,
+                event: worst,
+            },
+        );
+        assert_eq!(line.len() + 1, MAX_LINE);
+        check("max_line_bounds_every_line", 16, |c| {
+            for event in every_variant(c, |_| u64::MAX) {
+                let mut line = String::new();
+                write_event(
+                    &mut line,
+                    &TraceEvent {
+                        round: u64::MAX,
+                        event,
+                    },
+                );
+                assert!(line.len() < MAX_LINE, "{line}");
+            }
+        });
+        // to_jsonl writes within the capacity it reserves.
+        let mut t = Tracer::new(ObsConfig::full());
+        emit_sample_run(&mut t);
+        let header = t.header().to_string();
+        assert!(t.to_jsonl().len() <= header.len() + 1 + t.len() * MAX_LINE);
     }
 
     fn emit_sample_run(t: &mut Tracer) {

@@ -76,7 +76,7 @@ pub struct Partition {
 
 impl Partition {
     /// Whether this window severs the `(a, b)` link in `round`.
-    pub fn severs(&self, round: usize, a: usize, b: usize) -> bool {
+    fn severs(&self, round: usize, a: usize, b: usize) -> bool {
         round >= self.start && round < self.end && ((a < self.cut) != (b < self.cut))
     }
 }

@@ -81,7 +81,7 @@ impl Gf2Vec {
     }
 
     /// Number of set coefficients.
-    pub fn weight(&self) -> usize {
+    fn weight(&self) -> usize {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 }

@@ -48,6 +48,35 @@ use hinet::sim::engine::RunReport;
 use hinet_rt::flags::{flag, parse_flags, render_help, FlagSet, FlagSpec};
 use std::process::ExitCode;
 
+/// `println!` to stdout through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `print!` to stdout through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// Every stdout write of the CLI. Where `println!` panics once stdout is
+/// closed (`hinet run | head -1`), this ends the command quietly with exit
+/// 0, as a reader that stopped reading asked; any other write error exits
+/// 2 with a message.
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("cannot write to stdout: {e}");
+        std::process::exit(2);
+    }
+}
+
 const USAGE: &str = "hinet — (T, L)-HiNet dissemination reproduction
 
 USAGE:
@@ -293,10 +322,10 @@ fn reject_positionals(cmd: &str, pos: &[String]) -> Result<(), String> {
 
 fn cmd_tables(analytic_only: bool) {
     use hinet::analysis::experiments::{e1_table2, e2_table3, e3_simulated_table3};
-    println!("{}", e1_table2().to_text());
-    println!("{}", e2_table3().to_text());
+    outln!("{}", e1_table2().to_text());
+    outln!("{}", e2_table3().to_text());
     if !analytic_only {
-        println!("{}", e3_simulated_table3().to_text());
+        outln!("{}", e3_simulated_table3().to_text());
     }
 }
 
@@ -312,7 +341,7 @@ fn cmd_experiments(wanted: &[String]) -> ExitCode {
     }
     for exp in registry {
         if wanted.is_empty() || wanted.iter().any(|w| w.eq_ignore_ascii_case(exp.id)) {
-            println!("{}", (exp.run)().to_text());
+            outln!("{}", (exp.run)().to_text());
         }
     }
     ExitCode::SUCCESS
@@ -323,7 +352,7 @@ fn cmd_export(dir: Option<&String>) -> ExitCode {
         std::path::PathBuf::from(dir.cloned().unwrap_or_else(|| "target/experiments".into()));
     match hinet::analysis::artifacts::export_all(&path) {
         Ok(written) => {
-            println!(
+            outln!(
                 "wrote artifacts for {} experiments under {}",
                 written.len(),
                 path.display()
@@ -339,19 +368,25 @@ fn cmd_export(dir: Option<&String>) -> ExitCode {
 
 fn print_report(sc: &Scenario, report: &RunReport) -> Result<(), String> {
     let label = sc.kind()?.label();
-    println!(
+    outln!(
         "algorithm: {label}  dynamics: {}  n={} k={} α={} L={} θ={} seed={}",
-        sc.dynamics, sc.n, sc.k, sc.alpha, sc.l, sc.theta, sc.seed
+        sc.dynamics,
+        sc.n,
+        sc.k,
+        sc.alpha,
+        sc.l,
+        sc.theta,
+        sc.seed
     );
-    println!(
+    outln!(
         "completed: {}  rounds: {}",
         report.completed(),
         report
             .completion_round
             .map_or("never".into(), |r| r.to_string())
     );
-    println!("outcome: {}", report.outcome);
-    println!(
+    outln!("outcome: {}", report.outcome);
+    outln!(
         "tokens sent: {}  packets: {}  (heads {}, gateways {}, members {})",
         report.metrics.tokens_sent,
         report.metrics.packets_sent,
@@ -361,32 +396,39 @@ fn print_report(sc: &Scenario, report: &RunReport) -> Result<(), String> {
     );
     let m = &report.metrics;
     if m.coefficient_bytes > 0 {
-        println!(
+        outln!(
             "coded packets: {}  coefficient-header bytes: {}",
-            m.packets_sent, m.coefficient_bytes
+            m.packets_sent,
+            m.coefficient_bytes
         );
     }
     if m.faults_injected + m.crashes + m.recoveries + m.retransmits > 0 {
-        println!(
+        outln!(
             "faults: {} dropped deliveries, {} crashes, {} recoveries, {} retransmits",
-            m.faults_injected, m.crashes, m.recoveries, m.retransmits
+            m.faults_injected,
+            m.crashes,
+            m.recoveries,
+            m.retransmits
         );
     }
     if m.delays_injected + m.duplicates_injected + m.dups_discarded + m.retransmit_timeouts > 0 {
-        println!(
+        outln!(
             "delivery plane: {} delayed, {} duplicated, {} duplicates discarded, \
              {} retransmit timeouts",
-            m.delays_injected, m.duplicates_injected, m.dups_discarded, m.retransmit_timeouts
+            m.delays_injected,
+            m.duplicates_injected,
+            m.dups_discarded,
+            m.retransmit_timeouts
         );
     }
     let w = &report.wall;
-    println!(
+    outln!(
         "wall clock: {:.3} ms  throughput: {:.0} tokens/sec",
         w.elapsed_ns as f64 / 1e6,
         w.tokens_per_sec,
     );
     if let Some(lat) = &w.latency {
-        println!(
+        outln!(
             "token latency: p50 {:.3} ms  p95 {:.3} ms  max {:.3} ms  ({}/{} covered)",
             lat.p50_ns as f64 / 1e6,
             lat.p95_ns as f64 / 1e6,
@@ -396,9 +438,10 @@ fn print_report(sc: &Scenario, report: &RunReport) -> Result<(), String> {
         );
     }
     if w.reassembly_stalls + w.mailbox_depth_max > 0 {
-        println!(
+        outln!(
             "event runtime: {} reassembly stalls, mailbox depth high-water {}",
-            w.reassembly_stalls, w.mailbox_depth_max,
+            w.reassembly_stalls,
+            w.mailbox_depth_max,
         );
     }
     Ok(())
@@ -408,12 +451,12 @@ fn print_report(sc: &Scenario, report: &RunReport) -> Result<(), String> {
 /// round frontier, the neighbours whose round markers its quorum was still
 /// missing, and the age of its oldest unacked reliability-layer envelope.
 fn print_stall_diag(diag: &hinet::sim::engine::StallDiag) {
-    println!(
+    outln!(
         "stall watchdog: halted with {} node(s) short of quorum",
         diag.nodes.len()
     );
     if let Some((first, last)) = diag.fault_window {
-        println!("  faults fired between rounds {first} and {last}");
+        outln!("  faults fired between rounds {first} and {last}");
     }
     for ns in &diag.nodes {
         let missing = if ns.missing.is_empty() {
@@ -428,7 +471,7 @@ fn print_stall_diag(diag: &hinet::sim::engine::StallDiag) {
         let unacked = ns
             .oldest_unacked
             .map_or("-".into(), |age| format!("{age} round(s)"));
-        println!(
+        outln!(
             "  node {}: frontier round {}, missing markers from [{}], oldest unacked {}",
             ns.node.index(),
             ns.frontier,
@@ -438,19 +481,19 @@ fn print_stall_diag(diag: &hinet::sim::engine::StallDiag) {
     }
 }
 
-/// Write a trace artifact, creating parent directories on demand.
-fn write_trace(path: &str, tracer: &Tracer) -> Result<(), String> {
+/// Write a trace artifact, creating parent directories on demand; returns
+/// the line that reports it.
+fn write_trace(path: &str, tracer: &Tracer) -> Result<String, String> {
     let p = std::path::Path::new(path);
     if let Some(parent) = p.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(parent).map_err(|e| format!("cannot create {parent:?}: {e}"))?;
     }
     std::fs::write(p, tracer.to_jsonl()).map_err(|e| format!("cannot write {path}: {e}"))?;
-    println!(
+    Ok(format!(
         "trace: wrote {path} ({} events, {} dropped)",
         tracer.len(),
         tracer.dropped()
-    );
-    Ok(())
+    ))
 }
 
 /// Switch `tracer` to incremental on-disk spilling: events stream to
@@ -462,19 +505,17 @@ fn stream_trace(path: &str, tracer: &mut Tracer) -> Result<(), String> {
 }
 
 /// Finalise a streamed artifact (header + spilled events); falls back to
-/// [`write_trace`] when the tracer never streamed.
-fn finish_trace(path: &str, tracer: &mut Tracer) -> Result<(), String> {
+/// [`write_trace`] when the tracer never streamed. Returns the line that
+/// reports it.
+fn finish_trace(path: &str, tracer: &mut Tracer) -> Result<String, String> {
     match tracer
         .finish_stream()
         .map_err(|e| format!("cannot finalise trace {path}: {e}"))?
     {
-        Some(written) => {
-            println!(
-                "trace: wrote {path} ({written} events streamed, {} dropped)",
-                tracer.dropped()
-            );
-            Ok(())
-        }
+        Some(written) => Ok(format!(
+            "trace: wrote {path} ({written} events streamed, {} dropped)",
+            tracer.dropped()
+        )),
         None => write_trace(path, tracer),
     }
 }
@@ -482,46 +523,55 @@ fn finish_trace(path: &str, tracer: &mut Tracer) -> Result<(), String> {
 /// The run half of `hinet run` and `hinet trace`: parse the scenario,
 /// stream the artifact to `out` (only when `stream` is set: `hinet trace
 /// --events`/`--summary` read the in-memory ring), run it with the
-/// in-engine (T, L)-HiNet oracle under `--stability-stream`, let the
-/// command `print` its report, print the watchdog's diagnostics and the
-/// oracle's line, stamp the oracle's peak state into the header, and
-/// finish the artifact.
+/// in-engine (T, L)-HiNet oracle under `--stability-stream`, stamp the
+/// oracle's peak state into the header, finish the artifact, then let the
+/// command `print` its report (given the number of events recorded) and
+/// print the watchdog's diagnostics, the oracle's line and the artifact's.
+///
+/// The artifact is finished before anything is printed: a reader that
+/// closes stdout early ends the command at the next write.
 fn run_scenario(
     flags: &FlagSet,
     tracer: &mut Tracer,
     out: Option<&str>,
     stream: bool,
-    print: impl FnOnce(&Scenario, &RunReport, &Tracer) -> Result<(), String>,
+    print: impl FnOnce(&Scenario, &RunReport, usize) -> Result<(), String>,
 ) -> Result<RunReport, String> {
     let sc = Scenario::from_flags(flags)?;
     if let Some(path) = out.filter(|_| stream) {
         stream_trace(path, tracer)?;
     }
     let report = sc.run_traced_with_oracle(tracer, flags.has("stability-stream"))?;
-    print(&sc, &report, tracer)?;
+    if let Some(s) = &report.stability {
+        tracer.meta(
+            "stability_stream_peak_bytes",
+            s.peak_state_bytes.to_string(),
+        );
+    }
+    let recorded = tracer.len().max(tracer.streamed().unwrap_or(0) as usize);
+    let wrote = out.map(|path| finish_trace(path, tracer)).transpose()?;
+    print(&sc, &report, recorded)?;
     if let Some(diag) = &report.stall {
         print_stall_diag(diag);
     }
     if let Some(s) = &report.stability {
         match s.violation {
-            Some(v) => println!(
+            Some(v) => outln!(
                 "stability oracle: VIOLATED Def {} at round {} (window starting {})",
-                v.def, v.round, v.window_start
+                v.def,
+                v.round,
+                v.window_start
             ),
-            None => println!(
+            None => outln!(
                 "stability oracle: {}/{} windows (T, L)-HiNet  min L*={}",
                 s.hinet_windows,
                 s.windows,
                 s.min_hinet_l.map_or("-".into(), |l| l.to_string()),
             ),
         }
-        tracer.meta(
-            "stability_stream_peak_bytes",
-            s.peak_state_bytes.to_string(),
-        );
     }
-    if let Some(path) = out {
-        finish_trace(path, tracer)?;
+    if let Some(line) = wrote {
+        outln!("{line}");
     }
     Ok(report)
 }
@@ -548,18 +598,18 @@ fn cmd_run(flags: &FlagSet) -> ExitCode {
         Tracer::disabled()
     };
     let out = want_trace.then(|| flags.get("trace-out").unwrap_or("target/trace/run.jsonl"));
-    let print = |sc: &Scenario, report: &RunReport, _: &Tracer| print_report(sc, report);
+    let print = |sc: &Scenario, report: &RunReport, _: usize| print_report(sc, report);
     run_exit(run_scenario(flags, &mut tracer, out, true, print))
 }
 
 /// Print a summary (and its consistency against a live report, if any).
 fn print_summary(summary: &TraceSummary, report: Option<&RunReport>) {
-    print!("{}", summary.to_text());
+    out!("{}", summary.to_text());
     if let Some(report) = report {
         let rounds_ok = summary.counters.rounds == report.rounds_executed as u64;
         let tokens_ok = summary.counters.tokens_sent == report.metrics.tokens_sent;
         let phase_sum: u64 = summary.per_phase_rounds.iter().sum();
-        println!(
+        outln!(
             "consistency: rounds {}/{} {}  tokens {}/{} {}  phase-round sum {}",
             summary.counters.rounds,
             report.rounds_executed,
@@ -596,7 +646,7 @@ fn cmd_trace(pos: &[String], flags: &FlagSet) -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        println!(
+        outln!(
             "trace {path}: schema hinet-trace/v1, {} events, algorithm {}",
             parsed.events.len(),
             parsed.meta_get("algorithm").unwrap_or("?"),
@@ -604,7 +654,7 @@ fn cmd_trace(pos: &[String], flags: &FlagSet) -> ExitCode {
         if events_wanted {
             for te in &parsed.events {
                 if filter.is_none_or(|f| te.event.kind().contains(f)) {
-                    println!("r={} {:?}", te.round, te.event);
+                    outln!("r={} {:?}", te.round, te.event);
                 }
             }
         }
@@ -622,13 +672,12 @@ fn cmd_trace(pos: &[String], flags: &FlagSet) -> ExitCode {
         None => Tracer::new(ObsConfig::full()),
     };
     let stream = !events_wanted && !summary_wanted;
-    let run = run_scenario(flags, &mut tracer, out, stream, |sc, report, tracer| {
-        println!(
-            "traced {} on {}: {} rounds, {} events recorded",
+    let run = run_scenario(flags, &mut tracer, out, stream, |sc, report, recorded| {
+        outln!(
+            "traced {} on {}: {} rounds, {recorded} events recorded",
             sc.algorithm,
             sc.dynamics,
             report.rounds_executed,
-            tracer.len().max(tracer.streamed().unwrap_or(0) as usize),
         );
         Ok(())
     });
@@ -636,7 +685,7 @@ fn cmd_trace(pos: &[String], flags: &FlagSet) -> ExitCode {
         if events_wanted {
             for te in tracer.events() {
                 if filter.is_none_or(|f| te.event.kind().contains(f)) {
-                    println!("r={} {:?}", te.round, te.event);
+                    outln!("r={} {:?}", te.round, te.event);
                 }
             }
         }
@@ -696,12 +745,12 @@ fn cmd_trace_diff(a_path: &str, b_path: Option<&str>, flags: &FlagSet) -> ExitCo
             return ExitCode::from(2);
         };
         if report.is_empty() {
-            println!("golden {a_path} is up to date");
+            outln!("golden {a_path} is up to date");
         } else if let Err(e) = std::fs::write(a_path, jsonl) {
             eprintln!("cannot update {a_path}: {e}");
             return ExitCode::from(2);
         } else {
-            println!(
+            outln!(
                 "updated golden {a_path} ({} divergence(s) resolved)",
                 report.divergences.len() + report.truncated
             );
@@ -710,10 +759,10 @@ fn cmd_trace_diff(a_path: &str, b_path: Option<&str>, flags: &FlagSet) -> ExitCo
     }
 
     if flags.has("json") {
-        println!("{}", report.to_json());
+        outln!("{}", report.to_json());
     } else {
-        println!("diff: {a_path} vs {b_label}");
-        print!("{}", report.to_text());
+        outln!("diff: {a_path} vs {b_label}");
+        out!("{}", report.to_text());
     }
     if report.is_empty() {
         ExitCode::SUCCESS
@@ -768,7 +817,7 @@ fn cmd_audit(flags: &FlagSet) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    println!("stability audit: dynamics={dynamics} n={n} rounds={rounds} seed={seed}\n");
+    outln!("stability audit: dynamics={dynamics} n={n} rounds={rounds} seed={seed}\n");
     // One pass over the provider, never materialising the trace: the
     // report equals the batch reference audit of the captured trace (the
     // tests/prop_stream.rs differential tests).
@@ -779,8 +828,8 @@ fn cmd_audit(flags: &FlagSet) -> ExitCode {
         streaming.push(&g, &h);
     }
     let peak = streaming.peak_state_bytes();
-    println!("{}", streaming.finish().to_text());
-    println!("streaming state peak: {peak} bytes");
+    outln!("{}", streaming.finish().to_text());
+    outln!("streaming state peak: {peak} bytes");
     ExitCode::SUCCESS
 }
 
@@ -798,10 +847,10 @@ fn cmd_fuzz(flags: &FlagSet) -> ExitCode {
             let mut mismatched = 0usize;
             for o in &outcomes {
                 if o.ok() {
-                    println!("ok   {} — {}", o.path.display(), o.actual);
+                    outln!("ok   {} — {}", o.path.display(), o.actual);
                 } else {
                     mismatched += 1;
-                    println!(
+                    outln!(
                         "FAIL {} — expected '{}', got '{}'",
                         o.path.display(),
                         o.expected,
@@ -809,7 +858,7 @@ fn cmd_fuzz(flags: &FlagSet) -> ExitCode {
                     );
                 }
             }
-            println!(
+            outln!(
                 "replayed {} scenario file(s): {} ok, {} mismatched",
                 outcomes.len(),
                 outcomes.len() - mismatched,
@@ -837,7 +886,7 @@ fn cmd_fuzz(flags: &FlagSet) -> ExitCode {
             },
             max_offenders: flags.parsed("max-offenders", 8usize)?,
         };
-        println!(
+        outln!(
             "fuzz: seed={} cases={} base={} on {} (n={} k={} α={} L={} θ={})",
             cfg.seed,
             cfg.cases,
@@ -849,7 +898,7 @@ fn cmd_fuzz(flags: &FlagSet) -> ExitCode {
             cfg.base.l,
             cfg.base.theta
         );
-        print!("{}", fuzz(&cfg)?.to_text());
+        out!("{}", fuzz(&cfg)?.to_text());
         Ok(ExitCode::SUCCESS)
     };
     match run() {
@@ -882,7 +931,7 @@ fn main() -> ExitCode {
         Command::Audit(flags) => cmd_audit(&flags),
         Command::Fuzz(flags) => cmd_fuzz(&flags),
         Command::Help => {
-            println!("{}", help());
+            outln!("{}", help());
             ExitCode::SUCCESS
         }
     }

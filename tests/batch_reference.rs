@@ -175,7 +175,7 @@ fn violation_only_in_trailing_partial_window_is_caught() {
 
     // The streaming verifier agrees verdict-for-verdict.
     let mut s = StabilityStream::new(3, 1).with_spectrum();
-    let mut verdicts = s.push_chunk(trace.iter());
+    let mut verdicts = push_chunk(&mut s, trace.iter());
     let (last, report) = s.finish();
     verdicts.extend(last);
     assert_eq!(verdicts.len(), 2);
@@ -399,6 +399,44 @@ fn max_interval_connectivity_of_static_alternating_and_split_traces() {
     let bad = Arc::new(Graph::from_edges(4, [(0, 1), (2, 3)]));
     let split = TvgTrace::new(vec![Arc::clone(&good), bad, good]);
     assert_eq!(max_interval_connectivity(&split), None);
+}
+
+#[test]
+fn foremost_arrival_static_path() {
+    let t = static_trace(Graph::path(5), 10);
+    let a = foremost_arrival(&t, NodeId(0), 0);
+    assert_eq!(a, vec![0, 1, 2, 3, 4]);
+    assert_eq!(flooding_makespan(&t, NodeId(0), 0), Some(4));
+    assert_eq!(flooding_makespan(&t, NodeId(2), 0), Some(2));
+}
+
+#[test]
+fn foremost_arrival_uses_changing_edges() {
+    // Round 0: 0-1 only; round 1: 1-2 only — node 2 reachable at time 2
+    // via the temporal journey even though no single snapshot connects
+    // 0 to 2.
+    let g0 = Graph::from_edges(3, [(0, 1)]);
+    let g1 = Graph::from_edges(3, [(1, 2)]);
+    let t = TvgTrace::new(vec![Arc::new(g0), Arc::new(g1)]);
+    let a = foremost_arrival(&t, NodeId(0), 0);
+    assert_eq!(a, vec![0, 1, 2]);
+    assert_eq!(flooding_makespan(&t, NodeId(0), 0), Some(2));
+    // The reverse-ordered trace cannot deliver 0 → 2.
+    let g0 = Graph::from_edges(3, [(1, 2)]);
+    let g1 = Graph::from_edges(3, [(0, 1)]);
+    let t = TvgTrace::new(vec![Arc::new(g0), Arc::new(g1)]);
+    let a = foremost_arrival(&t, NodeId(0), 0);
+    assert_eq!(a[2], u32::MAX, "temporal order matters");
+    assert_eq!(flooding_makespan(&t, NodeId(0), 0), None);
+}
+
+#[test]
+fn foremost_arrival_unreachable_in_short_trace() {
+    let t = static_trace(Graph::path(6), 2);
+    let a = foremost_arrival(&t, NodeId(0), 0);
+    assert_eq!(a[2], 2);
+    assert_eq!(a[5], u32::MAX);
+    assert_eq!(flooding_makespan(&t, NodeId(0), 0), None);
 }
 
 #[test]

@@ -933,3 +933,60 @@ fn export_writes_requested_experiment_dir() {
     assert!(out.status.success());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Run `hinet args` with stdout piped, read `lines` lines of it, close
+/// the pipe, and return the exit status and stderr.
+fn close_stdout_after(args: &[&str], lines: usize) -> (std::process::ExitStatus, String) {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    let mut child = hinet()
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    for _ in 0..lines {
+        stdout.read_line(&mut String::new()).unwrap();
+    }
+    drop(stdout);
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    (child.wait().unwrap(), stderr)
+}
+
+#[test]
+fn closed_stdout_ends_commands_quietly() {
+    // `run` prints a few lines, which a pipe buffer takes whole, so the
+    // pipe closes before its first write; `trace --events` prints about
+    // 180 KB, more than the buffer holds, so one line is read first.
+    let dir = std::env::temp_dir().join(format!("hinet-cli-closed-{}", std::process::id()));
+    let artifact = dir.join("run.jsonl");
+    let run: &[&str] = &["run", "--n", "200"];
+    let traced: &[&str] = &[
+        "run",
+        "--n",
+        "200",
+        "--trace-out",
+        artifact.to_str().unwrap(),
+    ];
+    let events: &[&str] = &["trace", "--n", "200", "--k", "16", "--events"];
+    for (args, lines) in [(run, 0), (traced, 0), (events, 1)] {
+        let (status, stderr) = close_stdout_after(args, lines);
+        assert_eq!(status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    // The streamed artifact was finished before the first write.
+    let text = std::fs::read_to_string(&artifact).expect("the artifact is written");
+    assert!(text.starts_with("{\"schema\":\"hinet-trace/v1\""));
+    assert!(
+        !dir.join("run.jsonl.part").exists(),
+        "spill file left behind"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -15,17 +15,19 @@
 //! window included; sliding windows are every full `[s, s+T)`.
 //!
 //! The module ends with the other helpers only tests call: graph paths,
-//! spanning trees and containment, the analysis-to-plan consistency check
-//! and the trace-event recount, whose unit tests are in
-//! tests/batch_reference.rs too; and the property suites' base scenario.
+//! spanning trees and containment, the temporal flooding makespan, the
+//! analysis-to-plan consistency check and the trace-event recount, whose
+//! unit tests are in tests/batch_reference.rs too; chunked feeding of a
+//! `StabilityStream`; and the property suites' base scenario.
 
 #![allow(dead_code)] // each test binary uses its own subset
 
 use hinet::cluster::audit::StabilityReport;
 use hinet::cluster::ctvg::CtvgTrace;
-use hinet::cluster::hierarchy::ClusterId;
+use hinet::cluster::hierarchy::{ClusterId, Hierarchy};
 use hinet::cluster::reaffiliation::ChurnStats;
 use hinet::cluster::stability::same_structure;
+use hinet::cluster::stability::stream::{StabilityStream, WindowVerdict};
 use hinet::core::analysis::{hinet_tl_time, ModelParams};
 use hinet::core::params::alg1_plan;
 use hinet::graph::graph::{Graph, GraphBuilder, NodeId};
@@ -34,6 +36,7 @@ use hinet::graph::trace::TvgTrace;
 use hinet::graph::verify::{is_always_connected, is_t_interval_connected};
 use hinet::rt::obs::{Counters, Event, ParsedTrace, Tracer};
 use hinet::scenario::Scenario;
+use std::sync::Arc;
 
 /// Definition 2 on one window: the head set is constant on rounds
 /// `[start, start+len)`.
@@ -412,6 +415,76 @@ pub fn bfs_spanning_tree(g: &Graph) -> Option<Graph> {
 /// Whether every edge of `sub` is also an edge of `g` (on the same nodes).
 pub fn contains_subgraph(g: &Graph, sub: &Graph) -> bool {
     sub.n() == g.n() && sub.edges().all(|e| g.has_edge(e.a, e.b))
+}
+
+/// Foremost arrival times from `src` starting at round `start`: the
+/// earliest round (1-based offset from `start`) by which information
+/// originating at `src` *can* reach each node, assuming every informed
+/// node forwards every round (a temporal BFS over the trace's foremost
+/// journeys). `u32::MAX` marks nodes unreachable within the trace.
+///
+/// This is a per-source lower bound for any dissemination algorithm and is
+/// *achieved* by full flooding — tests/temporal.rs checks that `KloFlood`
+/// with a single source completes exactly at [`flooding_makespan`].
+pub fn foremost_arrival(trace: &TvgTrace, src: NodeId, start: usize) -> Vec<u32> {
+    let n = trace.n();
+    let mut arrival = vec![u32::MAX; n];
+    arrival[src.index()] = 0;
+    let mut informed = vec![false; n];
+    informed[src.index()] = true;
+    let mut frontier_nonempty = true;
+    for r in start..trace.len() {
+        if !frontier_nonempty {
+            break;
+        }
+        let g = trace.graph(r);
+        let mut newly: Vec<NodeId> = Vec::new();
+        for u in g.nodes() {
+            if !informed[u.index()] {
+                continue;
+            }
+            for &v in g.neighbors(u) {
+                if !informed[v.index()] && arrival[v.index()] == u32::MAX {
+                    arrival[v.index()] = (r - start + 1) as u32;
+                    newly.push(v);
+                }
+            }
+        }
+        frontier_nonempty = !newly.is_empty() || informed.iter().any(|&i| !i);
+        for v in newly {
+            informed[v.index()] = true;
+        }
+        if informed.iter().all(|&i| i) {
+            break;
+        }
+    }
+    arrival
+}
+
+/// The flooding makespan from `src`: the number of rounds full flooding
+/// needs to inform everyone, or `None` if the trace ends first.
+pub fn flooding_makespan(trace: &TvgTrace, src: NodeId, start: usize) -> Option<usize> {
+    let arrival = foremost_arrival(trace, src, start);
+    let mut max = 0u32;
+    for &a in &arrival {
+        if a == u32::MAX {
+            return None;
+        }
+        max = max.max(a);
+    }
+    Some(max as usize)
+}
+
+/// Feed `rounds` to `s` one by one and return the verdicts of the windows
+/// they close: one chunk of a caller that batches rounds.
+pub fn push_chunk<'a>(
+    s: &mut StabilityStream,
+    rounds: impl IntoIterator<Item = (&'a Arc<Graph>, &'a Arc<Hierarchy>)>,
+) -> Vec<WindowVerdict> {
+    rounds
+        .into_iter()
+        .filter_map(|(g, h)| s.push(g, h))
+        .collect()
 }
 
 /// Whether the analytic time of Algorithm 1 equals the round count of the

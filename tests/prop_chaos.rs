@@ -210,3 +210,72 @@ fn duplicates_never_double_count() {
         );
     });
 }
+
+/// The streaming sink (`--out`/`--trace-out`) writes the same bytes as
+/// the in-memory artifact on real faulted runs: ci.sh's chaos scenario
+/// (loss, delay, dup, reorder and the reliability layer) in both modes,
+/// its `--crash-at` oracle scenario, and a crash that recovers under
+/// `--retransmit` inside a partition window. Together they emit every
+/// event kind but the watchdog's `stall_probe`.
+#[test]
+fn streamed_artifact_matches_in_memory_on_faulted_runs() {
+    use hinet::knobs::scenario_flags;
+    use hinet::rt::flags::parse_flags;
+    let chaos = "--algorithm alg2 --n 48 --k 6 --seed 5 --loss 0.05 --delay 0.03 \
+                 --max-delay 3 --dup 0.02 --reorder --reliable --fault-seed 9";
+    let cases = [
+        (chaos.to_string(), false),
+        (format!("{chaos} --mode event"), false),
+        (
+            "--algorithm alg2 --n 48 --k 6 --seed 5 --crash-at 2:0 --down-rounds 99".into(),
+            true,
+        ),
+        (
+            "--algorithm alg1 --n 40 --k 4 --seed 3 --crash-at 1:3 --down-rounds 2 \
+             --retransmit --partition 2:4:20 --loss 0.05 --fault-seed 4"
+                .into(),
+            false,
+        ),
+    ];
+    let path =
+        std::env::temp_dir().join(format!("hinet-chaos-stream-{}.jsonl", std::process::id()));
+    let mut kinds = std::collections::BTreeSet::new();
+    for (args, oracle) in cases {
+        let args: Vec<String> = args.split_whitespace().map(String::from).collect();
+        let (_, flags) = parse_flags(&scenario_flags(), &args).unwrap();
+        let sc = Scenario::from_flags(&flags).unwrap();
+
+        let mut in_memory = Tracer::new(ObsConfig::full());
+        sc.run_traced_with_oracle(&mut in_memory, oracle).unwrap();
+        let mut streamed = Tracer::new(ObsConfig::full());
+        streamed.stream_to(&path).unwrap();
+        sc.run_traced_with_oracle(&mut streamed, oracle).unwrap();
+        let written = streamed.finish_stream().unwrap().unwrap();
+        let on_disk = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+
+        assert_eq!(written as usize, in_memory.len(), "{args:?}");
+        assert!(
+            on_disk == in_memory.to_jsonl(),
+            "{args:?}: streamed bytes differ"
+        );
+        kinds.extend(in_memory.events().map(|te| te.event.kind()));
+    }
+    let expected = [
+        "crash",
+        "delayed",
+        "duplicated",
+        "fault_injected",
+        "head_broadcast",
+        "phase_advance",
+        "reaffiliation",
+        "recover",
+        "retransmit",
+        "retransmit_timeout",
+        "round_start",
+        "run_end",
+        "stability_window",
+        "token_push",
+    ];
+    assert_eq!(kinds.into_iter().collect::<Vec<_>>(), expected);
+}

@@ -23,7 +23,7 @@ mod common;
 use common::{
     audit, cluster_stable_in_window, head_connectivity_in_window, head_set_stable_in_window,
     hierarchy_stable_in_window, is_head_set_forever_stable, l_hop_in_window,
-    max_hierarchy_stability_sliding, max_hinet_t, min_hinet_l, trace_stability_windows,
+    max_hierarchy_stability_sliding, max_hinet_t, min_hinet_l, push_chunk, trace_stability_windows,
 };
 use hinet::cluster::audit::StreamingAudit;
 use hinet::cluster::clustering::{re_elect, ClusteringKind, GatewayPolicy};
@@ -256,7 +256,8 @@ fn chunk_boundaries_change_nothing() {
             verdicts_one.push(v);
         }
 
-        // Same trace through push_chunk with random chunk boundaries.
+        // Same trace fed in chunks with random boundaries, each chunk's
+        // verdicts collected before the next is fed.
         let mut chunked = StabilityStream::new(t, cfg.l).with_spectrum();
         let mut tracer_chunked = Tracer::new(ObsConfig::full());
         let mut verdicts_chunked = Vec::new();
@@ -264,7 +265,7 @@ fn chunk_boundaries_change_nothing() {
         let mut at = 0usize;
         while at < pairs.len() {
             let size = c.random_range(1usize..=(pairs.len() - at));
-            for v in chunked.push_chunk(pairs[at..at + size].iter().copied()) {
+            for v in push_chunk(&mut chunked, pairs[at..at + size].iter().copied()) {
                 v.emit_into(&mut tracer_chunked);
                 verdicts_chunked.push(v);
             }

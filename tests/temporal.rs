@@ -1,14 +1,16 @@
-//! Temporal-reachability integration: the foremost-journey analysis of the
-//! graph layer must agree with what the simulator actually achieves —
+//! Temporal-reachability integration: the foremost-journey reference in
+//! tests/common/ must agree with what the simulator actually achieves —
 //! full flooding of a single source is *optimal*, completing exactly at
 //! the flooding makespan.
 
+mod common;
+
+use common::flooding_makespan;
 use hinet::cluster::ctvg::FlatProvider;
 use hinet::core::runner::{run_algorithm, AlgorithmKind};
 use hinet::graph::generators::{ManhattanConfig, ManhattanGen, OneIntervalGen};
 use hinet::graph::graph::NodeId;
 use hinet::graph::trace::{TraceProvider, TvgTrace};
-use hinet::graph::verify::flooding_makespan;
 use hinet::sim::engine::RunConfig;
 use hinet::sim::token::single_source_assignment;
 
