@@ -50,7 +50,7 @@
 use crate::hierarchy::Hierarchy;
 use crate::stability::same_structure;
 use hinet_graph::graph::{Graph, GraphBuilder, NodeId};
-use hinet_rt::obs::Tracer;
+use hinet_rt::obs::{Event, Tracer};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -101,8 +101,9 @@ impl WindowVerdict {
             (7, self.def7),
             (8, self.def8),
         ] {
-            tracer.stability_window(self.start as u64, def, true, held);
-            tracer.stability_window(last, def, false, held);
+            for (round, open) in [(self.start as u64, true), (last, false)] {
+                tracer.emit(round, Event::StabilityWindow { def, open, held });
+            }
         }
     }
 }

@@ -30,7 +30,8 @@
 //! tracer.set_phase_len(2); // auto-emit PhaseAdvance every 2 rounds
 //! for round in 0..4 {
 //!     tracer.round_start(round);
-//!     tracer.token_push(round, 5, 9, 1, Role::Member, 0, 40);
+//!     let push = Event::TokenPush { node: 5, token: 9, count: 1, role: Role::Member, dst: 0 };
+//!     tracer.emit_with_bytes(round, push, 40);
 //! }
 //! tracer.run_end(4, true);
 //!
@@ -47,6 +48,7 @@ pub mod diff;
 
 use crate::bench::json::Json;
 use std::collections::BTreeMap;
+use std::io::Write;
 
 /// Trace artifact schema identifier (bump on breaking JSONL changes).
 pub const SCHEMA: &str = "hinet-trace/v1";
@@ -126,176 +128,343 @@ impl FaultKind {
     }
 }
 
-/// One trace event. High-volume *data* events ([`Event::TokenPush`],
-/// [`Event::HeadBroadcast`], [`Event::FaultInjected`],
-/// [`Event::Retransmit`]) may be sampled under [`ObsMode::Sampled`];
-/// *structural* events (everything else) are always recorded, so per-phase
-/// round counts stay exact even in sampled traces.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Event {
-    /// A simulation round began.
-    RoundStart,
-    /// A directed token send (a member pushing toward its head).
-    TokenPush {
-        /// Sending node id.
-        node: u64,
-        /// First (max-id under Algorithm 1) token in the payload.
-        token: u64,
-        /// Payload size in tokens (Algorithm 1 sends 1; Algorithm 2 sends
-        /// whole `TA` sets).
-        count: u64,
-        /// Sender's role this round.
-        role: Role,
-        /// Unicast target (the member's head under the HiNet algorithms).
-        dst: u64,
-    },
-    /// A broadcast send (a head/gateway disseminating over the backbone —
-    /// or any broadcaster under flat baselines).
-    HeadBroadcast {
-        /// Sending node id.
-        node: u64,
-        /// First (min-id under Algorithm 1) token in the payload.
-        token: u64,
-        /// Payload size in tokens.
-        count: u64,
-        /// Sender's role this round.
-        role: Role,
-    },
-    /// A new phase began (emitted at the phase's first round).
-    PhaseAdvance {
-        /// Zero-based phase index.
-        phase: u64,
-    },
-    /// A node's cluster head changed between rounds.
-    Reaffiliation {
-        /// The re-affiliating node.
-        node: u64,
-        /// Previous head (`None` if previously unclustered).
-        from: Option<u64>,
-        /// New head (`None` if now unclustered).
-        to: Option<u64>,
-    },
-    /// A stability window (paper Definitions 2–8) opened or closed.
-    ///
-    /// Stability is verified *post hoc* over the captured trace, so the
-    /// verdict is known at open time too; `held` carries it on both edges.
-    StabilityWindow {
-        /// Definition number (2–8).
-        def: u8,
-        /// `true` at the window's first round, `false` at its last.
-        open: bool,
-        /// Whether the definition held over the window.
-        held: bool,
-    },
-    /// The fault plane dropped a delivery.
-    FaultInjected {
-        /// Sending node id.
-        node: u64,
-        /// Dropped delivery's target (`None` when the whole send was
-        /// suppressed rather than one receiver's copy).
-        dst: Option<u64>,
-        /// Which fault class fired.
-        kind: FaultKind,
-    },
-    /// A node crashed: volatile protocol state lost, silent while down.
-    Crash {
-        /// The crashed node.
-        node: u64,
-        /// Whether its learned tokens survive the crash.
-        durable: bool,
-    },
-    /// A crashed node restarted and rejoined the run.
-    Recover {
-        /// The recovering node.
-        node: u64,
-    },
-    /// A recovery retransmission was sent (the send itself is also traced
-    /// as a [`Event::TokenPush`]/[`Event::HeadBroadcast`]; this marks it).
-    Retransmit {
-        /// Sending node id.
-        node: u64,
-        /// Payload size in tokens.
-        count: u64,
-        /// Unicast target, `None` for broadcasts.
-        dst: Option<u64>,
-    },
-    /// The fault plane held a delivery back: the envelope matures into the
-    /// receiver's inbox `rounds` rounds later instead of this round.
-    Delayed {
-        /// Sending node id.
-        node: u64,
-        /// The delayed delivery's receiver.
-        dst: u64,
-        /// How many rounds the envelope is held.
-        rounds: u64,
-    },
-    /// The fault plane duplicated a delivery; the receive plane discards
-    /// the copy, so duplication never double-counts tokens or bytes.
-    Duplicated {
-        /// Sending node id.
-        node: u64,
-        /// The duplicated delivery's receiver.
-        dst: u64,
-    },
-    /// The reliability layer's backoff timer re-sent an unacked envelope.
-    RetransmitTimeout {
-        /// Sending node id.
-        node: u64,
-        /// The link's receiver.
-        dst: u64,
-        /// Retransmission attempt (1 = first re-send).
-        attempt: u64,
-    },
-    /// The stall watchdog snapshotted a node that had made no quorum
-    /// progress when it halted the run (round = the node's frontier).
-    StallProbe {
-        /// The stalled node.
-        node: u64,
-    },
-    /// The run finished.
-    RunEnd {
-        /// Rounds executed.
-        rounds: u64,
-        /// Whether dissemination completed (every node knows every token).
-        completed: bool,
-    },
+/// `events! { … }`: the [`Event`] enum from one row per variant, and
+/// everything read off a row. A row is
+///
+/// ```text
+/// /// docs
+/// Variant("wire_name", data | structural, counter += amount, …) {
+///     /// docs
+///     field: Type,
+///     …
+/// },
+/// ```
+///
+/// The wire name is the JSONL `ev` value ([`Event::kind`]); `data` events
+/// may be thinned by [`ObsMode::Sampled`], `structural` ones never are;
+/// each `counter += amount` bumps a [`Counters`] field on emission (an
+/// amount may read the row's fields); each field is written and read under
+/// its own name, through its type's [`Field`] codec. The writer prints the
+/// `ev` name and the first key as one literal, and every further key as one
+/// literal with its punctuation.
+macro_rules! events {
+    (@data data) => {
+        true
+    };
+    (@data structural) => {
+        false
+    };
+    (@write $out:ident, $name:literal) => {
+        $out.push_str(concat!(r#","ev":""#, $name, r#"""#))
+    };
+    (@write $out:ident, $name:literal, $f0:ident $(, $f:ident)*) => {{
+        $out.push_str(concat!(r#","ev":""#, $name, r#"",""#, stringify!($f0), r#"":"#));
+        Field::write(*$f0, $out);
+        $(
+            $out.push_str(concat!(r#",""#, stringify!($f), r#"":"#));
+            Field::write(*$f, $out);
+        )*
+    }};
+    (
+        $(#[$doc:meta])*
+        pub enum Event {
+            $(
+                $(#[$vdoc:meta])*
+                $V:ident($name:literal, $class:ident $(, $cnt:ident $([$idx:expr])? += $amt:expr)*)
+                $({ $($(#[$fdoc:meta])* $f:ident: $t:ty),+ $(,)? })?,
+            )*
+        }
+    ) => {
+        $(#[$doc])*
+        pub enum Event {
+            $(
+                $(#[$vdoc])*
+                $V $({ $($(#[$fdoc])* $f: $t,)+ })?,
+            )*
+        }
+
+        impl Event {
+            /// Stable wire name of the event kind (the JSONL `ev` field).
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Event::$V { .. } => $name,)*
+                }
+            }
+
+            /// Whether this event is high-volume data (eligible for
+            /// sampling) rather than structural.
+            fn is_data(&self) -> bool {
+                match self {
+                    $(Event::$V { .. } => events!(@data $class),)*
+                }
+            }
+
+            /// Bump the counters this event counts.
+            #[allow(unused_variables)]
+            fn count(&self, c: &mut Counters) {
+                match *self {
+                    $(Event::$V $({ $($f),+ })? => { $(c.$cnt $([$idx])? += $amt;)* })*
+                }
+            }
+
+            /// Append the `ev` name and the fields, each after its key.
+            fn write_fields(&self, out: &mut String) {
+                match self {
+                    $(Event::$V $({ $($f),+ })? => events!(@write out, $name $($(, $f)+)?),)*
+                }
+            }
+
+            /// The event of kind `kind` whose fields are read from `v`.
+            fn read_fields(kind: &str, v: &Json) -> Result<Event, String> {
+                Ok(match kind {
+                    $($name => Event::$V $({ $($f: Field::read(v, stringify!($f))?,)+ })?,)*
+                    other => return Err(format!("unknown event kind '{other}'")),
+                })
+            }
+        }
+    };
 }
 
-impl Event {
-    /// Stable wire name of the event kind (the JSONL `ev` field).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::RoundStart => "round_start",
-            Event::TokenPush { .. } => "token_push",
-            Event::HeadBroadcast { .. } => "head_broadcast",
-            Event::PhaseAdvance { .. } => "phase_advance",
-            Event::Reaffiliation { .. } => "reaffiliation",
-            Event::StabilityWindow { .. } => "stability_window",
-            Event::FaultInjected { .. } => "fault_injected",
-            Event::Crash { .. } => "crash",
-            Event::Recover { .. } => "recover",
-            Event::Retransmit { .. } => "retransmit",
-            Event::Delayed { .. } => "delayed",
-            Event::Duplicated { .. } => "duplicated",
-            Event::RetransmitTimeout { .. } => "retransmit_timeout",
-            Event::StallProbe { .. } => "stall_probe",
-            Event::RunEnd { .. } => "run_end",
+events! {
+    /// One trace event: one row of this table per kind (see `events!`).
+    /// High-volume *data* events — the two sends ([`Event::TokenPush`],
+    /// [`Event::HeadBroadcast`]) and the delivery plane's
+    /// [`Event::FaultInjected`], [`Event::Retransmit`], [`Event::Delayed`],
+    /// [`Event::Duplicated`] and [`Event::RetransmitTimeout`] — may be
+    /// sampled under [`ObsMode::Sampled`]; *structural* events (everything
+    /// else) are always recorded, so per-phase round counts stay exact even
+    /// in sampled traces.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum Event {
+        /// A simulation round began.
+        RoundStart("round_start", structural, rounds += 1),
+        /// A directed token send (a member pushing toward its head).
+        TokenPush(
+            "token_push",
+            data,
+            tokens_sent += count,
+            packets_sent += 1,
+            tokens_by_role[role.slot()] += count
+        ) {
+            /// Sending node id.
+            node: u64,
+            /// First (max-id under Algorithm 1) token in the payload.
+            token: u64,
+            /// Payload size in tokens (Algorithm 1 sends 1; Algorithm 2 sends
+            /// whole `TA` sets).
+            count: u64,
+            /// Sender's role this round.
+            role: Role,
+            /// Unicast target (the member's head under the HiNet algorithms).
+            dst: u64,
+        },
+        /// A broadcast send (a head/gateway disseminating over the backbone —
+        /// or any broadcaster under flat baselines).
+        HeadBroadcast(
+            "head_broadcast",
+            data,
+            tokens_sent += count,
+            packets_sent += 1,
+            tokens_by_role[role.slot()] += count
+        ) {
+            /// Sending node id.
+            node: u64,
+            /// First (min-id under Algorithm 1) token in the payload.
+            token: u64,
+            /// Payload size in tokens.
+            count: u64,
+            /// Sender's role this round.
+            role: Role,
+        },
+        /// A new phase began (emitted at the phase's first round).
+        PhaseAdvance("phase_advance", structural, phases += 1) {
+            /// Zero-based phase index.
+            phase: u64,
+        },
+        /// A node's cluster head changed between rounds.
+        Reaffiliation("reaffiliation", structural, reaffiliations += 1) {
+            /// The re-affiliating node.
+            node: u64,
+            /// Previous head (`None` if previously unclustered).
+            from: Option<u64>,
+            /// New head (`None` if now unclustered).
+            to: Option<u64>,
+        },
+        /// A stability window (paper Definitions 2–8) opened or closed.
+        ///
+        /// Stability is verified *post hoc* over the captured trace, so the
+        /// verdict is known at open time too; `held` carries it on both edges.
+        StabilityWindow("stability_window", structural) {
+            /// Definition number (2–8).
+            def: u8,
+            /// `true` at the window's first round, `false` at its last.
+            open: bool,
+            /// Whether the definition held over the window.
+            held: bool,
+        },
+        /// The fault plane dropped a delivery.
+        FaultInjected("fault_injected", data, faults_injected += 1) {
+            /// Sending node id.
+            node: u64,
+            /// Dropped delivery's target (`None` when the whole send was
+            /// suppressed rather than one receiver's copy).
+            dst: Option<u64>,
+            /// Which fault class fired.
+            kind: FaultKind,
+        },
+        /// A node crashed: volatile protocol state lost, silent while down.
+        Crash("crash", structural, crashes += 1) {
+            /// The crashed node.
+            node: u64,
+            /// Whether its learned tokens survive the crash.
+            durable: bool,
+        },
+        /// A crashed node restarted and rejoined the run.
+        Recover("recover", structural, recoveries += 1) {
+            /// The recovering node.
+            node: u64,
+        },
+        /// A recovery retransmission was sent (the send itself is also traced
+        /// as a [`Event::TokenPush`]/[`Event::HeadBroadcast`]; this marks it).
+        Retransmit("retransmit", data, retransmits += 1) {
+            /// Sending node id.
+            node: u64,
+            /// Payload size in tokens.
+            count: u64,
+            /// Unicast target, `None` for broadcasts.
+            dst: Option<u64>,
+        },
+        /// The fault plane held a delivery back: the envelope matures into the
+        /// receiver's inbox `rounds` rounds later instead of this round.
+        Delayed("delayed", data, delays_injected += 1) {
+            /// Sending node id.
+            node: u64,
+            /// The delayed delivery's receiver.
+            dst: u64,
+            /// How many rounds the envelope is held.
+            rounds: u64,
+        },
+        /// The fault plane duplicated a delivery; the receive plane discards
+        /// the copy, so duplication never double-counts tokens or bytes.
+        Duplicated("duplicated", data, duplicates_injected += 1) {
+            /// Sending node id.
+            node: u64,
+            /// The duplicated delivery's receiver.
+            dst: u64,
+        },
+        /// The reliability layer's backoff timer re-sent an unacked envelope.
+        RetransmitTimeout("retransmit_timeout", data, retransmit_timeouts += 1) {
+            /// Sending node id.
+            node: u64,
+            /// The link's receiver.
+            dst: u64,
+            /// Retransmission attempt (1 = first re-send).
+            attempt: u64,
+        },
+        /// The stall watchdog snapshotted a node that had made no quorum
+        /// progress when it halted the run (round = the node's frontier).
+        StallProbe("stall_probe", structural, stall_probes += 1) {
+            /// The stalled node.
+            node: u64,
+        },
+        /// The run finished.
+        RunEnd("run_end", structural) {
+            /// Rounds executed.
+            rounds: u64,
+            /// Whether dissemination completed (every node knows every token).
+            completed: bool,
+        },
+    }
+}
+
+/// How an [`Event`] field's value is written after its key, and read back
+/// from the parsed line. Every value fits the `Json` tree renderer's bytes:
+/// integers as digits, `None` as `null`, names (`[a-z_]`, no escaping)
+/// quoted.
+trait Field: Sized {
+    fn write(self, out: &mut String);
+    fn read(v: &Json, key: &str) -> Result<Self, String>;
+}
+
+impl Field for u64 {
+    fn write(self, out: &mut String) {
+        push_u64(out, self);
+    }
+    fn read(v: &Json, key: &str) -> Result<u64, String> {
+        v.get(key)
+            .and_then(Json::as_u64)
+            .ok_or(format!("missing '{key}'"))
+    }
+}
+
+impl Field for u8 {
+    fn write(self, out: &mut String) {
+        push_u64(out, u64::from(self));
+    }
+    fn read(v: &Json, key: &str) -> Result<u8, String> {
+        u64::read(v, key).map(|x| x as u8)
+    }
+}
+
+impl Field for bool {
+    fn write(self, out: &mut String) {
+        out.push_str(if self { "true" } else { "false" });
+    }
+    fn read(v: &Json, key: &str) -> Result<bool, String> {
+        match v.get(key) {
+            Some(Json::Bool(b)) => Ok(*b),
+            _ => Err(format!("missing '{key}'")),
         }
     }
+}
 
-    /// Whether this event is high-volume data (eligible for sampling)
-    /// rather than structural.
-    fn is_data(&self) -> bool {
-        matches!(
-            self,
-            Event::TokenPush { .. }
-                | Event::HeadBroadcast { .. }
-                | Event::FaultInjected { .. }
-                | Event::Retransmit { .. }
-                | Event::Delayed { .. }
-                | Event::Duplicated { .. }
-                | Event::RetransmitTimeout { .. }
-        )
+impl Field for Option<u64> {
+    fn write(self, out: &mut String) {
+        match self {
+            Some(x) => push_u64(out, x),
+            None => out.push_str("null"),
+        }
+    }
+    fn read(v: &Json, key: &str) -> Result<Option<u64>, String> {
+        match v.get(key) {
+            Some(Json::Null) => Ok(None),
+            Some(x) => x.as_u64().map(Some).ok_or(format!("bad '{key}'")),
+            None => Err(format!("missing '{key}'")),
+        }
+    }
+}
+
+/// A quoted wire name.
+fn push_name(out: &mut String, name: &str) {
+    out.push('"');
+    out.push_str(name);
+    out.push('"');
+}
+
+/// The wire name under `key`.
+fn read_name<'v>(v: &'v Json, key: &str) -> Result<&'v str, String> {
+    v.get(key)
+        .and_then(Json::as_str)
+        .ok_or(format!("missing '{key}'"))
+}
+
+impl Field for Role {
+    fn write(self, out: &mut String) {
+        push_name(out, self.as_str());
+    }
+    fn read(v: &Json, key: &str) -> Result<Role, String> {
+        let s = read_name(v, key)?;
+        Role::parse(s).ok_or(format!("unknown role '{s}'"))
+    }
+}
+
+impl Field for FaultKind {
+    fn write(self, out: &mut String) {
+        push_name(out, self.as_str());
+    }
+    fn read(v: &Json, key: &str) -> Result<FaultKind, String> {
+        let s = read_name(v, key)?;
+        FaultKind::parse(s).ok_or(format!("unknown fault kind '{s}'"))
     }
 }
 
@@ -314,7 +483,8 @@ pub enum ObsMode {
     /// Record nothing; every instrumentation site reduces to one branch.
     Off,
     /// Record every structural event but only one in `N` data events
-    /// (token pushes / head broadcasts). Counters remain exact.
+    /// (the two sends and five delivery-plane kinds, see [`Event`]).
+    /// Counters remain exact.
     Sampled(u32),
     /// Record everything.
     Full,
@@ -665,14 +835,18 @@ struct StreamSink {
 impl StreamSink {
     /// Append one event line to the spill file.
     fn write(&mut self, te: &TraceEvent) -> std::io::Result<()> {
-        use std::io::Write;
-        self.line.clear();
-        write_event(&mut self.line, te);
-        self.line.push('\n');
-        self.writer.write_all(self.line.as_bytes())?;
+        write_line(&mut self.writer, &mut self.line, te)?;
         self.written += 1;
         Ok(())
     }
+}
+
+/// Write one event's line to `w`, built in the reused `line` buffer.
+fn write_line(w: &mut impl Write, line: &mut String, te: &TraceEvent) -> std::io::Result<()> {
+    line.clear();
+    write_event(line, te);
+    line.push('\n');
+    w.write_all(line.as_bytes())
 }
 
 impl Tracer {
@@ -723,36 +897,15 @@ impl Tracer {
         }
     }
 
-    /// Emit an event at `round`, updating every counter derivable from it.
+    /// Emit an event at `round`, bumping the counters its row names.
     /// Structural events are always recorded; data events honour the
-    /// sampling mode. This is the low-level entry — the engine uses the
-    /// typed wrappers below, which also account bytes.
+    /// sampling mode. The send events' on-air bytes, which no event
+    /// carries, come in through [`Tracer::emit_with_bytes`].
     pub fn emit(&mut self, round: u64, event: Event) {
         if !self.enabled() {
             return;
         }
-        match &event {
-            Event::RoundStart => {
-                self.counters.rounds += 1;
-                self.rounds_in_phase += 1;
-            }
-            Event::TokenPush { count, role, .. } | Event::HeadBroadcast { count, role, .. } => {
-                self.counters.tokens_sent += count;
-                self.counters.packets_sent += 1;
-                self.counters.tokens_by_role[role.slot()] += count;
-            }
-            Event::PhaseAdvance { .. } => self.counters.phases += 1,
-            Event::Reaffiliation { .. } => self.counters.reaffiliations += 1,
-            Event::FaultInjected { .. } => self.counters.faults_injected += 1,
-            Event::Crash { .. } => self.counters.crashes += 1,
-            Event::Recover { .. } => self.counters.recoveries += 1,
-            Event::Retransmit { .. } => self.counters.retransmits += 1,
-            Event::Delayed { .. } => self.counters.delays_injected += 1,
-            Event::Duplicated { .. } => self.counters.duplicates_injected += 1,
-            Event::RetransmitTimeout { .. } => self.counters.retransmit_timeouts += 1,
-            Event::StallProbe { .. } => self.counters.stall_probes += 1,
-            Event::StabilityWindow { .. } | Event::RunEnd { .. } => {}
-        }
+        event.count(&mut self.counters);
         let record = if event.is_data() {
             let keep = match self.cfg.mode {
                 ObsMode::Off => false,
@@ -794,113 +947,20 @@ impl Tracer {
                 self.emit(round, Event::PhaseAdvance { phase });
             }
         }
+        self.rounds_in_phase += 1;
         self.emit(round, Event::RoundStart);
     }
 
-    /// Emit [`Event::TokenPush`] and account `bytes` on-air cost.
-    #[allow(clippy::too_many_arguments)]
-    pub fn token_push(
-        &mut self,
-        round: u64,
-        node: u64,
-        token: u64,
-        count: u64,
-        role: Role,
-        dst: u64,
-        bytes: u64,
-    ) {
+    /// Emit `event` and add `bytes` to the on-air byte count: the entry
+    /// point of the two send events ([`Event::TokenPush`],
+    /// [`Event::HeadBroadcast`]), whose cost under the run's weights is
+    /// not on the wire. Every other event costs 0.
+    pub fn emit_with_bytes(&mut self, round: u64, event: Event, bytes: u64) {
         if !self.enabled() {
             return;
         }
         self.counters.bytes_sent += bytes;
-        self.emit(
-            round,
-            Event::TokenPush {
-                node,
-                token,
-                count,
-                role,
-                dst,
-            },
-        );
-    }
-
-    /// Emit [`Event::HeadBroadcast`] and account `bytes` on-air cost.
-    pub fn head_broadcast(
-        &mut self,
-        round: u64,
-        node: u64,
-        token: u64,
-        count: u64,
-        role: Role,
-        bytes: u64,
-    ) {
-        if !self.enabled() {
-            return;
-        }
-        self.counters.bytes_sent += bytes;
-        self.emit(
-            round,
-            Event::HeadBroadcast {
-                node,
-                token,
-                count,
-                role,
-            },
-        );
-    }
-
-    /// Emit [`Event::Reaffiliation`].
-    pub fn reaffiliation(&mut self, round: u64, node: u64, from: Option<u64>, to: Option<u64>) {
-        self.emit(round, Event::Reaffiliation { node, from, to });
-    }
-
-    /// Emit [`Event::FaultInjected`].
-    pub fn fault_injected(&mut self, round: u64, node: u64, dst: Option<u64>, kind: FaultKind) {
-        self.emit(round, Event::FaultInjected { node, dst, kind });
-    }
-
-    /// Emit [`Event::Crash`].
-    pub fn crash(&mut self, round: u64, node: u64, durable: bool) {
-        self.emit(round, Event::Crash { node, durable });
-    }
-
-    /// Emit [`Event::Recover`].
-    pub fn recover(&mut self, round: u64, node: u64) {
-        self.emit(round, Event::Recover { node });
-    }
-
-    /// Emit [`Event::Retransmit`].
-    pub fn retransmit(&mut self, round: u64, node: u64, count: u64, dst: Option<u64>) {
-        self.emit(round, Event::Retransmit { node, count, dst });
-    }
-
-    /// Emit [`Event::Delayed`].
-    pub fn delayed(&mut self, round: u64, node: u64, dst: u64, rounds: u64) {
-        self.emit(round, Event::Delayed { node, dst, rounds });
-    }
-
-    /// Emit [`Event::Duplicated`].
-    pub fn duplicated(&mut self, round: u64, node: u64, dst: u64) {
-        self.emit(round, Event::Duplicated { node, dst });
-    }
-
-    /// Emit [`Event::RetransmitTimeout`]. `attempt` counts from 1 for the
-    /// first timer re-send.
-    pub fn retransmit_timeout(&mut self, round: u64, node: u64, dst: u64, attempt: u32) {
-        self.emit(
-            round,
-            Event::RetransmitTimeout {
-                node,
-                dst,
-                attempt: u64::from(attempt),
-            },
-        );
-    }
-
-    /// Emit [`Event::StallProbe`] at the stalled node's frontier round.
-    pub fn stall_probe(&mut self, frontier: u64, node: u64) {
-        self.emit(frontier, Event::StallProbe { node });
+        self.emit(round, event);
     }
 
     /// Record the receive plane's duplicate-discard gauge into the
@@ -912,11 +972,6 @@ impl Tracer {
             return;
         }
         self.counters.dups_discarded = dups_discarded;
-    }
-
-    /// Emit [`Event::StabilityWindow`].
-    pub fn stability_window(&mut self, round: u64, def: u8, open: bool, held: bool) {
-        self.emit(round, Event::StabilityWindow { def, open, held });
     }
 
     /// Emit [`Event::RunEnd`], closing any open auto-phase.
@@ -1011,6 +1066,18 @@ impl Tracer {
         out
     }
 
+    /// Write the artifact [`Tracer::to_jsonl`] returns to `w` instead,
+    /// line by line through one reused line buffer, so that no buffer of
+    /// the whole artifact is built.
+    pub fn write_jsonl(&self, w: &mut impl Write) -> std::io::Result<()> {
+        writeln!(w, "{}", self.header())?;
+        let mut line = String::with_capacity(MAX_LINE);
+        for te in self.events() {
+            write_line(w, &mut line, te)?;
+        }
+        Ok(())
+    }
+
     /// Switch to incremental disk streaming: from now on, recorded events
     /// are appended to a spill file (`<path>.part`) as they are emitted
     /// instead of being held in the ring, so the trace no longer has to fit
@@ -1054,7 +1121,6 @@ impl Tracer {
     /// events in the artifact. Errors leave the spill file in place for
     /// inspection. No-op returning `None` if streaming was never enabled.
     pub fn finish_stream(&mut self) -> std::io::Result<Option<u64>> {
-        use std::io::Write;
         let Some(mut sink) = self.sink.take() else {
             return Ok(None);
         };
@@ -1087,8 +1153,9 @@ const MAX_LINE: usize = 175;
 /// Append one event's JSONL object (without the newline) to `out`.
 ///
 /// Each key is written as one literal together with its `,"…":`
-/// punctuation, and each variant's `ev` name as one literal with the key
-/// after it; integers go through [`push_u64`], never through `fmt`. The
+/// punctuation, and each variant's `ev` name as one literal with its first
+/// key after it, both read off the variant's row of the [`Event`] table;
+/// integers go through [`push_u64`], never through `fmt`. The
 /// bytes are the ones the [`Json`] tree renderer would print for the same
 /// object — keys in the same order, `None` as `null` — for every integer
 /// up to 2⁵³; above that this prints the exact integer where the tree
@@ -1102,100 +1169,9 @@ const MAX_LINE: usize = 175;
 /// `push_u64` against `to_string` at every digit-count boundary
 /// (`push_u64_matches_to_string`).
 fn write_event(out: &mut String, te: &TraceEvent) {
-    fn num(out: &mut String, key: &str, v: u64) {
-        out.push_str(key);
-        push_u64(out, v);
-    }
-    fn opt(out: &mut String, key: &str, v: Option<u64>) {
-        out.push_str(key);
-        match v {
-            Some(x) => push_u64(out, x),
-            None => out.push_str("null"),
-        }
-    }
-    fn text(out: &mut String, key: &str, v: &str) {
-        out.push_str(key);
-        out.push('"');
-        out.push_str(v);
-        out.push('"');
-    }
-    fn flag(out: &mut String, key: &str, v: bool) {
-        out.push_str(key);
-        out.push_str(if v { "true" } else { "false" });
-    }
-    num(out, r#"{"r":"#, te.round);
-    match &te.event {
-        Event::RoundStart => out.push_str(r#","ev":"round_start""#),
-        Event::TokenPush {
-            node,
-            token,
-            count,
-            role,
-            dst,
-        } => {
-            num(out, r#","ev":"token_push","node":"#, *node);
-            num(out, r#","token":"#, *token);
-            num(out, r#","count":"#, *count);
-            text(out, r#","role":"#, role.as_str());
-            num(out, r#","dst":"#, *dst);
-        }
-        Event::HeadBroadcast {
-            node,
-            token,
-            count,
-            role,
-        } => {
-            num(out, r#","ev":"head_broadcast","node":"#, *node);
-            num(out, r#","token":"#, *token);
-            num(out, r#","count":"#, *count);
-            text(out, r#","role":"#, role.as_str());
-        }
-        Event::PhaseAdvance { phase } => num(out, r#","ev":"phase_advance","phase":"#, *phase),
-        Event::Reaffiliation { node, from, to } => {
-            num(out, r#","ev":"reaffiliation","node":"#, *node);
-            opt(out, r#","from":"#, *from);
-            opt(out, r#","to":"#, *to);
-        }
-        Event::StabilityWindow { def, open, held } => {
-            num(out, r#","ev":"stability_window","def":"#, u64::from(*def));
-            flag(out, r#","open":"#, *open);
-            flag(out, r#","held":"#, *held);
-        }
-        Event::FaultInjected { node, dst, kind } => {
-            num(out, r#","ev":"fault_injected","node":"#, *node);
-            opt(out, r#","dst":"#, *dst);
-            text(out, r#","kind":"#, kind.as_str());
-        }
-        Event::Crash { node, durable } => {
-            num(out, r#","ev":"crash","node":"#, *node);
-            flag(out, r#","durable":"#, *durable);
-        }
-        Event::Recover { node } => num(out, r#","ev":"recover","node":"#, *node),
-        Event::Retransmit { node, count, dst } => {
-            num(out, r#","ev":"retransmit","node":"#, *node);
-            num(out, r#","count":"#, *count);
-            opt(out, r#","dst":"#, *dst);
-        }
-        Event::Delayed { node, dst, rounds } => {
-            num(out, r#","ev":"delayed","node":"#, *node);
-            num(out, r#","dst":"#, *dst);
-            num(out, r#","rounds":"#, *rounds);
-        }
-        Event::Duplicated { node, dst } => {
-            num(out, r#","ev":"duplicated","node":"#, *node);
-            num(out, r#","dst":"#, *dst);
-        }
-        Event::RetransmitTimeout { node, dst, attempt } => {
-            num(out, r#","ev":"retransmit_timeout","node":"#, *node);
-            num(out, r#","dst":"#, *dst);
-            num(out, r#","attempt":"#, *attempt);
-        }
-        Event::StallProbe { node } => num(out, r#","ev":"stall_probe","node":"#, *node),
-        Event::RunEnd { rounds, completed } => {
-            num(out, r#","ev":"run_end","rounds":"#, *rounds);
-            flag(out, r#","completed":"#, *completed);
-        }
-    }
+    out.push_str(r#"{"r":"#);
+    push_u64(out, te.round);
+    te.event.write_fields(out);
     out.push('}');
 }
 
@@ -1327,113 +1303,12 @@ impl ParsedTrace {
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
     }
-
-    /// Whether the recorded event stream is complete: captured at
-    /// [`ObsMode::Full`] with nothing evicted. Only complete traces support
-    /// event-severity diffing and the golden-hygiene recount.
-    pub fn is_complete(&self) -> bool {
-        self.dropped == 0 && self.mode == ObsMode::Full
-    }
 }
 
 fn parse_event(v: &Json) -> Result<TraceEvent, String> {
     let round = v.get("r").and_then(Json::as_u64).ok_or("missing 'r'")?;
     let kind = v.get("ev").and_then(Json::as_str).ok_or("missing 'ev'")?;
-    let num = |key: &str| -> Result<u64, String> {
-        v.get(key)
-            .and_then(Json::as_u64)
-            .ok_or(format!("missing '{key}'"))
-    };
-    let boolean = |key: &str| -> Result<bool, String> {
-        match v.get(key) {
-            Some(Json::Bool(b)) => Ok(*b),
-            _ => Err(format!("missing '{key}'")),
-        }
-    };
-    let opt = |key: &str| -> Result<Option<u64>, String> {
-        match v.get(key) {
-            Some(Json::Null) => Ok(None),
-            Some(x) => x.as_u64().map(Some).ok_or(format!("bad '{key}'")),
-            None => Err(format!("missing '{key}'")),
-        }
-    };
-    let role = || -> Result<Role, String> {
-        let s = v
-            .get("role")
-            .and_then(Json::as_str)
-            .ok_or("missing 'role'")?;
-        Role::parse(s).ok_or(format!("unknown role '{s}'"))
-    };
-    let event = match kind {
-        "round_start" => Event::RoundStart,
-        "token_push" => Event::TokenPush {
-            node: num("node")?,
-            token: num("token")?,
-            count: num("count")?,
-            role: role()?,
-            dst: num("dst")?,
-        },
-        "head_broadcast" => Event::HeadBroadcast {
-            node: num("node")?,
-            token: num("token")?,
-            count: num("count")?,
-            role: role()?,
-        },
-        "phase_advance" => Event::PhaseAdvance {
-            phase: num("phase")?,
-        },
-        "reaffiliation" => Event::Reaffiliation {
-            node: num("node")?,
-            from: opt("from")?,
-            to: opt("to")?,
-        },
-        "stability_window" => Event::StabilityWindow {
-            def: num("def")? as u8,
-            open: boolean("open")?,
-            held: boolean("held")?,
-        },
-        "fault_injected" => Event::FaultInjected {
-            node: num("node")?,
-            dst: opt("dst")?,
-            kind: {
-                let s = v
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .ok_or("missing 'kind'")?;
-                FaultKind::parse(s).ok_or(format!("unknown fault kind '{s}'"))?
-            },
-        },
-        "crash" => Event::Crash {
-            node: num("node")?,
-            durable: boolean("durable")?,
-        },
-        "recover" => Event::Recover { node: num("node")? },
-        "retransmit" => Event::Retransmit {
-            node: num("node")?,
-            count: num("count")?,
-            dst: opt("dst")?,
-        },
-        "delayed" => Event::Delayed {
-            node: num("node")?,
-            dst: num("dst")?,
-            rounds: num("rounds")?,
-        },
-        "duplicated" => Event::Duplicated {
-            node: num("node")?,
-            dst: num("dst")?,
-        },
-        "retransmit_timeout" => Event::RetransmitTimeout {
-            node: num("node")?,
-            dst: num("dst")?,
-            attempt: num("attempt")?,
-        },
-        "stall_probe" => Event::StallProbe { node: num("node")? },
-        "run_end" => Event::RunEnd {
-            rounds: num("rounds")?,
-            completed: boolean("completed")?,
-        },
-        other => return Err(format!("unknown event kind '{other}'")),
-    };
+    let event = Event::read_fields(kind, v)?;
     Ok(TraceEvent { round, event })
 }
 
@@ -1588,12 +1463,34 @@ mod tests {
     use crate::check::{check, CaseCtx};
     use crate::rng::Rng;
 
+    /// A member's one-token push of `token` from `node` to head 0.
+    fn push(node: u64, token: u64) -> Event {
+        let (count, role, dst) = (1, Role::Member, 0);
+        Event::TokenPush {
+            node,
+            token,
+            count,
+            role,
+            dst,
+        }
+    }
+
+    /// A broadcast of `count` tokens, `token` first, by `node` as `role`.
+    fn broadcast(node: u64, token: u64, count: u64, role: Role) -> Event {
+        Event::HeadBroadcast {
+            node,
+            token,
+            count,
+            role,
+        }
+    }
+
     #[test]
     fn disabled_tracer_records_nothing() {
         let mut t = Tracer::disabled();
         assert!(!t.enabled());
         t.round_start(0);
-        t.token_push(0, 1, 2, 1, Role::Member, 0, 40);
+        t.emit_with_bytes(0, push(1, 2), 40);
         t.run_end(1, true);
         assert!(t.is_empty());
         assert_eq!(t.counters(), &Counters::default());
@@ -1603,10 +1500,17 @@ mod tests {
     fn counters_aggregate_tokens_packets_roles_and_bytes() {
         let mut t = Tracer::new(ObsConfig::full());
         t.round_start(0);
-        t.token_push(0, 5, 9, 1, Role::Member, 0, 40);
-        t.head_broadcast(0, 0, 3, 2, Role::Head, 56);
-        t.head_broadcast(0, 2, 3, 1, Role::Gateway, 40);
-        t.reaffiliation(1, 5, Some(0), Some(2));
+        t.emit_with_bytes(0, push(5, 9), 40);
+        t.emit_with_bytes(0, broadcast(0, 3, 2, Role::Head), 56);
+        t.emit_with_bytes(0, broadcast(2, 3, 1, Role::Gateway), 40);
+        t.emit(
+            1,
+            Event::Reaffiliation {
+                node: 5,
+                from: Some(0),
+                to: Some(2),
+            },
+        );
         t.run_end(1, false);
         let c = t.counters();
         assert_eq!(c.tokens_sent, 4);
@@ -1664,7 +1568,7 @@ mod tests {
         for round in 0..4u64 {
             t.round_start(round);
             for node in 0..5 {
-                t.token_push(round, node, node, 1, Role::Member, 0, 40);
+                t.emit_with_bytes(round, push(node, node), 40);
             }
         }
         t.run_end(4, true);
@@ -1710,12 +1614,33 @@ mod tests {
         t.meta("seed", "42");
         t.set_phase_len(2);
         t.round_start(0);
-        t.token_push(0, 5, 9, 1, Role::Member, 0, 40);
-        t.head_broadcast(0, 0, 3, 1, Role::Head, 40);
+        t.emit_with_bytes(0, push(5, 9), 40);
+        t.emit_with_bytes(0, broadcast(0, 3, 1, Role::Head), 40);
         t.round_start(1);
-        t.reaffiliation(1, 4, Some(0), None);
-        t.stability_window(0, 8, true, true);
-        t.stability_window(1, 8, false, true);
+        t.emit(
+            1,
+            Event::Reaffiliation {
+                node: 4,
+                from: Some(0),
+                to: None,
+            },
+        );
+        t.emit(
+            0,
+            Event::StabilityWindow {
+                def: 8,
+                open: true,
+                held: true,
+            },
+        );
+        t.emit(
+            1,
+            Event::StabilityWindow {
+                def: 8,
+                open: false,
+                held: true,
+            },
+        );
         t.run_end(2, true);
 
         let text = t.to_jsonl();
@@ -1795,11 +1720,38 @@ mod tests {
     fn fault_events_round_trip_and_count() {
         let mut t = Tracer::new(ObsConfig::full());
         t.round_start(0);
-        t.fault_injected(0, 3, Some(1), FaultKind::Loss);
-        t.fault_injected(0, 4, None, FaultKind::Partition);
-        t.crash(1, 2, true);
-        t.retransmit(2, 3, 2, Some(0));
-        t.recover(3, 2);
+        t.emit(
+            0,
+            Event::FaultInjected {
+                node: 3,
+                dst: Some(1),
+                kind: FaultKind::Loss,
+            },
+        );
+        t.emit(
+            0,
+            Event::FaultInjected {
+                node: 4,
+                dst: None,
+                kind: FaultKind::Partition,
+            },
+        );
+        t.emit(
+            1,
+            Event::Crash {
+                node: 2,
+                durable: true,
+            },
+        );
+        t.emit(
+            2,
+            Event::Retransmit {
+                node: 3,
+                count: 2,
+                dst: Some(0),
+            },
+        );
+        t.emit(3, Event::Recover { node: 2 });
         t.run_end(4, false);
         let c = t.counters();
         assert_eq!(c.faults_injected, 2);
@@ -1839,7 +1791,13 @@ mod tests {
 
         let mut t = Tracer::new(ObsConfig::full());
         t.round_start(0);
-        t.crash(0, 1, false);
+        t.emit(
+            0,
+            Event::Crash {
+                node: 1,
+                durable: false,
+            },
+        );
         t.run_end(1, false);
         assert!(t.to_jsonl().contains("\"crashes\":1"));
     }
@@ -2263,10 +2221,24 @@ mod tests {
         t.set_phase_len(2);
         for round in 0..5 {
             t.round_start(round);
-            t.token_push(round, round, round, 1, Role::Member, 0, 40);
+            t.emit_with_bytes(round, push(round, round), 40);
             if round == 2 {
-                t.fault_injected(round, 1, Some(0), FaultKind::Loss);
-                t.retransmit(round, 1, 1, Some(0));
+                t.emit(
+                    round,
+                    Event::FaultInjected {
+                        node: 1,
+                        dst: Some(0),
+                        kind: FaultKind::Loss,
+                    },
+                );
+                t.emit(
+                    round,
+                    Event::Retransmit {
+                        node: 1,
+                        count: 1,
+                        dst: Some(0),
+                    },
+                );
             }
         }
         t.run_end(5, true);

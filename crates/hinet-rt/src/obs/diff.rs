@@ -29,14 +29,15 @@
 //! says so loudly in [`DiffReport::downgrade`] rather than reporting noise.
 //!
 //! ```
-//! use hinet_rt::obs::{ObsConfig, ParsedTrace, Role, Tracer};
+//! use hinet_rt::obs::{Event, ObsConfig, ParsedTrace, Role, Tracer};
 //! use hinet_rt::obs::diff::{diff_traces, DiffConfig, Severity};
 //!
 //! let trace = |seed: u64| {
 //!     let mut t = Tracer::new(ObsConfig::full());
 //!     t.meta("seed", seed.to_string());
 //!     t.round_start(0);
-//!     t.token_push(0, seed, 9, 1, Role::Member, 0, 40);
+//!     let push = Event::TokenPush { node: seed, token: 9, count: 1, role: Role::Member, dst: 0 };
+//!     t.emit_with_bytes(0, push, 40);
 //!     t.run_end(1, true);
 //!     ParsedTrace::parse_jsonl(&t.to_jsonl()).unwrap()
 //! };
@@ -516,11 +517,44 @@ mod tests {
         t.set_phase_len(2);
         for round in 0..4 {
             t.round_start(round);
-            t.token_push(round, seed + round, round, 1, Role::Member, 0, 40);
-            t.head_broadcast(round, 0, round, 1, Role::Head, 40);
+            t.emit_with_bytes(
+                round,
+                Event::TokenPush {
+                    node: seed + round,
+                    token: round,
+                    count: 1,
+                    role: Role::Member,
+                    dst: 0,
+                },
+                40,
+            );
+            t.emit_with_bytes(
+                round,
+                Event::HeadBroadcast {
+                    node: 0,
+                    token: round,
+                    count: 1,
+                    role: Role::Head,
+                },
+                40,
+            );
         }
-        t.stability_window(0, 8, true, true);
-        t.stability_window(3, 8, false, true);
+        t.emit(
+            0,
+            Event::StabilityWindow {
+                def: 8,
+                open: true,
+                held: true,
+            },
+        );
+        t.emit(
+            3,
+            Event::StabilityWindow {
+                def: 8,
+                open: false,
+                held: true,
+            },
+        );
         t.run_end(4, true);
         ParsedTrace::parse_jsonl(&t.to_jsonl()).unwrap()
     }

@@ -12,7 +12,7 @@
 //! failure names the cell that died instead of a bare "worker panicked".
 //!
 //! The simulation engine's per-node phases split their nodes into static
-//! contiguous chunks instead ([`map_mut`], [`for_chunks_mut`]).
+//! contiguous chunks instead ([`for_chunks_mut`]).
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -90,86 +90,16 @@ where
         .collect()
 }
 
-/// Run `f(i, &mut items[i])` over every element, in parallel, preserving
-/// input order in the output — the mutable sibling of [`run_sweep`] used by
-/// the simulation engine's per-node round phases.
-///
-/// Work is split into `threads` contiguous chunks (one scoped thread each):
-/// per-node phase work is uniform enough that static partitioning wins over
-/// cursor-based balancing, and contiguous chunks keep each worker streaming
-/// through adjacent node state (the flat-arena layout's whole point).
-/// `threads = 0` selects the available parallelism; `threads <= 1` or a
-/// short input runs inline with no thread overhead.
-///
-/// # Panics
-/// If `f` panics on some element, the first such panic is re-raised here
-/// with the element index and original message attached.
-pub fn map_mut<T, O, F>(items: &mut [T], threads: usize, f: F) -> Vec<O>
-where
-    T: Send,
-    O: Send,
-    F: Fn(usize, &mut T) -> O + Sync,
-{
-    let n = items.len();
-    let threads = resolve(threads).min(n);
-    if threads <= 1 {
-        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-
-    let failure: Mutex<Option<(usize, Box<dyn Any + Send>)>> = Mutex::new(None);
-    let mut out: Vec<Vec<O>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        let mut rest = items;
-        let mut start = 0usize;
-        for w in 0..threads {
-            // Spread the remainder over the first chunks so sizes differ
-            // by at most one.
-            let size = (n - start) / (threads - w);
-            let (chunk, tail) = rest.split_at_mut(size);
-            rest = tail;
-            let f = &f;
-            let failure = &failure;
-            handles.push(scope.spawn(move || {
-                let mut res = Vec::with_capacity(chunk.len());
-                for (j, t) in chunk.iter_mut().enumerate() {
-                    match catch_unwind(AssertUnwindSafe(|| f(start + j, t))) {
-                        Ok(o) => res.push(o),
-                        Err(payload) => {
-                            let mut first = failure.lock().expect("failure lock");
-                            if first.is_none() {
-                                *first = Some((start + j, payload));
-                            }
-                            break;
-                        }
-                    }
-                }
-                res
-            }));
-            start += size;
-        }
-        for h in handles {
-            out.push(h.join().expect("worker panics are caught per-element"));
-        }
-    });
-
-    if let Some((i, payload)) = failure.into_inner().expect("failure lock") {
-        match panic_message(payload.as_ref()) {
-            Some(msg) => panic!("map_mut worker panicked on element {i}: {msg}"),
-            None => resume_unwind(payload),
-        }
-    }
-    out.into_iter().flatten().collect()
-}
-
 /// Run `f(start, chunk, &mut workers[w])` over `items` split into
 /// `workers.len()` contiguous chunks, where `start` is the index of the
-/// chunk's first element — the engine's per-node round phases, whose
-/// workers keep reusable scratch buffers from one round to the next.
+/// chunk's first element — the lock-step engine's per-node round phases,
+/// whose workers keep reusable scratch buffers from one round to the next,
+/// and the event runtime's shards, one per worker.
 ///
-/// Chunk sizes differ by at most one, as in [`map_mut`]. The last chunk
-/// runs on the calling thread and every other one on its own scoped
-/// thread, so one worker runs inline, spawning and allocating nothing.
+/// Chunk sizes differ by at most one; contiguous chunks keep each worker
+/// streaming through adjacent node state. The last chunk runs on the
+/// calling thread and every other one on its own scoped thread, so one
+/// worker runs inline, spawning and allocating nothing.
 ///
 /// # Panics
 /// Panics if `workers` is empty. If `f` panics on some chunk, that panic
@@ -318,44 +248,6 @@ mod tests {
         }))
         .expect_err("must propagate");
         assert_eq!(*err.downcast_ref::<u32>().expect("u32 payload"), 2);
-    }
-
-    #[test]
-    fn map_mut_mutates_in_place_and_preserves_order() {
-        let mut items: Vec<u64> = (0..101).collect();
-        let out = map_mut(&mut items, 8, |i, x| {
-            *x += 1;
-            (i as u64) * 10
-        });
-        assert_eq!(items, (1..=101).collect::<Vec<u64>>());
-        assert_eq!(out, (0..101).map(|i| i * 10).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn map_mut_inline_paths() {
-        let mut empty: Vec<u32> = vec![];
-        assert!(map_mut(&mut empty, 4, |_, x| *x).is_empty());
-        let mut one = vec![7u32];
-        assert_eq!(map_mut(&mut one, 0, |i, x| (i, *x)), vec![(0, 7)]);
-        let mut items = vec![1u32, 2, 3];
-        assert_eq!(map_mut(&mut items, 1, |_, x| *x * 2), vec![2, 4, 6]);
-    }
-
-    #[test]
-    fn map_mut_panic_carries_payload_and_index() {
-        let mut items: Vec<usize> = (0..32).collect();
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            map_mut(&mut items, 4, |i, _| {
-                if i == 13 {
-                    panic!("boom at element {i}");
-                }
-                i
-            })
-        }))
-        .expect_err("map_mut must propagate the worker panic");
-        let msg = panic_message(err.as_ref()).expect("string payload");
-        assert!(msg.contains("element 13"), "missing index: {msg}");
-        assert!(msg.contains("boom at element 13"), "missing payload: {msg}");
     }
 
     #[test]

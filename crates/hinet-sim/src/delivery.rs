@@ -35,7 +35,7 @@ use crate::round::RoundCtx;
 use crate::transport::{Envelope, EnvelopeKind, Released};
 use hinet_graph::graph::NodeId;
 use hinet_graph::Graph;
-use hinet_rt::obs::{self, FaultKind, Tracer};
+use hinet_rt::obs::{Event, FaultKind};
 
 /// One node's delivery-plane counters for one round. Both drivers sum
 /// these per round and close the round with the sum
@@ -105,70 +105,12 @@ impl Tally {
     }
 }
 
-/// A trace event recorded during a node's step and emitted through the
-/// [`Tracer`] by [`replay`] in lock-step order (the event runtime buffers
-/// them until the run ends; the lock-step engine replays each node's as
-/// soon as its step is done).
-pub(crate) enum BufEvt {
-    Broadcast {
-        token: u64,
-        cost: u64,
-        role: obs::Role,
-        bytes: u64,
-    },
-    Push {
-        token: u64,
-        cost: u64,
-        role: obs::Role,
-        to: u64,
-        bytes: u64,
-    },
-    Retransmit {
-        cost: u64,
-        dst: Option<u64>,
-    },
-    Fault {
-        to: u64,
-        kind: FaultKind,
-    },
-    Delayed {
-        to: u64,
-        rounds: u64,
-    },
-    Duplicated {
-        to: u64,
-    },
-    RetransmitTimeout {
-        to: u64,
-        attempt: u32,
-    },
-}
-
-/// Emit one buffered event of `node`'s round-`r` step through the tracer.
-pub(crate) fn replay(tracer: &mut Tracer, r: u64, node: u64, e: &BufEvt) {
-    match *e {
-        BufEvt::Broadcast {
-            token,
-            cost,
-            role,
-            bytes,
-        } => tracer.head_broadcast(r, node, token, cost, role, bytes),
-        BufEvt::Push {
-            token,
-            cost,
-            role,
-            to,
-            bytes,
-        } => tracer.token_push(r, node, token, cost, role, to, bytes),
-        BufEvt::Retransmit { cost, dst } => tracer.retransmit(r, node, cost, dst),
-        BufEvt::Fault { to, kind } => tracer.fault_injected(r, node, Some(to), kind),
-        BufEvt::Delayed { to, rounds } => tracer.delayed(r, node, to, rounds),
-        BufEvt::Duplicated { to } => tracer.duplicated(r, node, to),
-        BufEvt::RetransmitTimeout { to, attempt } => {
-            tracer.retransmit_timeout(r, node, to, attempt)
-        }
-    }
-}
+/// The trace events of one node's sender step, each with its on-air
+/// bytes (a send's; 0 for every other event), in the order the step
+/// recorded them. The lock-step engine emits them through
+/// [`hinet_rt::obs::Tracer::emit_with_bytes`] as soon as the step is done;
+/// the event runtime buffers them until the run ends.
+pub(crate) type Traced = Vec<(Event, u64)>;
 
 /// An outgoing envelope the delay knob held back: kept at the sender and
 /// flushed, with its original `rid`, once it has matured.
@@ -291,7 +233,7 @@ impl<'a> Plane<'a> {
         to: NodeId,
         leg: Leg,
         tally: &mut Tally,
-        evts: &mut Vec<BufEvt>,
+        evts: &mut Traced,
     ) -> Fate {
         if ctx.down[to.index()] {
             return Fate::Lost;
@@ -313,10 +255,8 @@ impl<'a> Plane<'a> {
             tally.faults += 1;
             tally.partition |= kind == FaultKind::Partition;
             if self.tracing {
-                evts.push(BufEvt::Fault {
-                    to: to.0 as u64,
-                    kind,
-                });
+                let (node, dst) = (from.0 as u64, Some(to.0 as u64));
+                evts.push((Event::FaultInjected { node, dst, kind }, 0));
             }
             return Fate::Lost;
         }
@@ -327,10 +267,8 @@ impl<'a> Plane<'a> {
         if d > 0 {
             tally.delays += 1;
             if self.tracing {
-                evts.push(BufEvt::Delayed {
-                    to: to.0 as u64,
-                    rounds: d as u64,
-                });
+                let (node, dst, rounds) = (from.0 as u64, to.0 as u64, d as u64);
+                evts.push((Event::Delayed { node, dst, rounds }, 0));
             }
             return Fate::Held(d);
         }
@@ -338,7 +276,8 @@ impl<'a> Plane<'a> {
         if dup {
             tally.dups_injected += 1;
             if self.tracing {
-                evts.push(BufEvt::Duplicated { to: to.0 as u64 });
+                let (node, dst) = (from.0 as u64, to.0 as u64);
+                evts.push((Event::Duplicated { node, dst }, 0));
             }
         }
         Fate::Deliver { dup }
@@ -365,14 +304,14 @@ impl<'a> Plane<'a> {
         link: &mut Link,
         outs: &[Outgoing],
         tally: &mut Tally,
-        evts: &mut Vec<BufEvt>,
+        evts: &mut Traced,
         due: &mut DueBuf,
         emit: &mut impl FnMut(Envelope),
     ) {
         if outs.is_empty() && !self.markers && link.in_flight() == 0 {
             return; // a silent node on a marker-free plane: nothing leaves
         }
-        let me = NodeId::from_index(i);
+        let (me, node) = (NodeId::from_index(i), i as u64);
         let role = ctx.hierarchy.role(me);
         let slot = role_slot(role);
         let payload_env =
@@ -408,10 +347,8 @@ impl<'a> Plane<'a> {
                     tally.coefficient_bytes += payload.coefficient_bytes();
                     tally.rt_timeouts += 1;
                     if self.tracing {
-                        evts.push(BufEvt::RetransmitTimeout {
-                            to: v.0 as u64,
-                            attempt: rt.attempt,
-                        });
+                        let (dst, attempt) = (v.0 as u64, u64::from(rt.attempt));
+                        evts.push((Event::RetransmitTimeout { node, dst, attempt }, 0));
                     }
                     if let Fate::Deliver { .. } = self.fate(ctx, r, me, v, Leg::Timer, tally, evts)
                     {
@@ -452,35 +389,40 @@ impl<'a> Plane<'a> {
             tally.by_role[slot] += cost;
             tally.coefficient_bytes += out.payload.coefficient_bytes();
             if self.tracing {
+                let dst = match out.dest {
+                    Destination::Broadcast => None,
+                    Destination::Unicast(v) => Some(v.0 as u64),
+                };
                 let w = self.weights;
                 let bytes =
                     cost * w.token_bytes + w.packet_header_bytes + out.payload.coefficient_bytes();
-                let token = out.payload.first().expect("non-empty payload").0;
-                evts.push(match out.dest {
-                    Destination::Broadcast => BufEvt::Broadcast {
+                let (token, count, role) = (
+                    out.payload.first().expect("non-empty payload").0,
+                    cost,
+                    obs_role(role),
+                );
+                let send = match dst {
+                    None => Event::HeadBroadcast {
+                        node,
                         token,
-                        cost,
-                        role: obs_role(role),
-                        bytes,
+                        count,
+                        role,
                     },
-                    Destination::Unicast(v) => BufEvt::Push {
+                    Some(dst) => Event::TokenPush {
+                        node,
                         token,
-                        cost,
-                        role: obs_role(role),
-                        to: v.0 as u64,
-                        bytes,
+                        count,
+                        role,
+                        dst,
                     },
-                });
+                };
+                evts.push((send, bytes));
+                if out.retransmit {
+                    evts.push((Event::Retransmit { node, count, dst }, 0));
+                }
             }
             if out.retransmit {
                 tally.retransmits += 1;
-                if self.tracing {
-                    let dst = match out.dest {
-                        Destination::Broadcast => None,
-                        Destination::Unicast(v) => Some(v.0 as u64),
-                    };
-                    evts.push(BufEvt::Retransmit { cost, dst });
-                }
             }
             let (targets, directed): (&[NodeId], bool) = match &out.dest {
                 Destination::Broadcast => (neighbors, false),

@@ -54,7 +54,7 @@
 //! bytes match the lock-step engine exactly (the trace differs only in its
 //! `mode` meta stamp).
 
-use crate::delivery::{replay, BufEvt, DueBuf, Link, Plane, Tally};
+use crate::delivery::{DueBuf, Link, Plane, Tally, Traced};
 use crate::engine::{
     resolve_threads, wall_clock, NodeStall, Ran, RunConfig, StallDiag, TokenLatency,
 };
@@ -64,7 +64,7 @@ use crate::round::{Builder, Fold, RoundCtx, Stepped};
 use crate::token::{TokenId, TokenSet};
 use crate::transport::{ChannelTransport, Envelope, Reassembly, Released};
 use hinet_graph::graph::NodeId;
-use hinet_rt::obs::Tracer;
+use hinet_rt::obs::{Event, Tracer};
 use hinet_rt::pool;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -240,7 +240,7 @@ struct NodeState {
     /// reports a delta.
     last_inflight: i64,
     /// Buffered trace events, `(round, events)` ascending.
-    evts: Vec<(usize, Vec<BufEvt>)>,
+    evts: Vec<(usize, Traced)>,
 }
 
 impl NodeState {
@@ -498,9 +498,10 @@ pub(crate) fn run<'a, P: Protocol + Send>(
         }
     }
 
-    pool::map_mut(&mut shards, nshards, |s, shard| {
+    // One shard per worker: the last runs on this thread.
+    pool::for_chunks_mut(&mut shards, &mut vec![(); nshards], |s, shard, ()| {
         let _guard = AbortGuard { shared: &shared };
-        run_shard(&shared, s, shard);
+        run_shard(&shared, s, &mut shard[0]);
     });
 
     // The fold closed every round below the stop, in order: merged
@@ -551,8 +552,8 @@ pub(crate) fn run<'a, P: Protocol + Send>(
                     let i = shard.base + j;
                     let c = &mut cursors[i];
                     if *c < st.evts.len() && st.evts[*c].0 == r {
-                        for e in &st.evts[*c].1 {
-                            replay(tracer, r as u64, i as u64, e);
+                        for (e, bytes) in &st.evts[*c].1 {
+                            tracer.emit_with_bytes(r as u64, e.clone(), *bytes);
                         }
                         *c += 1;
                     }
@@ -561,7 +562,8 @@ pub(crate) fn run<'a, P: Protocol + Send>(
         }
         if let Some(d) = &stall {
             for ns in &d.nodes {
-                tracer.stall_probe(ns.frontier as u64, ns.node.0 as u64);
+                let node = ns.node.0 as u64;
+                tracer.emit(ns.frontier as u64, Event::StallProbe { node });
             }
         }
     }
@@ -730,7 +732,7 @@ fn step_send<P: Protocol>(
         st.crashed_at = Some(r);
     }
     let outs = shared.step.send(p, ctx, i, r);
-    let mut evts: Vec<BufEvt> = Vec::new();
+    let mut evts = Traced::new();
     let outbox = &mut shard.outbox;
     shared.plane.send(
         ctx,
@@ -929,6 +931,59 @@ mod tests {
             assert_eq!(ev, lv, "node {i} final token set diverged");
         }
         lock
+    }
+
+    /// Flooding that panics when node `at` sends in round 1.
+    struct Bomb {
+        flood: Flood,
+        at: NodeId,
+    }
+
+    impl Protocol for Bomb {
+        fn on_start(&mut self, me: NodeId, initial: &[TokenId]) {
+            self.flood.on_start(me, initial);
+        }
+        fn send(&mut self, view: &LocalView<'_>) -> Vec<Outgoing> {
+            if view.me == self.at && view.round == 1 {
+                panic!("boom at node {}", view.me.0);
+            }
+            self.flood.send(view)
+        }
+        fn receive(&mut self, view: &LocalView<'_>, inbox: &[Incoming]) {
+            self.flood.receive(view, inbox);
+        }
+        fn known(&self) -> &TokenSet {
+            self.flood.known()
+        }
+    }
+
+    /// A shard that panics, on its own thread or on the caller's (the
+    /// last shard), aborts its peers, which would otherwise wait forever
+    /// for its round-1 markers, and the panic reaches the caller with its
+    /// payload.
+    #[test]
+    fn a_panicking_shard_aborts_its_peers_and_is_reraised() {
+        let n = 8;
+        let assignment = round_robin_assignment(n, n);
+        for (threads, at) in [(4, 3), (4, 7), (2, 1), (2, 6)] {
+            let mut protocols: Vec<Bomb> = (0..n)
+                .map(|_| Bomb {
+                    flood: Flood::new(),
+                    at: NodeId(at),
+                })
+                .collect();
+            let mut provider = star_provider(n, 32);
+            let cfg = RunConfig::new()
+                .max_rounds(16)
+                .threads(threads)
+                .mode(ExecMode::Event);
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Engine::new(cfg).run(&mut provider, &mut protocols, &assignment)
+            }))
+            .expect_err("the shard's panic must reach the caller");
+            let msg = err.downcast_ref::<String>().expect("a formatted payload");
+            assert_eq!(*msg, format!("boom at node {at}"), "{threads} threads");
+        }
     }
 
     #[test]

@@ -111,11 +111,6 @@ impl Gf2Basis {
         self.rows.len()
     }
 
-    /// Whether the basis spans the full space (every token decodable).
-    pub fn is_complete(&self) -> bool {
-        self.rows.len() == self.k
-    }
-
     /// Insert a vector; returns `true` iff it was linearly independent of
     /// the current basis (rank increased).
     pub fn insert(&mut self, mut v: Gf2Vec) -> bool {
@@ -215,9 +210,9 @@ mod tests {
         assert!(!b.insert(vec_of(4, &[0, 2])), "sum of the first two");
         assert_eq!(b.rank(), 2);
         assert!(b.insert(vec_of(4, &[3])));
-        assert!(!b.is_complete());
+        assert_eq!(b.rank(), 3);
         assert!(b.insert(vec_of(4, &[2])));
-        assert!(b.is_complete());
+        assert_eq!(b.rank(), 4, "full rank");
         assert!(!b.insert(vec_of(4, &[0, 1, 2, 3])), "full space now");
     }
 
@@ -275,7 +270,7 @@ mod tests {
         for i in (0..k).rev() {
             assert!(b.insert(Gf2Vec::unit(k, i)));
         }
-        assert!(b.is_complete());
+        assert_eq!(b.rank(), k);
         assert_eq!(b.decoded().len(), k);
     }
 }

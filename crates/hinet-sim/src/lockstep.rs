@@ -8,7 +8,7 @@
 //! returns what the round fold needs to close it. Building the round and
 //! closing it are the caller's ([`crate::engine::Engine::run`]).
 
-use crate::delivery::{replay, DueBuf, Link, Outbox, Plane, Tally};
+use crate::delivery::{DueBuf, Link, Outbox, Plane, Tally};
 use crate::engine::{resolve_threads, RunConfig};
 use crate::node::{delta, Census, Counts, Flags, NodeStep};
 use crate::protocol::{Incoming, Outgoing, Protocol};
@@ -132,7 +132,7 @@ impl<'a> Lockstep<'a> {
         let informed_start = self.counts.informed;
 
         // Delivery: every node's sender step, in node-id order, accounts
-        // and traces its sends (its events replayed as it finishes, so
+        // and traces its sends (its events emitted as it finishes, so
         // metrics, trace and inbox order do not depend on the thread
         // count); a non-trivial plan's envelopes then go through the
         // reassembly and the receiver step, as a mailbox would deliver
@@ -153,8 +153,8 @@ impl<'a> Lockstep<'a> {
                 &mut self.due,
                 &mut |env: Envelope| reasm.file(env.to.index(), env),
             );
-            for e in evts.drain(..) {
-                replay(tracer, round as u64, i as u64, &e);
+            for (e, bytes) in evts.drain(..) {
+                tracer.emit_with_bytes(round as u64, e, bytes);
             }
         }
         if !self.trivial {

@@ -24,7 +24,7 @@ use hinet_cluster::hierarchy::Hierarchy;
 use hinet_cluster::stability::stream::{StabilityStream, StreamReport, WindowVerdict};
 use hinet_graph::graph::NodeId;
 use hinet_graph::Graph;
-use hinet_rt::obs::Tracer;
+use hinet_rt::obs::{Event, Tracer};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -75,13 +75,14 @@ impl RoundLog {
         let r = r as u64;
         tracer.round_start(r);
         for &i in &self.recoveries {
-            tracer.recover(r, i as u64);
+            tracer.emit(r, Event::Recover { node: i as u64 });
         }
         for &i in &self.crashes {
-            tracer.crash(r, i as u64, durable_tokens);
+            let (node, durable) = (i as u64, durable_tokens);
+            tracer.emit(r, Event::Crash { node, durable });
         }
-        for &(node, old, new) in &self.reaffs {
-            tracer.reaffiliation(r, node, old, new);
+        for &(node, from, to) in &self.reaffs {
+            tracer.emit(r, Event::Reaffiliation { node, from, to });
         }
         if let Some(verdict) = &self.verdict {
             verdict.emit_into(tracer);

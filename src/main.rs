@@ -488,7 +488,12 @@ fn write_trace(path: &str, tracer: &Tracer) -> Result<String, String> {
     if let Some(parent) = p.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(parent).map_err(|e| format!("cannot create {parent:?}: {e}"))?;
     }
-    std::fs::write(p, tracer.to_jsonl()).map_err(|e| format!("cannot write {path}: {e}"))?;
+    let write = || -> std::io::Result<()> {
+        let mut w = std::io::BufWriter::new(std::fs::File::create(p)?);
+        tracer.write_jsonl(&mut w)?;
+        std::io::Write::flush(&mut w)
+    };
+    write().map_err(|e| format!("cannot write {path}: {e}"))?;
     Ok(format!(
         "trace: wrote {path} ({} events, {} dropped)",
         tracer.len(),

@@ -538,14 +538,41 @@ fn recount_matches_the_header_of_a_full_trace() {
     use hinet::rt::obs::{FaultKind, ParsedTrace};
     let mut t = Tracer::new(ObsConfig::full());
     t.round_start(0);
-    t.fault_injected(0, 3, Some(1), FaultKind::Loss);
-    t.fault_injected(0, 4, None, FaultKind::Partition);
-    t.crash(1, 2, true);
-    t.retransmit(2, 3, 2, Some(0));
-    t.recover(3, 2);
+    t.emit(
+        0,
+        Event::FaultInjected {
+            node: 3,
+            dst: Some(1),
+            kind: FaultKind::Loss,
+        },
+    );
+    t.emit(
+        0,
+        Event::FaultInjected {
+            node: 4,
+            dst: None,
+            kind: FaultKind::Partition,
+        },
+    );
+    t.emit(
+        1,
+        Event::Crash {
+            node: 2,
+            durable: true,
+        },
+    );
+    t.emit(
+        2,
+        Event::Retransmit {
+            node: 3,
+            count: 2,
+            dst: Some(0),
+        },
+    );
+    t.emit(3, Event::Recover { node: 2 });
     t.run_end(4, false);
     let parsed = ParsedTrace::parse_jsonl(&t.to_jsonl()).unwrap();
-    assert!(parsed.is_complete());
+    assert!(is_complete(&parsed));
     assert_eq!(recount_events(&parsed), parsed.counters);
     assert_eq!(recount_events(&parsed).faults_injected, 2);
 }

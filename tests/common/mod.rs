@@ -34,7 +34,9 @@ use hinet::graph::graph::{Graph, GraphBuilder, NodeId};
 use hinet::graph::metrics::{snapshot_stats, TraceStats};
 use hinet::graph::trace::TvgTrace;
 use hinet::graph::verify::{is_always_connected, is_t_interval_connected};
-use hinet::rt::obs::{Counters, Event, ParsedTrace, Tracer};
+use hinet::rt::check::CaseCtx;
+use hinet::rt::obs::{Counters, Event, FaultKind, ObsMode, ParsedTrace, Role, Tracer};
+use hinet::rt::rng::Rng;
 use hinet::scenario::Scenario;
 use std::sync::Arc;
 
@@ -142,8 +144,9 @@ pub fn trace_stability_windows(
             (7, def7),
             (8, def8),
         ] {
-            tracer.stability_window(start as u64, def, true, held);
-            tracer.stability_window(last, def, false, held);
+            for (round, open) in [(start as u64, true), (last, false)] {
+                tracer.emit(round, Event::StabilityWindow { def, open, held });
+            }
         }
     }
     hinet_windows
@@ -499,6 +502,13 @@ pub fn alg1_time_matches_plan(p: &ModelParams) -> bool {
     plan.total_rounds() as u64 == hinet_tl_time(p)
 }
 
+/// Whether a parsed trace's event stream is complete: captured at
+/// `ObsMode::Full` with nothing evicted. Only a complete trace can be
+/// recounted by [`recount_events`].
+pub fn is_complete(trace: &ParsedTrace) -> bool {
+    trace.dropped == 0 && trace.mode == ObsMode::Full
+}
+
 /// The counters recomputed from a parsed trace's event stream. Byte costs
 /// and the dedup gauge are not carried by events, so they are copied from
 /// the header; for a complete trace every other field must equal the
@@ -531,6 +541,77 @@ pub fn recount_events(trace: &ParsedTrace) -> Counters {
         }
     }
     c
+}
+
+/// One random event of each kind, in declaration order, its integers
+/// below 1 000: the source of every event kind for the event-table
+/// properties. [`recount_events`]'s match is exhaustive, so a new kind
+/// does not compile until it is counted there; add it here too.
+pub fn one_event_of_each_kind(c: &mut CaseCtx) -> Vec<Event> {
+    let int = |c: &mut CaseCtx| c.random_range(0..1000u64);
+    let opt = |c: &mut CaseCtx| c.random_bool(0.5).then(|| int(c));
+    let role = |c: &mut CaseCtx| *c.pick(&[Role::Head, Role::Gateway, Role::Member]);
+    vec![
+        Event::RoundStart,
+        Event::TokenPush {
+            node: int(c),
+            token: int(c),
+            count: int(c),
+            role: role(c),
+            dst: int(c),
+        },
+        Event::HeadBroadcast {
+            node: int(c),
+            token: int(c),
+            count: int(c),
+            role: role(c),
+        },
+        Event::PhaseAdvance { phase: int(c) },
+        Event::Reaffiliation {
+            node: int(c),
+            from: opt(c),
+            to: opt(c),
+        },
+        Event::StabilityWindow {
+            def: c.random_range(2..=8u32) as u8,
+            open: c.random_bool(0.5),
+            held: c.random_bool(0.5),
+        },
+        Event::FaultInjected {
+            node: int(c),
+            dst: opt(c),
+            kind: *c.pick(&[FaultKind::Loss, FaultKind::Partition]),
+        },
+        Event::Crash {
+            node: int(c),
+            durable: c.random_bool(0.5),
+        },
+        Event::Recover { node: int(c) },
+        Event::Retransmit {
+            node: int(c),
+            count: int(c),
+            dst: opt(c),
+        },
+        Event::Delayed {
+            node: int(c),
+            dst: int(c),
+            rounds: int(c),
+        },
+        Event::Duplicated {
+            node: int(c),
+            dst: int(c),
+        },
+        Event::RetransmitTimeout {
+            node: int(c),
+            dst: int(c),
+            attempt: int(c),
+        },
+        Event::StallProbe { node: int(c) },
+        Event::RunEnd {
+            rounds: int(c),
+            completed: c.random_bool(0.5),
+        },
+    ]
 }
 
 /// A clean lock-step scenario of `algorithm` on `dynamics` with α = L = 2,

@@ -82,7 +82,7 @@ fn goldens_are_complete_and_internally_consistent() {
     for name in EXPECTED {
         let golden = load(name);
         assert!(
-            golden.is_complete(),
+            common::is_complete(&golden),
             "golden {name} must be a full-mode capture with nothing dropped \
              (mode={}, dropped={})",
             golden.mode.wire(),
